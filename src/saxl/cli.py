@@ -6,8 +6,9 @@ and ``verify`` runs named verification sweeps (closed-form criteria against
 brute force, counting formulas, fixture tables, totient scans) and reports
 machine-readable per-check results.
 
-Exit codes: 0 success, 2 resource cap exceeded, 1 any other failure (bad
-arguments, unknown names, failed verification).  Output is deterministic:
+Exit codes: 0 success, 2 resource cap exceeded, 3 an internal cross-check
+between two computation routes failed, 1 any other failure (bad arguments,
+unknown names, failed verification).  Output is deterministic:
 identical invocations produce byte-identical bytes.
 """
 
@@ -35,7 +36,14 @@ from .actions import (
     psl2_c2_action,
     psl2_c3_action,
 )
-from .engine import build_report, check_star, q_exact, saxl_graph, suborbits
+from .engine import (
+    CrossCheckFailed,
+    build_report,
+    check_star,
+    q_exact,
+    regular_suborbit_count,
+    saxl_graph,
+)
 from .gf import (
     count_nonsquare_nonsubfield,
     euler_bound_scan,
@@ -258,11 +266,6 @@ def _check(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
-def _regular_count(action: LabelledAction) -> int:
-    stab = action.stabiliser0().order()
-    return sum(1 for _, length in suborbits(action) if length == stab)
-
-
 def _sweep_table_rows(cfg: RunConfig) -> list[dict]:
     expect_path = Path(__file__).parent / "data" / "table_rows.json"
     expected = json.loads(expect_path.read_text())
@@ -272,7 +275,7 @@ def _sweep_table_rows(cfg: RunConfig) -> list[dict]:
         want = expected[name]
         entry = entries[name]
         action = _entry_action(entry, cfg.caps)
-        r = _regular_count(action)
+        r = regular_suborbit_count(action)
         q = q_exact(action)
         want_q = Fraction(want["q"]["num"], want["q"]["den"])
         ok = r == want["r"] and q == want_q
@@ -370,7 +373,7 @@ def _sweep_johnson(cfg: RunConfig) -> list[dict]:
             for b in range(a + 1, n)
             if graph.has_edge(a, b) != (len(sets[a] & sets[b]) == 1)
         )
-        r = _regular_count(action)
+        r = regular_suborbit_count(action)
         checks.append(
             _check(
                 "johnson PGL2 q=%d" % q,
@@ -384,11 +387,13 @@ def _sweep_johnson(cfg: RunConfig) -> list[dict]:
 def _sweep_counts(cfg: RunConfig) -> list[dict]:
     checks = []
     for q in (9, 25, 49):
+        if cfg.qmax and q > cfg.qmax:
+            continue
         F = field_from_order(q)
         valency, r = criteria.c2_counts(F)
         action = psl2_c2_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
         graph = saxl_graph(action)
-        r_brute = _regular_count(action)
+        r_brute = regular_suborbit_count(action)
         checks.append(
             _check(
                 "c2-counts q=%d" % q,
@@ -397,8 +402,10 @@ def _sweep_counts(cfg: RunConfig) -> list[dict]:
             )
         )
     for q in (11, 13, 17, 19):
+        if cfg.qmax and q > cfg.qmax:
+            continue
         action = psl2_c3_action(GroupVariant("PSL2", q), caps=cfg.caps)
-        r_brute = _regular_count(action)
+        r_brute = regular_suborbit_count(action)
         r_formula = criteria.c3_regular_count_prime(q)
         checks.append(
             _check(
@@ -407,6 +414,8 @@ def _sweep_counts(cfg: RunConfig) -> list[dict]:
                 "formula %d brute %d" % (r_formula, r_brute),
             )
         )
+    if cfg.qmax and 13 > cfg.qmax:
+        return checks
     F13 = field_from_order(13)
     m = count_nonsquare_nonsubfield(F13)
     action = psl2_c2_action(GroupVariant("PSL2", 13), caps=cfg.caps)
@@ -446,7 +455,7 @@ def _base_two_l_actions(cfg: RunConfig, qmax: int):
                     continue
                 if not action.group.is_primitive():
                     continue
-                if _regular_count(action) < 1:
+                if regular_suborbit_count(action) < 1:
                     continue
                 tag = "(j=%d)" % j if j else ""
                 out.append(("%s %s q=%d%s" % (kind, family, q, tag), action))
@@ -621,6 +630,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         sys.stderr.write("cap exceeded: %s\n" % exc)
         return 2
+    except CrossCheckFailed as exc:
+        sys.stderr.write("error: cross-check failed: %s\n" % exc)
+        return 3
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -13,7 +13,8 @@ pointwise stabiliser is trivial.  The central quantities are
 
 All verdicts are exact: rationals are `fractions.Fraction`, graph adjacency
 is exact bitsets, and every quantity with two available computation routes
-is asserted equal across both routes before being returned.
+is compared across both routes before being returned; a disagreement raises
+:class:`CrossCheckFailed`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ from fractions import Fraction
 import numpy as np
 
 from .actions import LabelledAction
-from .group import CapExceeded, PermGroup, conjugacy_class
-from .perm import Perm
+from .group import CapExceeded, conjugacy_class
+
+
+class CrossCheckFailed(AssertionError):
+    """Two independent computation routes disagreed at run time."""
 
 
 def _is_prime(n: int) -> bool:
@@ -47,32 +51,45 @@ class _Analysis:
     """Suborbit table and base-pair flags for one action, built once.
 
     ``point_flags[b]`` records whether {0, b} is a base pair.  Each suborbit
-    representative's flag is computed by two independent routes (orbit length
-    versus explicit two-point stabiliser) and the routes must agree.
+    representative's flag is computed by two independent routes that must
+    agree: orbit length (a regular H-orbit, from a breadth-first search over
+    the generators of H = G_0) versus fixed points ({0, b} is a base exactly
+    when no non-identity element of H fixes b, from H's chain-enumerated
+    elements).  The same pass over H checks Burnside's count
+    sum_h fix(h) == |H| * (number of H-orbits).
     """
 
     def __init__(self, action: LabelledAction):
-        G = action.group
         H = action.stabiliser0()
         n = action.degree
         self.n = n
         self.order_h = H.order()
-        self.transversal = G.orbit_transversal(0)
+        self.transversal = action.group.orbit_transversal(0)
         self.orbits = H.orbits()  # ordered by minimal point
+        fixed_by_nonidentity = [False] * n
+        fix_total = 0
+        for h in H.elements():
+            fixed = [pt for pt, img in enumerate(h.images) if pt == img]
+            fix_total += len(fixed)
+            if len(fixed) < n:
+                for pt in fixed:
+                    fixed_by_nonidentity[pt] = True
+        if fix_total != self.order_h * len(self.orbits):
+            raise CrossCheckFailed(
+                "Burnside count: sum of fixed points %d != |H| * %d orbits = %d"
+                % (fix_total, len(self.orbits), self.order_h * len(self.orbits))
+            )
         self.point_flags = [False] * n
         self.rep_flags: dict[int, bool] = {}
         self.rep_lengths: dict[int, int] = {}
         for orbit in self.orbits:
             rep = orbit[0]
             by_length = len(orbit) == self.order_h
-            if rep == 0:
-                by_chain = H.is_trivial()
-            else:
-                by_chain = G.pointwise_stabiliser([0, rep]).is_trivial()
-            if by_length != by_chain:
-                raise AssertionError(
-                    "suborbit at %d: length route says %s, stabiliser route says %s"
-                    % (rep, by_length, by_chain)
+            by_fixed_points = not fixed_by_nonidentity[rep]
+            if by_length != by_fixed_points:
+                raise CrossCheckFailed(
+                    "suborbit at %d: length route says %s, fixed-point route says %s"
+                    % (rep, by_length, by_fixed_points)
                 )
             self.rep_flags[rep] = by_length
             self.rep_lengths[rep] = len(orbit)
@@ -142,7 +159,7 @@ def q_exact(action: LabelledAction) -> Fraction:
     )
     from_count = Fraction(non_base * n, n * n)
     if from_r != from_count:
-        raise AssertionError(
+        raise CrossCheckFailed(
             "Q cross-check failed: %s (regular count) vs %s (pair count)"
             % (from_r, from_count)
         )
@@ -184,7 +201,7 @@ def _prime_class_data(action: LabelledAction):
                 count += 1
                 membership[member.images] = len(g_classes)
         if count * n != h.fixed_point_count() * size:
-            raise AssertionError(
+            raise CrossCheckFailed(
                 "orbit-counting identity failed for class of %s" % (h.cycle_string(),)
             )
         g_classes.append((h.order(), size, count))
@@ -209,7 +226,7 @@ def _prime_class_data(action: LabelledAction):
         key = (order, g_size)
         pools_h[key] = pools_h.get(key, 0) + h_size
     if pools_g != pools_h:
-        raise AssertionError("H-class pooling disagrees with G-class intersection")
+        raise CrossCheckFailed("H-class pooling disagrees with G-class intersection")
 
     result = (g_classes, h_classes)
     action._cache["prime_classes"] = result
@@ -316,11 +333,11 @@ def saxl_graph(action: LabelledAction) -> SaxlGraph:
         matrix[a] = flags[np.array(data.flags_from(a), dtype=np.intp)]
     np.fill_diagonal(matrix, False)
     if not np.array_equal(matrix, matrix.T):
-        raise AssertionError("base-pair adjacency is not symmetric")
+        raise CrossCheckFailed("base-pair adjacency is not symmetric")
     expected = data.regular_count * data.order_h - (1 if data.order_h == 1 else 0)
     degrees = matrix.sum(axis=1)
     if not (degrees == expected).all():
-        raise AssertionError(
+        raise CrossCheckFailed(
             "valency %s != r*|H| = %d" % (sorted(set(degrees.tolist())), expected)
         )
     rows = tuple(
@@ -392,7 +409,7 @@ def clique_lower(action: LabelledAction, target: int) -> tuple[bool, list[int]]:
     for i, a in enumerate(found):
         for b in found[i + 1 :]:
             if not graph.has_edge(a, b):
-                raise AssertionError("greedy clique is not a clique")
+                raise CrossCheckFailed("greedy clique is not a clique")
     return True, found
 
 
@@ -539,7 +556,7 @@ def build_report(
     qh = q_hat(action) if with_classes else None
     qt = q_tilde(action) if with_classes else None
     if qh is not None and not (q <= qh <= qt):
-        raise AssertionError("estimate chain Q <= Q-hat <= Q-tilde failed")
+        raise CrossCheckFailed("estimate chain Q <= Q-hat <= Q-tilde failed")
 
     t_val = None
     t_unbounded = False

@@ -196,7 +196,8 @@ class FqField:
             ) and _poly_powmod(cand, q - 1, m, p) == [1]:
                 lam_poly = cand
                 break
-        assert lam_poly is not None
+        if lam_poly is None:
+            raise RuntimeError("no primitive element found for GF(%d)" % q)
         self.gen_coeffs = as_coeffs(lam_poly)
 
         exp_coeffs: list[tuple[int, ...]] = [as_coeffs([1])]

@@ -630,7 +630,8 @@ def _sylow(G: PermGroup, p: int) -> PermGroup:
         y = p_element(x)
         if y is not None:
             first = min(y, first) if first is not None else y
-    assert first is not None
+    if first is None:  # cannot happen: p divides |G|
+        raise RuntimeError("no %d-element found" % p)
     P = PermGroup(G.degree, [first], caps=G.caps)
     while P.order() < p_part:
         N = _normaliser(G, P)

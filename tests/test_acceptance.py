@@ -332,8 +332,8 @@ def test_criterion_8_clique_bounds():
                     assert criteria.c3_pair_base(F2, "PSigmaL", a.scalar(), b.scalar()), (q, i, j)
         if q == 49:
             # independent confirmation straight from the permutation groups;
-            # q = 49 is the largest field whose full suborbit analysis
-            # (which chain-verifies every representative) fits the budget
+            # their suborbit analysis checks every representative twice, by
+            # orbit length and by the fixed points of the point stabiliser
             c2_act = psl2_c2_action(GroupVariant("PSigmaL2", q))
             assert c2_act.labels[0] == ALPHA_PAIR
             c2_idx = [0] + [

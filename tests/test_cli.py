@@ -67,6 +67,17 @@ class TestExitCodes:
         monkeypatch.setenv("SAXL_THREADS", "lots")
         assert main(["analyze", "--ksubsets", "5", "2"]) == 1
 
+    def test_cross_check_failure_is_3(self, capsys, monkeypatch):
+        from saxl import engine
+
+        # a Q-hat below Q breaks the estimate chain Q <= Q-hat <= Q-tilde
+        monkeypatch.setattr(engine, "q_hat", lambda action: Fraction(-1))
+        assert main(["analyze", "--ksubsets", "5", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cross-check failed: estimate chain")
+        assert captured.err.count("\n") == 1
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -167,6 +178,13 @@ class TestVerify:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
+
+    def test_counts_sweep_honours_qmax(self, capsys):
+        code = main(["verify", "counts", "--qmax", "25"])
+        assert code == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert "c2-counts q=25" in names
+        assert not any("q=49" in name for name in names)
 
     def test_verify_out_file(self, capsys, tmp_path):
         target = tmp_path / "euler.json"

@@ -5,9 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from saxl.actions import GroupVariant, OmegaPoint, ksubset_action, psl2_c2_action
+from saxl.actions import (
+    GroupVariant,
+    OmegaPoint,
+    bundled_catalogue_path,
+    coset_action,
+    ksubset_action,
+    load_catalogue,
+    psl2_c2_action,
+    psl2_c3_action,
+)
 from saxl.engine import (
+    CrossCheckFailed,
     SaxlReport,
+    _Analysis,
     build_report,
     check_star,
     clique_and_independence_exact,
@@ -39,6 +50,15 @@ def c5_regular():
     return natural_action(g, "C5-regular")
 
 
+def c3_psl2_9():
+    return psl2_c3_action(GroupVariant("PSL2", 9))
+
+
+def fixture_pgl2_11_s4():
+    entry = load_catalogue(bundled_catalogue_path())["PGL2_11_S4"]
+    return coset_action(entry.group, entry.subgroup, entry.name)
+
+
 def s3_natural():
     g = PermGroup(3, [from_cycles(3, [(0, 1, 2)]), from_cycles(3, [(0, 1)])])
     return natural_action(g, "S3-natural")
@@ -56,15 +76,42 @@ def brute_q_hat(action):
 
 
 class TestBasePairs:
-    @pytest.mark.parametrize("build", [a5_pairs, lambda: psl2_c2_action(GroupVariant("PSL2", 7))])
+    @pytest.mark.parametrize(
+        "build",
+        [a5_pairs, lambda: psl2_c2_action(GroupVariant("PSL2", 7)), c3_psl2_9, fixture_pgl2_11_s4],
+    )
     def test_against_pointwise_stabiliser(self, build):
         act = build()
         g = act.group
-        for a in range(act.degree):
-            for b in range(act.degree):
+        n = act.degree
+        # every ordered pair up to 36 points; beyond, all pairs from four sources
+        sources = range(n) if n <= 36 else (0, 1, n // 2, n - 1)
+        for a in sources:
+            for b in range(n):
                 if a == b:
                     continue
                 assert is_base_pair(act, a, b) == g.pointwise_stabiliser([a, b]).is_trivial()
+
+    def test_burnside_count_catches_a_tampered_orbit_table(self, monkeypatch):
+        act = a5_pairs()
+        H = act.stabiliser0()
+        orbits = H.orbits()
+        longest = max(orbits, key=len)
+        split = [o for o in orbits if o is not longest] + [longest[:1], longest[1:]]
+        monkeypatch.setattr(H, "orbits", lambda: sorted(split))
+        with pytest.raises(CrossCheckFailed, match="Burnside"):
+            _Analysis(act)
+
+    def test_route_disagreement_is_caught(self, monkeypatch):
+        # same number of orbits, so only the per-representative comparison can see it
+        act = a5_pairs()
+        H = act.stabiliser0()
+        orbits = sorted(H.orbits(), key=len)
+        short, regular = orbits[1], orbits[2]
+        moved = [orbits[0], short + regular[-1:], regular[:-1]]
+        monkeypatch.setattr(H, "orbits", lambda: sorted(moved))
+        with pytest.raises(CrossCheckFailed, match="length route"):
+            _Analysis(act)
 
     def test_diagonal_rejected(self):
         with pytest.raises(ValueError):
