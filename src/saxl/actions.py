@@ -26,7 +26,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .gf import FqElem, FqField, field_create, split_prime_power
-from .group import CapExceeded, Caps, DEFAULT_CAPS, PermGroup
+from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup
 from .perm import Perm, from_cycles, parse_cycles
 
 ALPHA = "alpha"
@@ -131,14 +131,14 @@ def _verify_orders(action: LabelledAction) -> LabelledAction:
     if action.expected_group_order is not None:
         got = action.group.order()
         if got != action.expected_group_order:
-            raise AssertionError(
+            raise CrossCheckFailed(
                 "%s: group order %d, expected %d"
                 % (action.name, got, action.expected_group_order)
             )
     if action.expected_stab_order is not None:
         got = action.stabiliser0().order()
         if got != action.expected_stab_order:
-            raise AssertionError(
+            raise CrossCheckFailed(
                 "%s: point stabiliser order %d, expected %d"
                 % (action.name, got, action.expected_stab_order)
             )
@@ -189,7 +189,7 @@ def ksubset_action(
     labels = tuple(OmegaPoint("k_subset", s) for s in subsets)
     stab_order, rem = divmod(order, degree)
     if rem:
-        raise AssertionError("order %d not divisible by degree %d" % (order, degree))
+        raise CrossCheckFailed("order %d not divisible by degree %d" % (order, degree))
     return _verify_orders(
         LabelledAction(
             group,
@@ -257,7 +257,7 @@ def coset_action(
                 reps.append(nxt)
             images_per_gen[gi].append(at)
     if len(reps) != index:
-        raise AssertionError(
+        raise CrossCheckFailed(
             "coset enumeration found %d cosets, expected %d" % (len(reps), index)
         )
 
@@ -271,11 +271,11 @@ def coset_action(
     order_image = group.order()
     kernel_order, rem = divmod(order_g, order_image)
     if rem:
-        raise AssertionError("image order %d does not divide |G|" % order_image)
+        raise CrossCheckFailed("image order %d does not divide |G|" % order_image)
     # orbit-stabiliser: |image| = index * |stab|, which certifies that the
     # image of H (all of whose generators fix point 0) is the full stabiliser
     if order_image != index * stab0.order():
-        raise AssertionError("point-0 stabiliser is larger than the image of H")
+        raise CrossCheckFailed("point-0 stabiliser is larger than the image of H")
 
     labels = tuple(OmegaPoint("coset_index", i) for i in range(index))
     warnings = ()
@@ -492,7 +492,7 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     one, zero = F2.one(), F2.zero()
     scalar_logs = c3_label_logs(F2, q)
     if len(scalar_logs) + 1 != degree:
-        raise AssertionError("scalar label count %d != degree - 1" % len(scalar_logs))
+        raise CrossCheckFailed("scalar label count %d != degree - 1" % len(scalar_logs))
     labels = (OmegaPoint("c3_point", ALPHA),) + tuple(
         OmegaPoint("c3_point", log) for log in scalar_logs
     )
@@ -531,10 +531,10 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     for M in su_mats:
         (a, b_), (c, d) = M
         if not (a * d - b_ * c == one):
-            raise AssertionError("conjugated generator does not have determinant 1")
+            raise CrossCheckFailed("conjugated generator does not have determinant 1")
         (w, x), (y, z) = _mat_mul(M, _mat_conj_transpose(M, f))
         if not (w == one and z == one and x.is_zero() and y.is_zero()):
-            raise AssertionError("conjugated generator is not unitary")
+            raise CrossCheckFailed("conjugated generator is not unitary")
 
     mat_t = ((lam ** (q - 1), zero), (zero, lam ** (1 - q)))  # SU2 torus
     mat_w = ((zero, one), (-one, zero))  # SU2 swap of <u>, <v>

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -37,7 +36,6 @@ from .actions import (
     psl2_c3_action,
 )
 from .engine import (
-    CrossCheckFailed,
     build_report,
     check_star,
     q_exact,
@@ -51,7 +49,7 @@ from .gf import (
     field_from_order,
     split_prime_power,
 )
-from .group import CapExceeded, Caps, DEFAULT_CAPS
+from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS
 from . import criteria
 
 VARIANT_NAMES = {
@@ -61,19 +59,6 @@ VARIANT_NAMES = {
     "pgamma": "PGammaL2",
     "dphi": "DeltaPhi",
 }
-
-SWEEPS = (
-    "table-rows",
-    "c2-oracle",
-    "c3-oracle",
-    "johnson",
-    "counts",
-    "star",
-    "witnesses",
-    "euler",
-    "clique5",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,7 +85,6 @@ class RunConfig:
     qmax: int | None = None
     nmax: int | None = None
     per_field: int = 1000
-    threads: int = 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +125,7 @@ def _build_parser() -> _Parser:
     p_gr.add_argument("--format", dest="fmt", choices=("dot", "edges"), default="dot")
 
     p_ve = sub.add_parser("verify", help="run a named verification sweep")
-    p_ve.add_argument("sweep", help="one of: %s" % ", ".join(SWEEPS))
+    p_ve.add_argument("sweep", help="one of: %s" % ", ".join(_SWEEP_FUNCS))
     p_ve.add_argument("--qmax", type=int, help="largest field size to sweep")
     p_ve.add_argument("--nmax", type=int, help="scan limit for the totient sweep")
     p_ve.add_argument("--per-field", type=int, default=1000, help="witness inputs per large field")
@@ -151,9 +135,6 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
-    threads = int(os.environ.get("SAXL_THREADS", "0"))
-    if threads < 0:
-        raise ValueError("SAXL_THREADS must be >= 0")
     caps = DEFAULT_CAPS
     for field_name, arg_name in (
         ("point_cap", "point_cap"),
@@ -186,7 +167,6 @@ def _config_from_args(args) -> RunConfig:
         qmax=getattr(args, "qmax", None),
         nmax=getattr(args, "nmax", None),
         per_field=getattr(args, "per_field", 1000),
-        threads=threads,
     )
     if cfg.command in ("analyze", "graph"):
         specs = sum(x is not None for x in (cfg.catalogue, cfg.psl2, cfg.ksubsets))
@@ -266,9 +246,13 @@ def _check(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
 
+def _table_rows() -> dict:
+    """The frozen (r, Q) rows of the bundled fixtures, by catalogue name."""
+    return json.loads((Path(__file__).parent / "data" / "table_rows.json").read_text())
+
+
 def _sweep_table_rows(cfg: RunConfig) -> list[dict]:
-    expect_path = Path(__file__).parent / "data" / "table_rows.json"
-    expected = json.loads(expect_path.read_text())
+    expected = _table_rows()
     entries = _load_entries(cfg)
     checks = []
     for name in expected:
@@ -377,7 +361,7 @@ def _sweep_johnson(cfg: RunConfig) -> list[dict]:
         checks.append(
             _check(
                 "johnson PGL2 q=%d" % q,
-                bad == 0 and r == 1,
+                n == q * (q + 1) // 2 and bad == 0 and r == 1,
                 "%d edge disagreements, r=%d" % (bad, r),
             )
         )
@@ -468,42 +452,37 @@ def _sweep_star(cfg: RunConfig) -> list[dict]:
     for name, action in _base_two_l_actions(cfg, qmax):
         ok, witnesses = check_star(action)
         missing = sum(1 for w in witnesses.values() if w is None)
-        checks.append(_check("star %s" % name, ok, "%d suborbit reps, %d without witness" % (len(witnesses), missing)))
-    expect_path = Path(__file__).parent / "data" / "table_rows.json"
+        checks.append(_check("star %s" % name, ok and bool(witnesses), "%d suborbit reps, %d without witness" % (len(witnesses), missing)))
     entries = _load_entries(cfg)
-    for name in json.loads(expect_path.read_text()):
+    for name in _table_rows():
         action = _entry_action(entries[name], cfg.caps)
         ok, witnesses = check_star(action)
-        checks.append(_check("star fixture %s" % name, ok, "%d suborbit reps" % len(witnesses)))
+        checks.append(_check("star fixture %s" % name, ok and bool(witnesses), "%d suborbit reps" % len(witnesses)))
     return checks
-
-
-def _c2_pair_payload(x, y) -> tuple:
-    """Label payload of a pair of finite nonzero projective points."""
-    lo, hi = sorted((x, y), key=lambda t: t.log)
-    return ((1, lo.as_int()), (1, hi.as_int()))
 
 
 def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
     checks = []
-    # small fields: every valid input, both edges checked against the engine
+    # small fields: point 0 is alpha, and every valid input (there must be
+    # some) has both witness edges checked against the engine
     for q in (9, 13):
         F = field_from_order(q)
         action = psl2_c2_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
         graph = saxl_graph(action)
         index = action.label_index
         count = 0
-        ok = True
+        alpha = criteria.c2_payload_from_labels((criteria.INF, F.zero()))
+        ok = action.labels[0] == OmegaPoint("proj_pair", alpha)
         for b in F.nonzero_elements():
             for c in F.nonzero_elements():
                 if b == c or not criteria.c2_base_psigma(F, b, c):
                     continue
                 gamma, _ = criteria.c2_common_neighbour_witness(F, b, c)
-                bi = index[OmegaPoint("proj_pair", _c2_pair_payload(b, c))]
-                gi = index[OmegaPoint("proj_pair", _c2_pair_payload(*gamma))]
+                bi = index[OmegaPoint("proj_pair", criteria.c2_payload_from_labels((b, c)))]
+                gi = index[OmegaPoint("proj_pair", criteria.c2_payload_from_labels(gamma))]
                 ok &= graph.has_edge(0, gi) and graph.has_edge(bi, gi)
                 count += 1
-        checks.append(_check("c2-witness q=%d (engine-checked)" % q, ok, "%d inputs" % count))
+        checks.append(_check("c2-witness q=%d (engine-checked)" % q, ok and count > 0, "%d inputs" % count))
     for q in (9, 13):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
@@ -512,7 +491,7 @@ def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
         graph = saxl_graph(action)
         index = action.label_index
         count = 0
-        ok = True
+        ok = action.labels[0] == OmegaPoint("c3_point", ALPHA)
         for L in c3_label_logs(F2, q):
             b = F2.from_log(L)
             if not criteria.c3_base(F2, "PSigmaL", b):
@@ -522,7 +501,7 @@ def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
             ci = index[OmegaPoint("c3_point", c3_canonical_log(F2, q, c.log))]
             ok &= graph.has_edge(0, ci) and graph.has_edge(bi, ci)
             count += 1
-        checks.append(_check("c3-witness q=%d (engine-checked)" % q, ok, "%d inputs" % count))
+        checks.append(_check("c3-witness q=%d (engine-checked)" % q, ok and count > 0, "%d inputs" % count))
     # large fields: the constructors verify their own identities arithmetically
     target = cfg.per_field
     for q in (49, 81):
@@ -609,7 +588,7 @@ _SWEEP_FUNCS = {
 
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.sweep not in _SWEEP_FUNCS:
-        raise ValueError("unknown sweep %r (have: %s)" % (cfg.sweep, ", ".join(SWEEPS)))
+        raise ValueError("unknown sweep %r (have: %s)" % (cfg.sweep, ", ".join(_SWEEP_FUNCS)))
     checks = _SWEEP_FUNCS[cfg.sweep](cfg)
     passed = all(c["ok"] for c in checks)
     payload = {"schema": 1, "sweep": cfg.sweep, "ok": passed, "checks": checks}

@@ -28,25 +28,16 @@ from .gf import (
     count_nonsquare_nonsubfield,
     euler_phi,
     in_proper_subfield,
+    is_prime,
     is_square,
     split_prime_power,
 )
+from .group import CrossCheckFailed
 
 INF = "inf"
 
 C3_VARIANTS = ("G0", "PSigmaL")
 CLOSED_FORM_KINDS = ("Dq_minus_1", "Dq_plus_1", "PGL_Dq_minus_1")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- domain types ----------------------------------------------------------------
@@ -212,7 +203,7 @@ def c2_pair_base(F: FqField, beta, gamma) -> bool:
     x, y = send(gamma[0]), send(gamma[1])
     # disjointness keeps both images finite and nonzero
     if x is INF or y is INF or x.is_zero() or y.is_zero():
-        raise AssertionError("disjoint pair transported onto the anchor")
+        raise CrossCheckFailed("disjoint pair transported onto the anchor")
     return c2_base_psigma(F, x, y)
 
 
@@ -250,24 +241,24 @@ def c2_common_neighbour_witness(F: FqField, b: FqElem, c: FqElem):
     two = F.from_int(2)
     if (b + c).is_zero():
         # cannot happen: c = -b makes -b/c = 1 a square
-        raise AssertionError("witness needs b + c != 0")
+        raise CrossCheckFailed("witness needs b + c != 0")
     d = two * b * (b - c) / (b + c)
     e = (b * b - c * c) / (two * c)
     pole = b - c
     if d == pole or e == pole:
-        raise AssertionError("witness scalars collide with the transfer pole")
+        raise CrossCheckFailed("witness scalars collide with the transfer pole")
     if d == e:
-        raise AssertionError("witness pair is degenerate")
+        raise CrossCheckFailed("witness pair is degenerate")
     if not c2_base_psigma(F, d, e):
-        raise AssertionError("witness pair fails the alpha-neighbour conditions")
+        raise CrossCheckFailed("witness pair fails the alpha-neighbour conditions")
     # the exact identity forcing condition (ii) for (d, e):
     # -d/e = -4 / (b/c + c/b + 2), the same square class as -b/c
     if -(d / e) != -(F.from_int(4) / (b / c + c / b + two)):
-        raise AssertionError("witness identity -d/e = -4/(b/c + c/b + 2) fails")
+        raise CrossCheckFailed("witness identity -d/e = -4/(b/c + c/b + 2) fails")
     if set(c2_neighbour_transfer(F, b, c, d, e)) != {-b, -c}:
-        raise AssertionError("witness transfer does not reach (-b, -c)")
+        raise CrossCheckFailed("witness transfer does not reach (-b, -c)")
     if not c2_base_psigma(F, -b, -c):
-        raise AssertionError("gamma fails the alpha-neighbour conditions")
+        raise CrossCheckFailed("gamma fails the alpha-neighbour conditions")
     return (-b, -c), WitnessScalars(d=d, e=e)
 
 
@@ -285,7 +276,7 @@ def c2_counts(F: FqField) -> tuple[int, int]:
         raise ValueError("counts need f >= 2 (at f = 1 meeting pairs add edges)")
     m = count_nonsquare_nonsubfield(F)
     if m % (2 * F.f):
-        raise AssertionError("non-square count %d is not a multiple of 2f" % m)
+        raise CrossCheckFailed("non-square count %d is not a multiple of 2f" % m)
     return m * (F.q - 1) // 2, m // (2 * F.f)
 
 
@@ -330,7 +321,7 @@ def c3_base(F2: FqField, variant: str, b: FqElem) -> bool:
         if L * ((q + 1) * (F2.p**k - 1) // 2) % m == 0:
             return False
     if not socle:
-        raise AssertionError("extension base criterion passed a square scalar")
+        raise CrossCheckFailed("extension base criterion passed a square scalar")
     return True
 
 
@@ -346,10 +337,10 @@ def c3_a1(F2: FqField, b: FqElem) -> FqElem:
     _require_c3_scalar(b, q)
     rhs = F2.one() + b ** (q + 1)
     if rhs.is_zero():
-        raise AssertionError("1 + b^(q+1) vanished for a point label")
+        raise CrossCheckFailed("1 + b^(q+1) vanished for a point label")
     quot, rem = divmod(rhs.log, q + 1)
     if rem:
-        raise AssertionError("norm value off the base-subfield grid")
+        raise CrossCheckFailed("norm value off the base-subfield grid")
     return F2.from_log(quot % (q - 1))
 
 
@@ -359,7 +350,7 @@ def _c3_transfer_scale(F2: FqField, q: int, b: FqElem) -> tuple[FqElem, FqElem]:
     A = a1 ** (-2) * (b + b ** (-q))
     if A.is_zero():
         # b + b^(-q) = 0 would force b^(q+1) = -1
-        raise AssertionError("transfer scale vanished for a point label")
+        raise CrossCheckFailed("transfer scale vanished for a point label")
     return a1, A
 
 
@@ -380,13 +371,13 @@ def c3_pair_base(F2: FqField, variant: str, b: FqElem, c: FqElem) -> bool:
     d = A * (c - b) / (c + b ** (-q))
     if d.is_zero() or d == A or d == -(b ** (q + 1)) * A:
         # excluded values would force c = b, c = 0, or b isotropic
-        raise AssertionError("transfer scalar hit an excluded value")
+        raise CrossCheckFailed("transfer scalar hit an excluded value")
     m = F2.q - 1
     if d.log * (q + 1) % m == m // 2:
-        raise AssertionError("transfer scalar is isotropic")
+        raise CrossCheckFailed("transfer scalar is isotropic")
     img = (b * A + b ** (-q) * d) / (A - d)
     if img != c and img != -(c ** (-q)):
-        raise AssertionError("transfer image misses the target point")
+        raise CrossCheckFailed("transfer image misses the target point")
     return c3_base(F2, variant, F2.from_log(c3_canonical_log(F2, q, d.log)))
 
 
@@ -408,19 +399,19 @@ def c3_common_neighbour_witness(F2: FqField, b: FqElem):
     denom = b - b ** (-q)
     if denom.is_zero():
         # b^(q+1) = 1 fails the extension criterion, so cannot reach here
-        raise AssertionError("witness denominator vanished")
+        raise CrossCheckFailed("witness denominator vanished")
     d = F2.from_int(2) * b * A / denom
     if not c3_base(F2, "PSigmaL", c):
-        raise AssertionError("negated scalar fails the alpha-criterion")
+        raise CrossCheckFailed("negated scalar fails the alpha-criterion")
     if d != A * (c - b) / (c + b ** (-q)):
-        raise AssertionError("closed-form d disagrees with the transfer scalar")
+        raise CrossCheckFailed("closed-form d disagrees with the transfer scalar")
     if not c3_pair_base(F2, "PSigmaL", b, c):
-        raise AssertionError("witness pair fails the transfer criterion")
+        raise CrossCheckFailed("witness pair fails the transfer criterion")
     s = b ** ((q + 1) // 2)
     rhs = F2.from_int(2) / (s - s.inverse())
     lhs = d ** ((q + 1) // 2)
     if lhs != rhs and lhs != -rhs:
-        raise AssertionError("half-norm identity fails")
+        raise CrossCheckFailed("half-norm identity fails")
     return c, WitnessScalars(d=d, a1=a1)
 
 
@@ -447,15 +438,15 @@ def c3_clique(F2: FqField, b: FqElem) -> list[C3Point]:
         logs.add(c3_canonical_log(F2, q, bl))
     pts = [C3Point.alpha(F2, q)] + [C3Point(F2, q, L) for L in sorted(logs)]
     if len(pts) < (q - 1) // 2:
-        raise AssertionError("clique fell below the guaranteed size")
+        raise CrossCheckFailed("clique fell below the guaranteed size")
     scalars = [pt.scalar() for pt in pts[1:]]
     for x in scalars:
         if not c3_base(F2, "G0", x):
-            raise AssertionError("alpha-edge fails inside the clique")
+            raise CrossCheckFailed("alpha-edge fails inside the clique")
     for i in range(len(scalars)):
         for j in range(i + 1, len(scalars)):
             if not c3_pair_base(F2, "G0", scalars[i], scalars[j]):
-                raise AssertionError("pair edge fails inside the clique")
+                raise CrossCheckFailed("pair edge fails inside the clique")
     return pts
 
 
@@ -463,7 +454,7 @@ def c3_regular_count_prime(q: int) -> int:
     """Regular-suborbit count of the socle unitary-pair action at odd prime q:
     (q - l)/4 with q = l mod 4.  Exact for q >= 11; cross-check smaller q
     against the engine."""
-    if q % 2 == 0 or not _is_prime(q) or q < 5:
+    if q % 2 == 0 or not is_prime(q) or q < 5:
         raise ValueError("need an odd prime q >= 5")
     return (q - q % 4) // 4
 
@@ -638,3 +629,16 @@ def c2_labels_from_payload(F: FqField, payload) -> tuple:
     for kind, value in payload:
         out.append(INF if kind == 0 else F.from_packed_int(value))
     return tuple(out)
+
+
+def c2_payload_from_labels(labels) -> tuple:
+    """Encode two projective labels (INF or FqElem) as a projective-pair label
+    payload; the inverse of :func:`c2_labels_from_payload`.  The points come
+    in the labelling's order: INF, then 0, then by log."""
+
+    def key(t):
+        if t is INF:
+            return -2
+        return -1 if t.is_zero() else t.log
+
+    return tuple((0, 1) if t is INF else (1, t.as_int()) for t in sorted(labels, key=key))

@@ -26,22 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .actions import LabelledAction
-from .group import CapExceeded, conjugacy_class
-
-
-class CrossCheckFailed(AssertionError):
-    """Two independent computation routes disagreed at run time."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from .gf import is_prime
+from .group import CapExceeded, CrossCheckFailed, conjugacy_class
 
 
 # -- cached per-action analysis -------------------------------------------------------
@@ -184,7 +170,7 @@ def _prime_class_data(action: LabelledAction):
     G = action.group
     H = action.stabiliser0()
     n = action.degree
-    prime_elems = [h for h in H.elements() if _is_prime(h.order())]
+    prime_elems = [h for h in H.elements() if is_prime(h.order())]
     unassigned = {h.images: h for h in prime_elems}
 
     g_classes = []
@@ -200,6 +186,7 @@ def _prime_class_data(action: LabelledAction):
                 del unassigned[member.images]
                 count += 1
                 membership[member.images] = len(g_classes)
+        del cls  # hold one G-class at a time: the next search must not overlap it
         if count * n != h.fixed_point_count() * size:
             raise CrossCheckFailed(
                 "orbit-counting identity failed for class of %s" % (h.cycle_string(),)

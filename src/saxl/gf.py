@@ -113,6 +113,18 @@ def _zip_pad(a: list[int], b: list[int]):
     return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -151,7 +163,7 @@ class FqField:
         q = p**f
         if q > FIELD_SIZE_CAP:
             raise FieldTooLarge("q = %d exceeds cap %d" % (q, FIELD_SIZE_CAP))
-        if f < 1 or p < 2 or _prime_factors(p) != [p]:
+        if f < 1 or not is_prime(p):
             raise ValueError("need prime p and f >= 1")
         self.p = p
         self.f = f

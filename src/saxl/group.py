@@ -16,11 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from .gf import is_prime
 from .perm import Perm, identity
 
 
 class CapExceeded(Exception):
     """An operation would exceed a configured size cap."""
+
+
+class CrossCheckFailed(AssertionError):
+    """A run-time invariant failed: two independent computation routes
+    disagreed, or a result missed the closed form it was built to meet."""
 
 
 @dataclass(frozen=True)
@@ -389,14 +395,6 @@ class PermGroup:
             self._elements = sorted(self.chain.iter_elements())
         return self._elements
 
-    def random_element(self, rng) -> Perm:
-        """Product of uniformly chosen transversal representatives."""
-        g = identity(self.degree)
-        for level in self.chain.levels:
-            pts = sorted(level.transversal)
-            g = g * level.transversal[pts[rng.randrange(len(pts))]]
-        return g
-
 
 # -- conjugacy ---------------------------------------------------------------------
 
@@ -455,7 +453,7 @@ def prime_order_class_reps(G: PermGroup, caps: Caps | None = None) -> list[ConjC
         if x in classified or x.is_identity():
             continue
         o = x.order()
-        if not _is_prime(o):
+        if not is_prime(o):
             continue
         cls = conjugacy_class(G, x, cap=caps.class_cap)
         classified.update(cls)
@@ -463,255 +461,3 @@ def prime_order_class_reps(G: PermGroup, caps: Caps | None = None) -> list[ConjC
         out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=keep))
     out.sort(key=lambda c: (c.order, c.class_size, c.rep.images))
     return out
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-# -- subgroup searches ----------------------------------------------------------------
-
-# Element-order histograms of the named isomorphism shapes used in searches.
-# Keys are element orders, values are counts; these fingerprints distinguish
-# the groups from all other groups of the same order.
-SHAPE_HISTOGRAMS: dict[str, dict[int, int]] = {
-    "S4": {1: 1, 2: 9, 3: 8, 4: 6},
-    "Q8": {1: 1, 2: 1, 4: 6},
-    "D8": {1: 1, 2: 5, 4: 2},
-    "F42": {1: 1, 2: 7, 3: 14, 6: 14, 7: 6},
-}
-
-
-@dataclass(frozen=True)
-class Sylow:
-    p: int
-
-
-@dataclass(frozen=True)
-class Normaliser:
-    K: PermGroup
-
-
-@dataclass(frozen=True)
-class Closure:
-    elements: tuple[Perm, ...]
-
-
-@dataclass(frozen=True)
-class OrderShape:
-    """Search for a subgroup of the given order; ``shape`` optionally names an
-    element-order histogram from SHAPE_HISTOGRAMS (or gives one directly)."""
-
-    order: int
-    shape: str | None = None
-
-
-SubgroupSpec = Sylow | Normaliser | Closure | OrderShape
-
-
-def find_subgroup(G: PermGroup, spec: SubgroupSpec) -> PermGroup:
-    """Deterministic subgroup construction/search.
-
-    All searches scan elements in lexicographic image-tuple order and return
-    the first (least) witness, so repeated runs agree.  Raises ``LookupError``
-    when an OrderShape search exhausts its candidates.
-    """
-    if isinstance(spec, Sylow):
-        return _sylow(G, spec.p)
-    if isinstance(spec, Normaliser):
-        return _normaliser(G, spec.K)
-    if isinstance(spec, Closure):
-        return _closure_group(G.degree, spec.elements, G.caps)
-    if isinstance(spec, OrderShape):
-        return _order_shape_search(G, spec.order, spec.shape)
-    raise TypeError("unknown subgroup spec %r" % (spec,))
-
-
-def _closure_elements(
-    degree: int, elems: Iterable[Perm], cap: int, abort_above: int | None = None
-) -> set[Perm] | None:
-    """Element set of the generated subgroup, or None if it exceeds abort_above."""
-    gens = [g for g in elems if not g.is_identity()]
-    seen = {identity(degree)}
-    queue = [identity(degree)]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if abort_above is not None and len(seen) >= abort_above:
-                    return None
-                if len(seen) >= cap:
-                    raise CapExceeded("closure exceeds element cap %d" % cap)
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
-def _closure_group(degree: int, elems: Sequence[Perm], caps: Caps) -> PermGroup:
-    return PermGroup(degree, [g for g in elems if not g.is_identity()], caps=caps)
-
-
-def reduced_generators(degree: int, elements: Iterable[Perm], caps: Caps = DEFAULT_CAPS) -> list[Perm]:
-    """A short generating list for the group generated by ``elements``.
-
-    Scans in sorted order, keeping an element only when it enlarges the group
-    generated so far.  Deterministic.
-    """
-    gens: list[Perm] = []
-    current = 1
-    pool = sorted(set(elements))
-    target_chain = StabChain(degree, pool)
-    target = target_chain.order()
-    for x in pool:
-        if x.is_identity():
-            continue
-        if current < target:
-            trial = StabChain(degree, gens + [x])
-            n = trial.order()
-            if n > current:
-                gens.append(x)
-                current = n
-        if current == target:
-            break
-    return gens
-
-
-def _normaliser(G: PermGroup, K: PermGroup) -> PermGroup:
-    """N_G(K) by exhaustive scan of G's elements (guarded by element_cap)."""
-    k_elements = frozenset(K.elements())
-    normalising = []
-    for g in G.elements():
-        g_inv = g.inverse()
-        if all(g_inv * k * g in k_elements for k in K.gens):
-            normalising.append(g)
-    gens = reduced_generators(G.degree, normalising, G.caps)
-    return PermGroup(G.degree, gens, caps=G.caps)
-
-
-def _sylow(G: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup, grown deterministically through normalisers.
-
-    Start from the least p-element; while the current p-subgroup P is not
-    full, pass to N_G(P), whose p-elements outside P extend P (P is normal
-    there, so the extension stays a p-group).
-    """
-    if not _is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    n = G.order()
-    p_part = 1
-    while n % p == 0:
-        n //= p
-        p_part *= p
-    if p_part == 1:
-        return PermGroup(G.degree, [], caps=G.caps)
-
-    def p_element(x: Perm) -> Perm | None:
-        o = x.order()
-        m = o
-        while m % p == 0:
-            m //= p
-        if m == o:  # no p-part at all
-            return None
-        y = x ** m
-        return None if y.is_identity() else y
-
-    first = None
-    for x in G.elements():
-        y = p_element(x)
-        if y is not None:
-            first = min(y, first) if first is not None else y
-    if first is None:  # cannot happen: p divides |G|
-        raise RuntimeError("no %d-element found" % p)
-    P = PermGroup(G.degree, [first], caps=G.caps)
-    while P.order() < p_part:
-        N = _normaliser(G, P)
-        extended = False
-        for x in N.elements():
-            y = p_element(x)
-            if y is not None and not P.contains(y):
-                P = PermGroup(G.degree, P.gens + [y], caps=G.caps)
-                extended = True
-                break
-        if not extended:  # cannot happen for correct inputs
-            raise RuntimeError("Sylow growth stalled below full order")
-    return P
-
-
-def element_order_histogram(elements: Iterable[Perm]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for x in elements:
-        o = x.order()
-        hist[o] = hist.get(o, 0) + 1
-    return hist
-
-
-def _order_shape_search(G: PermGroup, order: int, shape: str | None) -> PermGroup:
-    """First subgroup of the given order (and optional shape) in witness order.
-
-    Tries cyclic subgroups first, then two-generated subgroups ``<x, y>``
-    with (x, y) scanned in lexicographic order.  When a shape histogram is
-    given, x and y are restricted to the two smallest element orders above 1
-    occurring in the target (any group containing such orders is generated by
-    some such pair exactly when a witness exists in this family; both shapes
-    used by the package, S4 and Q8, are).  The order of x*y must divide the
-    target order, a cheap necessary filter.
-    """
-    if G.order() % order != 0:
-        raise LookupError("no subgroup: order %d does not divide %d" % (order, G.order()))
-    want_hist = SHAPE_HISTOGRAMS[shape] if isinstance(shape, str) else shape
-
-    def check(elems: set[Perm]) -> bool:
-        if len(elems) != order:
-            return False
-        if want_hist is not None and element_order_histogram(elems) != want_hist:
-            return False
-        return True
-
-    elements = G.elements()
-    by_order: dict[int, list[Perm]] = {}
-    for x in elements:
-        if not x.is_identity() and order % x.order() == 0:
-            by_order.setdefault(x.order(), []).append(x)
-
-    for x in by_order.get(order, []):
-        elems = _closure_elements(G.degree, [x], G.caps.element_cap, abort_above=order)
-        if elems is not None and check(elems):
-            return PermGroup(G.degree, [x], caps=G.caps)
-
-    if want_hist is not None:
-        orders = sorted(o for o in want_hist if o > 1)
-        order_pairs = [(a, b) for i, a in enumerate(orders) for b in orders[i:]]
-    else:
-        order_pairs = [(None, None)]  # unrestricted
-
-    def candidates(o):
-        if o is None:
-            out = []
-            for lst in by_order.values():
-                out.extend(lst)
-            return sorted(out)
-        return by_order.get(o, [])
-
-    for o1, o2 in order_pairs:
-        for x in candidates(o1):
-            for y in candidates(o2):
-                if y == x:
-                    continue
-                if order % (x * y).order() != 0:
-                    continue
-                elems = _closure_elements(
-                    G.degree, [x, y], G.caps.element_cap, abort_above=order
-                )
-                if elems is not None and check(elems):
-                    return PermGroup(G.degree, [x, y], caps=G.caps)
-    raise LookupError("no subgroup of order %d with requested shape" % order)

@@ -61,12 +61,6 @@ class TestExitCodes:
         path = str(tmp_path / "absent.txt")
         assert main(["analyze", "--catalogue", "X", "--catalogue-path", path]) == 1
 
-    def test_bad_threads_env_is_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("SAXL_THREADS", "-1")
-        assert main(["analyze", "--ksubsets", "5", "2"]) == 1
-        monkeypatch.setenv("SAXL_THREADS", "lots")
-        assert main(["analyze", "--ksubsets", "5", "2"]) == 1
-
     def test_cross_check_failure_is_3(self, capsys, monkeypatch):
         from saxl import engine
 
@@ -77,6 +71,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: cross-check failed: estimate chain")
         assert captured.err.count("\n") == 1
+
+    def test_action_order_check_is_3(self, capsys, monkeypatch):
+        from saxl.group import PermGroup
+
+        # a wrong |G| trips the closed-form order check in actions._verify_orders
+        monkeypatch.setattr(PermGroup, "order", lambda self: 7)
+        assert main(["analyze", "--ksubsets", "5", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cross-check failed: S5/2-subsets: group order 7, expected 120\n"
+
+    def test_witness_check_is_3(self, capsys, monkeypatch):
+        from saxl import criteria
+
+        # a transfer that misses (-b, -c) trips the c2 witness self-check
+        monkeypatch.setattr(criteria, "c2_neighbour_transfer", lambda F, b, c, d, e: (d, e))
+        assert main(["verify", "witnesses", "--per-field", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cross-check failed: witness transfer does not reach (-b, -c)\n"
 
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -185,6 +199,19 @@ class TestVerify:
         names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
         assert "c2-counts q=25" in names
         assert not any("q=49" in name for name in names)
+
+    def test_witnesses_sweep_fails_without_inputs(self, capsys, monkeypatch):
+        from saxl import cli
+        from saxl.gf import FqField
+
+        # the engine-checked witness loops find nothing to check
+        monkeypatch.setattr(FqField, "nonzero_elements", lambda self: iter(()))
+        monkeypatch.setattr(cli, "c3_label_logs", lambda F2, q: [])
+        assert main(["verify", "witnesses", "--per-field", "1"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        engine_checked = [c for c in checks if "engine-checked" in c["name"]]
+        assert len(engine_checked) == 4
+        assert all(not c["ok"] and c["detail"] == "0 inputs" for c in engine_checked)
 
     def test_verify_out_file(self, capsys, tmp_path):
         target = tmp_path / "euler.json"

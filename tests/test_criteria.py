@@ -16,6 +16,7 @@ from saxl.criteria import (
     c2_counts,
     c2_labels_from_payload,
     c2_pair_base,
+    c2_payload_from_labels,
     c3_a1,
     c3_base,
     c3_clique,
@@ -37,8 +38,7 @@ def anchor_index(action):
 
 
 def pair_index(action, x, y):
-    lo, hi = sorted((x, y), key=lambda t: t.log)
-    return action.label_index[OmegaPoint("proj_pair", ((1, lo.as_int()), (1, hi.as_int())))]
+    return action.label_index[OmegaPoint("proj_pair", c2_payload_from_labels((x, y)))]
 
 
 class TestSubfieldCondition:
@@ -362,10 +362,8 @@ class TestLabelBridge:
         act = psl2_c2_action(GroupVariant("PSigmaL2", q))
         for lab in act.labels:
             x, y = c2_labels_from_payload(F, lab.payload)
-            back = tuple(
-                (0, 1) if t == criteria.INF else (1, t.as_int()) for t in (x, y)
-            )
-            assert set(back) == set(lab.payload)
+            assert c2_payload_from_labels((x, y)) == lab.payload
+            assert c2_payload_from_labels((y, x)) == lab.payload
 
     def test_pair_validation(self):
         F = field_from_order(9)

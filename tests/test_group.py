@@ -1,25 +1,12 @@
-"""Stabiliser chains, orders, orbits, classes, subgroup searches, caps."""
+"""Stabiliser chains, orders, orbits, classes, caps."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saxl.group import (
-    CapExceeded,
-    Caps,
-    Closure,
-    Normaliser,
-    OrderShape,
-    PermGroup,
-    SHAPE_HISTOGRAMS,
-    Sylow,
-    conjugacy_class,
-    element_order_histogram,
-    find_subgroup,
-    prime_order_class_reps,
-    reduced_generators,
-)
+from saxl.group import CapExceeded, Caps, PermGroup, conjugacy_class, prime_order_class_reps
 from saxl.perm import Perm, all_perms, from_cycles, identity
 
 
@@ -177,16 +164,9 @@ class TestElements:
         elems = g.elements()
         assert len(elems) == 7920
         assert {p.images for p in elems} == seen
-        assert element_order_histogram(elems) == {
+        assert Counter(p.order() for p in elems) == {
             1: 1, 2: 165, 3: 440, 4: 990, 5: 1584, 6: 1320, 8: 1980, 11: 1440,
         }
-
-    def test_random_element_is_member_and_deterministic(self):
-        g = psl2_mobius(11)
-        a = [g.random_element(random.Random(3)) for _ in range(5)]
-        b = [g.random_element(random.Random(3)) for _ in range(5)]
-        assert a == b
-        assert all(g.contains(x) for x in a)
 
 
 class TestConjugacyClasses:
@@ -221,58 +201,6 @@ class TestConjugacyClasses:
         g = psl2_mobius(11)
         for c in prime_order_class_reps(g):
             assert g.order() % c.class_size == 0
-
-
-class TestFindSubgroup:
-    def test_sylow_2_of_s4(self):
-        syl = find_subgroup(symmetric(4), Sylow(2))
-        assert syl.order() == 8
-        assert element_order_histogram(syl.elements()) == SHAPE_HISTOGRAMS["D8"]
-
-    def test_m11_quaternion_tower(self, catalogue):
-        m11 = catalogue["M11"].group
-        assert find_subgroup(m11, Sylow(2)).order() == 16
-        q8 = find_subgroup(m11, OrderShape(8, "Q8"))
-        assert element_order_histogram(q8.elements()) == SHAPE_HISTOGRAMS["Q8"]
-        norm = find_subgroup(m11, Normaliser(q8))
-        assert norm.order() == 48
-        assert q8.is_subgroup_of(norm)
-
-    def test_psl2_17_s4_subgroup(self):
-        g = psl2_mobius(17)
-        assert g.order() == 2448
-        s4 = find_subgroup(g, OrderShape(24, "S4"))
-        assert s4.order() == 24
-        assert g.order() // s4.order() == 102
-        assert element_order_histogram(s4.elements()) == SHAPE_HISTOGRAMS["S4"]
-
-    def test_closure(self):
-        sub = find_subgroup(
-            symmetric(4), Closure((from_cycles(4, [(0, 1)]), from_cycles(4, [(1, 2)])))
-        )
-        assert sub.order() == 6
-
-    def test_normaliser_of_v4(self):
-        s4 = symmetric(4)
-        v4 = find_subgroup(
-            s4, Closure((from_cycles(4, [(0, 1), (2, 3)]), from_cycles(4, [(0, 2), (1, 3)])))
-        )
-        assert v4.order() == 4
-        assert find_subgroup(s4, Normaliser(v4)).order() == 24
-        single = find_subgroup(s4, Closure((from_cycles(4, [(0, 1)]),)))
-        assert find_subgroup(s4, Normaliser(single)).order() == 4
-
-    def test_order_shape_not_found(self):
-        with pytest.raises(LookupError):
-            find_subgroup(symmetric(4), OrderShape(10))
-
-
-class TestReducedGenerators:
-    def test_regenerates_same_group(self):
-        s4 = symmetric(4)
-        gens = reduced_generators(4, s4.elements())
-        assert len(gens) <= 4
-        assert PermGroup(4, gens).same_group(s4)
 
 
 class TestCaps:
