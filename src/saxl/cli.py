@@ -168,6 +168,8 @@ def _config_from_args(args) -> RunConfig:
         nmax=getattr(args, "nmax", None),
         per_field=getattr(args, "per_field", 1000),
     )
+    if cfg.per_field < 1:
+        raise ValueError("--per-field must be at least 1, got %d" % cfg.per_field)
     if cfg.command in ("analyze", "graph"):
         specs = sum(x is not None for x in (cfg.catalogue, cfg.psl2, cfg.ksubsets))
         if specs != 1:
@@ -590,7 +592,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.sweep not in _SWEEP_FUNCS:
         raise ValueError("unknown sweep %r (have: %s)" % (cfg.sweep, ", ".join(_SWEEP_FUNCS)))
     checks = _SWEEP_FUNCS[cfg.sweep](cfg)
-    passed = all(c["ok"] for c in checks)
+    # a sweep that checked nothing (say, --qmax below its first field) proves nothing
+    passed = bool(checks) and all(c["ok"] for c in checks)
     payload = {"schema": 1, "sweep": cfg.sweep, "ok": passed, "checks": checks}
     _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
     return 0 if passed else 1

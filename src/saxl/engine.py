@@ -41,8 +41,8 @@ class _Analysis:
     agree: orbit length (a regular H-orbit, from a breadth-first search over
     the generators of H = G_0) versus fixed points ({0, b} is a base exactly
     when no non-identity element of H fixes b, from H's chain-enumerated
-    elements).  The same pass over H checks Burnside's count
-    sum_h fix(h) == |H| * (number of H-orbits).
+    elements, streamed and not kept).  The same pass over H checks Burnside's
+    count sum_h fix(h) == |H| * (number of H-orbits).
     """
 
     def __init__(self, action: LabelledAction):
@@ -54,7 +54,7 @@ class _Analysis:
         self.orbits = H.orbits()  # ordered by minimal point
         fixed_by_nonidentity = [False] * n
         fix_total = 0
-        for h in H.elements():
+        for h in H.iter_elements():
             fixed = [pt for pt, img in enumerate(h.images) if pt == img]
             fix_total += len(fixed)
             if len(fixed) < n:

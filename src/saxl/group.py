@@ -383,16 +383,22 @@ class PermGroup:
 
     # -- element enumeration ------------------------------------------------------
 
+    def iter_elements(self) -> Iterator[Perm]:
+        """All elements one at a time, in stabiliser-chain order, holding none
+        of them.  Guarded by ``element_cap``, checked before the first one."""
+        n = self.order()
+        if n > self.caps.element_cap:
+            raise CapExceeded(
+                "element enumeration of order %d exceeds cap %d"
+                % (n, self.caps.element_cap)
+            )
+        return self.chain.iter_elements()
+
     def elements(self) -> list[Perm]:
-        """All elements, sorted by image tuple.  Guarded by ``element_cap``."""
+        """All elements, sorted by image tuple and kept.  Guarded by
+        ``element_cap``."""
         if self._elements is None:
-            n = self.order()
-            if n > self.caps.element_cap:
-                raise CapExceeded(
-                    "element enumeration of order %d exceeds cap %d"
-                    % (n, self.caps.element_cap)
-                )
-            self._elements = sorted(self.chain.iter_elements())
+            self._elements = sorted(self.iter_elements())
         return self._elements
 
 

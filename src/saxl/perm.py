@@ -4,10 +4,18 @@ Composition is left-to-right throughout the package: ``(p * q)(i) == q(p(i))``,
 i.e. ``p`` acts first.  Points are written on the left of the caret in comments
 (``i^p``) to match that convention.  Conjugation is ``p ** g == g.inverse() * p * g``,
 so that ``(i^g)^(p**g) == (i^p)^g``.
+
+Validation happens once, at the boundary.  ``Perm(...)`` and the other public
+constructors (``from_cycles``, ``parse_cycles``, ``all_perms``) check that their
+input is a permutation of 0..n-1 and raise ``ValueError`` otherwise.  Products,
+inverses, powers, conjugates and identities are built from permutations that
+are already valid, so they skip that check and wrap their image tuple with the
+private ``_trusted``, which no other module may call.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -66,13 +74,13 @@ class Perm:
             raise ValueError(
                 "degree mismatch: %d vs %d" % (len(self.images), len(q))
             )
-        return Perm(map(q.__getitem__, self.images))
+        return _trusted(tuple(map(q.__getitem__, self.images)))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        for j, i in zip(self.images, _points(len(self.images))):
             inv[j] = i
-        return Perm(inv)
+        return _trusted(tuple(inv))
 
     def __pow__(self, g):
         """Conjugate by a permutation, or integer power.
@@ -95,7 +103,7 @@ class Perm:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _points(len(self.images))
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
@@ -141,8 +149,24 @@ class Perm:
         )
 
 
+@cache
+def _points(degree: int) -> tuple[int, ...]:
+    """``tuple(range(degree))``, built once per degree and shared."""
+    return tuple(range(degree))
+
+
+def _trusted(images: tuple[int, ...]) -> Perm:
+    """Wrap an image tuple that is already known to be a permutation.
+
+    Skips the check in ``Perm.__init__``; only results of operations on valid
+    permutations may come through here."""
+    perm = object.__new__(Perm)
+    object.__setattr__(perm, "images", images)
+    return perm
+
+
 def identity(degree: int) -> Perm:
-    return Perm(range(degree))
+    return _trusted(_points(degree))
 
 
 def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:

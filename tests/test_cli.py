@@ -213,6 +213,30 @@ class TestVerify:
         assert len(engine_checked) == 4
         assert all(not c["ok"] and c["detail"] == "0 inputs" for c in engine_checked)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "clique5", "--qmax", "10"],
+            ["verify", "c2-oracle", "--qmax", "3"],
+            ["verify", "c3-oracle", "--qmax", "3"],
+            ["verify", "johnson", "--qmax", "3"],
+            ["verify", "counts", "--qmax", "3"],
+        ],
+    )
+    def test_sweep_without_checks_fails(self, capsys, argv):
+        assert main(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["checks"] == []
+        assert payload["ok"] is False
+
+    @pytest.mark.parametrize("per_field", ["0", "-3"])
+    def test_nonpositive_per_field_is_1(self, capsys, per_field):
+        assert main(["verify", "witnesses", "--per-field", per_field]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --per-field")
+
     def test_verify_out_file(self, capsys, tmp_path):
         target = tmp_path / "euler.json"
         code = main(["verify", "euler", "--nmax", "5000", "--out", str(target)])

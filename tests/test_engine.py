@@ -101,6 +101,13 @@ class TestBasePairs:
         monkeypatch.setattr(H, "orbits", lambda: sorted(split))
         with pytest.raises(CrossCheckFailed, match="Burnside"):
             _Analysis(act)
+        assert H._elements is None
+
+    def test_fixed_point_pass_keeps_no_elements(self):
+        act = a5_pairs()
+        H = act.stabiliser0()
+        _Analysis(act)
+        assert H._elements is None
 
     def test_route_disagreement_is_caught(self, monkeypatch):
         # same number of orbits, so only the per-representative comparison can see it

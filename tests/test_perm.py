@@ -46,8 +46,28 @@ class TestCompose:
         assert p.inverse().inverse() == p
 
 
+class TestUncheckedResults:
+    """Products, inverses, powers, conjugates and identities skip the check in
+    ``Perm.__init__``; each must still be a permutation it accepts unchanged."""
+
+    @given(
+        st.integers(0, 9).flatmap(lambda n: st.tuples(random_perm(n), random_perm(n))),
+        st.integers(-7, 7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_results_pass_validation(self, pair, k):
+        p, g = pair
+        for result in (p * g, p.inverse(), p**g, p**k, identity(p.degree)):
+            assert type(result.images) is tuple
+            assert Perm(result.images) == result
+        assert p.is_identity() == all(i == j for i, j in enumerate(p.images))
+        assert (p * p.inverse()).is_identity()
+
+
 class TestConstruction:
     def test_rejects_non_bijection(self):
+        with pytest.raises(ValueError):
+            Perm((0, 0))
         with pytest.raises(ValueError):
             Perm([0, 0, 1])
         with pytest.raises(ValueError):
