@@ -169,7 +169,8 @@ def ksubset_action(
     index = {s: i for i, s in enumerate(subsets)}
 
     def induced(g: Perm) -> Perm:
-        return Perm(index[tuple(sorted(g.images[i] for i in s))] for s in subsets)
+        images = g.images.tolist()
+        return Perm(index[tuple(sorted(images[i] for i in s))] for s in subsets)
 
     if even_only:
         if n < 3:
@@ -208,12 +209,12 @@ def _coset_canonical(chain, g: Perm) -> Perm:
     """The canonical representative of the right coset H*g.
 
     Greedily minimises the base images over the coset using H's stabiliser
-    chain; the result is independent of the representative, so its image
-    tuple is usable as a dictionary key for the coset.
+    chain; the result is independent of the representative, so it is usable
+    as a dictionary key for the coset.
     """
     for level in chain.levels:
-        images = g.images
-        best_pt = min(level.transversal, key=lambda pt: images[pt])
+        images = g.images.tolist()
+        best_pt = min(level.transversal, key=images.__getitem__)
         u = level.transversal[best_pt]
         if not u.is_identity():
             g = u * g
@@ -242,7 +243,7 @@ def coset_action(
     chain_h = H.chain
     start = _coset_canonical(chain_h, G.identity())
     reps = [start]
-    seen = {start.images: 0}
+    seen = {start: 0}
     images_per_gen = [[] for _ in G.gens]
     qi = 0
     while qi < len(reps):
@@ -250,10 +251,10 @@ def coset_action(
         qi += 1
         for gi, gen in enumerate(G.gens):
             nxt = _coset_canonical(chain_h, rep * gen)
-            at = seen.get(nxt.images)
+            at = seen.get(nxt)
             if at is None:
                 at = len(reps)
-                seen[nxt.images] = at
+                seen[nxt] = at
                 reps.append(nxt)
             images_per_gen[gi].append(at)
     if len(reps) != index:
@@ -264,7 +265,7 @@ def coset_action(
     group = PermGroup(index, [Perm(imgs) for imgs in images_per_gen], caps=caps)
     stab_gens = []
     for h in H.gens:
-        col = [seen[_coset_canonical(chain_h, rep * h).images] for rep in reps]
+        col = [seen[_coset_canonical(chain_h, rep * h)] for rep in reps]
         stab_gens.append(Perm(col))
     stab0 = PermGroup(index, stab_gens, caps=caps)
 

@@ -28,6 +28,7 @@ import numpy as np
 from .actions import LabelledAction
 from .gf import is_prime
 from .group import CapExceeded, CrossCheckFailed, conjugacy_class
+from .perm import Perm
 
 
 # -- cached per-action analysis -------------------------------------------------------
@@ -52,14 +53,14 @@ class _Analysis:
         self.order_h = H.order()
         self.transversal = action.group.orbit_transversal(0)
         self.orbits = H.orbits()  # ordered by minimal point
-        fixed_by_nonidentity = [False] * n
+        points = np.arange(n)
+        fixed_by_nonidentity = np.zeros(n, dtype=bool)
         fix_total = 0
         for h in H.iter_elements():
-            fixed = [pt for pt, img in enumerate(h.images) if pt == img]
-            fix_total += len(fixed)
-            if len(fixed) < n:
-                for pt in fixed:
-                    fixed_by_nonidentity[pt] = True
+            fixed = (h.images == points).nonzero()[0]
+            fix_total += fixed.size
+            if fixed.size < n:
+                fixed_by_nonidentity[fixed] = True
         if fix_total != self.order_h * len(self.orbits):
             raise CrossCheckFailed(
                 "Burnside count: sum of fixed points %d != |H| * %d orbits = %d"
@@ -84,10 +85,9 @@ class _Analysis:
                     self.point_flags[pt] = True
         self.regular_count = sum(1 for v in self.rep_flags.values() if v)
 
-    def flags_from(self, a: int) -> list[int]:
-        """Permutation w with point_flags[w[x]] == is_base_pair(a, x)."""
-        u_inv = self.transversal[a].inverse()
-        return list(u_inv.images)
+    def flags_from(self, a: int) -> np.ndarray:
+        """Image array w with point_flags[w[x]] == is_base_pair(a, x)."""
+        return self.transversal[a].inverse().images
 
 
 def _analysis(action: LabelledAction) -> _Analysis:
@@ -109,7 +109,7 @@ def is_base_pair(action: LabelledAction, a: int, b: int) -> bool:
     if a == 0:
         return data.point_flags[b]
     u_inv = data.transversal[a].inverse()
-    return data.point_flags[u_inv.images[b]]
+    return data.point_flags[u_inv(b)]
 
 
 def suborbits(action: LabelledAction, a: int = 0) -> list[tuple[int, int]]:
@@ -117,11 +117,10 @@ def suborbits(action: LabelledAction, a: int = 0) -> list[tuple[int, int]]:
     data = _analysis(action)
     if a == 0:
         return [(orbit[0], len(orbit)) for orbit in data.orbits]
-    u = data.transversal[a]
+    images = data.transversal[a].images.tolist()
     out = []
     for orbit in data.orbits:
-        moved = [u.images[pt] for pt in orbit]
-        out.append((min(moved), len(orbit)))
+        out.append((min(images[pt] for pt in orbit), len(orbit)))
     out.sort()
     return out
 
@@ -170,22 +169,24 @@ def _prime_class_data(action: LabelledAction):
     G = action.group
     H = action.stabiliser0()
     n = action.degree
-    prime_elems = [h for h in H.elements() if is_prime(h.order())]
-    unassigned = {h.images: h for h in prime_elems}
+    # H streamed in chain order: Q-hat and Q-tilde are sums over classes,
+    # so the order in which classes are found does not matter
+    prime_elems = [h for h in H.iter_elements() if is_prime(h.order())]
+    unassigned = set(prime_elems)
 
     g_classes = []
-    membership: dict[tuple, int] = {}
+    membership: dict[Perm, int] = {}
     for h in prime_elems:
-        if h.images not in unassigned:
+        if h not in unassigned:
             continue
         cls = conjugacy_class(G, h)
         size = len(cls)
         count = 0
         for member in cls:
-            if member.images in unassigned:
-                del unassigned[member.images]
+            if member in unassigned:
+                unassigned.remove(member)
                 count += 1
-                membership[member.images] = len(g_classes)
+                membership[member] = len(g_classes)
         del cls  # hold one G-class at a time: the next search must not overlap it
         if count * n != h.fixed_point_count() * size:
             raise CrossCheckFailed(
@@ -196,11 +197,11 @@ def _prime_class_data(action: LabelledAction):
     h_classes = []
     seen = set()
     for h in prime_elems:
-        if h.images in seen:
+        if h in seen:
             continue
         cls_h = conjugacy_class(H, h)
-        seen.update(member.images for member in cls_h)
-        g_size = g_classes[membership[h.images]][1]
+        seen.update(cls_h)
+        g_size = g_classes[membership[h]][1]
         h_classes.append((h.order(), g_size, len(cls_h)))
 
     # the two partitions must cover the same elements, pool by pool
@@ -317,7 +318,7 @@ def saxl_graph(action: LabelledAction) -> SaxlGraph:
     flags = np.array(data.point_flags, dtype=bool)
     matrix = np.zeros((n, n), dtype=bool)
     for a in range(n):
-        matrix[a] = flags[np.array(data.flags_from(a), dtype=np.intp)]
+        matrix[a] = flags[data.flags_from(a)]
     np.fill_diagonal(matrix, False)
     if not np.array_equal(matrix, matrix.T):
         raise CrossCheckFailed("base-pair adjacency is not symmetric")
@@ -346,18 +347,14 @@ def check_star(action: LabelledAction) -> tuple[bool, dict]:
     data = _analysis(action)
     if data.regular_count == 0:
         raise ValueError("the action is not base-two")
-    flags = data.point_flags
+    flags = np.array(data.point_flags, dtype=bool)
     witnesses: dict[int, int | None] = {}
     ok = True
     for rep in data.rep_flags:
         if rep == 0:
             continue
-        w = data.flags_from(rep)
-        found = None
-        for x in range(data.n):
-            if flags[x] and flags[w[x]]:
-                found = x
-                break
+        common = np.flatnonzero(flags & flags[data.flags_from(rep)])
+        found = int(common[0]) if common.size else None
         witnesses[rep] = found
         if found is None:
             ok = False

@@ -103,7 +103,7 @@ class StabChain:
         h = g
         for idx in range(start, len(self.levels)):
             level = self.levels[idx]
-            image = h.images[level.point]
+            image = h(level.point)
             if image == level.point:
                 continue
             u = level.transversal.get(image)
@@ -153,7 +153,7 @@ class StabChain:
                     continue
                 level._done_pairs.add(key)
                 u = level.transversal[beta]
-                gamma = s.images[beta]
+                gamma = s(beta)
                 schreier = u * s * level.transversal[gamma].inverse()
                 if schreier.is_identity():
                     continue
@@ -166,13 +166,14 @@ class StabChain:
     def _rebuild_orbit(self, level: _Level) -> None:
         """Extend the orbit/transversal of a level after adding generators."""
         queue = list(level.orbit_list)
+        gen_images = [(s, s.images.tolist()) for s in level.gens]
         qi = 0
         while qi < len(queue):
             beta = queue[qi]
             qi += 1
             u = level.transversal[beta]
-            for s in level.gens:
-                gamma = s.images[beta]
+            for s, images in gen_images:
+                gamma = images[beta]
                 if gamma not in level.transversal:
                     level.transversal[gamma] = u * s
                     level.orbit_list.append(gamma)
@@ -283,12 +284,13 @@ class PermGroup:
         """Orbit of a point, in BFS discovery order from the point."""
         seen = {point}
         out = [point]
+        gen_images = [g.images.tolist() for g in self.gens]
         qi = 0
         while qi < len(out):
             beta = out[qi]
             qi += 1
-            for g in self.gens:
-                gamma = g.images[beta]
+            for images in gen_images:
+                gamma = images[beta]
                 if gamma not in seen:
                     seen.add(gamma)
                     out.append(gamma)
@@ -298,13 +300,14 @@ class PermGroup:
         """Orbit with coset representatives u mapping ``point`` to each orbit point."""
         transversal = {point: identity(self.degree)}
         queue = [point]
+        gen_images = [(g, g.images.tolist()) for g in self.gens]
         qi = 0
         while qi < len(queue):
             beta = queue[qi]
             qi += 1
             u = transversal[beta]
-            for g in self.gens:
-                gamma = g.images[beta]
+            for g, images in gen_images:
+                gamma = images[beta]
                 if gamma not in transversal:
                     transversal[gamma] = u * g
                     queue.append(gamma)
@@ -329,20 +332,19 @@ class PermGroup:
     def is_primitive(self) -> bool:
         """Transitive with no nontrivial block system.
 
-        For each point beta > 0 the minimal block containing {0, beta} is
-        grown by the usual union-find closure; the group is primitive when
-        every such block is the whole point set.  Groups of degree <= 2 are
-        primitive by convention.
+        The minimal block containing {0, beta} is grown by the usual
+        union-find closure; the group is primitive when every such block is
+        the whole point set.  For h in G_0 the block through {0, beta^h} is
+        the h-image of the block through {0, beta}, so one beta per orbit of
+        G_0 decides.  Groups of degree <= 2 are primitive by convention.
         """
         n = self.degree
         if not self.is_transitive():
             return False
         if n <= 2:
             return True
-        for beta in range(1, n):
-            if self._block_through(beta) < n:
-                return False
-        return True
+        suborbits = self.point_stabiliser(0).orbits()  # [0] comes first
+        return all(self._block_through(orbit[0]) == n for orbit in suborbits[1:])
 
     def _block_through(self, beta: int) -> int:
         """Size of the minimal block containing {0, beta}."""
@@ -356,10 +358,11 @@ class PermGroup:
 
         parent[beta] = 0
         queue = [(0, beta)]
+        gen_images = [g.images.tolist() for g in self.gens]
         while queue:
             a, b = queue.pop()
-            for g in self.gens:
-                ra, rb = find(g.images[a]), find(g.images[b])
+            for images in gen_images:
+                ra, rb = find(images[a]), find(images[b])
                 if ra != rb:
                     parent[rb] = ra
                     queue.append((ra, rb))
@@ -395,7 +398,7 @@ class PermGroup:
         return self.chain.iter_elements()
 
     def elements(self) -> list[Perm]:
-        """All elements, sorted by image tuple and kept.  Guarded by
+        """All elements, sorted by image list and kept.  Guarded by
         ``element_cap``."""
         if self._elements is None:
             self._elements = sorted(self.iter_elements())
@@ -465,5 +468,5 @@ def prime_order_class_reps(G: PermGroup, caps: Caps | None = None) -> list[ConjC
         classified.update(cls)
         keep = cls if len(cls) <= caps.class_cap else None
         out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=keep))
-    out.sort(key=lambda c: (c.order, c.class_size, c.rep.images))
+    out.sort(key=lambda c: (c.order, c.class_size, c.rep))
     return out

@@ -1,15 +1,24 @@
-"""Permutations of {0, ..., n-1} stored as image tuples.
+"""Permutations of {0, ..., n-1} stored as fixed-width image bytes.
 
 Composition is left-to-right throughout the package: ``(p * q)(i) == q(p(i))``,
 i.e. ``p`` acts first.  Points are written on the left of the caret in comments
 (``i^p``) to match that convention.  Conjugation is ``p ** g == g.inverse() * p * g``,
 so that ``(i^g)^(p**g) == (i^p)^g``.
 
+A permutation is one ``bytes`` object, ``Perm.key``: the images 0^p, 1^p, ...
+as big-endian unsigned integers, 2 bytes each up to degree 65 535 and 4 bytes
+each above.  Hashing, equality and ordering use the key.  Big-endian keys of
+one width sort like the image lists, so sorted permutations and lex-least
+class representatives follow the lexicographic order of the images.
+``Perm.images`` is a read-only numpy view of the key: products and inverses
+are numpy gathers and scatters, and a caller that walks points in a Python
+loop takes ``images.tolist()`` once.  No other module knows the format.
+
 Validation happens once, at the boundary.  ``Perm(...)`` and the other public
 constructors (``from_cycles``, ``parse_cycles``, ``all_perms``) check that their
 input is a permutation of 0..n-1 and raise ``ValueError`` otherwise.  Products,
 inverses, powers, conjugates and identities are built from permutations that
-are already valid, so they skip that check and wrap their image tuple with the
+are already valid, so they skip that check and wrap their key with the
 private ``_trusted``, which no other module may call.
 """
 
@@ -19,23 +28,35 @@ from functools import cache
 from math import lcm
 from typing import Iterable, Iterator
 
+import numpy as np
+
+_NARROW_MAX = 0xFFFF  # the largest degree whose points fit in 2 bytes
+_NARROW, _WIDE = np.dtype(">u2"), np.dtype(">u4")
+
+
+def _dtype(degree: int) -> np.dtype:
+    return _NARROW if degree <= _NARROW_MAX else _WIDE
+
 
 class Perm:
-    """An immutable permutation given by its image tuple.
+    """An immutable permutation of {0, ..., n-1}.
 
     ``Perm((1, 2, 0))`` maps 0 -> 1, 1 -> 2, 2 -> 0.  Degree 0 and degree 1
     permutations are allowed.  Instances are hashable and totally ordered by
-    their image tuples, which is the element order used for deterministic
-    searches elsewhere.
+    their image lists, which is the element order used for deterministic
+    searches elsewhere.  ``images`` is a read-only numpy array.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("key", "images")
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        object.__setattr__(self, "images", images)
+        images = list(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError("not a permutation of 0..n-1: %r" % (images,))
+        dtype = _dtype(len(images))
+        key = np.array(images, dtype=dtype).tobytes()
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "images", np.frombuffer(key, dtype))
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -48,19 +69,19 @@ class Perm:
 
     def __call__(self, point: int) -> int:
         """Image of a point."""
-        return self.images[point]
+        return self.images.item(point)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
+        return isinstance(other, Perm) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self.key)
 
     def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
+        return self.key < other.key
 
     def __le__(self, other: "Perm") -> bool:
-        return self.images <= other.images
+        return self.key <= other.key
 
     def __repr__(self) -> str:
         return "Perm(%s)" % (self.cycle_string() or "()")
@@ -69,18 +90,17 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Left-to-right composition: apply self, then other."""
-        q = other.images
-        if len(q) != len(self.images):
+        if len(other.key) != len(self.key):
             raise ValueError(
-                "degree mismatch: %d vs %d" % (len(self.images), len(q))
+                "degree mismatch: %d vs %d" % (self.degree, other.degree)
             )
-        return _trusted(tuple(map(q.__getitem__, self.images)))
+        return _trusted(other.images.take(self.images).tobytes(), other.images.dtype)
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for j, i in zip(self.images, _points(len(self.images))):
-            inv[j] = i
-        return _trusted(tuple(inv))
+        n = len(self.images)
+        inv = np.empty(n, self.images.dtype)
+        inv[self.images.astype(np.intp)] = _arange(n)
+        return _trusted(inv.tobytes(), inv.dtype)
 
     def __pow__(self, g):
         """Conjugate by a permutation, or integer power.
@@ -103,7 +123,7 @@ class Perm:
         return result
 
     def is_identity(self) -> bool:
-        return self.images == _points(len(self.images))
+        return self.key == _identity_key(len(self.images))
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
@@ -112,33 +132,32 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, least point first, sorted by least point."""
-        seen = [False] * len(self.images)
+        images = self.images.tolist()
+        seen = [False] * len(images)
         out = []
-        for start in range(len(self.images)):
-            if seen[start] or self.images[start] == start:
+        for start in range(len(images)):
+            if seen[start] or images[start] == start:
                 seen[start] = True
                 continue
             cyc = [start]
             seen[start] = True
-            pt = self.images[start]
+            pt = images[start]
             while pt != start:
                 cyc.append(pt)
                 seen[pt] = True
-                pt = self.images[pt]
+                pt = images[pt]
             out.append(tuple(cyc))
         return out
 
     def fixed_point_count(self) -> int:
-        return sum(1 for i, j in enumerate(self.images) if i == j)
+        return int(np.count_nonzero(self.images == _arange(len(self.images))))
 
     def moved_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i != j]
+        return np.flatnonzero(self.images != _arange(len(self.images))).tolist()
 
     def min_moved_point(self) -> int | None:
-        for i, j in enumerate(self.images):
-            if i != j:
-                return i
-        return None
+        moved = np.flatnonzero(self.images != _arange(len(self.images)))
+        return int(moved[0]) if moved.size else None
 
     def cycle_string(self, one_based: bool = False) -> str:
         """Cycle notation, e.g. ``(0,1,2)(3,4)`` (or 1-based on request)."""
@@ -150,23 +169,33 @@ class Perm:
 
 
 @cache
-def _points(degree: int) -> tuple[int, ...]:
-    """``tuple(range(degree))``, built once per degree and shared."""
-    return tuple(range(degree))
+def _arange(degree: int) -> np.ndarray:
+    """The identity's images 0..degree-1 in the key dtype, built once per
+    degree and shared read-only."""
+    points = np.arange(degree, dtype=_dtype(degree))
+    points.flags.writeable = False
+    return points
 
 
-def _trusted(images: tuple[int, ...]) -> Perm:
-    """Wrap an image tuple that is already known to be a permutation.
+@cache
+def _identity_key(degree: int) -> bytes:
+    return _arange(degree).tobytes()
+
+
+def _trusted(key: bytes, dtype: np.dtype) -> Perm:
+    """Wrap a key of the given image dtype that is already known to encode a
+    permutation.
 
     Skips the check in ``Perm.__init__``; only results of operations on valid
     permutations may come through here."""
     perm = object.__new__(Perm)
-    object.__setattr__(perm, "images", images)
+    object.__setattr__(perm, "key", key)
+    object.__setattr__(perm, "images", np.frombuffer(key, dtype))
     return perm
 
 
 def identity(degree: int) -> Perm:
-    return _trusted(_points(degree))
+    return _trusted(_identity_key(degree), _dtype(degree))
 
 
 def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:

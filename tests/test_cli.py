@@ -1,7 +1,11 @@
 """End-to-end command-line behaviour: exit codes, determinism, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +246,34 @@ class TestVerify:
         code = main(["verify", "euler", "--nmax", "5000", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["ok"] is True
+
+
+class TestHashSeeds:
+    """Permutation hashes are salted per process, so no output may follow the
+    iteration order of a set or dict of permutations."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def _stdout(self, argv, seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        code = "import sys; from saxl.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout
+        return done.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--psl2", "c2", "--q", "13", "--variant", "psigma"],
+            ["graph", "--psl2", "c2", "--q", "13", "--variant", "psigma", "--format", "edges"],
+            ["analyze", "--catalogue", "PGL2_13_S4"],
+        ],
+    )
+    def test_stdout_is_identical_across_hash_seeds(self, argv):
+        first = self._stdout(argv, "1")
+        for seed in ("2", "3"):
+            assert self._stdout(argv, seed) == first

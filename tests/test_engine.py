@@ -193,6 +193,7 @@ class TestQEstimates:
         assert qh == Fraction(51, 91)
         assert qh > Fraction(1, 2) > q_exact(act) > Fraction(1, 4)
         assert q_tilde(act) == qh
+        assert act.stabiliser0()._elements is None  # the class step streams H
 
     def test_against_membership_oracle(self, fixture_actions):
         act = fixture_actions["L2_17_S4"]

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from saxl.actions import GroupVariant, ksubset_action, psl2_c2_action
 from saxl.group import CapExceeded, Caps, PermGroup, conjugacy_class, prime_order_class_reps
 from saxl.perm import Perm, all_perms, from_cycles, identity
 
@@ -111,6 +112,27 @@ class TestOrbits:
         d4 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(1, 3)])])
         assert not d4.is_primitive()
 
+    def test_primitivity_matches_every_beta(self):
+        # is_primitive tries one beta per suborbit; the reference tries all
+        def by_every_beta(g):
+            n = g.degree
+            if not g.is_transitive():
+                return False
+            return n <= 2 or all(g._block_through(beta) == n for beta in range(1, n))
+
+        groups = [
+            symmetric(4), symmetric(5), alternating(6), psl2_mobius(7), psl2_mobius(13),
+            PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)])]),
+            PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(1, 3)])]),
+            PermGroup(5, [from_cycles(5, [(0, 1, 2)]), from_cycles(5, [(3, 4)])]),
+            ksubset_action(4, 2).group,
+            ksubset_action(6, 3).group,
+            psl2_c2_action(GroupVariant("PSL2", 5)).group,
+        ]
+        verdicts = [g.is_primitive() for g in groups]
+        assert verdicts == [by_every_beta(g) for g in groups]
+        assert verdicts == [True] * 5 + [False] * 6
+
 
 class TestStabilisers:
     def test_point_stabiliser_s7(self):
@@ -148,7 +170,7 @@ class TestElements:
     def test_m11_enumeration_against_bfs_closure(self, catalogue):
         # Depth->=3 chain: the element walk must stratify cosets exactly.
         g = catalogue["M11"].group
-        gens = [p.images for p in g.gens]
+        gens = [p.images.tolist() for p in g.gens]
         seen = {tuple(range(11))}
         frontier = [tuple(range(11))]
         while frontier:
@@ -163,7 +185,7 @@ class TestElements:
         assert len(seen) == 7920
         elems = g.elements()
         assert len(elems) == 7920
-        assert {p.images for p in elems} == seen
+        assert {tuple(p.images.tolist()) for p in elems} == seen
         assert Counter(p.order() for p in elems) == {
             1: 1, 2: 165, 3: 440, 4: 990, 5: 1584, 6: 1320, 8: 1980, 11: 1440,
         }

@@ -1,5 +1,7 @@
-"""Permutation arithmetic: composition convention, cycles, parsing."""
+"""Permutation arithmetic: composition convention, cycles, parsing, and the
+fixed-width image-bytes representation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,9 +60,11 @@ class TestUncheckedResults:
     def test_results_pass_validation(self, pair, k):
         p, g = pair
         for result in (p * g, p.inverse(), p**g, p**k, identity(p.degree)):
-            assert type(result.images) is tuple
-            assert Perm(result.images) == result
-        assert p.is_identity() == all(i == j for i, j in enumerate(p.images))
+            assert isinstance(result.images, np.ndarray)
+            assert not result.images.flags.writeable
+            assert result.images.dtype == np.dtype(">u2")
+            assert Perm(result.images.tolist()) == result
+        assert p.is_identity() == all(i == j for i, j in enumerate(p.images.tolist()))
         assert (p * p.inverse()).is_identity()
 
 
@@ -72,6 +76,10 @@ class TestConstruction:
             Perm([0, 0, 1])
         with pytest.raises(ValueError):
             Perm([0, 3, 1])
+        with pytest.raises(ValueError):
+            Perm([-1, 0, 1])
+        with pytest.raises(ValueError):
+            Perm([1, 2**40])
 
     def test_immutability(self):
         p = Perm([1, 0])
@@ -148,7 +156,65 @@ class TestMiscellany:
     def test_sort_order_is_lexicographic(self):
         perms = sorted(all_perms(3))
         assert perms[0] == identity(3)
-        assert [p.images for p in perms] == sorted(p.images for p in all_perms(3))
+        assert [p.images.tolist() for p in perms] == sorted(p.images.tolist() for p in all_perms(3))
 
     def test_all_perms_count(self):
         assert sum(1 for _ in all_perms(4)) == 24
+
+
+class TestRepresentation:
+    """Images are stored big-endian, 2 bytes per point up to degree 65 535 and
+    4 bytes above; order, hash and equality follow the image lists."""
+
+    @given(
+        st.permutations(range(300)),
+        st.permutations(range(300)),
+        st.integers(0, 299),
+        st.integers(0, 299),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_order_is_image_list_order(self, a, b, i, j):
+        # p and its transposed copy share every image before min(i, j), so
+        # the comparison is decided at that point, where a little-endian key
+        # and a big-endian one disagree whenever one image is 256 or more
+        p, q = Perm(a), Perm(b)
+        swapped = list(a)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        near = Perm(swapped)
+        perms = [p, q, near]
+        assert [x.images.tolist() for x in sorted(perms)] == sorted(x.images.tolist() for x in perms)
+        for x in perms:
+            for y in perms:
+                assert (x < y) == (x.images.tolist() < y.images.tolist())
+                assert (x <= y) == (x.images.tolist() <= y.images.tolist())
+                assert (x == y) == (x.images.tolist() == y.images.tolist())
+
+    @pytest.mark.parametrize("degree, width", [(65535, 2), (65536, 4)])
+    def test_both_sides_of_the_width_switch(self, degree, width):
+        shift = Perm([(i + 1) % degree for i in range(degree)])
+        swap = from_cycles(degree, [(0, degree - 1), (1, 300)])
+        e = identity(degree)
+        for p in (shift, swap, e):
+            assert p.images.dtype == np.dtype(">u%d" % width)
+            assert len(p.key) == width * degree
+            assert p.degree == degree
+        prod = shift * swap
+        for i in (0, 1, 299, 300, degree - 2, degree - 1):
+            assert prod(i) == swap(shift(i))
+        assert (shift * shift.inverse()).is_identity()
+        assert shift.inverse()(0) == degree - 1
+        assert not shift.is_identity() and e.is_identity()
+        assert shift**degree == e and shift.order() == degree
+        assert swap.order() == 2 and swap.inverse() == swap
+        assert e < shift < swap
+        rebuilt = Perm(prod.images.tolist())
+        assert rebuilt == prod and hash(rebuilt) == hash(prod)
+
+    def test_images_are_read_only(self):
+        p = Perm([1, 2, 0])
+        with pytest.raises(ValueError):
+            p.images[0] = 0
+        q = p * p
+        with pytest.raises(ValueError):
+            q.images[:] = 0
+        assert p.images.tolist() == [1, 2, 0]
