@@ -122,9 +122,6 @@ class LabelledAction:
             self.stab0 = self.group.point_stabiliser(0)
         return self.stab0
 
-    def index_of(self, label: OmegaPoint) -> int:
-        return self.label_index[label]
-
 
 def _verify_orders(action: LabelledAction) -> LabelledAction:
     """Check the constructed group and stabiliser against their closed forms."""

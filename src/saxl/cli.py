@@ -558,7 +558,7 @@ def _sweep_euler(cfg: RunConfig) -> list[dict]:
 def _sweep_clique5(cfg: RunConfig) -> list[dict]:
     qmax = cfg.qmax or 200
     checks = []
-    for q in range(29, qmax):
+    for q in range(29, qmax + 1):
         try:
             p, f = split_prime_power(q)
         except ValueError:

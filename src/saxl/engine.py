@@ -28,7 +28,7 @@ import numpy as np
 from .actions import LabelledAction
 from .gf import is_prime
 from .group import CapExceeded, CrossCheckFailed, conjugacy_class
-from .perm import Perm
+from .perm import Perm, identity
 
 
 # -- cached per-action analysis -------------------------------------------------------
@@ -51,7 +51,10 @@ class _Analysis:
         n = action.degree
         self.n = n
         self.order_h = H.order()
-        self.transversal = action.group.orbit_transversal(0)
+        # G is transitive, so its chain's base starts at 0 and level 0 holds a
+        # transversal of G_0 in G; only a degree-1 chain has no levels
+        levels = action.group.chain.levels
+        self.transversal = levels[0].transversal if levels else {0: identity(1)}
         self.orbits = H.orbits()  # ordered by minimal point
         points = np.arange(n)
         fixed_by_nonidentity = np.zeros(n, dtype=bool)
@@ -278,10 +281,6 @@ class SaxlGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return bool(self.rows[a] >> b & 1)
-
-    def neighbours(self, a: int) -> list[int]:
-        row = self.rows[a]
-        return [b for b in range(self.n) if row >> b & 1]
 
     def edges(self):
         for a in range(self.n):

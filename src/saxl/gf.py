@@ -171,13 +171,6 @@ class FqField:
         self.modulus = _least_irreducible(p, f)
         self._build_tables()
 
-    def _coeff_key(self, coeffs: tuple[int, ...]) -> int:
-        """Order key with the constant term as the most significant digit."""
-        key = 0
-        for c in coeffs:
-            key = key * self.p + c
-        return key
-
     def _val(self, coeffs: tuple[int, ...]) -> int:
         """Table index: plain base-p value, constant term least significant."""
         val = 0
@@ -362,12 +355,6 @@ class FqElem:
     def frobenius(self, j: int = 1) -> "FqElem":
         """x -> x^(p^j)."""
         return self ** (self.field.p**j)
-
-    def multiplicative_order(self) -> int:
-        if self.log is None:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        n = self.field.q - 1
-        return n // math.gcd(n, self.log)
 
     def __repr__(self) -> str:
         if self.log is None:

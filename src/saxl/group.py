@@ -1,10 +1,14 @@
 """Finite permutation groups with deterministic stabiliser chains.
 
 The stabiliser chain is built by the classical (non-randomised) Schreier-Sims
-procedure.  New base points are always the smallest point moved by the
-offending residue, so chains, strong generating sets, orders and memberships
-are reproducible across runs.  A base prefix can be forced, which is how point
-and pointwise stabilisers are extracted.
+procedure.  A group's chain starts its base at the least point that any
+generator moves, which is 0 for every transitive group of degree >= 2: level 0
+then holds a transversal of G_0 in G and the deeper levels are G_0's own chain,
+so the point stabiliser of 0 costs no second chain.  Further base points are
+always the smallest point moved by the offending residue, so chains, strong
+generating sets, orders and memberships are reproducible across runs.  Other
+pointwise stabilisers come from a fresh chain whose base starts with the
+given points.
 
 Hard limits guard every potentially explosive operation (element enumeration,
 class materialisation); exceeding a limit raises :class:`CapExceeded` rather
@@ -64,12 +68,31 @@ class _Level:
         self._done_pairs: set[tuple[int, int]] = set()
 
 
+def _close_orbit(transversal: dict[int, Perm], orbit_list: list[int], gens: Sequence[Perm]) -> None:
+    """Close an orbit under gens by breadth-first search, in place.
+
+    Every listed point is scanned, and each new point gamma = s(beta) is
+    appended to ``orbit_list`` with coset representative
+    ``transversal[beta] * s``, which maps the first point to gamma."""
+    gen_images = [(s, s.images.tolist()) for s in gens]
+    qi = 0
+    while qi < len(orbit_list):
+        beta = orbit_list[qi]
+        qi += 1
+        u = transversal[beta]
+        for s, images in gen_images:
+            gamma = images[beta]
+            if gamma not in transversal:
+                transversal[gamma] = u * s
+                orbit_list.append(gamma)
+
+
 class StabChain:
     """Deterministic stabiliser chain for a permutation group.
 
-    ``base_prefix`` forces the initial base points (used for stabiliser
-    extraction); levels whose orbit stays trivial are kept, they are harmless
-    and keep indexing predictable.
+    ``base_prefix`` forces the initial base points (a group's least moved
+    point, or the points of a pointwise stabiliser); levels whose orbit stays
+    trivial are kept, they are harmless and keep indexing predictable.
     """
 
     def __init__(self, degree: int, gens: Sequence[Perm], base_prefix: Sequence[int] = ()):
@@ -165,19 +188,7 @@ class StabChain:
 
     def _rebuild_orbit(self, level: _Level) -> None:
         """Extend the orbit/transversal of a level after adding generators."""
-        queue = list(level.orbit_list)
-        gen_images = [(s, s.images.tolist()) for s in level.gens]
-        qi = 0
-        while qi < len(queue):
-            beta = queue[qi]
-            qi += 1
-            u = level.transversal[beta]
-            for s, images in gen_images:
-                gamma = images[beta]
-                if gamma not in level.transversal:
-                    level.transversal[gamma] = u * s
-                    level.orbit_list.append(gamma)
-                    queue.append(gamma)
+        _close_orbit(level.transversal, level.orbit_list, level.gens)
 
     # -- queries --------------------------------------------------------------
 
@@ -250,8 +261,10 @@ class PermGroup:
 
     @property
     def chain(self) -> StabChain:
+        """The stabiliser chain, its base starting at the least moved point."""
         if self._chain is None:
-            self._chain = StabChain(self.degree, self.gens)
+            start = [min(g.min_moved_point() for g in self.gens)] if self.gens else []
+            self._chain = StabChain(self.degree, self.gens, base_prefix=start)
         return self._chain
 
     def order(self) -> int:
@@ -259,9 +272,6 @@ class PermGroup:
 
     def contains(self, g: Perm) -> bool:
         return self.chain.contains(g)
-
-    def is_trivial(self) -> bool:
-        return not self.gens
 
     def identity(self) -> Perm:
         return identity(self.degree)
@@ -299,18 +309,7 @@ class PermGroup:
     def orbit_transversal(self, point: int) -> dict[int, Perm]:
         """Orbit with coset representatives u mapping ``point`` to each orbit point."""
         transversal = {point: identity(self.degree)}
-        queue = [point]
-        gen_images = [(g, g.images.tolist()) for g in self.gens]
-        qi = 0
-        while qi < len(queue):
-            beta = queue[qi]
-            qi += 1
-            u = transversal[beta]
-            for g, images in gen_images:
-                gamma = images[beta]
-                if gamma not in transversal:
-                    transversal[gamma] = u * g
-                    queue.append(gamma)
+        _close_orbit(transversal, [point], self.gens)
         return transversal
 
     def orbits(self) -> list[list[int]]:
@@ -336,7 +335,7 @@ class PermGroup:
         union-find closure; the group is primitive when every such block is
         the whole point set.  For h in G_0 the block through {0, beta^h} is
         the h-image of the block through {0, beta}, so one beta per orbit of
-        G_0 decides.  Groups of degree <= 2 are primitive by convention.
+        G_0 decides; G_0 is the rest of the group's own chain.  Groups of degree <= 2 are primitive by convention.
         """
         n = self.degree
         if not self.is_transitive():
@@ -372,16 +371,28 @@ class PermGroup:
     # -- stabilisers ----------------------------------------------------------------
 
     def point_stabiliser(self, point: int) -> "PermGroup":
-        """Stabiliser of one point, from a chain with that point first in the base."""
+        """Stabiliser of one point.
+
+        The group's own chain starts its base at the least moved point (0
+        for a transitive group), so that point's stabiliser is the rest of
+        the cached chain; any other point goes through
+        :meth:`pointwise_stabiliser`."""
+        chain = self.chain
+        if chain.levels and chain.levels[0].point == point:
+            return self._suffix_group(chain, 1)
         return self.pointwise_stabiliser([point])
 
     def pointwise_stabiliser(self, points: Sequence[int]) -> "PermGroup":
-        """Pointwise stabiliser of a point sequence."""
+        """Pointwise stabiliser of a point sequence, from a fresh chain whose
+        base starts with those points."""
         chain = StabChain(self.degree, self.gens, base_prefix=list(points))
-        gens = chain.strong_gens_from(len(points))
-        sub = PermGroup(self.degree, gens, caps=self.caps)
-        # the deeper part of the prefixed chain already is the stabiliser's chain
-        sub._chain = chain.suffix_chain(len(points))
+        return self._suffix_group(chain, len(points))
+
+    def _suffix_group(self, chain: StabChain, idx: int) -> "PermGroup":
+        """The pointwise stabiliser of the first ``idx`` base points of one of
+        this group's chains: the deeper part of the chain already is its chain."""
+        sub = PermGroup(self.degree, chain.strong_gens_from(idx), caps=self.caps)
+        sub._chain = chain.suffix_chain(idx)
         return sub
 
     # -- element enumeration ------------------------------------------------------

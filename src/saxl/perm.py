@@ -152,9 +152,6 @@ class Perm:
     def fixed_point_count(self) -> int:
         return int(np.count_nonzero(self.images == _arange(len(self.images))))
 
-    def moved_points(self) -> list[int]:
-        return np.flatnonzero(self.images != _arange(len(self.images))).tolist()
-
     def min_moved_point(self) -> int | None:
         moved = np.flatnonzero(self.images != _arange(len(self.images)))
         return int(moved[0]) if moved.size else None

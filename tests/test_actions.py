@@ -226,10 +226,10 @@ class TestLabelledActionInvariants:
         with pytest.raises(ValueError):
             LabelledAction(g, labs, "bad")
 
-    def test_index_of(self):
+    def test_label_index(self):
         act = ksubset_action(4, 2)
         for i, lab in enumerate(act.labels):
-            assert act.index_of(lab) == i
+            assert act.label_index[lab] == i
 
 
 class TestCatalogue:

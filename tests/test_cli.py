@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, determinism, output formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -241,6 +242,11 @@ class TestVerify:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: --per-field")
 
+    def test_clique5_qmax_is_inclusive(self, capsys):
+        assert main(["verify", "clique5", "--qmax", "49"]) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert names == ["clique5 q=49"]
+
     def test_verify_out_file(self, capsys, tmp_path):
         target = tmp_path / "euler.json"
         code = main(["verify", "euler", "--nmax", "5000", "--out", str(target)])
@@ -277,3 +283,23 @@ class TestHashSeeds:
         first = self._stdout(argv, "1")
         for seed in ("2", "3"):
             assert self._stdout(argv, seed) == first
+
+
+class TestGoldens:
+    """sha256 of stdout for commands that no perfbench golden covers, pinned
+    from the output before G_0 and point 0's transversal came from G's chain.
+    CI runs this class under two hash seeds."""
+
+    DIGESTS = {
+        "verify star": "f1efa8a6b0ca4188daf4fbca64a36efc9925053a192d74a18ee6b527a2302c3b",
+        "analyze --ksubsets 6 2 --exact": "ba918a3d926b5c3cbe92956f0c73e4f1bdbcfa56cc2b6ecc0716d86ac7e3930b",
+        "analyze --ksubsets 7 3 --alternating": "ce2d7c59a7393697a61380620b93f811ff22262766f293122e2277651f00ddaf",
+        "analyze --catalogue L3_3_O3": "d3002185feb41c92885e69e23b8e52d2903035264e73be9663a9354cfac8ad67",
+        "analyze --catalogue M11": "ab6a6697c90b9760de0c47d993f9d8e5ff3b5c9e049fe099200d42930d11f57e",
+        "graph --ksubsets 10 2 --format edges": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS))
+    def test_stdout_digest(self, capsys, argv):
+        assert main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.DIGESTS[argv]

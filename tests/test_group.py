@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saxl.actions import GroupVariant, ksubset_action, psl2_c2_action
-from saxl.group import CapExceeded, Caps, PermGroup, conjugacy_class, prime_order_class_reps
+from saxl.group import CapExceeded, Caps, PermGroup, StabChain, conjugacy_class, prime_order_class_reps
 from saxl.perm import Perm, all_perms, from_cycles, identity
 
 
@@ -29,6 +29,19 @@ def psl2_mobius(q):
     return PermGroup(q + 1, [Perm(shift), Perm(inv)])
 
 
+def count_chains(monkeypatch):
+    """A list that gains one entry per StabChain built from now on."""
+    calls = []
+    build = StabChain.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "__init__", counted)
+    return calls
+
+
 def sign(p):
     return -1 if sum(len(c) - 1 for c in p.cycles()) % 2 else 1
 
@@ -46,7 +59,6 @@ class TestOrders:
     def test_trivial_group(self):
         g = PermGroup(4, [])
         assert g.order() == 1
-        assert g.is_trivial()
         assert g.identity() == identity(4)
 
     def test_order_is_product_of_orbit_lengths(self):
@@ -140,6 +152,24 @@ class TestStabilisers:
         assert stab.order() == 720
         assert all(g(0) == 0 for g in stab.gens)
 
+    def test_certified_action_builds_one_chain(self, monkeypatch):
+        calls = count_chains(monkeypatch)
+        act = ksubset_action(6, 2)  # certifies |G| and |G_0| against closed forms
+        assert len(calls) == 1
+        assert act.stabiliser0().order() == 48
+
+    def test_is_primitive_reuses_the_chain(self, monkeypatch):
+        act = psl2_c2_action(GroupVariant("PSL2", 13))
+        calls = count_chains(monkeypatch)
+        assert act.group.is_primitive()
+        assert calls == []
+
+    def test_base_starts_at_point_0(self, fixture_actions):
+        groups = [act.group for act in fixture_actions.values()]
+        groups.append(ksubset_action(10, 2).group)  # its first generator fixes point 0
+        for g in groups:
+            assert g.chain.base()[0] == 0
+
     def test_point_stabiliser_idempotent(self):
         g = psl2_mobius(7)
         s1 = g.point_stabiliser(0)
@@ -152,7 +182,7 @@ class TestStabilisers:
         psl13 = psl2_mobius(13)
         torus = psl13.pointwise_stabiliser([0, 1])
         assert torus.order() == 6  # (q - 1) / 2 for the two-point stabiliser
-        assert psl13.pointwise_stabiliser(range(14)).is_trivial()
+        assert psl13.pointwise_stabiliser(range(14)).order() == 1
 
     def test_subgroup_relations(self):
         a5, s5 = alternating(5), symmetric(5)
