@@ -226,7 +226,7 @@ class TestLabelledActionInvariants:
         with pytest.raises(ValueError):
             LabelledAction(g, labs, "bad")
 
-    def test_label_index(self):
+    def test_index_of(self):
         act = ksubset_action(4, 2)
         for i, lab in enumerate(act.labels):
             assert act.label_index[lab] == i
