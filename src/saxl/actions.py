@@ -279,52 +279,63 @@ def coset_action(
     warnings = ()
     if kernel_order > 1:
         warnings = ("action has kernel of order %d" % kernel_order,)
-    action = LabelledAction(
-        group,
-        labels,
-        name,
-        stab0=stab0,
-        expected_group_order=order_image,
-        expected_stab_order=order_h // kernel_order,
-        warnings=warnings,
+    return _verify_orders(
+        LabelledAction(
+            group,
+            labels,
+            name,
+            stab0=stab0,
+            expected_group_order=order_image,
+            expected_stab_order=order_h // kernel_order,
+            warnings=warnings,
+        )
     )
-    action._cache["kernel_order"] = kernel_order
-    action._cache["coset_reps"] = reps
-    return _verify_orders(action)
 
 
 # -- the projective-pair (C2) family -------------------------------------------------
 
-_INF = "inf"  # the 1-space <e2>, i.e. homogeneous coordinates (0, 1)
+INF = "inf"  # the 1-space <e2>, i.e. homogeneous coordinates (0, 1)
 
 
 def _proj_sort_key(t) -> int:
     """Deterministic order on projective points: <e2>, then <e1>, then logs."""
-    if t is _INF:
+    if t is INF:
         return -2
     return -1 if t.is_zero() else t.log
 
 
 def _proj_payload(t) -> tuple:
-    if t is _INF:
+    if t is INF:
         return (0, 1)
     return (1, t.as_int())
+
+
+def proj_pair_payload(labels) -> tuple:
+    """The "proj_pair" payload of two projective labels (INF or FqElem),
+    the points in the labelling's order: INF, then 0, then by log."""
+    return tuple(_proj_payload(t) for t in sorted(labels, key=_proj_sort_key))
+
+
+def proj_pair_labels(F: FqField, payload) -> tuple:
+    """The two projective labels (INF or FqElem) of a "proj_pair" payload;
+    the inverse of :func:`proj_pair_payload`."""
+    return tuple(INF if kind == 0 else F.from_packed_int(value) for kind, value in payload)
 
 
 def _mobius_apply(M, t):
     """Image of the projective point (1, t) or <e2> under a matrix row action."""
     (a, b), (c, d) = M
-    if t is _INF:
+    if t is INF:
         x, y = c, d
     else:
         x, y = a + t * c, b + t * d
     if x.is_zero():
-        return _INF
+        return INF
     return y / x
 
 
 def _frobenius_point(t, j: int):
-    return t if t is _INF else t.frobenius(j)
+    return t if t is INF else t.frobenius(j)
 
 
 def _mat_mul(A, B):
@@ -345,6 +356,23 @@ def _mat_conj_transpose(A, f: int):
     return ((a.frobenius(f), c.frobenius(f)), (b.frobenius(f), d.frobenius(f)))
 
 
+def _extension(variant: GroupVariant, delta: Perm, phi: Perm) -> tuple[list[Perm], int]:
+    """The generators the variant adds to PSL(2,q), given the diagonal
+    automorphism delta and the Frobenius phi of one action, and the index
+    [G : PSL(2,q)], which scales both |G| and |G_0|."""
+    q, f = variant.q, variant.f
+    h = math.gcd(2, q - 1)
+    if variant.family == "PSL2":
+        return [], 1
+    if variant.family == "PGL2":
+        return [delta], h
+    if variant.family == "PSigmaL2":
+        return [phi], f
+    if variant.family == "PGammaL2":
+        return [delta, phi], h * f
+    return [delta * phi**variant.j], f // math.gcd(f, variant.j)
+
+
 def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
     """The chosen group acting on unordered pairs of points of PG(1,q).
 
@@ -362,7 +390,7 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     F = field_create(p, f)
     lam = F.gen()
     one, zero = F.one(), F.zero()
-    points = sorted([_INF] + list(F.elements()), key=_proj_sort_key)
+    points = sorted([INF] + list(F.elements()), key=_proj_sort_key)
     point_pos = {(_proj_sort_key(t)): i for i, t in enumerate(points)}
     pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
     pair_index = {pr: k for k, pr in enumerate(pairs)}
@@ -388,27 +416,9 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     delta = perm_of_matrix(mat_delta)
     phi = perm_of_frobenius(1)
 
+    extra, index = _extension(variant, delta, phi)
     h = math.gcd(2, q - 1)
-    psl_order = q * (q * q - 1) // h
-    torus_swap = [psl_gens[1], psl_gens[2]]
-    family = variant.family
-    if family == "PSL2":
-        gens, extra_stab = psl_gens, []
-        order, stab_order = psl_order, 2 * (q - 1) // h
-    elif family == "PGL2":
-        gens, extra_stab = psl_gens + [delta], [delta]
-        order, stab_order = q * (q * q - 1), 2 * (q - 1)
-    elif family == "PSigmaL2":
-        gens, extra_stab = psl_gens + [phi], [phi]
-        order, stab_order = f * psl_order, f * 2 * (q - 1) // h
-    elif family == "PGammaL2":
-        gens, extra_stab = psl_gens + [delta, phi], [delta, phi]
-        order, stab_order = f * q * (q * q - 1), 2 * f * (q - 1)
-    else:  # DeltaPhi(j)
-        dphi = delta * phi ** variant.j
-        gens, extra_stab = psl_gens + [dphi], [dphi]
-        e = f // math.gcd(f, variant.j)
-        order, stab_order = e * psl_order, e * (q - 1)
+    order, stab_order = index * q * (q * q - 1) // h, index * 2 * (q - 1) // h
     if order > caps.group_cap:
         raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
 
@@ -419,12 +429,13 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     warnings = ()
     if q == 5:
         warnings = ("point stabiliser is not maximal for q = 5; action is imprimitive",)
+    # PSL(2,q)'s torus and swap generators fix alpha = {<e1>, <e2>}
     return _verify_orders(
         LabelledAction(
-            PermGroup(degree, gens, caps=caps),
+            PermGroup(degree, psl_gens + extra, caps=caps),
             labels,
             "%s/proj-pairs" % variant.describe(),
-            stab0=PermGroup(degree, torus_swap + extra_stab, caps=caps),
+            stab0=PermGroup(degree, psl_gens[1:] + extra, caps=caps),
             expected_group_order=order,
             expected_stab_order=stab_order,
             warnings=warnings,
@@ -543,34 +554,17 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     delta = perm_of_matrix(mat_b)
     phi = perm_of_frobenius(1)
 
-    psl_order = q * (q * q - 1) // 2
-    family = variant.family
-    if family == "PSL2":
-        gens, extra_stab = psl_gens, []
-        order, stab_order = psl_order, q + 1
-    elif family == "PGL2":
-        gens, extra_stab = psl_gens + [delta], [delta]
-        order, stab_order = q * (q * q - 1), 2 * (q + 1)
-    elif family == "PSigmaL2":
-        gens, extra_stab = psl_gens + [phi], [phi]
-        order, stab_order = f * psl_order, f * (q + 1)
-    elif family == "PGammaL2":
-        gens, extra_stab = psl_gens + [delta, phi], [delta, phi]
-        order, stab_order = 2 * f * psl_order, 2 * f * (q + 1)
-    else:  # DeltaPhi(j)
-        dphi = delta * phi ** variant.j
-        gens, extra_stab = psl_gens + [dphi], [dphi]
-        e = f // math.gcd(f, variant.j)
-        order, stab_order = e * psl_order, e * (q + 1)
+    extra, index = _extension(variant, delta, phi)
+    order, stab_order = index * q * (q * q - 1) // 2, index * (q + 1)
     if order > caps.group_cap:
         raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
 
     return _verify_orders(
         LabelledAction(
-            PermGroup(degree, gens, caps=caps),
+            PermGroup(degree, psl_gens + extra, caps=caps),
             labels,
             "%s/unitary-pairs" % variant.describe(),
-            stab0=PermGroup(degree, [torus, swap] + extra_stab, caps=caps),
+            stab0=PermGroup(degree, [torus, swap] + extra, caps=caps),
             expected_group_order=order,
             expected_stab_order=stab_order,
         )

@@ -2,9 +2,11 @@
 
 Three commands: ``analyze`` builds one permutation action and emits its full
 JSON report, ``graph`` exports the base-pair graph as DOT or an edge list,
-and ``verify`` runs named verification sweeps (closed-form criteria against
-brute force, counting formulas, fixture tables, totient scans) and reports
-machine-readable per-check results.
+and ``verify`` runs named verification sweeps (closed-form criteria and
+closed forms of Q against brute force, counting formulas, fixture tables,
+cliques, the class estimates, totient scans) and reports machine-readable
+per-check results.  The release gate in ``tests/test_acceptance.py`` runs
+these same sweeps.
 
 Exit codes: 0 success, 2 resource cap exceeded, 3 an internal cross-check
 between two computation routes failed, 1 any other failure (bad arguments,
@@ -19,10 +21,12 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from .actions import (
     ALPHA,
+    INF,
     GroupVariant,
     LabelledAction,
     OmegaPoint,
@@ -32,13 +36,20 @@ from .actions import (
     coset_action,
     ksubset_action,
     load_catalogue,
+    proj_pair_labels,
+    proj_pair_payload,
     psl2_c2_action,
     psl2_c3_action,
 )
 from .engine import (
     build_report,
     check_star,
+    clique_and_independence_exact,
+    is_base_pair,
+    lemma_calc_bound,
     q_exact,
+    q_hat,
+    q_tilde,
     regular_suborbit_count,
     saxl_graph,
 )
@@ -47,6 +58,7 @@ from .gf import (
     euler_bound_scan,
     field_create,
     field_from_order,
+    is_square,
     split_prime_power,
 )
 from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS
@@ -170,6 +182,8 @@ def _config_from_args(args) -> RunConfig:
     )
     if cfg.per_field < 1:
         raise ValueError("--per-field must be at least 1, got %d" % cfg.per_field)
+    if cfg.nmax is not None and cfg.nmax < 3:
+        raise ValueError("--nmax must be at least 3, got %d" % cfg.nmax)
     if cfg.command in ("analyze", "graph"):
         specs = sum(x is not None for x in (cfg.catalogue, cfg.psl2, cfg.ksubsets))
         if specs != 1:
@@ -275,8 +289,10 @@ def _sweep_table_rows(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _c2_labels(action: LabelledAction, F):
-    return [criteria.c2_labels_from_payload(F, lab.payload) for lab in action.labels]
+def _edge_disagreements(graph, pred) -> int:
+    """The pairs a < b on which the engine's graph and ``pred(a, b)`` disagree."""
+    n = graph.n
+    return sum(1 for a in range(n) for b in range(a + 1, n) if graph.has_edge(a, b) != pred(a, b))
 
 
 def _sweep_c2_oracle(cfg: RunConfig) -> list[dict]:
@@ -288,14 +304,9 @@ def _sweep_c2_oracle(cfg: RunConfig) -> list[dict]:
         action = psl2_c2_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
         graph = saxl_graph(action)
         F = field_from_order(q)
-        labs = _c2_labels(action, F)
+        labs = [proj_pair_labels(F, lab.payload) for lab in action.labels]
+        mismatches = _edge_disagreements(graph, lambda a, b: criteria.c2_pair_base(F, labs[a], labs[b]))
         n = action.degree
-        mismatches = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if graph.has_edge(a, b) != criteria.c2_pair_base(F, labs[a], labs[b])
-        )
         checks.append(
             _check(
                 "c2-oracle PSigmaL2 q=%d" % q,
@@ -321,19 +332,15 @@ def _sweep_c3_oracle(cfg: RunConfig) -> list[dict]:
         graph = saxl_graph(action)
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
-        labs = [lab.payload for lab in action.labels]
+        xs = [None if lab.payload == ALPHA else F2.from_log(lab.payload) for lab in action.labels]
+
+        def base(a, b):
+            if xs[a] is None:
+                return criteria.c3_base(F2, variant, xs[b])
+            return criteria.c3_pair_base(F2, variant, xs[a], xs[b])
+
+        mismatches = _edge_disagreements(graph, base)
         n = action.degree
-        mismatches = 0
-        for a in range(n):
-            xa = None if labs[a] == ALPHA else F2.from_log(labs[a])
-            for b in range(a + 1, n):
-                xb = F2.from_log(labs[b])
-                if xa is None:
-                    got = criteria.c3_base(F2, variant, xb)
-                else:
-                    got = criteria.c3_pair_base(F2, variant, xa, xb)
-                if got != graph.has_edge(a, b):
-                    mismatches += 1
         checks.append(
             _check(
                 "c3-oracle %s q=%d" % (family, q),
@@ -353,12 +360,7 @@ def _sweep_johnson(cfg: RunConfig) -> list[dict]:
         graph = saxl_graph(action)
         sets = [frozenset(lab.payload) for lab in action.labels]
         n = action.degree
-        bad = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if graph.has_edge(a, b) != (len(sets[a] & sets[b]) == 1)
-        )
+        bad = _edge_disagreements(graph, lambda a, b: len(sets[a] & sets[b]) == 1)
         r = regular_suborbit_count(action)
         checks.append(
             _check(
@@ -473,15 +475,15 @@ def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
         graph = saxl_graph(action)
         index = action.label_index
         count = 0
-        alpha = criteria.c2_payload_from_labels((criteria.INF, F.zero()))
+        alpha = proj_pair_payload((INF, F.zero()))
         ok = action.labels[0] == OmegaPoint("proj_pair", alpha)
         for b in F.nonzero_elements():
             for c in F.nonzero_elements():
                 if b == c or not criteria.c2_base_psigma(F, b, c):
                     continue
                 gamma, _ = criteria.c2_common_neighbour_witness(F, b, c)
-                bi = index[OmegaPoint("proj_pair", criteria.c2_payload_from_labels((b, c)))]
-                gi = index[OmegaPoint("proj_pair", criteria.c2_payload_from_labels(gamma))]
+                bi = index[OmegaPoint("proj_pair", proj_pair_payload((b, c)))]
+                gi = index[OmegaPoint("proj_pair", proj_pair_payload(gamma))]
                 ok &= graph.has_edge(0, gi) and graph.has_edge(bi, gi)
                 count += 1
         checks.append(_check("c2-witness q=%d (engine-checked)" % q, ok and count > 0, "%d inputs" % count))
@@ -546,32 +548,136 @@ def _sweep_euler(cfg: RunConfig) -> list[dict]:
     ]
     checked, bad = criteria.euler_phi_4f_scan(10**4)
     checks.append(
-        _check("phi(q-1)>=4f (odd non-prime q<10^4)", not bad, "%d checked, %d violations" % (checked, len(bad)))
+        _check("phi(q-1)>=4f (odd non-prime q<10^4)", checked > 0 and not bad, "%d checked, %d violations" % (checked, len(bad)))
     )
     checked, bad = criteria.c3_valency_bound_scan(10**3)
     checks.append(
-        _check("phi(q^2-1)>=4f(q+1) (odd q<10^3)", not bad, "%d checked, %d violations" % (checked, len(bad)))
+        _check("phi(q^2-1)>=4f(q+1) (odd q<10^3)", checked > 0 and not bad, "%d checked, %d violations" % (checked, len(bad)))
     )
     return checks
 
 
-def _sweep_clique5(cfg: RunConfig) -> list[dict]:
-    qmax = cfg.qmax or 200
-    checks = []
+def _clique5_fields(qmax: int) -> list[int]:
+    """The field sizes 29 <= q <= qmax of the 5-clique constructions: odd
+    and not prime."""
+    fields = []
     for q in range(29, qmax + 1):
         try:
             p, f = split_prime_power(q)
         except ValueError:
             continue
-        if p == 2 or f == 1:
-            continue
-        F = field_create(p, f)
+        if p != 2 and f > 1:
+            fields.append(q)
+    return fields
+
+
+def _alpha_clique_ok(verts, is_alpha, alpha_edge, pair_edge) -> bool:
+    """Whether verts is a 5-clique with alpha first: each later vertex is
+    alpha's neighbour, and every two of them are adjacent."""
+    return (
+        len(verts) == 5
+        and is_alpha(verts[0])
+        and all(alpha_edge(v) for v in verts[1:])
+        and all(pair_edge(u, v) for u, v in combinations(verts[1:], 2))
+    )
+
+
+def _sweep_clique5(cfg: RunConfig) -> list[dict]:
+    # the constructors check their own edges; all ten are checked again here
+    checks = []
+    for q in _clique5_fields(cfg.qmax or 200):
+        p, f = split_prime_power(q)
+        F, F2 = field_create(p, f), field_create(p, 2 * f)
         c2 = criteria.c2_clique5(F)
-        F2 = field_create(p, 2 * f)
         c3 = criteria.c3_clique5(F2)
-        checks.append(
-            _check("clique5 q=%d" % q, len(c2) == 5 and len(c3) == 5, "c2 %d vertices, c3 %d vertices" % (len(c2), len(c3)))
+        ok = _alpha_clique_ok(
+            c2,
+            lambda v: v == ALPHA,
+            lambda v: criteria.c2_base_psigma(F, v.b, v.c),
+            lambda u, v: criteria.c2_pair_base(F, u.labels(), v.labels()),
+        ) and _alpha_clique_ok(
+            c3,
+            lambda v: v.is_alpha(),
+            lambda v: criteria.c3_base(F2, "PSigmaL", v.scalar()),
+            lambda u, v: criteria.c3_pair_base(F2, "PSigmaL", u.scalar(), v.scalar()),
         )
+        checks.append(_check("clique5 q=%d" % q, ok, "c2 %d vertices, c3 %d vertices" % (len(c2), len(c3))))
+    return checks
+
+
+def _c3_point(pt) -> OmegaPoint:
+    """The action label of a :class:`criteria.C3Point`."""
+    return OmegaPoint("c3_point", ALPHA if pt.is_alpha() else pt.log)
+
+
+def _sweep_cliques(cfg: RunConfig) -> list[dict]:
+    qmax = cfg.qmax or 49
+    got = clique_and_independence_exact(ksubset_action(5, 2, even_only=True, caps=cfg.caps))
+    checks = [_check("exact A5/2-subsets", got == (4, 2), "clique %d, independence %d (want 4, 2)" % got)]
+    # socle cliques of size (q-1)/2 through alpha, every edge in the engine's graph
+    for q in (9, 13, 25):
+        if q > qmax:
+            continue
+        p, f = split_prime_power(q)
+        F2 = field_create(p, 2 * f)
+        anchor = next(b for b in map(F2.from_log, c3_label_logs(F2, q)) if not is_square(b))
+        pts = criteria.c3_clique(F2, anchor)
+        action = psl2_c3_action(GroupVariant("PSL2", q), caps=cfg.caps)
+        graph = saxl_graph(action)
+        idx = [action.label_index[_c3_point(pt)] for pt in pts]
+        missing = sum(1 for a, b in combinations(idx, 2) if not graph.has_edge(a, b))
+        checks.append(
+            _check(
+                "c3-clique q=%d (engine-checked)" % q,
+                len(pts) >= (q - 1) // 2 and missing == 0,
+                "%d points, %d edges missing" % (len(pts), missing),
+            )
+        )
+    # the 5-cliques of the extension groups, each pair a base of the permutation
+    # action, whose suborbit analysis checks every representative by two routes
+    for q in _clique5_fields(qmax):
+        p, f = split_prime_power(q)
+        F, F2 = field_create(p, f), field_create(p, 2 * f)
+        c2_act = psl2_c2_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
+        c2_labels = [(INF, F.zero()) if v == ALPHA else v.labels() for v in criteria.c2_clique5(F)]
+        c2_idx = [c2_act.label_index[OmegaPoint("proj_pair", proj_pair_payload(labs))] for labs in c2_labels]
+        c3_act = psl2_c3_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
+        c3_idx = [c3_act.label_index[_c3_point(pt)] for pt in criteria.c3_clique5(F2)]
+        bad = sum(1 for a, b in combinations(c2_idx, 2) if not is_base_pair(c2_act, a, b))
+        bad += sum(1 for a, b in combinations(c3_idx, 2) if not is_base_pair(c3_act, a, b))
+        checks.append(
+            _check(
+                "clique5 q=%d (engine-checked)" % q,
+                len(c2_idx) == len(c3_idx) == 5 and bad == 0,
+                "c2 %d and c3 %d vertices, %d non-base pairs" % (len(c2_idx), len(c3_idx), bad),
+            )
+        )
+    return checks
+
+
+def _sweep_closed_forms(cfg: RunConfig) -> list[dict]:
+    rows = [(q, "PGL_Dq_minus_1", "PGL2", psl2_c2_action) for q in (8, 9, 11, 13, 16)]
+    for q in (13, 17, 29):
+        rows += [(q, "Dq_minus_1", "PSL2", psl2_c2_action), (q, "Dq_plus_1", "PSL2", psl2_c3_action)]
+    checks = []
+    for q, kind, family, ctor in rows:
+        if cfg.qmax and q > cfg.qmax:
+            continue
+        form = criteria.remark_q_closed_forms(q, kind)
+        got = q_exact(ctor(GroupVariant(family, q), caps=cfg.caps))
+        checks.append(_check("closed-form %s q=%d" % (kind, q), got == form, "Q=%s, closed form %s" % (got, form)))
+    return checks
+
+
+def _sweep_estimates(cfg: RunConfig) -> list[dict]:
+    entries = _load_entries(cfg)
+    checks = []
+    for name in _table_rows():
+        action = _entry_action(entries[name], cfg.caps)
+        lo, mid, hi = q_exact(action), q_hat(action), q_tilde(action)
+        checks.append(_check("estimates %s" % name, lo <= mid <= hi, "Q=%s Q-hat=%s Q-tilde=%s" % (lo, mid, hi)))
+    value = lemma_calc_bound(156, 135135, 2)
+    checks.append(_check("lemma-bound A=156 B=135135 c=2", value < Fraction(1, 4), "%s < 1/4" % value))
     return checks
 
 
@@ -585,6 +691,9 @@ _SWEEP_FUNCS = {
     "witnesses": _sweep_witnesses,
     "euler": _sweep_euler,
     "clique5": _sweep_clique5,
+    "closed-forms": _sweep_closed_forms,
+    "cliques": _sweep_cliques,
+    "estimates": _sweep_estimates,
 }
 
 

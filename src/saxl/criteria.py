@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .actions import ALPHA, c3_canonical_log, c3_label_logs
+from .actions import ALPHA, INF, c3_canonical_log, c3_label_logs
 from .gf import (
     FqElem,
     FqField,
@@ -33,8 +33,6 @@ from .gf import (
     split_prime_power,
 )
 from .group import CrossCheckFailed
-
-INF = "inf"
 
 C3_VARIANTS = ("G0", "PSigmaL")
 CLOSED_FORM_KINDS = ("Dq_minus_1", "Dq_plus_1", "PGL_Dq_minus_1")
@@ -113,15 +111,12 @@ def _check_c2_field(F: FqField) -> None:
         raise ValueError("the pair criterion needs odd q")
 
 
-def c2_condition_iii(F: FqField, b: FqElem, c: FqElem, divisors_only: bool = False) -> bool:
+def c2_condition_iii(F: FqField, b: FqElem, c: FqElem) -> bool:
     """The subfield condition: b^(p^k - 1) != c^(p^k - 1) for all 0 < k < f.
 
-    Checked literally over every k by default.  ``divisors_only`` restricts k
-    to the proper divisors of f, which is equivalent (k reduces to gcd(k, f))
-    and faster; equivalently the ratio b/c avoids every proper subfield.
+    Checked literally over every k; equivalently the ratio b/c avoids every
+    proper subfield, which :func:`saxl.gf.in_proper_subfield` tests.
     """
-    if divisors_only:
-        return not in_proper_subfield(b / c, divisors_only=True)
     for k in range(1, F.f):
         e = F.p**k - 1
         if b**e == c**e:
@@ -498,7 +493,7 @@ def c2_base_candidates(F: FqField):
         t = F.from_log(lt)
         if t == F.one():
             continue
-        if is_square(-t) or in_proper_subfield(t, divisors_only=True):
+        if is_square(-t) or in_proper_subfield(t):
             continue
         for lc in range(F.q - 1):
             c = F.from_log(lc)
@@ -526,7 +521,14 @@ def _c2_clique5_edges_ok(F: FqField, verts: list) -> bool:
     return True
 
 
-def c2_clique5(F: FqField, anchor_budget: int = 64, partner_budget: int = 4096) -> list:
+# scan budgets of the 5-clique searches: anchors tried, and candidate pairs
+# drawn from c2_base_candidates
+_C2_CLIQUE5_ANCHORS = 64
+_C2_CLIQUE5_PARTNERS = 4096
+_C3_CLIQUE5_ANCHORS = 32
+
+
+def c2_clique5(F: FqField) -> list:
     """A verified 5-clique in the projective-pair graph of the full
     field-automorphism extension (q odd, f >= 2).
 
@@ -539,10 +541,10 @@ def c2_clique5(F: FqField, anchor_budget: int = 64, partner_budget: int = 4096) 
     if F.f < 2:
         raise ValueError("the scan targets proper extensions (f >= 2)")
     cands = []
-    for b, c in islice(c2_base_candidates(F), partner_budget):
+    for b, c in islice(c2_base_candidates(F), _C2_CLIQUE5_PARTNERS):
         if c2_base_psigma(F, b, c):
             cands.append(C2Pair(b, c))
-    for beta in cands[:anchor_budget]:
+    for beta in cands[:_C2_CLIQUE5_ANCHORS]:
         gamma = beta.negated()
         taken = beta.as_label_set() | gamma.as_label_set()
         for beta2 in cands:
@@ -554,7 +556,7 @@ def c2_clique5(F: FqField, anchor_budget: int = 64, partner_budget: int = 4096) 
     raise RuntimeError("no 5-clique found within the scan budget")
 
 
-def c3_clique5(F2: FqField, anchor_budget: int = 32) -> list[C3Point]:
+def c3_clique5(F2: FqField) -> list[C3Point]:
     """A verified 5-clique in the unitary-pair graph of the full
     field-automorphism extension: alpha, omega_b, omega_{-b}, omega_c,
     omega_{-c} with all ten edges re-checked arithmetically."""
@@ -562,7 +564,7 @@ def c3_clique5(F2: FqField, anchor_budget: int = 32) -> list[C3Point]:
     cands = [
         L for L in c3_label_logs(F2, q) if c3_base(F2, "PSigmaL", F2.from_log(L))
     ]
-    for bL in cands[:anchor_budget]:
+    for bL in cands[:_C3_CLIQUE5_ANCHORS]:
         b = F2.from_log(bL)
         nbL = c3_canonical_log(F2, q, (-b).log)
         for cL in cands:
@@ -618,27 +620,3 @@ def c3_valency_bound_scan(limit: int) -> tuple[int, list[int]]:
         if euler_phi(q * q - 1) < 4 * f * (q + 1):
             bad.append(q)
     return checked, bad
-
-
-# -- label adapters ----------------------------------------------------------------
-
-
-def c2_labels_from_payload(F: FqField, payload) -> tuple:
-    """Decode a projective-pair label payload into two labels (INF or FqElem)."""
-    out = []
-    for kind, value in payload:
-        out.append(INF if kind == 0 else F.from_packed_int(value))
-    return tuple(out)
-
-
-def c2_payload_from_labels(labels) -> tuple:
-    """Encode two projective labels (INF or FqElem) as a projective-pair label
-    payload; the inverse of :func:`c2_labels_from_payload`.  The points come
-    in the labelling's order: INF, then 0, then by log."""
-
-    def key(t):
-        if t is INF:
-            return -2
-        return -1 if t.is_zero() else t.log
-
-    return tuple((0, 1) if t is INF else (1, t.as_int()) for t in sorted(labels, key=key))

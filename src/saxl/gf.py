@@ -403,26 +403,20 @@ def is_square(x: FqElem) -> bool:
     return x.log % 2 == 0
 
 
-def in_proper_subfield(x: FqElem, divisors_only: bool = False) -> bool:
+def in_proper_subfield(x: FqElem) -> bool:
     """Whether x lies in a proper subfield of its field.
 
-    The defining test is x^(p^k) == x for some 0 < k < f, checked literally
-    over every such k.  ``divisors_only`` restricts k to proper divisors of f,
-    which is equivalent (the fixed field of Frobenius^k is GF(p^gcd(k,f)))
-    and faster; both paths are exercised by the tests.
+    The defining test is x^(p^k) == x for some 0 < k < f; it suffices to
+    check the proper divisors k of f, because the fixed field of
+    Frobenius^k is GF(p^gcd(k,f)).
     """
     F = x.field
     if F.f == 1:
         return False
     if x.log is None:
         return True
-    ks = (
-        [k for k in range(1, F.f) if F.f % k == 0]
-        if divisors_only
-        else range(1, F.f)
-    )
-    for k in ks:
-        if x.log * (F.p**k - 1) % (F.q - 1) == 0:
+    for k in range(1, F.f):
+        if F.f % k == 0 and x.log * (F.p**k - 1) % (F.q - 1) == 0:
             return True
     return False
 

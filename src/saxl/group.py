@@ -423,15 +423,14 @@ class PermGroup:
 class ConjClassData:
     """One conjugacy class of prime-order elements.
 
-    ``rep`` is the lexicographically least element of the class.  The element
-    set is materialised (as a frozenset of Perms) whenever the class size is
-    within ``class_cap``.
+    ``rep`` is the lexicographically least element of the class, and
+    ``elements`` the whole class, materialised within ``class_cap``.
     """
 
     rep: Perm
     order: int
     class_size: int
-    elements: frozenset[Perm] | None = field(repr=False, default=None)
+    elements: frozenset[Perm] = field(repr=False)
 
 
 def conjugacy_class(G: PermGroup, x: Perm, cap: int | None = None) -> frozenset[Perm]:
@@ -477,7 +476,6 @@ def prime_order_class_reps(G: PermGroup, caps: Caps | None = None) -> list[ConjC
             continue
         cls = conjugacy_class(G, x, cap=caps.class_cap)
         classified.update(cls)
-        keep = cls if len(cls) <= caps.class_cap else None
-        out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=keep))
+        out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=cls))
     out.sort(key=lambda c: (c.order, c.class_size, c.rep))
     return out

@@ -242,6 +242,48 @@ class TestVerify:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: --per-field")
 
+    @pytest.mark.parametrize("nmax", ["-5", "2"])
+    def test_nmax_below_3_is_1(self, capsys, nmax):
+        # the totient scan starts at n = 3
+        assert main(["verify", "euler", "--nmax", nmax]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --nmax must be at least 3, got %s\n" % nmax
+
+    @staticmethod
+    def _failed_check(capsys, name):
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        return [c for c in payload["checks"] if c["name"] == name and not c["ok"]]
+
+    def test_clique5_rechecks_the_edges(self, capsys, monkeypatch):
+        from saxl import criteria
+
+        real = criteria.c2_clique5
+
+        def with_a_non_edge(F):
+            # the last pair shares a projective point with the one before it
+            verts = real(F)
+            return verts[:4] + [criteria.C2Pair(verts[3].b, verts[4].c)]
+
+        monkeypatch.setattr(criteria, "c2_clique5", with_a_non_edge)
+        assert main(["verify", "clique5", "--qmax", "49"]) == 1
+        assert self._failed_check(capsys, "clique5 q=49")
+
+    def test_closed_forms_sweep_compares_the_forms(self, capsys, monkeypatch):
+        from saxl import criteria
+
+        monkeypatch.setattr(criteria, "remark_q_closed_forms", lambda q, kind: Fraction(1, 2))
+        assert main(["verify", "closed-forms", "--qmax", "8"]) == 1
+        assert self._failed_check(capsys, "closed-form PGL_Dq_minus_1 q=8")
+
+    def test_estimates_sweep_orders_the_estimates(self, capsys, monkeypatch):
+        from saxl import cli
+
+        monkeypatch.setattr(cli, "q_hat", lambda action: cli.q_tilde(action) + 1)
+        assert main(["verify", "estimates"]) == 1
+        assert self._failed_check(capsys, "estimates S7_AGL17")
+
     def test_clique5_qmax_is_inclusive(self, capsys):
         assert main(["verify", "clique5", "--qmax", "49"]) == 0
         names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]

@@ -179,7 +179,6 @@ class TestSquaresAndSubfields:
         for x in F.elements():
             brute = x.is_zero() or any(x.frobenius(k) == x for k in range(1, F.f))
             assert in_proper_subfield(x) == brute
-            assert in_proper_subfield(x, divisors_only=True) == brute
 
     def test_prime_field_has_no_proper_subfield(self):
         F = field_create(7, 1)
