@@ -13,8 +13,9 @@ Three families of transitive actions are built here, each as a
   are labelled by field scalars.
 
 Every constructor checks the group order and the point-0 stabiliser order
-against closed forms before returning, so a successfully constructed action
-is certified.  A catalogue loader ingests fixture groups from a small text
+against closed forms before returning, and that explicit stabiliser
+generators fix point 0 and lie in the group, so a successfully constructed
+action is certified: its stabiliser is G_0.  A catalogue loader ingests fixture groups from a small text
 format and applies the same verify-on-load policy.
 """
 
@@ -124,7 +125,11 @@ class LabelledAction:
 
 
 def _verify_orders(action: LabelledAction) -> LabelledAction:
-    """Check the constructed group and stabiliser against their closed forms."""
+    """Check the constructed group and stabiliser against their closed forms.
+
+    An explicit stabiliser must also fix point 0 and lie in the group; with
+    its order equal to |G|/n, orbit-stabiliser then makes it all of G_0.
+    """
     if action.expected_group_order is not None:
         got = action.group.order()
         if got != action.expected_group_order:
@@ -132,6 +137,8 @@ def _verify_orders(action: LabelledAction) -> LabelledAction:
                 "%s: group order %d, expected %d"
                 % (action.name, got, action.expected_group_order)
             )
+    if action.stab0 is not None and not all(g(0) == 0 and action.group.contains(g) for g in action.stab0.gens):
+        raise CrossCheckFailed("%s: a point stabiliser generator moves 0 or lies outside the group" % action.name)
     if action.expected_stab_order is not None:
         got = action.stabiliser0().order()
         if got != action.expected_stab_order:

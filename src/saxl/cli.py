@@ -8,6 +8,11 @@ cliques, the class estimates, totient scans) and reports machine-readable
 per-check results.  The release gate in ``tests/test_acceptance.py`` runs
 these same sweeps.
 
+``_build_parser`` declares every option with its default and the runs that
+read it, and ``_SWEEPS`` the options each sweep reads and its default
+``--qmax``.  An option that the chosen command, action selector or sweep
+would not read is refused before anything runs.
+
 Exit codes: 0 success, 2 resource cap exceeded, 3 an internal cross-check
 between two computation routes failed, 1 any other failure (bad arguments,
 unknown names, failed verification).  Output is deterministic:
@@ -19,10 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .actions import (
     ALPHA,
@@ -72,157 +79,154 @@ VARIANT_NAMES = {
     "dphi": "DeltaPhi",
 }
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; exactly one action spec is set for
-    analyze/graph."""
-
-    command: str
-    catalogue: str | None = None
-    catalogue_path: str | None = None
-    psl2: str | None = None
-    q: int | None = None
-    variant: str | None = None
-    j: int = 1
-    ksubsets: tuple[int, int] | None = None
-    alternating: bool = False
-    caps: Caps = DEFAULT_CAPS
-    out: str | None = None
-    fmt: str = "dot"
-    with_classes: bool = True
-    with_star: bool = True
-    clique_target: int | None = None
-    exact_search: bool = False
-    sweep: str | None = None
-    qmax: int | None = None
-    nmax: int | None = None
-    per_field: int = 1000
-
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors (2 is reserved for cap hits)."""
+    """argparse that exits 1 on usage errors (2 is reserved for cap hits),
+    and starts every parse with no option given."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.set_defaults(given=())
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
+class _Option(argparse.Action):
+    """An option that stores its value and adds itself to ``args.given``.
+
+    ``needs`` is omitted when every run of the command reads the option, else
+    a pair (where, reads): ``reads(args)`` tells whether this run reads it,
+    and ``where`` ends the refusal "OPTION is only read WHERE".  With
+    ``nargs=0`` the option is a switch, and giving it stores True.
+    """
+
+    def __init__(self, option_strings, dest, needs=(None, None), **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.where, self.reads = needs
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.given += (self,)
+
+
 def _build_parser() -> _Parser:
+    """Every option, its default, and which runs read it."""
     parser = _Parser(prog="saxl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_action_spec(p):
-        p.add_argument("--catalogue", metavar="NAME", help="bundled coset-action fixture")
-        p.add_argument("--catalogue-path", metavar="FILE", help="alternative catalogue file")
-        p.add_argument("--psl2", choices=("c2", "c3"), help="projective family: pairs (c2) or unitary (c3)")
-        p.add_argument("--q", type=int, help="field size for --psl2")
-        p.add_argument("--variant", choices=sorted(VARIANT_NAMES), default="psl")
-        p.add_argument("--j", type=int, default=1, help="twist exponent for --variant dphi")
-        p.add_argument("--ksubsets", type=int, nargs=2, metavar=("N", "K"), help="symmetric group on k-subsets")
-        p.add_argument("--alternating", action="store_true", help="use the alternating group with --ksubsets")
-        p.add_argument("--point-cap", type=int, help="override the point cap")
-        p.add_argument("--group-cap", type=int, help="override the group-order cap")
-        p.add_argument("--exact-cap", type=int, help="override the exact-search cap")
-        p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+        opt = partial(p.add_argument, action=_Option)
+        opt("--catalogue", metavar="NAME", help="bundled coset-action fixture")
+        opt("--catalogue-path", metavar="FILE", help="alternative catalogue file",
+            needs=("with --catalogue", lambda a: a.catalogue is not None))
+        opt("--psl2", choices=("c2", "c3"), help="projective family: pairs (c2) or unitary (c3)")
+        with_psl2 = ("with --psl2", lambda a: a.psl2 is not None)
+        opt("--q", type=int, help="field size for --psl2", needs=with_psl2)
+        opt("--variant", choices=sorted(VARIANT_NAMES), default="psl", needs=with_psl2)
+        opt("--j", type=int, default=1, help="twist exponent for --variant dphi",
+            needs=("with --psl2 --variant dphi", lambda a: a.psl2 is not None and a.variant == "dphi"))
+        opt("--ksubsets", type=int, nargs=2, metavar=("N", "K"), help="symmetric group on k-subsets")
+        opt("--alternating", nargs=0, default=False, help="use the alternating group with --ksubsets",
+            needs=("with --ksubsets", lambda a: a.ksubsets is not None))
+        opt("--point-cap", type=int, help="override the point cap")
+        opt("--group-cap", type=int, help="override the group-order cap")
+        opt("--exact-cap", type=int, help="override the exact-search cap",
+            needs=("by analyze --exact", lambda a: a.command == "analyze" and a.exact))
+        opt("--out", metavar="FILE", help="write output here instead of stdout")
 
     p_an = sub.add_parser("analyze", help="full JSON report for one action")
     add_action_spec(p_an)
-    p_an.add_argument("--no-classes", action="store_true", help="skip the class-sum bounds")
-    p_an.add_argument("--no-star", action="store_true", help="skip the common-neighbour check")
-    p_an.add_argument("--clique-target", type=int, help="greedy clique size to certify")
-    p_an.add_argument("--exact", action="store_true", help="exact clique/independence search")
+    switch = partial(p_an.add_argument, action=_Option, nargs=0, default=False)
+    switch("--no-classes", help="skip the class-sum bounds")
+    switch("--no-star", help="skip the common-neighbour check")
+    p_an.add_argument("--clique-target", action=_Option, type=int, help="greedy clique size to certify")
+    switch("--exact", help="exact clique/independence search")
 
     p_gr = sub.add_parser("graph", help="export the base-pair graph")
     add_action_spec(p_gr)
-    p_gr.add_argument("--format", dest="fmt", choices=("dot", "edges"), default="dot")
+    p_gr.add_argument("--format", action=_Option, dest="fmt", choices=("dot", "edges"), default="dot")
+
+    def read_by_sweeps(flag):
+        names = [name for name, sweep in _SWEEPS.items() if flag in sweep.reads]
+        return "by verify " + ", ".join(names), lambda a: a.sweep in names
 
     p_ve = sub.add_parser("verify", help="run a named verification sweep")
-    p_ve.add_argument("sweep", help="one of: %s" % ", ".join(_SWEEP_FUNCS))
-    p_ve.add_argument("--qmax", type=int, help="largest field size to sweep")
-    p_ve.add_argument("--nmax", type=int, help="scan limit for the totient sweep")
-    p_ve.add_argument("--per-field", type=int, default=1000, help="witness inputs per large field")
-    p_ve.add_argument("--catalogue-path", metavar="FILE")
-    p_ve.add_argument("--out", metavar="FILE")
+    p_ve.add_argument("sweep", help="one of: %s" % ", ".join(_SWEEPS))
+    opt = partial(p_ve.add_argument, action=_Option)
+    opt("--qmax", type=int, help="largest field size to sweep, inclusive", needs=read_by_sweeps("--qmax"))
+    opt("--nmax", type=int, default=10**6, help="scan limit for the totient sweep", needs=read_by_sweeps("--nmax"))
+    opt("--per-field", type=int, default=1000, help="witness inputs per large field",
+        needs=read_by_sweeps("--per-field"))
+    opt("--catalogue-path", metavar="FILE", help="alternative catalogue file",
+        needs=read_by_sweeps("--catalogue-path"))
+    opt("--out", metavar="FILE", help="write output here instead of stdout")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    caps = DEFAULT_CAPS
-    for field_name, arg_name in (
-        ("point_cap", "point_cap"),
-        ("group_cap", "group_cap"),
-        ("exact_cap", "exact_cap"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            if value <= 0:
-                raise ValueError("caps must be positive")
-            caps = replace(caps, **{field_name: value})
-    cfg = RunConfig(
-        command=args.command,
-        catalogue=getattr(args, "catalogue", None),
-        catalogue_path=getattr(args, "catalogue_path", None),
-        psl2=getattr(args, "psl2", None),
-        q=getattr(args, "q", None),
-        variant=getattr(args, "variant", "psl"),
-        j=getattr(args, "j", 1),
-        ksubsets=tuple(args.ksubsets) if getattr(args, "ksubsets", None) else None,
-        alternating=getattr(args, "alternating", False),
-        caps=caps,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "dot"),
-        with_classes=not getattr(args, "no_classes", False),
-        with_star=not getattr(args, "no_star", False),
-        clique_target=getattr(args, "clique_target", None),
-        exact_search=getattr(args, "exact", False),
-        sweep=getattr(args, "sweep", None),
-        qmax=getattr(args, "qmax", None),
-        nmax=getattr(args, "nmax", None),
-        per_field=getattr(args, "per_field", 1000),
-    )
-    if cfg.per_field < 1:
-        raise ValueError("--per-field must be at least 1, got %d" % cfg.per_field)
-    if cfg.nmax is not None and cfg.nmax < 3:
-        raise ValueError("--nmax must be at least 3, got %d" % cfg.nmax)
-    if cfg.command in ("analyze", "graph"):
-        specs = sum(x is not None for x in (cfg.catalogue, cfg.psl2, cfg.ksubsets))
-        if specs != 1:
+def _check_args(args) -> None:
+    """Refuse, with a ValueError, arguments that no run can use as given:
+    an unknown sweep, a value out of range, not exactly one action selector,
+    or an option this run would not read."""
+    if args.command == "verify":
+        if args.sweep not in _SWEEPS:
+            raise ValueError("unknown sweep %r (have: %s)" % (args.sweep, ", ".join(_SWEEPS)))
+        if args.per_field < 1:
+            raise ValueError("--per-field must be at least 1, got %d" % args.per_field)
+        if args.nmax < 3:
+            raise ValueError("--nmax must be at least 3, got %d" % args.nmax)
+    else:
+        if sum(x is not None for x in (args.catalogue, args.psl2, args.ksubsets)) != 1:
             raise ValueError("give exactly one of --catalogue, --psl2, --ksubsets")
-        if cfg.psl2 is not None and cfg.q is None:
+        if args.psl2 is not None and args.q is None:
             raise ValueError("--psl2 needs --q")
-    return cfg
+        if any(cap is not None and cap <= 0 for cap in (args.point_cap, args.group_cap, args.exact_cap)):
+            raise ValueError("caps must be positive")
+    for option in args.given:
+        if option.reads is not None and not option.reads(args):
+            raise ValueError("%s is only read %s" % (option.option_strings[0], option.where))
 
 
-def _load_entries(cfg: RunConfig):
-    path = cfg.catalogue_path or bundled_catalogue_path()
-    return load_catalogue(path, caps=cfg.caps)
+def _caps(args) -> Caps:
+    """The default caps, with the cap options given on the command line."""
+    caps = {"point_cap": args.point_cap, "group_cap": args.group_cap, "exact_cap": args.exact_cap}
+    return replace(DEFAULT_CAPS, **{name: cap for name, cap in caps.items() if cap is not None})
 
 
-def _entry_action(entry, caps: Caps) -> LabelledAction:
+def _load_entries(args, caps: Caps = DEFAULT_CAPS):
+    return load_catalogue(args.catalogue_path or bundled_catalogue_path(), caps=caps)
+
+
+def _entry_action(entry, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
     """Coset action of a catalogue entry, or its natural action when the
-    entry declares no subgroup."""
+    entry declares no subgroup; the entry's group must be within the caps."""
+    if entry.expected_order > caps.group_cap:
+        raise CapExceeded("group order %d exceeds cap %d" % (entry.expected_order, caps.group_cap))
     if entry.subgroup is not None:
         return coset_action(entry.group, entry.subgroup, entry.name, caps=caps)
+    if entry.group.degree > caps.point_cap:
+        raise CapExceeded("degree %d exceeds point cap %d" % (entry.group.degree, caps.point_cap))
     labels = tuple(OmegaPoint("coset_index", i) for i in range(entry.group.degree))
     return LabelledAction(entry.group, labels, entry.name)
 
 
-def build_action(cfg: RunConfig) -> LabelledAction:
-    if cfg.catalogue is not None:
-        entries = _load_entries(cfg)
-        if cfg.catalogue not in entries:
+def build_action(args) -> LabelledAction:
+    caps = _caps(args)
+    if args.catalogue is not None:
+        entries = _load_entries(args, caps)
+        if args.catalogue not in entries:
             raise ValueError(
                 "unknown catalogue entry %r (have: %s)"
-                % (cfg.catalogue, ", ".join(sorted(entries)))
+                % (args.catalogue, ", ".join(sorted(entries)))
             )
-        entry = entries[cfg.catalogue]
-        return _entry_action(entry, cfg.caps)
-    if cfg.psl2 is not None:
-        variant = GroupVariant(VARIANT_NAMES[cfg.variant], cfg.q, cfg.j if cfg.variant == "dphi" else 0)
-        ctor = psl2_c2_action if cfg.psl2 == "c2" else psl2_c3_action
-        return ctor(variant, caps=cfg.caps)
-    n, k = cfg.ksubsets
-    return ksubset_action(n, k, even_only=cfg.alternating, caps=cfg.caps)
+        return _entry_action(entries[args.catalogue], caps)
+    if args.psl2 is not None:
+        variant = GroupVariant(VARIANT_NAMES[args.variant], args.q, args.j if args.variant == "dphi" else 0)
+        ctor = psl2_c2_action if args.psl2 == "c2" else psl2_c3_action
+        return ctor(variant, caps=caps)
+    n, k = args.ksubsets
+    return ksubset_action(n, k, even_only=args.alternating, caps=caps)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -232,26 +236,26 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    action = build_action(cfg)
+def cmd_analyze(args) -> int:
+    action = build_action(args)
     report = build_report(
         action,
-        with_classes=cfg.with_classes,
-        with_star=cfg.with_star,
-        clique_target=cfg.clique_target,
-        exact_search=cfg.exact_search,
+        with_classes=not args.no_classes,
+        with_star=not args.no_star,
+        clique_target=args.clique_target,
+        exact_search=args.exact,
     )
-    _emit(report.to_json(), cfg.out)
+    _emit(report.to_json(), args.out)
     return 0
 
 
-def cmd_graph(cfg: RunConfig) -> int:
-    action = build_action(cfg)
+def cmd_graph(args) -> int:
+    action = build_action(args)
     for w in action.warnings:
         sys.stderr.write("warning: %s\n" % w)
     graph = saxl_graph(action)
-    text = graph.to_dot() if cfg.fmt == "dot" else graph.to_edge_list()
-    _emit(text, cfg.out)
+    text = graph.to_dot() if args.fmt == "dot" else graph.to_edge_list()
+    _emit(text, args.out)
     return 0
 
 
@@ -267,14 +271,24 @@ def _table_rows() -> dict:
     return json.loads((Path(__file__).parent / "data" / "table_rows.json").read_text())
 
 
-def _sweep_table_rows(cfg: RunConfig) -> list[dict]:
+def _qmax(args) -> int | None:
+    """The largest field size the sweep covers: --qmax when given, else the
+    sweep's default cap (None: no cap)."""
+    return _SWEEPS[args.sweep].qmax if args.qmax is None else args.qmax
+
+
+def _upto(args, fields) -> list[int]:
+    """The field sizes of ``fields`` up to :func:`_qmax`, inclusive."""
+    qmax = _qmax(args)
+    return [q for q in fields if qmax is None or q <= qmax]
+
+
+def _sweep_table_rows(args) -> list[dict]:
     expected = _table_rows()
-    entries = _load_entries(cfg)
+    entries = _load_entries(args)
     checks = []
-    for name in expected:
-        want = expected[name]
-        entry = entries[name]
-        action = _entry_action(entry, cfg.caps)
+    for name, want in expected.items():
+        action = _entry_action(entries[name])
         r = regular_suborbit_count(action)
         q = q_exact(action)
         want_q = Fraction(want["q"]["num"], want["q"]["den"])
@@ -295,41 +309,34 @@ def _edge_disagreements(graph, pred) -> int:
     return sum(1 for a in range(n) for b in range(a + 1, n) if graph.has_edge(a, b) != pred(a, b))
 
 
-def _sweep_c2_oracle(cfg: RunConfig) -> list[dict]:
-    qmax = cfg.qmax or 27
+def _oracle_check(name: str, action, base) -> dict:
+    """The engine's graph of ``action`` against the criterion ``base(a, b)``, on every pair."""
+    n = action.degree
+    mismatches = _edge_disagreements(saxl_graph(action), base)
+    return _check(name, mismatches == 0, "%d pairs, %d mismatches" % (n * (n - 1) // 2, mismatches))
+
+
+def _sweep_c2_oracle(args) -> list[dict]:
     checks = []
-    for q in (5, 7, 9, 11, 13, 17, 19, 23, 25, 27):
-        if q > qmax:
-            continue
-        action = psl2_c2_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
-        graph = saxl_graph(action)
+    for q in _upto(args, (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)):
+        action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         F = field_from_order(q)
         labs = [proj_pair_labels(F, lab.payload) for lab in action.labels]
-        mismatches = _edge_disagreements(graph, lambda a, b: criteria.c2_pair_base(F, labs[a], labs[b]))
-        n = action.degree
-        checks.append(
-            _check(
-                "c2-oracle PSigmaL2 q=%d" % q,
-                mismatches == 0,
-                "%d pairs, %d mismatches" % (n * (n - 1) // 2, mismatches),
-            )
-        )
+        checks.append(_oracle_check(
+            "c2-oracle PSigmaL2 q=%d" % q, action, lambda a, b: criteria.c2_pair_base(F, labs[a], labs[b])
+        ))
     return checks
 
 
-def _sweep_c3_oracle(cfg: RunConfig) -> list[dict]:
-    qmax = cfg.qmax or 25
+def _sweep_c3_oracle(args) -> list[dict]:
     rows = []
-    for q in (5, 7, 9, 11, 13, 17, 19, 23, 25, 27):
-        if q > qmax:
-            continue
+    for q in _upto(args, (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)):
         rows.append((q, "PSL2", "G0"))
         if split_prime_power(q)[1] >= 2:
             rows.append((q, "PSigmaL2", "PSigmaL"))
     checks = []
     for q, family, variant in rows:
-        action = psl2_c3_action(GroupVariant(family, q), caps=cfg.caps)
-        graph = saxl_graph(action)
+        action = psl2_c3_action(GroupVariant(family, q))
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
         xs = [None if lab.payload == ALPHA else F2.from_log(lab.payload) for lab in action.labels]
@@ -339,24 +346,14 @@ def _sweep_c3_oracle(cfg: RunConfig) -> list[dict]:
                 return criteria.c3_base(F2, variant, xs[b])
             return criteria.c3_pair_base(F2, variant, xs[a], xs[b])
 
-        mismatches = _edge_disagreements(graph, base)
-        n = action.degree
-        checks.append(
-            _check(
-                "c3-oracle %s q=%d" % (family, q),
-                mismatches == 0,
-                "%d pairs, %d mismatches" % (n * (n - 1) // 2, mismatches),
-            )
-        )
+        checks.append(_oracle_check("c3-oracle %s q=%d" % (family, q), action, base))
     return checks
 
 
-def _sweep_johnson(cfg: RunConfig) -> list[dict]:
+def _sweep_johnson(args) -> list[dict]:
     checks = []
-    for q in (4, 8, 9, 13):
-        if cfg.qmax and q > cfg.qmax:
-            continue
-        action = psl2_c2_action(GroupVariant("PGL2", q), caps=cfg.caps)
+    for q in _upto(args, (4, 8, 9, 13)):
+        action = psl2_c2_action(GroupVariant("PGL2", q))
         graph = saxl_graph(action)
         sets = [frozenset(lab.payload) for lab in action.labels]
         n = action.degree
@@ -372,14 +369,12 @@ def _sweep_johnson(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _sweep_counts(cfg: RunConfig) -> list[dict]:
+def _sweep_counts(args) -> list[dict]:
     checks = []
-    for q in (9, 25, 49):
-        if cfg.qmax and q > cfg.qmax:
-            continue
+    for q in _upto(args, (9, 25, 49)):
         F = field_from_order(q)
         valency, r = criteria.c2_counts(F)
-        action = psl2_c2_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
+        action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         graph = saxl_graph(action)
         r_brute = regular_suborbit_count(action)
         checks.append(
@@ -389,10 +384,8 @@ def _sweep_counts(cfg: RunConfig) -> list[dict]:
                 "formula (%d, %d) brute (%d, %d)" % (valency, r, graph.valency, r_brute),
             )
         )
-    for q in (11, 13, 17, 19):
-        if cfg.qmax and q > cfg.qmax:
-            continue
-        action = psl2_c3_action(GroupVariant("PSL2", q), caps=cfg.caps)
+    for q in _upto(args, (11, 13, 17, 19)):
+        action = psl2_c3_action(GroupVariant("PSL2", q))
         r_brute = regular_suborbit_count(action)
         r_formula = criteria.c3_regular_count_prime(q)
         checks.append(
@@ -402,30 +395,25 @@ def _sweep_counts(cfg: RunConfig) -> list[dict]:
                 "formula %d brute %d" % (r_formula, r_brute),
             )
         )
-    if cfg.qmax and 13 > cfg.qmax:
-        return checks
-    F13 = field_from_order(13)
-    m = count_nonsquare_nonsubfield(F13)
-    action = psl2_c2_action(GroupVariant("PSL2", 13), caps=cfg.caps)
-    graph = saxl_graph(action)
-    predicted = m * 12 // 2 + 2 * 12
-    checks.append(
-        _check(
-            "c2-meeting-edges q=13",
-            predicted == graph.valency,
-            "m(q-1)/2 + 2(q-1) = %d, brute valency %d" % (predicted, graph.valency),
+    for q in _upto(args, (13,)):
+        m = count_nonsquare_nonsubfield(field_from_order(q))
+        graph = saxl_graph(psl2_c2_action(GroupVariant("PSL2", q)))
+        predicted = m * (q - 1) // 2 + 2 * (q - 1)
+        checks.append(
+            _check(
+                "c2-meeting-edges q=%d" % q,
+                predicted == graph.valency,
+                "m(q-1)/2 + 2(q-1) = %d, brute valency %d" % (predicted, graph.valency),
+            )
         )
-    )
     return checks
 
 
-def _base_two_l_actions(cfg: RunConfig, qmax: int):
-    """Every constructible pair/unitary action with q <= qmax that is
+def _base_two_l_actions(args):
+    """Every constructible pair/unitary action with q up to --qmax that is
     primitive and base-two, in deterministic order."""
     out = []
-    for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
-        if q > qmax:
-            continue
+    for q in _upto(args, (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)):
         p, f = split_prime_power(q)
         families = [("PSL2", 0), ("PGL2", 0)] if q % 2 else [("PSL2", 0)]
         if f >= 2:
@@ -438,7 +426,7 @@ def _base_two_l_actions(cfg: RunConfig, qmax: int):
                 continue
             for family, j in families:
                 try:
-                    action = ctor(GroupVariant(family, q, j), caps=cfg.caps)
+                    action = ctor(GroupVariant(family, q, j))
                 except ValueError:
                     continue
                 if not action.group.is_primitive():
@@ -450,28 +438,27 @@ def _base_two_l_actions(cfg: RunConfig, qmax: int):
     return out
 
 
-def _sweep_star(cfg: RunConfig) -> list[dict]:
-    qmax = cfg.qmax or 27
+def _sweep_star(args) -> list[dict]:
     checks = []
-    for name, action in _base_two_l_actions(cfg, qmax):
+    for name, action in _base_two_l_actions(args):
         ok, witnesses = check_star(action)
         missing = sum(1 for w in witnesses.values() if w is None)
         checks.append(_check("star %s" % name, ok and bool(witnesses), "%d suborbit reps, %d without witness" % (len(witnesses), missing)))
-    entries = _load_entries(cfg)
+    entries = _load_entries(args)
     for name in _table_rows():
-        action = _entry_action(entries[name], cfg.caps)
+        action = _entry_action(entries[name])
         ok, witnesses = check_star(action)
         checks.append(_check("star fixture %s" % name, ok and bool(witnesses), "%d suborbit reps" % len(witnesses)))
     return checks
 
 
-def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
+def _sweep_witnesses(args) -> list[dict]:
     checks = []
     # small fields: point 0 is alpha, and every valid input (there must be
     # some) has both witness edges checked against the engine
-    for q in (9, 13):
+    for q in _upto(args, (9, 13)):
         F = field_from_order(q)
-        action = psl2_c2_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
+        action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         graph = saxl_graph(action)
         index = action.label_index
         count = 0
@@ -487,11 +474,11 @@ def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
                 ok &= graph.has_edge(0, gi) and graph.has_edge(bi, gi)
                 count += 1
         checks.append(_check("c2-witness q=%d (engine-checked)" % q, ok and count > 0, "%d inputs" % count))
-    for q in (9, 13):
+    for q in _upto(args, (9, 13)):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
         family = "PSigmaL2" if f > 1 else "PSL2"
-        action = psl2_c3_action(GroupVariant(family, q), caps=cfg.caps)
+        action = psl2_c3_action(GroupVariant(family, q))
         graph = saxl_graph(action)
         index = action.label_index
         count = 0
@@ -507,8 +494,8 @@ def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
             count += 1
         checks.append(_check("c3-witness q=%d (engine-checked)" % q, ok and count > 0, "%d inputs" % count))
     # large fields: the constructors verify their own identities arithmetically
-    target = cfg.per_field
-    for q in (49, 81):
+    target = args.per_field
+    for q in _upto(args, (49, 81)):
         F = field_from_order(q)
         count = 0
         for b, c in criteria.c2_base_candidates(F):
@@ -517,7 +504,7 @@ def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
             if count >= target:
                 break
         checks.append(_check("c2-witness q=%d (arithmetic)" % q, count >= target, "%d inputs" % count))
-    for q in (49, 81):
+    for q in _upto(args, (49, 81)):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
         half = (F2.q - 1) // 2
@@ -536,12 +523,11 @@ def _sweep_witnesses(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _sweep_euler(cfg: RunConfig) -> list[dict]:
-    nmax = cfg.nmax or 10**6
-    violations = euler_bound_scan(nmax)
+def _sweep_euler(args) -> list[dict]:
+    violations = euler_bound_scan(args.nmax)
     checks = [
         _check(
-            "euler-lower-bound n<=%d" % nmax,
+            "euler-lower-bound n<=%d" % args.nmax,
             not violations,
             "%d violations" % len(violations),
         )
@@ -582,10 +568,10 @@ def _alpha_clique_ok(verts, is_alpha, alpha_edge, pair_edge) -> bool:
     )
 
 
-def _sweep_clique5(cfg: RunConfig) -> list[dict]:
+def _sweep_clique5(args) -> list[dict]:
     # the constructors check their own edges; all ten are checked again here
     checks = []
-    for q in _clique5_fields(cfg.qmax or 200):
+    for q in _clique5_fields(_qmax(args)):
         p, f = split_prime_power(q)
         F, F2 = field_create(p, f), field_create(p, 2 * f)
         c2 = criteria.c2_clique5(F)
@@ -610,19 +596,16 @@ def _c3_point(pt) -> OmegaPoint:
     return OmegaPoint("c3_point", ALPHA if pt.is_alpha() else pt.log)
 
 
-def _sweep_cliques(cfg: RunConfig) -> list[dict]:
-    qmax = cfg.qmax or 49
-    got = clique_and_independence_exact(ksubset_action(5, 2, even_only=True, caps=cfg.caps))
+def _sweep_cliques(args) -> list[dict]:
+    got = clique_and_independence_exact(ksubset_action(5, 2, even_only=True))
     checks = [_check("exact A5/2-subsets", got == (4, 2), "clique %d, independence %d (want 4, 2)" % got)]
     # socle cliques of size (q-1)/2 through alpha, every edge in the engine's graph
-    for q in (9, 13, 25):
-        if q > qmax:
-            continue
+    for q in _upto(args, (9, 13, 25)):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
         anchor = next(b for b in map(F2.from_log, c3_label_logs(F2, q)) if not is_square(b))
         pts = criteria.c3_clique(F2, anchor)
-        action = psl2_c3_action(GroupVariant("PSL2", q), caps=cfg.caps)
+        action = psl2_c3_action(GroupVariant("PSL2", q))
         graph = saxl_graph(action)
         idx = [action.label_index[_c3_point(pt)] for pt in pts]
         missing = sum(1 for a, b in combinations(idx, 2) if not graph.has_edge(a, b))
@@ -635,13 +618,13 @@ def _sweep_cliques(cfg: RunConfig) -> list[dict]:
         )
     # the 5-cliques of the extension groups, each pair a base of the permutation
     # action, whose suborbit analysis checks every representative by two routes
-    for q in _clique5_fields(qmax):
+    for q in _clique5_fields(_qmax(args)):
         p, f = split_prime_power(q)
         F, F2 = field_create(p, f), field_create(p, 2 * f)
-        c2_act = psl2_c2_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
+        c2_act = psl2_c2_action(GroupVariant("PSigmaL2", q))
         c2_labels = [(INF, F.zero()) if v == ALPHA else v.labels() for v in criteria.c2_clique5(F)]
         c2_idx = [c2_act.label_index[OmegaPoint("proj_pair", proj_pair_payload(labs))] for labs in c2_labels]
-        c3_act = psl2_c3_action(GroupVariant("PSigmaL2", q), caps=cfg.caps)
+        c3_act = psl2_c3_action(GroupVariant("PSigmaL2", q))
         c3_idx = [c3_act.label_index[_c3_point(pt)] for pt in criteria.c3_clique5(F2)]
         bad = sum(1 for a, b in combinations(c2_idx, 2) if not is_base_pair(c2_act, a, b))
         bad += sum(1 for a, b in combinations(c3_idx, 2) if not is_base_pair(c3_act, a, b))
@@ -655,25 +638,23 @@ def _sweep_cliques(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _sweep_closed_forms(cfg: RunConfig) -> list[dict]:
-    rows = [(q, "PGL_Dq_minus_1", "PGL2", psl2_c2_action) for q in (8, 9, 11, 13, 16)]
-    for q in (13, 17, 29):
+def _sweep_closed_forms(args) -> list[dict]:
+    rows = [(q, "PGL_Dq_minus_1", "PGL2", psl2_c2_action) for q in _upto(args, (8, 9, 11, 13, 16))]
+    for q in _upto(args, (13, 17, 29)):
         rows += [(q, "Dq_minus_1", "PSL2", psl2_c2_action), (q, "Dq_plus_1", "PSL2", psl2_c3_action)]
     checks = []
     for q, kind, family, ctor in rows:
-        if cfg.qmax and q > cfg.qmax:
-            continue
         form = criteria.remark_q_closed_forms(q, kind)
-        got = q_exact(ctor(GroupVariant(family, q), caps=cfg.caps))
+        got = q_exact(ctor(GroupVariant(family, q)))
         checks.append(_check("closed-form %s q=%d" % (kind, q), got == form, "Q=%s, closed form %s" % (got, form)))
     return checks
 
 
-def _sweep_estimates(cfg: RunConfig) -> list[dict]:
-    entries = _load_entries(cfg)
+def _sweep_estimates(args) -> list[dict]:
+    entries = _load_entries(args)
     checks = []
     for name in _table_rows():
-        action = _entry_action(entries[name], cfg.caps)
+        action = _entry_action(entries[name])
         lo, mid, hi = q_exact(action), q_hat(action), q_tilde(action)
         checks.append(_check("estimates %s" % name, lo <= mid <= hi, "Q=%s Q-hat=%s Q-tilde=%s" % (lo, mid, hi)))
     value = lemma_calc_bound(156, 135135, 2)
@@ -681,43 +662,50 @@ def _sweep_estimates(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-_SWEEP_FUNCS = {
-    "table-rows": _sweep_table_rows,
-    "c2-oracle": _sweep_c2_oracle,
-    "c3-oracle": _sweep_c3_oracle,
-    "johnson": _sweep_johnson,
-    "counts": _sweep_counts,
-    "star": _sweep_star,
-    "witnesses": _sweep_witnesses,
-    "euler": _sweep_euler,
-    "clique5": _sweep_clique5,
-    "closed-forms": _sweep_closed_forms,
-    "cliques": _sweep_cliques,
-    "estimates": _sweep_estimates,
+class _Sweep(NamedTuple):
+    """A verification sweep: its function, the options it reads besides
+    --out (a sweep over field sizes reads --qmax), and its default --qmax
+    (None: no cap)."""
+
+    run: Callable[[argparse.Namespace], list[dict]]
+    reads: tuple[str, ...]
+    qmax: int | None = None
+
+
+_SWEEPS = {
+    "table-rows": _Sweep(_sweep_table_rows, ("--catalogue-path",)),
+    "c2-oracle": _Sweep(_sweep_c2_oracle, ("--qmax",), 27),
+    "c3-oracle": _Sweep(_sweep_c3_oracle, ("--qmax",), 25),
+    "johnson": _Sweep(_sweep_johnson, ("--qmax",)),
+    "counts": _Sweep(_sweep_counts, ("--qmax",)),
+    "star": _Sweep(_sweep_star, ("--qmax", "--catalogue-path"), 27),
+    "witnesses": _Sweep(_sweep_witnesses, ("--qmax", "--per-field")),
+    "euler": _Sweep(_sweep_euler, ("--nmax",)),
+    "clique5": _Sweep(_sweep_clique5, ("--qmax",), 200),
+    "closed-forms": _Sweep(_sweep_closed_forms, ("--qmax",)),
+    "cliques": _Sweep(_sweep_cliques, ("--qmax",), 49),
+    "estimates": _Sweep(_sweep_estimates, ("--catalogue-path",)),
 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.sweep not in _SWEEP_FUNCS:
-        raise ValueError("unknown sweep %r (have: %s)" % (cfg.sweep, ", ".join(_SWEEP_FUNCS)))
-    checks = _SWEEP_FUNCS[cfg.sweep](cfg)
+def cmd_verify(args) -> int:
+    checks = _SWEEPS[args.sweep].run(args)
     # a sweep that checked nothing (say, --qmax below its first field) proves nothing
     passed = bool(checks) and all(c["ok"] for c in checks)
-    payload = {"schema": 1, "sweep": cfg.sweep, "ok": passed, "checks": checks}
-    _emit(json.dumps(payload, indent=2) + "\n", cfg.out)
+    payload = {"schema": 1, "sweep": args.sweep, "ok": passed, "checks": checks}
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if passed else 1
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.command == "graph":
-            return cmd_graph(cfg)
-        return cmd_verify(cfg)
+        _check_args(args)
+        if args.command == "analyze":
+            return cmd_analyze(args)
+        if args.command == "graph":
+            return cmd_graph(args)
+        return cmd_verify(args)
     except CapExceeded as exc:
         sys.stderr.write("cap exceeded: %s\n" % exc)
         return 2

@@ -507,14 +507,14 @@ def euler_bound_holds(n: int, phi_value: int | None = None) -> bool:
     return phi_value * (denom * (1.0 - 2.0**-40)) > n
 
 
-def euler_bound_scan(limit: int, start: int = 3) -> list[int]:
-    """All n in [start, limit] violating the certified bound (expected: none)."""
+def euler_bound_scan(limit: int) -> list[int]:
+    """All n in [3, limit] violating the certified bound (expected: none)."""
     import numpy as np
 
     phi = phi_sieve(limit)
-    n = np.arange(start, limit + 1, dtype=np.float64)
+    n = np.arange(3, limit + 1, dtype=np.float64)
     ll = np.log(np.log(n))
     denom = math.exp(EULER_MASCHERONI) * ll + 3.0 / ll
-    lhs = phi[start:].astype(np.float64) * (denom * (1.0 - 2.0**-40))
+    lhs = phi[3:].astype(np.float64) * (denom * (1.0 - 2.0**-40))
     bad = np.nonzero(lhs <= n)[0]
-    return [int(b) + start for b in bad]
+    return [int(b) + 3 for b in bad]

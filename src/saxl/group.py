@@ -433,10 +433,10 @@ class ConjClassData:
     elements: frozenset[Perm] = field(repr=False)
 
 
-def conjugacy_class(G: PermGroup, x: Perm, cap: int | None = None) -> frozenset[Perm]:
-    """The class x^G, materialised by conjugation-orbit BFS over the generators."""
-    if cap is None:
-        cap = G.caps.class_cap
+def conjugacy_class(G: PermGroup, x: Perm) -> frozenset[Perm]:
+    """The class x^G, materialised by conjugation-orbit BFS over the
+    generators, within G's ``class_cap``."""
+    cap = G.caps.class_cap
     inv_gens = [(g, g.inverse()) for g in G.gens]
     seen = {x}
     queue = [x]
@@ -454,17 +454,16 @@ def conjugacy_class(G: PermGroup, x: Perm, cap: int | None = None) -> frozenset[
     return frozenset(seen)
 
 
-def prime_order_class_reps(G: PermGroup, caps: Caps | None = None) -> list[ConjClassData]:
+def prime_order_class_reps(G: PermGroup) -> list[ConjClassData]:
     """Conjugacy classes of prime-order elements of G.
 
     Requires full element enumeration (guarded by ``element_cap``); class
     representatives are the lexicographically least class members, and the
     classes come out sorted by (element order, class size, representative).
     """
-    caps = caps or G.caps
-    if G.order() > caps.element_cap:
+    if G.order() > G.caps.element_cap:
         raise CapExceeded(
-            "order %d exceeds element enumeration cap %d" % (G.order(), caps.element_cap)
+            "order %d exceeds element enumeration cap %d" % (G.order(), G.caps.element_cap)
         )
     classified: set[Perm] = set()
     out: list[ConjClassData] = []
@@ -474,7 +473,7 @@ def prime_order_class_reps(G: PermGroup, caps: Caps | None = None) -> list[ConjC
         o = x.order()
         if not is_prime(o):
             continue
-        cls = conjugacy_class(G, x, cap=caps.class_cap)
+        cls = conjugacy_class(G, x)
         classified.update(cls)
         out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=cls))
     out.sort(key=lambda c: (c.order, c.class_size, c.rep))

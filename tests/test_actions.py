@@ -16,9 +16,10 @@ from saxl.actions import (
     psl2_c2_action,
     psl2_c3_action,
     su2_conjugator,
+    _verify_orders,
 )
 from saxl.gf import field_create
-from saxl.group import CapExceeded, PermGroup
+from saxl.group import CapExceeded, CrossCheckFailed, PermGroup
 from saxl.perm import from_cycles
 
 
@@ -230,6 +231,26 @@ class TestLabelledActionInvariants:
         act = ksubset_action(4, 2)
         for i, lab in enumerate(act.labels):
             assert act.label_index[lab] == i
+
+    @pytest.mark.parametrize(
+        "group_gens, stab_gens",
+        [
+            # S4 with S3 on {0, 1, 2}: the right order, but it moves 0
+            ([[(0, 1, 2, 3)], [(0, 1)]], [[(0, 1, 2)], [(0, 1)]]),
+            # D4 with <(1 2)>: the right order, fixes 0, not in D4
+            ([[(0, 1, 2, 3)], [(1, 3)]], [[(1, 2)]]),
+        ],
+    )
+    def test_explicit_stabiliser_is_certified(self, group_gens, stab_gens):
+        g = PermGroup(4, [from_cycles(4, c) for c in group_gens])
+        stab0 = PermGroup(4, [from_cycles(4, c) for c in stab_gens])
+        labs = tuple(OmegaPoint("coset_index", i) for i in range(4))
+        act = LabelledAction(
+            g, labs, "bad", stab0=stab0,
+            expected_group_order=g.order(), expected_stab_order=g.order() // 4,
+        )
+        with pytest.raises(CrossCheckFailed, match="point stabiliser generator"):
+            _verify_orders(act)
 
 
 class TestCatalogue:

@@ -28,11 +28,62 @@ def frobenius_catalogue(tmp_path):
     return str(path)
 
 
+SWEEPS = [
+    "table-rows", "c2-oracle", "c3-oracle", "johnson", "counts", "star",
+    "witnesses", "euler", "clique5", "closed-forms", "cliques", "estimates",
+]
+
+# (argv, the option it gives that no part of the run reads)
+UNREAD_OPTIONS = [
+    ("analyze --ksubsets 5 2 --q 9", "--q"),
+    ("graph --ksubsets 5 2 --variant pgl", "--variant"),
+    ("analyze --catalogue M11 --j 2", "--j"),
+    ("graph --psl2 c2 --q 9 --variant psigma --j 1", "--j"),
+    ("analyze --psl2 c2 --q 7 --alternating", "--alternating"),
+    ("analyze --ksubsets 5 2 --catalogue-path absent.txt", "--catalogue-path"),
+    ("graph --psl2 c2 --q 7 --catalogue-path absent.txt", "--catalogue-path"),
+    ("graph --ksubsets 5 2 --exact-cap 5", "--exact-cap"),
+    ("analyze --ksubsets 5 2 --exact-cap 5", "--exact-cap"),
+    *(("verify %s --qmax 5" % s, "--qmax") for s in ("table-rows", "estimates", "euler")),
+    *(("verify %s --nmax 10" % s, "--nmax") for s in SWEEPS if s != "euler"),
+    *(("verify %s --per-field 5" % s, "--per-field") for s in SWEEPS if s != "witnesses"),
+    *(
+        ("verify %s --catalogue-path absent.txt" % s, "--catalogue-path")
+        for s in SWEEPS
+        if s not in ("table-rows", "star", "estimates")
+    ),
+]
+
+
 class TestExitCodes:
     def test_cap_exceeded_is_2(self, capsys):
         code = main(["graph", "--ksubsets", "6", "2", "--point-cap", "5"])
         assert code == 2
         assert "cap exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", ["analyze --catalogue M11 --group-cap 10", "graph --catalogue M11 --point-cap 10"]
+    )
+    def test_catalogue_cap_exceeded_is_2(self, capsys, argv):
+        # M11 has order 7920 and acts on 11 points
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cap exceeded: ")
+
+    def test_group_cap_reads_only_the_selected_entry(self, capsys):
+        # S7 (order 5040) fits; A9 and M11, in the same catalogue, would not
+        assert main(["analyze", "--catalogue", "S7_AGL17", "--group-cap", "6000", "--no-classes"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] * report["stab_order"] == 5040
+
+    @pytest.mark.parametrize("argv, option", UNREAD_OPTIONS)
+    def test_unread_option_is_1(self, capsys, argv, option):
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: %s " % option)
 
     def test_unknown_catalogue_name_is_1(self, capsys):
         code = main(["analyze", "--catalogue", "NoSuchEntry"])
@@ -225,6 +276,7 @@ class TestVerify:
             ["verify", "c2-oracle", "--qmax", "3"],
             ["verify", "c3-oracle", "--qmax", "3"],
             ["verify", "johnson", "--qmax", "3"],
+            ["verify", "johnson", "--qmax", "0"],
             ["verify", "counts", "--qmax", "3"],
         ],
     )
@@ -283,6 +335,14 @@ class TestVerify:
         monkeypatch.setattr(cli, "q_hat", lambda action: cli.q_tilde(action) + 1)
         assert main(["verify", "estimates"]) == 1
         assert self._failed_check(capsys, "estimates S7_AGL17")
+
+    def test_witnesses_sweep_honours_qmax(self, capsys):
+        assert main(["verify", "witnesses", "--qmax", "13"]) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert names == [
+            "c2-witness q=9 (engine-checked)", "c2-witness q=13 (engine-checked)",
+            "c3-witness q=9 (engine-checked)", "c3-witness q=13 (engine-checked)",
+        ]
 
     def test_clique5_qmax_is_inclusive(self, capsys):
         assert main(["verify", "clique5", "--qmax", "49"]) == 0
@@ -346,6 +406,9 @@ class TestGoldens:
         "analyze --catalogue L3_3_O3": "d3002185feb41c92885e69e23b8e52d2903035264e73be9663a9354cfac8ad67",
         "analyze --catalogue M11": "ab6a6697c90b9760de0c47d993f9d8e5ff3b5c9e049fe099200d42930d11f57e",
         "graph --ksubsets 10 2 --format edges": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "verify closed-forms": "a43af65fbbdeddaed12c8acbb2799462f1d1f6e3051557e9a19d0de6e3e88690",
+        "verify cliques": "0b604a0ea700d82d0e66ba18df1a3bb3e5d05d71ebaba17472b7268c6fd55ad0",
+        "verify estimates": "13d5c6c705f3808ba4f82744111b6c68d84a9dd06c40c897590562c57859808f",
     }
 
     @pytest.mark.parametrize("argv", list(DIGESTS))

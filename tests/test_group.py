@@ -263,6 +263,6 @@ class TestCaps:
             g.elements()
 
     def test_class_cap(self):
-        g = symmetric(7)
+        g = PermGroup(7, symmetric(7).gens, Caps(class_cap=5))
         with pytest.raises(CapExceeded):
-            conjugacy_class(g, from_cycles(7, [(0, 1)]), cap=5)
+            conjugacy_class(g, from_cycles(7, [(0, 1)]))
