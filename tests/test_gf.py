@@ -1,5 +1,6 @@
 """Finite-field tables against a naive polynomial-arithmetic oracle."""
 
+import hashlib
 import math
 
 import pytest
@@ -256,6 +257,66 @@ class TestFieldConstruction:
 
     def test_field_identity_map_is_cached(self):
         assert field_create(3, 2) is field_create(3, 2)
+
+
+class TestPinnedTables:
+    """sha256 of the public values of every field that a verify sweep builds:
+    GF(q) and GF(q^2) for each q that a sweep or ``_clique5_fields(200)``
+    covers.  Pinned from the tables before the field construction was
+    rewritten."""
+
+    SWEEP_Q = (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 49, 81, 121, 125, 169)
+
+    DIGESTS = {
+        4: "84680647c47a7247ad17fda858c1e69f73308efc5b2139ec03a4e07ddd20c68f",
+        5: "015440c9b1868e418de5c8c8a4e202b5ebe422738c88cd9011ccd7b44aa9fd8d",
+        7: "1424607d5c4ddcd4a2645ac2a6f1506d3953042ca91bf805203db1c51db08b62",
+        8: "986316eb81a192e29d1c7286a25054cb6c0653fb0c232a120ec5fd52776543a8",
+        9: "dcc848aa67009a930ed8dca8adb4779ffe10f60567e4e6b97971083b56c91b3a",
+        11: "b76dbe27d225725b6619503c7542853081ec8b4a3106009e52535dbd22fae143",
+        13: "958a8d368e6610befab076a79a2fcaa580dfeb43650432c4eeaf127fd59a2113",
+        16: "f07e582047292358b721fbcd2358b108f2a5a7aa575bddc1c12f6dd293d7de17",
+        17: "eef2f41191edf92de16c82fcd1dfb310982cd7e2c63ee5f11eab27c520272d34",
+        19: "a6a386e0fe64a53a84cf86ca0c145b19ea6f4f38f12580810e4c6723fb2f71bc",
+        23: "a3e49089d1f2a88e1c2e322db92e0ef22c2ad0f4c31443d902519135a4a7ff2a",
+        25: "dfa51b2222734bcac48ceb69190b91ed168feac6730283d1b8cae29d6a3ad844",
+        27: "2e7824b67c86020f3951626a74a09cf37adc077d0625620e0b698d7899710d09",
+        29: "911eb7f62fd9cc6562bf6d8954588503a9bd9a11da91ee7a5c2f48d2f593c60e",
+        49: "39b61b66428a237a0ea452cb7cc0d42b0ba4dc99cc784412103e4688331c0132",
+        64: "be7ef7979b46e04042eaa30e9ec628ff10e17f17fd6919e5ac7da4dea97e25a9",
+        81: "f720f0de966435a5f8a79f81ce16d9931764ea1a8feef89cf805548221b0b0ba",
+        121: "ea6a1c4849f691bfcd46300d687d647ac124bd2cf073c5104b43de6836a05fac",
+        125: "7816aed1113da4860a92dfe3cbb7f3c25910f6e6a3dccd56703f425c0606f0cb",
+        169: "5ef67adc335a141c709f0b1078002d3a528a853054ccc03d955d5aa9a0e97a66",
+        256: "3f15b3595bad6bde397fd4da67ed0c1e128dcb69e246f26df7886e2ee549445f",
+        289: "973fcb30d42d9feb848f7c912051378bdb3ddee4c28628854cd7fab35ecf04cf",
+        361: "5fb24f1fc0481f555d312a1c87730a2e68e202c19520fb29de57dc665e44a208",
+        529: "ef1c3dda72ad57e85bebc59b1e01360a76c584a5d719c63c8eb73d25904424e9",
+        625: "ec98c91459a904ecf09bd3988236bf4231a069b3d3b5f2dde96b1db19740c3db",
+        729: "8d7226941eca785934383460452fff6e9fa7ea97c282fef72d22eb40d821d3b0",
+        841: "1820ad6c0ee564e9688501c90ab1f6f0300290ec2399fbca09024bfdc2a7da41",
+        2401: "8842d716501b85ae56f8af45267df11e7d894a799142b9bd314a9a59d18bf02f",
+        6561: "fb02444e4711773d354d07b62dea81f4511aa3e80f82d98ca5676b36e58aa0f2",
+        14641: "a86641f2e3ee5e9d679ac6b039c91fd4b2608eb0f4217a0704306bfbe7105025",
+        15625: "c3f682f447c01e1821611681b9ba7d2b48ff5af1aa61af831b699d411d788c0d",
+        28561: "8d607b61fea96b4ddc14fac89518049e80678c96037917d1163eede06b2c0a9e",
+    }
+
+    def test_orders_cover_the_sweep_fields(self):
+        from saxl.cli import _clique5_fields
+
+        assert set(_clique5_fields(200)) <= set(self.SWEEP_Q)
+        assert set(self.DIGESTS) == set(self.SWEEP_Q) | {q * q for q in self.SWEEP_Q}
+
+    @pytest.mark.parametrize("q", sorted(DIGESTS))
+    def test_table_digest(self, q):
+        F = field_from_order(q)
+        h = hashlib.sha256(repr((F.modulus, F.gen_coeffs)).encode())
+        one = F.one()
+        for k in range(F.q - 1):
+            x = F.from_log(k)
+            h.update(repr((x.coeffs(), (one + x).log)).encode())
+        assert h.hexdigest() == self.DIGESTS[q]
 
 
 class TestEulerTotient:
