@@ -157,8 +157,10 @@ def _build_parser() -> _Parser:
     opt = partial(p_ve.add_argument, action=_Option)
     opt("--qmax", type=int, help="largest field size to sweep, inclusive", needs=read_by_sweeps("--qmax"))
     opt("--nmax", type=int, default=10**6, help="scan limit for the totient sweep", needs=read_by_sweeps("--nmax"))
+    where, by_sweep = read_by_sweeps("--per-field")
     opt("--per-field", type=int, default=1000, help="witness inputs per large field",
-        needs=read_by_sweeps("--per-field"))
+        needs=(where + " with --qmax at least %d" % min(_WITNESS_ARITHMETIC_FIELDS),
+               lambda a: by_sweep(a) and bool(_upto(a, _WITNESS_ARITHMETIC_FIELDS))))
     opt("--catalogue-path", metavar="FILE", help="alternative catalogue file",
         needs=read_by_sweeps("--catalogue-path"))
     opt("--out", metavar="FILE", help="write output here instead of stdout")
@@ -452,6 +454,10 @@ def _sweep_star(args) -> list[dict]:
     return checks
 
 
+# the fields whose witnesses are checked by arithmetic alone, --per-field inputs each
+_WITNESS_ARITHMETIC_FIELDS = (49, 81)
+
+
 def _sweep_witnesses(args) -> list[dict]:
     checks = []
     # small fields: point 0 is alpha, and every valid input (there must be
@@ -495,7 +501,7 @@ def _sweep_witnesses(args) -> list[dict]:
         checks.append(_check("c3-witness q=%d (engine-checked)" % q, ok and count > 0, "%d inputs" % count))
     # large fields: the constructors verify their own identities arithmetically
     target = args.per_field
-    for q in _upto(args, (49, 81)):
+    for q in _upto(args, _WITNESS_ARITHMETIC_FIELDS):
         F = field_from_order(q)
         count = 0
         for b, c in criteria.c2_base_candidates(F):
@@ -504,7 +510,7 @@ def _sweep_witnesses(args) -> list[dict]:
             if count >= target:
                 break
         checks.append(_check("c2-witness q=%d (arithmetic)" % q, count >= target, "%d inputs" % count))
-    for q in _upto(args, (49, 81)):
+    for q in _upto(args, _WITNESS_ARITHMETIC_FIELDS):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
         half = (F2.q - 1) // 2

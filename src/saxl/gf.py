@@ -2,29 +2,43 @@
 
 Elements are stored as discrete logarithms with respect to a fixed primitive
 element, with a separate sentinel for zero, so multiplication is index
-arithmetic and addition is one Zech table lookup.  All constructions are
-deterministic:
+arithmetic and addition is one Zech table lookup.
 
-* the modulus is the lexicographically least monic irreducible polynomial of
-  degree f over GF(p), comparing coefficient tuples with the constant term
-  most significant;
-* the primitive element is the least generator of the multiplicative group in
-  the same coefficient order.
+An element a_0 + a_1 x + ... + a_{f-1} x^{f-1} of GF(p)[x]/(m) is the row
+(a_0, ..., a_{f-1}), packed as the integer sum a_i p^i.  The f x f companion
+matrix C of m multiplies a row by x, so x^N is row 0 of C^N, and
+multiplication by c is the matrix M_c = sum c_j C^j.  Everything is built
+from C, deterministically:
+
+* the modulus m is the least monic irreducible polynomial of degree f,
+  comparing coefficient tuples (a_0, ..., a_{f-1}) with the constant term
+  most significant; for f >= 2 the candidates with a_0 = 0, which x divides,
+  are skipped.  Irreducibility is Ben-Or's test: gcd(x^(p^d) - x, m) = 1 for
+  every 1 <= d <= f/2, that is, M_u is nonsingular for u = x^(p^d) - x;
+* the primitive element lambda is the least c in the same order for which
+  row 0 of M_c^((q-1)/r) is not 1, for every prime r dividing q - 1;
+* the tables come from the walk 1, lambda, lambda^2, ..., which doubles at
+  each step: the rows of lambda^n, ..., lambda^(2n-1) are the rows of
+  1, ..., lambda^(n-1) times M_lambda^n.  The packed walk is the log -> value
+  table; the value -> log and Zech tables follow from it.
 
 Fields are capped at q <= 2**20 (table memory); larger requests raise
-:class:`FieldTooLarge`.
+:class:`CapExceeded`.
 
 The module also carries the Euler totient helpers used by the regular
-suborbit counts: an exact totient, a sieve, and the certified lower bound
+suborbit counts: an exact totient, a sieve, and a scan of the lower bound
 phi(n) > n / (e^gamma * log log n + 3 / log log n).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+import numpy as np
 
 
 FIELD_SIZE_CAP = 2**20
@@ -32,85 +46,8 @@ FIELD_SIZE_CAP = 2**20
 EULER_MASCHERONI = 0.5772156649015329
 
 
-class FieldTooLarge(Exception):
-    """Requested field exceeds the Zech table cap."""
-
-
-# -- polynomial helpers over GF(p), dense coefficient lists, constant first --
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = a[:]
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) >= len(m):
-        coef = a[-1] * inv_lead % p
-        if coef:
-            shift = len(a) - len(m)
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - coef * mi) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(a, m, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _is_irreducible(m: list[int], p: int) -> bool:
-    """Rabin test: x^(p^f) == x mod m, and x^(p^(f/r)) - x coprime to m."""
-    f = len(m) - 1
-    if f <= 0:
-        return False
-    x = _poly_mod([0, 1], m, p)
-    xq = _poly_powmod([0, 1], p**f, m, p)
-    diff = _poly_trim([(a - b) % p for a, b in _zip_pad(xq, x)])
-    if diff:
-        return False
-    for r in _prime_factors(f):
-        xr = _poly_powmod([0, 1], p ** (f // r), m, p)
-        diff = _poly_trim([(a - b) % p for a, b in _zip_pad(xr, x)])
-        if _poly_gcd(m, diff, p) != [1]:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+class CapExceeded(Exception):
+    """An operation would exceed a configured size cap."""
 
 
 def is_prime(n: int) -> bool:
@@ -139,18 +76,62 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _least_irreducible(p: int, f: int) -> list[int]:
-    """Least monic irreducible of degree f, ordered by (a_0, a_1, ..., a_{f-1})."""
-    for key in range(p**f):
-        coeffs = []
-        k = key
-        for _ in range(f):  # a_0 is the most significant digit of the key
-            coeffs.append(k // p ** (f - 1 - len(coeffs)) % p)
-        # decode: coeffs[i] = digit i of key, base p, most significant first
-        m = coeffs + [1]
-        if _is_irreducible(m, p):
-            return m
-    raise RuntimeError("no irreducible polynomial found (impossible)")
+# -- matrices over GF(p) acting on coefficient rows -----------------------------
+
+
+def _digits(key: int, p: int, f: int) -> tuple[int, ...]:
+    """The row (c_0, ..., c_{f-1}) whose base-p digits, c_0 most significant, spell key."""
+    return tuple(key // p ** (f - 1 - i) % p for i in range(f))
+
+
+def _companion(m: list[int], p: int) -> np.ndarray:
+    """C, with row i = x^(i+1) mod m, so that a C = x a for every row a."""
+    C = np.eye(len(m) - 1, k=1, dtype=np.int64)
+    C[-1] = [-a % p for a in m[:-1]]
+    return C
+
+
+def _times(c, C: np.ndarray, p: int) -> np.ndarray:
+    """M_c = sum c_j C^j, the matrix of multiplication by c: row i is x^i c."""
+    rows = [np.asarray(c, dtype=np.int64) % p]
+    for _ in range(len(C) - 1):
+        rows.append(rows[-1] @ C % p)
+    return np.array(rows)
+
+
+def _power(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ M % p
+        M = M @ M % p
+        e >>= 1
+    return out
+
+
+def _nonsingular(M: np.ndarray, p: int) -> bool:
+    """Whether M is invertible over GF(p), by fraction-free elimination."""
+    M = M.copy()
+    for i in range(len(M)):
+        nonzero = np.flatnonzero(M[i:, i])
+        if not len(nonzero):
+            return False
+        j = i + nonzero[0]
+        M[[i, j]] = M[[j, i]]
+        M[i + 1 :] = (M[i + 1 :] * M[i, i] - np.outer(M[i + 1 :, i], M[i])) % p
+    return True
+
+
+def _irreducible(C: np.ndarray, p: int) -> bool:
+    """Ben-Or's test for the modulus of C: M_u nonsingular for u = x^(p^d) - x, 1 <= d <= f/2."""
+    f = len(C)
+    power = C
+    for _ in range(f // 2):
+        power = _power(power, p, p)  # C^(p^d), whose row 0 is x^(p^d)
+        u = power[0] - np.eye(f, dtype=np.int64)[1]
+        if not _nonsingular(_times(u, C, p), p):
+            return False
+    return True
 
 
 # -- the field ----------------------------------------------------------------
@@ -162,14 +143,26 @@ class FqField:
     def __init__(self, p: int, f: int):
         q = p**f
         if q > FIELD_SIZE_CAP:
-            raise FieldTooLarge("q = %d exceeds cap %d" % (q, FIELD_SIZE_CAP))
+            raise CapExceeded("field order q = %d exceeds cap %d" % (q, FIELD_SIZE_CAP))
         if f < 1 or not is_prime(p):
             raise ValueError("need prime p and f >= 1")
         self.p = p
         self.f = f
         self.q = q
-        self.modulus = _least_irreducible(p, f)
-        self._build_tables()
+        for key in range(p ** (f - 1) if f > 1 else 0, q):
+            m = [*_digits(key, p, f), 1]
+            C = _companion(m, p)
+            if _irreducible(C, p):
+                break
+        self.modulus = m
+        one = np.eye(f, dtype=np.int64)[0]
+        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+        for key in range(1, q):
+            lam = _times(_digits(key, p, f), C, p)
+            if all((_power(lam, e, p)[0] != one).any() for e in exponents):
+                break
+        self.gen_coeffs = _digits(key, p, f)
+        self._build_tables(lam)
 
     def _val(self, coeffs: tuple[int, ...]) -> int:
         """Table index: plain base-p value, constant term least significant."""
@@ -178,52 +171,26 @@ class FqField:
             val = val * self.p + c
         return val
 
-    def _build_tables(self) -> None:
+    def _build_tables(self, lam: np.ndarray) -> None:
         p, f, q = self.p, self.f, self.q
-        m = self.modulus
-
-        def as_coeffs(poly: list[int]) -> tuple[int, ...]:
-            return tuple(poly + [0] * (f - len(poly)))
-
-        # find the least primitive element in coefficient order
-        order_factors = _prime_factors(q - 1)
-        lam_poly = None
-        for key in range(1, q):
-            digits = []
-            k = key
-            for i in range(f):
-                digits.append(k // p ** (f - 1 - i) % p)
-            cand = _poly_trim(digits[:])  # digits are (c_0, ..., c_{f-1})
-            if not cand:
-                continue
-            if all(
-                _poly_powmod(cand, (q - 1) // r, m, p) != [1] for r in order_factors
-            ) and _poly_powmod(cand, q - 1, m, p) == [1]:
-                lam_poly = cand
-                break
-        if lam_poly is None:
-            raise RuntimeError("no primitive element found for GF(%d)" % q)
-        self.gen_coeffs = as_coeffs(lam_poly)
-
-        exp_coeffs: list[tuple[int, ...]] = [as_coeffs([1])]
-        cur = [1]
-        for _ in range(q - 2):
-            cur = _poly_mod(_poly_mul(cur, lam_poly, p), m, p)
-            exp_coeffs.append(as_coeffs(cur))
-        self._exp = exp_coeffs  # log -> coefficient tuple
-
-        log_table = [-1] * q
-        for k, coeffs in enumerate(exp_coeffs):
-            log_table[self._val(coeffs)] = k
-        self._log = log_table  # value -> log, -1 for zero
-
-        # zech[k] = log(1 + lam^k), or None when 1 + lam^k = 0
-        zech: list[int | None] = [None] * (q - 1)
-        for k, coeffs in enumerate(exp_coeffs):
-            bumped = (coeffs[0] + 1) % p, *coeffs[1:]
-            v = self._val(bumped)
-            zech[k] = log_table[v] if log_table[v] >= 0 else None
-        self._zech = zech
+        # rows[k] = lambda^k, filled by doubling: step = M_lambda^n
+        rows = np.empty((q - 1, f), dtype=np.int64)
+        rows[0] = np.eye(f, dtype=np.int64)[0]
+        n, step = 1, lam
+        while n < q - 1:
+            k = min(n, q - 1 - n)
+            np.matmul(rows[:k], step, out=rows[n : n + k])
+            rows[n : n + k] %= p
+            step = step @ step % p
+            n += k
+        exp = rows @ p ** np.arange(f, dtype=np.int64)
+        del rows
+        log = np.full(q, -1, dtype=np.intc)
+        log[exp] = np.arange(q - 1)
+        zech = log[exp - exp % p + (exp + 1) % p]  # log(1 + lambda^k), -1 when it is zero
+        self._exp = array("i", exp.astype(np.intc).tobytes())  # log -> packed value
+        self._log = array("i", log.tobytes())  # packed value -> log, -1 for zero
+        self._zech = array("i", zech.tobytes())
         self._log_minus_one = (q - 1) // 2 if p != 2 else 0
 
     # -- element constructors --------------------------------------------------
@@ -247,8 +214,7 @@ class FqField:
         coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) != self.f:
             raise ValueError("need exactly f coefficients")
-        log = self._log[self._val(coeffs)]
-        return FqElem(self, None if log < 0 else log)
+        return self.from_packed_int(self._val(coeffs))
 
     def from_int(self, n: int) -> "FqElem":
         """Image of an integer under the prime-field embedding."""
@@ -258,11 +224,8 @@ class FqField:
         """Inverse of :meth:`FqElem.as_int` (base-p digits, constant term first)."""
         if not 0 <= n < self.q:
             raise ValueError("packed value %d out of range" % n)
-        coeffs = []
-        for _ in range(self.f):
-            n, r = divmod(n, self.p)
-            coeffs.append(r)
-        return self.from_coeffs(coeffs)
+        log = self._log[n]
+        return FqElem(self, None if log < 0 else log)
 
     def elements(self) -> Iterator["FqElem"]:
         """Zero, then nonzero elements in log order."""
@@ -292,13 +255,15 @@ class FqElem:
         return self.log is None
 
     def coeffs(self) -> tuple[int, ...]:
-        if self.log is None:
-            return (0,) * self.field.f
-        return self.field._exp[self.log]
+        n, out = self.as_int(), []
+        for _ in range(self.field.f):
+            n, r = divmod(n, self.field.p)
+            out.append(r)
+        return tuple(out)
 
     def as_int(self) -> int:
         """Base-p integer encoding of the coefficient vector (constant term last)."""
-        return self.field._val(self.coeffs())
+        return 0 if self.log is None else self.field._exp[self.log]
 
     def _check(self, other: "FqElem") -> None:
         if self.field is not other.field:
@@ -333,7 +298,7 @@ class FqElem:
             return self
         a, b = self.log, other.log
         z = self.field._zech[(b - a) % (self.field.q - 1)]
-        if z is None:
+        if z < 0:
             return self.field.zero()
         return FqElem(self.field, (a + z) % (self.field.q - 1))
 
@@ -475,8 +440,6 @@ def euler_phi(n: int) -> int:
 
 def phi_sieve(limit: int):
     """numpy array phi[0..limit] (phi[0] = 0), linear-ish sieve."""
-    import numpy as np
-
     phi = np.arange(limit + 1, dtype=np.int64)
     phi[0] = 0
     for p in range(2, limit + 1):
@@ -484,33 +447,15 @@ def phi_sieve(limit: int):
             phi[p::p] -= phi[p::p] // p
     return phi
 
-def euler_lower_bound(n: int) -> float:
-    """The classical explicit bound n / (e^gamma log log n + 3 / log log n)."""
-    if n < 3:
-        raise ValueError("bound needs n >= 3")
-    ll = math.log(math.log(n))
-    return n / (math.exp(EULER_MASCHERONI) * ll + 3.0 / ll)
-
-
-def euler_bound_holds(n: int, phi_value: int | None = None) -> bool:
-    """Certified check of phi(n) > euler_lower_bound(n).
-
-    Uses the exact integer totient against a deflated denominator: the float
-    denominator D carries at most a few ulp of error, so comparing
-    phi * D * (1 - 2^-40) > n can only fail when the true inequality is
-    genuinely violated or razor-thin (it never is for n >= 3).
-    """
-    if phi_value is None:
-        phi_value = euler_phi(n)
-    ll = math.log(math.log(n))
-    denom = math.exp(EULER_MASCHERONI) * ll + 3.0 / ll
-    return phi_value * (denom * (1.0 - 2.0**-40)) > n
-
 
 def euler_bound_scan(limit: int) -> list[int]:
-    """All n in [3, limit] violating the certified bound (expected: none)."""
-    import numpy as np
+    """All n in [3, limit] violating the certified bound (expected: none).
 
+    The exact integer totient is compared against a deflated denominator: the
+    float denominator D carries at most a few ulp of error, so
+    phi * D * (1 - 2^-40) > n can only fail when the true inequality is
+    violated or razor-thin (it never is for n >= 3).
+    """
     phi = phi_sieve(limit)
     n = np.arange(3, limit + 1, dtype=np.float64)
     ll = np.log(np.log(n))

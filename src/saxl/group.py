@@ -20,12 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .gf import is_prime
+from .gf import CapExceeded, is_prime  # CapExceeded is re-exported: one cap exception
 from .perm import Perm, identity
-
-
-class CapExceeded(Exception):
-    """An operation would exceed a configured size cap."""
 
 
 class CrossCheckFailed(AssertionError):

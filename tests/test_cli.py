@@ -47,6 +47,7 @@ UNREAD_OPTIONS = [
     *(("verify %s --qmax 5" % s, "--qmax") for s in ("table-rows", "estimates", "euler")),
     *(("verify %s --nmax 10" % s, "--nmax") for s in SWEEPS if s != "euler"),
     *(("verify %s --per-field 5" % s, "--per-field") for s in SWEEPS if s != "witnesses"),
+    ("verify witnesses --qmax 13 --per-field 1", "--per-field"),
     *(
         ("verify %s --catalogue-path absent.txt" % s, "--catalogue-path")
         for s in SWEEPS
@@ -67,6 +68,16 @@ class TestExitCodes:
     def test_catalogue_cap_exceeded_is_2(self, capsys, argv):
         # M11 has order 7920 and acts on 11 points
         assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cap exceeded: ")
+
+    def test_field_cap_exceeded_is_2(self, capsys, monkeypatch):
+        from saxl import cli
+
+        # GF(11^3) fits, and GF(11^6) is above gf.FIELD_SIZE_CAP
+        monkeypatch.setattr(cli, "_clique5_fields", lambda qmax: [1331])
+        assert main(["verify", "clique5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cap exceeded: ")
