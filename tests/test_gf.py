@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -47,6 +48,15 @@ class PolyOracle:
                     prod[top - self.f + k] = (prod[top - self.f + k] - coeff * self.modulus[k]) % self.p
         return tuple(prod[: self.f])
 
+    def pow(self, a, e):
+        out = (1,) + (0,) * (self.f - 1)
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
 
 SMALL_FIELDS = [(2, 3), (3, 2), (5, 2), (3, 3)]
 
@@ -61,6 +71,27 @@ def test_arithmetic_matches_polynomial_oracle(p, f):
         for y in elems:
             assert (x + y).coeffs() == oracle.add(x.coeffs(), y.coeffs())
             assert (x * y).coeffs() == oracle.mul(x.coeffs(), y.coeffs())
+
+
+@pytest.mark.parametrize("p,f", [(1048573, 1), (1021, 2)])
+def test_fields_near_the_cap_match_the_oracle(p, f):
+    """The tables come from int64 matrix products; near the cap, every sampled
+    log must still be a discrete log of the generator, and sums and products
+    must agree with Python-integer arithmetic."""
+    F = field_create(p, f)
+    oracle = PolyOracle(F)
+    g = F.gen().coeffs()
+    rng = random.Random(p)
+    for _ in range(100):
+        c = tuple(rng.randrange(p) for _ in range(f))
+        x = F.from_coeffs(c)
+        assert x.coeffs() == c
+        assert x.is_zero() == (not any(c))
+        if any(c):
+            assert oracle.pow(g, x.log) == c
+        y = F.from_log(rng.randrange(F.q - 1))
+        assert (x + y).coeffs() == oracle.add(c, y.coeffs())
+        assert (x * y).coeffs() == oracle.mul(c, y.coeffs())
 
 
 @pytest.mark.parametrize("p,f", SMALL_FIELDS)
