@@ -66,6 +66,7 @@ from .gf import (
     field_create,
     field_from_order,
     is_square,
+    prime_powers,
     split_prime_power,
 )
 from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS
@@ -552,15 +553,7 @@ def _sweep_euler(args) -> list[dict]:
 def _clique5_fields(qmax: int) -> list[int]:
     """The field sizes 29 <= q <= qmax of the 5-clique constructions: odd
     and not prime."""
-    fields = []
-    for q in range(29, qmax + 1):
-        try:
-            p, f = split_prime_power(q)
-        except ValueError:
-            continue
-        if p != 2 and f > 1:
-            fields.append(q)
-    return fields
+    return [q for p, f, q in prime_powers(29, qmax + 1) if p != 2 and f > 1]
 
 
 def _alpha_clique_ok(verts, is_alpha, alpha_edge, pair_edge) -> bool:

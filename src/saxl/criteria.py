@@ -30,6 +30,7 @@ from .gf import (
     in_proper_subfield,
     is_prime,
     is_square,
+    prime_powers,
     split_prime_power,
 )
 from .group import CrossCheckFailed
@@ -591,11 +592,7 @@ def euler_phi_4f_scan(limit: int) -> tuple[int, list[int]]:
     """Check phi(q - 1) >= 4f over every odd non-prime prime power
     27 < q < limit.  Returns (count checked, violations)."""
     checked, bad = 0, []
-    for q in range(28, limit):
-        try:
-            p, f = split_prime_power(q)
-        except ValueError:
-            continue
+    for p, f, q in prime_powers(28, limit):
         if p == 2 or f == 1:
             continue
         checked += 1
@@ -609,11 +606,7 @@ def c3_valency_bound_scan(limit: int) -> tuple[int, list[int]]:
     27 < q < limit (at least two regular suborbits for the unitary-pair
     extension).  Returns (count checked, violations)."""
     checked, bad = 0, []
-    for q in range(28, limit):
-        try:
-            p, f = split_prime_power(q)
-        except ValueError:
-            continue
+    for p, f, q in prime_powers(28, limit):
         if p == 2:
             continue
         checked += 1

@@ -25,16 +25,23 @@ from C, deterministically:
 Fields are capped at q <= 2**20 (table memory); larger requests raise
 :class:`CapExceeded`.
 
-The module also carries the Euler totient helpers used by the regular
-suborbit counts: an exact totient, a sieve, and a scan of the lower bound
-phi(n) > n / (e^gamma * log log n + 3 / log log n).
+The module also carries the number theory of the regular suborbit counts:
+the prime powers in a range, an exact totient by trial division, and a scan
+of the lower bound phi(n) > n / (e^gamma * log log n + 3 / log log n) over
+3 <= n <= N.  The scan walks [3, N] in blocks of PHI_BLOCK = 2**16 numbers
+(a segmented sieve, after Bays and Hudson): each block's totients come from
+the primes up to isqrt(N), and a residual above 1 is the block number's one
+prime factor above the square root.  Memory is O(sqrt(N) + PHI_BLOCK),
+whatever N is.  Each block's totients at its first and last number and at
+its largest prime are compared with the trial-division totient; a mismatch
+raises :class:`CrossCheckFailed`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -43,11 +50,18 @@ import numpy as np
 
 FIELD_SIZE_CAP = 2**20
 
+PHI_BLOCK = 2**16  # numbers per block of the totient scan
+
 EULER_MASCHERONI = 0.5772156649015329
 
 
 class CapExceeded(Exception):
     """An operation would exceed a configured size cap."""
+
+
+class CrossCheckFailed(AssertionError):
+    """A run-time invariant failed: two independent computation routes
+    disagreed, or a result missed the closed form it was built to meet."""
 
 
 def is_prime(n: int) -> bool:
@@ -244,12 +258,25 @@ class FqField:
         return (field_create, (self.p, self.f))
 
 
-@dataclass(frozen=True)
 class FqElem:
-    """A field element as a discrete log (None encodes zero)."""
+    """A field element as a discrete log (None encodes zero).
 
-    field: FqField
-    log: int | None
+    Two elements are equal when they lie in the same field object and have
+    the same log; the hash is that of the pair (field, log)."""
+
+    __slots__ = ("field", "log")
+
+    def __init__(self, field: FqField, log: int | None):
+        self.field = field
+        self.log = log
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FqElem:
+            return NotImplemented
+        return self.field is other.field and self.log == other.log
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.log))
 
     def is_zero(self) -> bool:
         return self.log is None
@@ -438,14 +465,76 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def phi_sieve(limit: int):
-    """numpy array phi[0..limit] (phi[0] = 0), linear-ish sieve."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    phi[0] = 0
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes p <= n, by one boolean sieve."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def prime_powers(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """Every prime power lo <= q < hi, as (p, f, q) with q = p^f, in ascending q.
+
+    The primes are the n with phi(n) = n - 1, found PHI_BLOCK numbers at a
+    time, and the higher powers are those of the primes up to isqrt(hi - 1),
+    so memory is O(sqrt(hi) + PHI_BLOCK) however large hi is."""
+    small = _primes_upto(math.isqrt(max(hi - 1, 0)))
+    powers = []
+    for p in map(int, small):
+        q, f = p * p, 2
+        while q < hi:
+            if q >= lo:
+                powers.append((q, p, f))
+            q, f = q * p, f + 1
+
+    def primes():
+        for start in range(max(lo, 2), hi, PHI_BLOCK):
+            stop = min(start + PHI_BLOCK, hi)
+            phi = _phi_block(start, stop, small)
+            for q in map(int, np.flatnonzero(phi == np.arange(start - 1, stop - 1)) + start):
+                yield q, q, 1
+
+    for q, p, f in heapq.merge(sorted(powers), primes()):
+        yield p, f, q
+
+
+def _phi_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
+    """int64 array of phi(n) for lo <= n < hi (phi(0) = 0), given every prime
+    up to isqrt(hi - 1).
+
+    Each prime p runs phi -= phi // p over its multiples, and divides a
+    residual copy of n once per power of p that divides n; a residual above 1
+    is then the one prime factor above the square root."""
+    phi = np.arange(lo, hi, dtype=np.int64)
+    rest = phi.copy()
+    for p in map(int, primes):
+        phi[-lo % p :: p] -= phi[-lo % p :: p] // p
+        power = p
+        while power < hi:
+            rest[-lo % power :: power] //= p
+            power *= p
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
     return phi
+
+
+def phi_sieve(limit: int) -> np.ndarray:
+    """numpy array phi[0..limit] (phi[0] = 0), as one block."""
+    return _phi_block(0, limit + 1, _primes_upto(math.isqrt(limit)))
+
+
+def _check_block(lo: int, hi: int, phi: np.ndarray) -> None:
+    """Compare the block's totients at its first and last number and at its
+    largest prime, whose totient takes the large-prime pass, with trial
+    division."""
+    largest_prime = next((n for n in range(hi - 1, lo - 1, -1) if is_prime(n)), lo)
+    for n in sorted({lo, hi - 1, largest_prime}):
+        exact = euler_phi(n)
+        if phi[n - lo] != exact:
+            raise CrossCheckFailed("sieved phi(%d) = %d, trial division gives %d" % (n, phi[n - lo], exact))
 
 
 def euler_bound_scan(limit: int) -> list[int]:
@@ -454,12 +543,18 @@ def euler_bound_scan(limit: int) -> list[int]:
     The exact integer totient is compared against a deflated denominator: the
     float denominator D carries at most a few ulp of error, so
     phi * D * (1 - 2^-40) > n can only fail when the true inequality is
-    violated or razor-thin (it never is for n >= 3).
+    violated or razor-thin (it never is for n >= 3).  The range is walked in
+    blocks of PHI_BLOCK numbers, each checked by :func:`_check_block`.
     """
-    phi = phi_sieve(limit)
-    n = np.arange(3, limit + 1, dtype=np.float64)
-    ll = np.log(np.log(n))
-    denom = math.exp(EULER_MASCHERONI) * ll + 3.0 / ll
-    lhs = phi[3:].astype(np.float64) * (denom * (1.0 - 2.0**-40))
-    bad = np.nonzero(lhs <= n)[0]
-    return [int(b) + 3 for b in bad]
+    primes = _primes_upto(math.isqrt(limit))
+    bad = []
+    for lo in range(3, limit + 1, PHI_BLOCK):
+        hi = min(lo + PHI_BLOCK, limit + 1)
+        phi = _phi_block(lo, hi, primes)
+        _check_block(lo, hi, phi)
+        n = np.arange(lo, hi, dtype=np.float64)
+        ll = np.log(np.log(n))
+        denom = math.exp(EULER_MASCHERONI) * ll + 3.0 / ll
+        lhs = phi.astype(np.float64) * (denom * (1.0 - 2.0**-40))
+        bad += [int(b) + lo for b in np.nonzero(lhs <= n)[0]]
+    return bad

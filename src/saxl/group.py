@@ -20,13 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .gf import CapExceeded, is_prime  # CapExceeded is re-exported: one cap exception
+# CapExceeded and CrossCheckFailed are re-exported: one exception of each kind
+from .gf import CapExceeded, CrossCheckFailed, is_prime
 from .perm import Perm, identity
-
-
-class CrossCheckFailed(AssertionError):
-    """A run-time invariant failed: two independent computation routes
-    disagreed, or a result missed the closed form it was built to meet."""
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: cross-check failed: witness transfer does not reach (-b, -c)\n"
 
+    def test_totient_sieve_check_is_3(self, capsys, monkeypatch):
+        import numpy as np
+        from saxl import gf
+
+        def without_large_primes(lo, hi, primes):
+            # the small-prime passes alone: n with a prime factor above isqrt(n) keeps it
+            phi = np.arange(lo, hi, dtype=np.int64)
+            for p in map(int, primes):
+                phi[-lo % p :: p] -= phi[-lo % p :: p] // p
+            return phi
+
+        monkeypatch.setattr(gf, "_phi_block", without_large_primes)
+        assert main(["verify", "euler", "--nmax", "20000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cross-check failed: sieved phi(")
+        assert captured.err.count("\n") == 1
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -3,11 +3,15 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from saxl import gf
 from saxl.gf import (
     CapExceeded,
+    FqElem,
     count_nonsquare_nonsubfield,
     embed_into_square_extension,
     euler_bound_scan,
@@ -17,6 +21,7 @@ from saxl.gf import (
     in_proper_subfield,
     is_square,
     phi_sieve,
+    prime_powers,
     split_prime_power,
     subfield_logs,
 )
@@ -189,6 +194,18 @@ class TestEncodings:
         with pytest.raises(ZeroDivisionError):
             F.zero().inverse()
 
+    def test_element_is_its_field_and_log(self):
+        F, G = field_create(3, 2), field_create(3, 3)
+        for x in (F.zero(), F.one(), F.gen()):
+            assert hash(x) == hash((x.field, x.log))
+            assert x == F.from_log(x.log)
+            assert x != (x.field, x.log)
+            assert not hasattr(x, "__dict__")
+        # equal logs in two fields are two elements
+        assert F.gen() != G.gen()
+        assert F.zero() != G.zero()
+        assert len({F.one(), G.one(), FqElem(F, 0)}) == 2
+
 
 class TestSquaresAndSubfields:
     @pytest.mark.parametrize("p,f", [(3, 2), (5, 2), (3, 3)])
@@ -259,6 +276,20 @@ class TestSquaresAndSubfields:
 
 
 class TestFieldConstruction:
+    def test_prime_powers_against_split(self):
+        want = []
+        for q in range(0, 65600):
+            try:
+                p, f = split_prime_power(q)
+            except ValueError:
+                continue
+            want.append((p, f, q))
+        # the second range crosses from the first block of primes into the next
+        assert list(prime_powers(0, 2000)) == [w for w in want if w[2] < 2000]
+        assert list(prime_powers(28, 65600)) == [w for w in want if w[2] >= 28]
+        assert list(prime_powers(27, 28)) == [(3, 3, 27)]
+        assert list(prime_powers(24, 25)) == list(prime_powers(5, 2)) == []
+
     def test_split_prime_power(self):
         assert split_prime_power(9) == (3, 2)
         assert split_prime_power(32) == (2, 5)
@@ -363,3 +394,57 @@ class TestEulerTotient:
 
     def test_scan_finds_no_violations(self):
         assert euler_bound_scan(10**4) == []
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (0, 3000),  # from 0
+            (1, 1500),  # from 1
+            (65535, 66535),  # across 2^16
+            (65537, 66000),  # from the prime 2^16 + 1
+            (997, 1010),  # ends at the prime 1009
+            (1018081 - 200, 1018081 + 1),  # ends at 1009^2
+            (823543 - 200, 823543 + 1),  # ends at 7^7
+            (2**20 - 200, 2**20 + 1),  # ends at 2^20
+            (1594323 - 50, 1594323 + 1),  # ends at 3^13
+        ],
+    )
+    def test_phi_block_against_trial_division(self, lo, hi):
+        phi = gf._phi_block(lo, hi, gf._primes_upto(math.isqrt(hi - 1)))
+        assert phi.dtype == np.int64
+        assert phi.tolist() == [euler_phi(n) if n else 0 for n in range(lo, hi)]
+
+    @staticmethod
+    def _whole_range_scan(limit):
+        """The bound scan over one phi_sieve array of the whole range."""
+        phi = phi_sieve(limit)
+        n = np.arange(3, limit + 1, dtype=np.float64)
+        ll = np.log(np.log(n))
+        denom = math.exp(gf.EULER_MASCHERONI) * ll + 3.0 / ll
+        lhs = phi[3:].astype(np.float64) * (denom * (1.0 - 2.0**-40))
+        return [int(b) + 3 for b in np.nonzero(lhs <= n)[0]]
+
+    # blocks start at 3: 65538 ends one full block, 65539 and 131075 end on a one-number block
+    @pytest.mark.parametrize("limit", [65538, 65539, 131075])
+    # with e^gamma lowered to 1 the bound fails for many n, so the lists are not empty
+    @pytest.mark.parametrize("gamma", [gf.EULER_MASCHERONI, 0.0])
+    def test_blocked_scan_matches_the_whole_range(self, monkeypatch, limit, gamma):
+        monkeypatch.setattr(gf, "EULER_MASCHERONI", gamma)
+        want = self._whole_range_scan(limit)
+        assert euler_bound_scan(limit) == want
+        assert bool(want) == (gamma == 0.0)
+
+    def test_scan_memory_does_not_grow_with_the_limit(self):
+        tracemalloc.start()
+        try:
+            assert euler_bound_scan(2 * 10**6) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def test_one_cross_check_exception():
+    from saxl import engine, group
+
+    assert engine.CrossCheckFailed is group.CrossCheckFailed is gf.CrossCheckFailed
