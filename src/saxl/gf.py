@@ -39,7 +39,6 @@ raises :class:`CrossCheckFailed`.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from functools import lru_cache
@@ -262,7 +261,11 @@ class FqElem:
     """A field element as a discrete log (None encodes zero).
 
     Two elements are equal when they lie in the same field object and have
-    the same log; the hash is that of the pair (field, log)."""
+    the same log; the hash is that of the pair (field, log).  Elements are
+    immutable by contract: they are hashed into sets, dict keys and frozen
+    dataclasses, so neither attribute may be assigned after construction.
+    Unlike the frozen dataclass this class replaced, nothing enforces that,
+    since a guarding __setattr__ would cost the cheaper construction."""
 
     __slots__ = ("field", "log")
 
@@ -476,28 +479,12 @@ def _primes_upto(n: int) -> np.ndarray:
 
 
 def prime_powers(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """Every prime power lo <= q < hi, as (p, f, q) with q = p^f, in ascending q.
-
-    The primes are the n with phi(n) = n - 1, found PHI_BLOCK numbers at a
-    time, and the higher powers are those of the primes up to isqrt(hi - 1),
-    so memory is O(sqrt(hi) + PHI_BLOCK) however large hi is."""
-    small = _primes_upto(math.isqrt(max(hi - 1, 0)))
-    powers = []
-    for p in map(int, small):
-        q, f = p * p, 2
-        while q < hi:
-            if q >= lo:
-                powers.append((q, p, f))
-            q, f = q * p, f + 1
-
-    def primes():
-        for start in range(max(lo, 2), hi, PHI_BLOCK):
-            stop = min(start + PHI_BLOCK, hi)
-            phi = _phi_block(start, stop, small)
-            for q in map(int, np.flatnonzero(phi == np.arange(start - 1, stop - 1)) + start):
-                yield q, q, 1
-
-    for q, p, f in heapq.merge(sorted(powers), primes()):
+    """Every prime power lo <= q < hi, as (p, f, q) with q = p^f, in ascending q."""
+    for q in range(lo, hi):
+        try:
+            p, f = split_prime_power(q)
+        except ValueError:
+            continue
         yield p, f, q
 
 
