@@ -596,7 +596,7 @@ def _c3_point(pt) -> OmegaPoint:
 
 
 def _sweep_cliques(args) -> list[dict]:
-    got = clique_and_independence_exact(ksubset_action(5, 2, even_only=True))
+    got = tuple(map(len, clique_and_independence_exact(ksubset_action(5, 2, even_only=True))))
     checks = [_check("exact A5/2-subsets", got == (4, 2), "clique %d, independence %d (want 4, 2)" % got)]
     # socle cliques of size (q-1)/2 through alpha, every edge in the engine's graph
     for q in _upto(args, (9, 13, 25)):

@@ -35,15 +35,17 @@ from .perm import Perm, identity
 
 
 class _Analysis:
-    """Suborbit table and base-pair flags for one action, built once.
+    """Suborbit table of one action, built once; every query reads it.
 
-    ``point_flags[b]`` records whether {0, b} is a base pair.  Each suborbit
-    representative's flag is computed by two independent routes that must
-    agree: orbit length (a regular H-orbit, from a breadth-first search over
-    the generators of H = G_0) versus fixed points ({0, b} is a base exactly
-    when no non-identity element of H fixes b, from H's chain-enumerated
-    elements, streamed and not kept).  The same pass over H checks Burnside's
-    count sum_h fix(h) == |H| * (number of H-orbits).
+    ``orbits`` are the orbits of H = G_0, ordered by minimal point;
+    ``lengths[i]`` is the length of ``orbits[i]`` and ``regular[i]`` whether it
+    is regular (of length |H|); ``flags[b]`` is whether {0, b} is a base pair,
+    and ``transversal[a]`` maps 0 to a.  Each suborbit's flag is computed by
+    two independent routes that must agree: orbit length (a breadth-first
+    search over the generators of H) versus fixed points ({0, b} is a base
+    exactly when no non-identity element of H fixes b, from H's
+    chain-enumerated elements, streamed and not kept).  The same pass over H
+    checks Burnside's count sum_h fix(h) == |H| * (number of H-orbits).
     """
 
     def __init__(self, action: LabelledAction):
@@ -69,27 +71,23 @@ class _Analysis:
                 "Burnside count: sum of fixed points %d != |H| * %d orbits = %d"
                 % (fix_total, len(self.orbits), self.order_h * len(self.orbits))
             )
-        self.point_flags = [False] * n
-        self.rep_flags: dict[int, bool] = {}
-        self.rep_lengths: dict[int, int] = {}
-        for orbit in self.orbits:
-            rep = orbit[0]
-            by_length = len(orbit) == self.order_h
-            by_fixed_points = not fixed_by_nonidentity[rep]
-            if by_length != by_fixed_points:
+        self.lengths = np.array([len(orbit) for orbit in self.orbits])
+        self.regular = self.lengths == self.order_h
+        reps = [orbit[0] for orbit in self.orbits]
+        by_fixed_points = ~fixed_by_nonidentity[reps]
+        for rep, by_length, by_fixed in zip(reps, self.regular, by_fixed_points):
+            if by_length != by_fixed:
                 raise CrossCheckFailed(
                     "suborbit at %d: length route says %s, fixed-point route says %s"
-                    % (rep, by_length, by_fixed_points)
+                    % (rep, by_length, by_fixed)
                 )
-            self.rep_flags[rep] = by_length
-            self.rep_lengths[rep] = len(orbit)
-            if by_length:
-                for pt in orbit:
-                    self.point_flags[pt] = True
-        self.regular_count = sum(1 for v in self.rep_flags.values() if v)
+        self.flags = np.zeros(n, dtype=bool)
+        for orbit, regular in zip(self.orbits, self.regular):
+            self.flags[orbit] = regular
+        self.regular_count = int(self.regular.sum())
 
     def flags_from(self, a: int) -> np.ndarray:
-        """Image array w with point_flags[w[x]] == is_base_pair(a, x)."""
+        """Image array w with flags[w[x]] == is_base_pair(a, x)."""
         return self.transversal[a].inverse().images
 
 
@@ -106,29 +104,21 @@ def _analysis(action: LabelledAction) -> _Analysis:
 
 def is_base_pair(action: LabelledAction, a: int, b: int) -> bool:
     """Whether {a, b} has trivial pointwise stabiliser."""
+    data = _analysis(action)
+    if not (0 <= a < data.n and 0 <= b < data.n):
+        raise ValueError("points must lie in 0..%d" % (data.n - 1))
     if a == b:
         raise ValueError("a base pair needs two distinct points")
+    return bool(data.flags[data.flags_from(a)[b]])
+
+
+def suborbits(action: LabelledAction) -> list[tuple[int, int]]:
+    """(representative, length) for each orbit of H = G_0."""
     data = _analysis(action)
-    if a == 0:
-        return data.point_flags[b]
-    u_inv = data.transversal[a].inverse()
-    return data.point_flags[u_inv(b)]
+    return [(orbit[0], length) for orbit, length in zip(data.orbits, data.lengths.tolist())]
 
 
-def suborbits(action: LabelledAction, a: int = 0) -> list[tuple[int, int]]:
-    """(representative, length) for each orbit of the stabiliser of a."""
-    data = _analysis(action)
-    if a == 0:
-        return [(orbit[0], len(orbit)) for orbit in data.orbits]
-    images = data.transversal[a].images.tolist()
-    out = []
-    for orbit in data.orbits:
-        out.append((min(images[pt] for pt in orbit), len(orbit)))
-    out.sort()
-    return out
-
-
-def regular_suborbit_count(action: LabelledAction, a: int = 0) -> int:
+def regular_suborbit_count(action: LabelledAction) -> int:
     """The number of suborbits of full length |H|."""
     return _analysis(action).regular_count
 
@@ -142,9 +132,7 @@ def q_exact(action: LabelledAction) -> Fraction:
     data = _analysis(action)
     n = data.n
     from_r = 1 - Fraction(data.regular_count * data.order_h, n)
-    non_base = sum(
-        data.rep_lengths[rep] for rep, ok in data.rep_flags.items() if not ok
-    )
+    non_base = int(data.lengths[~data.regular].sum())
     from_count = Fraction(non_base * n, n * n)
     if from_r != from_count:
         raise CrossCheckFailed(
@@ -160,11 +148,12 @@ def q_exact(action: LabelledAction) -> Fraction:
 def _prime_class_data(action: LabelledAction):
     """Fuse prime-order elements of H into G-classes.
 
-    Returns (g_classes, h_classes) where g_classes entries are
-    (order, class_size, count_in_H) per G-class meeting H, and h_classes
-    entries are (order, g_class_size, h_class_size) per H-class.  Every
-    G-class entry is cross-checked against the orbit-counting identity
-    |x^G meet H| * n == fix(x) * |x^G|.
+    Returns (g_classes, pools) where g_classes entries are
+    (order, class_size, count_in_H) per G-class meeting H, and pools maps
+    (order, G-class size) to the number of elements of H in the H-classes
+    with that key.  Every G-class entry is cross-checked against the
+    orbit-counting identity |x^G meet H| * n == fix(x) * |x^G|, and the
+    pools against the G-class counts pooled by the same key.
     """
     cached = action._cache.get("prime_classes")
     if cached is not None:
@@ -197,29 +186,25 @@ def _prime_class_data(action: LabelledAction):
             )
         g_classes.append((h.order(), size, count))
 
-    h_classes = []
+    pools_h: dict[tuple[int, int], int] = {}
     seen = set()
     for h in prime_elems:
         if h in seen:
             continue
         cls_h = conjugacy_class(H, h)
         seen.update(cls_h)
-        g_size = g_classes[membership[h]][1]
-        h_classes.append((h.order(), g_size, len(cls_h)))
+        key = (h.order(), g_classes[membership[h]][1])
+        pools_h[key] = pools_h.get(key, 0) + len(cls_h)
 
     # the two partitions must cover the same elements, pool by pool
     pools_g: dict[tuple[int, int], int] = {}
     for order, size, count in g_classes:
         key = (order, size)
         pools_g[key] = pools_g.get(key, 0) + count
-    pools_h: dict[tuple[int, int], int] = {}
-    for order, g_size, h_size in h_classes:
-        key = (order, g_size)
-        pools_h[key] = pools_h.get(key, 0) + h_size
     if pools_g != pools_h:
         raise CrossCheckFailed("H-class pooling disagrees with G-class intersection")
 
-    result = (g_classes, h_classes)
+    result = (g_classes, pools_h)
     action._cache["prime_classes"] = result
     return result
 
@@ -238,11 +223,7 @@ def q_tilde(action: LabelledAction) -> Fraction:
     """Coarser estimate: H-classes pooled by (prime order, G-class size);
     each pool of total H-size s against common class size m contributes
     s^2/m.  Always at least q_hat."""
-    _, h_classes = _prime_class_data(action)
-    pools: dict[tuple[int, int], int] = {}
-    for order, g_size, h_size in h_classes:
-        key = (order, g_size)
-        pools[key] = pools.get(key, 0) + h_size
+    _, pools = _prime_class_data(action)
     return sum(
         (Fraction(total * total, m) for (_, m), total in pools.items()),
         Fraction(0),
@@ -277,7 +258,6 @@ class SaxlGraph:
     n: int
     rows: tuple
     valency: int
-    action: LabelledAction
 
     def has_edge(self, a: int, b: int) -> bool:
         return bool(self.rows[a] >> b & 1)
@@ -314,10 +294,9 @@ def saxl_graph(action: LabelledAction) -> SaxlGraph:
     if n > caps.graph_cap:
         raise CapExceeded("degree %d exceeds graph cap %d" % (n, caps.graph_cap))
 
-    flags = np.array(data.point_flags, dtype=bool)
     matrix = np.zeros((n, n), dtype=bool)
     for a in range(n):
-        matrix[a] = flags[data.flags_from(a)]
+        matrix[a] = data.flags[data.flags_from(a)]
     np.fill_diagonal(matrix, False)
     if not np.array_equal(matrix, matrix.T):
         raise CrossCheckFailed("base-pair adjacency is not symmetric")
@@ -331,7 +310,7 @@ def saxl_graph(action: LabelledAction) -> SaxlGraph:
         int.from_bytes(np.packbits(matrix[a], bitorder="little").tobytes(), "little")
         for a in range(n)
     )
-    graph = SaxlGraph(n, rows, expected, action)
+    graph = SaxlGraph(n, rows, expected)
     action._cache["graph"] = graph
     return graph
 
@@ -346,12 +325,11 @@ def check_star(action: LabelledAction) -> tuple[bool, dict]:
     data = _analysis(action)
     if data.regular_count == 0:
         raise ValueError("the action is not base-two")
-    flags = np.array(data.point_flags, dtype=bool)
+    flags = data.flags
     witnesses: dict[int, int | None] = {}
     ok = True
-    for rep in data.rep_flags:
-        if rep == 0:
-            continue
+    for orbit in data.orbits[1:]:
+        rep = orbit[0]
         common = np.flatnonzero(flags & flags[data.flags_from(rep)])
         found = int(common[0]) if common.size else None
         witnesses[rep] = found
@@ -363,14 +341,23 @@ def check_star(action: LabelledAction) -> tuple[bool, dict]:
 # -- cliques and independent sets --------------------------------------------------------
 
 
-def _greedy_clique(rows, start: int) -> list[int]:
-    clique = [start]
-    cand = rows[start]
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        clique.append(v)
-        cand &= rows[v]
-    return clique
+def _greedy_clique(rows, n: int, target: int) -> list[int]:
+    """The largest greedy clique over start vertices in point order, stopping
+    at the first of size ``target``.  From each start the clique repeatedly
+    takes the least vertex adjacent to all of it."""
+    best: list[int] = []
+    for start in range(n):
+        clique = [start]
+        cand = rows[start]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            clique.append(v)
+            cand &= rows[v]
+        if len(clique) > len(best):
+            best = clique
+            if len(best) >= target:
+                break
+    return best
 
 
 def clique_lower(action: LabelledAction, target: int) -> tuple[bool, list[int]]:
@@ -379,13 +366,7 @@ def clique_lower(action: LabelledAction, target: int) -> tuple[bool, list[int]]:
     if target < 2:
         raise ValueError("target must be at least 2")
     graph = saxl_graph(action)
-    best: list[int] = []
-    for start in range(graph.n):
-        clique = _greedy_clique(graph.rows, start)
-        if len(clique) > len(best):
-            best = clique
-        if len(best) >= target:
-            break
+    best = _greedy_clique(graph.rows, graph.n, target)
     if len(best) < target:
         return False, best
     found = best[:target]
@@ -396,10 +377,11 @@ def clique_lower(action: LabelledAction, target: int) -> tuple[bool, list[int]]:
     return True, found
 
 
-def _max_clique(rows, n: int, seed: list[int]) -> list[int]:
+def max_clique_exact(rows, n: int) -> list[int]:
     """Exact maximum clique: branch and bound with greedy colouring bounds,
-    deterministic (least-vertex-first colouring, fixed expansion order)."""
-    best = list(seed)
+    seeded by the greedy search, deterministic (least-vertex-first
+    colouring, fixed expansion order)."""
+    best = _greedy_clique(rows, n, n)
 
     def expand(current: list[int], cand: int):
         nonlocal best
@@ -434,17 +416,9 @@ def _max_clique(rows, n: int, seed: list[int]) -> list[int]:
     return best
 
 
-def max_clique_exact(rows, n: int) -> list[int]:
-    seed: list[int] = []
-    for start in range(n):
-        c = _greedy_clique(rows, start)
-        if len(c) > len(seed):
-            seed = c
-    return _max_clique(rows, n, seed)
-
-
-def clique_and_independence_exact(action: LabelledAction) -> tuple[int, int]:
-    """Exact clique and independence numbers by branch and bound."""
+def clique_and_independence_exact(action: LabelledAction) -> tuple[list[int], list[int]]:
+    """A maximum clique and a maximum independent set, each sorted, by
+    branch and bound."""
     graph = saxl_graph(action)
     n = graph.n
     caps = action.group.caps
@@ -454,9 +428,7 @@ def clique_and_independence_exact(action: LabelledAction) -> tuple[int, int]:
     full = (1 << n) - 1
     comp = tuple(full & ~graph.rows[v] & ~(1 << v) for v in range(n))
     independent = max_clique_exact(comp, n)
-    action._cache["clique_witness"] = sorted(clique)
-    action._cache["independent_witness"] = sorted(independent)
-    return len(clique), len(independent)
+    return sorted(clique), sorted(independent)
 
 
 def size_inequality(order_g: int, order_h: int) -> bool:
@@ -559,9 +531,10 @@ def build_report(
         witnesses["clique"] = verts if ok else None
     clique_ex = independence_ex = None
     if exact_search:
-        clique_ex, independence_ex = clique_and_independence_exact(action)
-        witnesses["clique_exact"] = action._cache["clique_witness"]
-        witnesses["independent_exact"] = action._cache["independent_witness"]
+        clique, independent = clique_and_independence_exact(action)
+        clique_ex, independence_ex = len(clique), len(independent)
+        witnesses["clique_exact"] = clique
+        witnesses["independent_exact"] = independent
 
     return SaxlReport(
         name=action.name,

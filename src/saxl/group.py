@@ -17,11 +17,13 @@ than silently degrading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 # CapExceeded and CrossCheckFailed are re-exported: one exception of each kind
-from .gf import CapExceeded, CrossCheckFailed, is_prime
+from .gf import CapExceeded, CrossCheckFailed
 from .perm import Perm, identity
 
 
@@ -323,11 +325,16 @@ class PermGroup:
     def is_primitive(self) -> bool:
         """Transitive with no nontrivial block system.
 
-        The minimal block containing {0, beta} is grown by the usual
-        union-find closure; the group is primitive when every such block is
-        the whole point set.  For h in G_0 the block through {0, beta^h} is
-        the h-image of the block through {0, beta}, so one beta per orbit of
-        G_0 decides; G_0 is the rest of the group's own chain.  Groups of degree <= 2 are primitive by convention.
+        The blocks through 0 correspond to the overgroups of G_0 (Dixon and
+        Mortimer, *Permutation Groups*, 1996, section 1.5), so the minimal
+        block through {0, beta} is the orbit of 0 under <G_0, u_beta>, where
+        u_beta in level 0 of the group's chain maps 0 to beta.  That orbit is
+        a union of G_0-orbits: a boolean vector over them, started at those of
+        0 and beta, gains the G_0-orbit of every u_beta-image of its points
+        until it stops growing.  The group is primitive when every such block
+        covers all G_0-orbits.  For h in G_0 the block through {0, beta^h} is
+        the h-image of the block through {0, beta}, so one beta per G_0-orbit
+        decides.  Groups of degree <= 2 are primitive by convention.
         """
         n = self.degree
         if not self.is_transitive():
@@ -335,30 +342,21 @@ class PermGroup:
         if n <= 2:
             return True
         suborbits = self.point_stabiliser(0).orbits()  # [0] comes first
-        return all(self._block_through(orbit[0]) == n for orbit in suborbits[1:])
-
-    def _block_through(self, beta: int) -> int:
-        """Size of the minimal block containing {0, beta}."""
-        parent = list(range(self.degree))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        parent[beta] = 0
-        queue = [(0, beta)]
-        gen_images = [g.images.tolist() for g in self.gens]
-        while queue:
-            a, b = queue.pop()
-            for images in gen_images:
-                ra, rb = find(images[a]), find(images[b])
-                if ra != rb:
-                    parent[rb] = ra
-                    queue.append((ra, rb))
-        root = find(0)
-        return sum(1 for pt in range(self.degree) if find(pt) == root)
+        label = np.empty(n, dtype=np.intp)
+        for i, orbit in enumerate(suborbits):
+            label[orbit] = i
+        transversal = self.chain.levels[0].transversal
+        for i, orbit in enumerate(suborbits[1:], 1):
+            images = transversal[orbit[0]].images
+            block = np.zeros(len(suborbits), dtype=bool)
+            block[[0, i]] = True
+            size = 0
+            while np.count_nonzero(block) > size:
+                size = np.count_nonzero(block)
+                block[label[images[block[label]]]] = True
+            if not block.all():
+                return False
+        return True
 
     # -- stabilisers ----------------------------------------------------------------
 
@@ -411,20 +409,6 @@ class PermGroup:
 # -- conjugacy ---------------------------------------------------------------------
 
 
-@dataclass
-class ConjClassData:
-    """One conjugacy class of prime-order elements.
-
-    ``rep`` is the lexicographically least element of the class, and
-    ``elements`` the whole class, materialised within ``class_cap``.
-    """
-
-    rep: Perm
-    order: int
-    class_size: int
-    elements: frozenset[Perm] = field(repr=False)
-
-
 def conjugacy_class(G: PermGroup, x: Perm) -> frozenset[Perm]:
     """The class x^G, materialised by conjugation-orbit BFS over the
     generators, within G's ``class_cap``."""
@@ -445,28 +429,3 @@ def conjugacy_class(G: PermGroup, x: Perm) -> frozenset[Perm]:
                 queue.append(z)
     return frozenset(seen)
 
-
-def prime_order_class_reps(G: PermGroup) -> list[ConjClassData]:
-    """Conjugacy classes of prime-order elements of G.
-
-    Requires full element enumeration (guarded by ``element_cap``); class
-    representatives are the lexicographically least class members, and the
-    classes come out sorted by (element order, class size, representative).
-    """
-    if G.order() > G.caps.element_cap:
-        raise CapExceeded(
-            "order %d exceeds element enumeration cap %d" % (G.order(), G.caps.element_cap)
-        )
-    classified: set[Perm] = set()
-    out: list[ConjClassData] = []
-    for x in G.elements():  # sorted, so reps are lex-least in their class
-        if x in classified or x.is_identity():
-            continue
-        o = x.order()
-        if not is_prime(o):
-            continue
-        cls = conjugacy_class(G, x)
-        classified.update(cls)
-        out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=cls))
-    out.sort(key=lambda c: (c.order, c.class_size, c.rep))
-    return out

@@ -15,8 +15,8 @@ are numpy gathers and scatters, and a caller that walks points in a Python
 loop takes ``images.tolist()`` once.  No other module knows the format.
 
 Validation happens once, at the boundary.  ``Perm(...)`` and the other public
-constructors (``from_cycles``, ``parse_cycles``, ``all_perms``) check that their
-input is a permutation of 0..n-1 and raise ``ValueError`` otherwise.  Products,
+constructors (``from_cycles``, ``parse_cycles``) check that their input is a
+permutation of 0..n-1 and raise ``ValueError`` otherwise.  Products,
 inverses, powers, conjugates and identities are built from permutations that
 are already valid, so they skip that check and wrap their key with the
 private ``_trusted``, which no other module may call.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -234,10 +234,3 @@ def parse_cycles(text: str, degree: int, one_based: bool = True) -> Perm:
         cycles.append(pts)
     return from_cycles(degree, cycles)
 
-
-def all_perms(degree: int) -> Iterator[Perm]:
-    """All permutations of the given degree in lexicographic order."""
-    from itertools import permutations
-
-    for images in permutations(range(degree)):
-        yield Perm(images)

@@ -15,10 +15,12 @@ from saxl.actions import (
     psl2_c2_action,
     psl2_c3_action,
 )
+from saxl import engine
 from saxl.engine import (
     CrossCheckFailed,
     SaxlReport,
     _Analysis,
+    _analysis,
     build_report,
     check_star,
     clique_and_independence_exact,
@@ -35,10 +37,10 @@ from saxl.engine import (
     suborbits,
     t_value,
 )
-from saxl.group import CapExceeded, Caps, PermGroup, prime_order_class_reps
+from saxl.group import CapExceeded, Caps, PermGroup
 from saxl.perm import from_cycles
 
-from conftest import natural_action
+from conftest import natural_action, prime_order_class_reps
 
 
 def a5_pairs():
@@ -48,6 +50,10 @@ def a5_pairs():
 def c5_regular():
     g = PermGroup(5, [from_cycles(5, [(0, 1, 2, 3, 4)])])
     return natural_action(g, "C5-regular")
+
+
+def s6_pairs():
+    return ksubset_action(6, 2)
 
 
 def c3_psl2_9():
@@ -78,7 +84,7 @@ def brute_q_hat(action):
 class TestBasePairs:
     @pytest.mark.parametrize(
         "build",
-        [a5_pairs, lambda: psl2_c2_action(GroupVariant("PSL2", 7)), c3_psl2_9, fixture_pgl2_11_s4],
+        [a5_pairs, lambda: psl2_c2_action(GroupVariant("PSL2", 7)), c3_psl2_9, fixture_pgl2_11_s4, s6_pairs],
     )
     def test_against_pointwise_stabiliser(self, build):
         act = build()
@@ -124,6 +130,11 @@ class TestBasePairs:
         with pytest.raises(ValueError):
             is_base_pair(a5_pairs(), 3, 3)
 
+    @pytest.mark.parametrize("a, b", [(0, -1), (-1, 3), (0, 10)])
+    def test_points_out_of_range_rejected(self, a, b):
+        with pytest.raises(ValueError, match="points must lie in"):
+            is_base_pair(a5_pairs(), a, b)
+
     def test_disjoint_pairs_share_a_double_transposition(self):
         act = a5_pairs()
         i = act.label_index[OmegaPoint("k_subset", (0, 1))]
@@ -145,25 +156,6 @@ class TestSuborbits:
         act = psl2_c2_action(GroupVariant("PGL2", 8))
         assert sorted(length for _, length in suborbits(act)) == [1, 7, 7, 7, 14]
         assert regular_suborbit_count(act) == 1
-
-    def test_lengths_sum_to_degree_from_any_basepoint(self):
-        act = psl2_c2_action(GroupVariant("PSL2", 7))
-        for a in (0, 3, 11):
-            subs = suborbits(act, a)
-            assert sum(length for _, length in subs) == act.degree
-
-    @pytest.mark.parametrize(
-        "build",
-        [c3_psl2_9, lambda: ksubset_action(6, 2), fixture_pgl2_11_s4],
-        ids=["c3_psl2_9", "s6_pairs", "pgl2_11_s4"],
-    )
-    def test_other_basepoints_against_pointwise_stabiliser(self, build):
-        # suborbits(a) transports the suborbits of 0 by the transversal element u_a
-        act = build()
-        n = act.degree
-        for a in (1, n // 2, n - 1):
-            stab = act.group.pointwise_stabiliser([a])
-            assert suborbits(act, a) == sorted((min(o), len(o)) for o in stab.orbits())
 
     def test_psl2_13(self):
         act = psl2_c2_action(GroupVariant("PSL2", 13))
@@ -188,6 +180,12 @@ class TestQExact:
 
     def test_regular_action_has_q_zero(self):
         assert q_exact(c5_regular()) == 0
+
+    def test_route_disagreement_is_caught(self):
+        act = a5_pairs()
+        _analysis(act).regular_count += 1  # r no longer matches the lengths
+        with pytest.raises(CrossCheckFailed, match="Q cross-check"):
+            q_exact(act)
 
 
 class TestQEstimates:
@@ -217,6 +215,17 @@ class TestQEstimates:
         assert q_hat(act) == brute_q_hat(act) == Fraction(7, 6)
         assert q_tilde(act) == Fraction(17, 12)
         assert q_hat(act) < q_tilde(act)
+
+    def test_pooling_disagreement_is_caught(self, monkeypatch):
+        act = a5_pairs()
+        H = act.stabiliser0()
+        real = engine.conjugacy_class
+        # every H-class gains the identity, so the H pools outgrow the G-classes
+        monkeypatch.setattr(
+            engine, "conjugacy_class", lambda G, x: real(G, x) | {G.identity()} if G is H else real(G, x)
+        )
+        with pytest.raises(CrossCheckFailed, match="pooling"):
+            q_tilde(act)
 
     def test_chain_on_samples(self):
         for act in (a5_pairs(), s3_natural(), psl2_c2_action(GroupVariant("PSL2", 9))):
@@ -306,6 +315,14 @@ class TestGraph:
         assert dot.rstrip().endswith("}")
         assert "  0 -- 1;" in dot
 
+    def test_tampered_flags_are_caught(self):
+        act = a5_pairs()
+        data = _analysis(act)
+        short = next(o for o, regular in zip(data.orbits[1:], data.regular[1:]) if not regular)
+        data.flags[short] = True  # the disjoint pairs: symmetric, but valency 9
+        with pytest.raises(CrossCheckFailed, match="valency"):
+            saxl_graph(act)
+
     def test_graph_cap(self):
         act = ksubset_action(5, 2, even_only=True, caps=Caps(graph_cap=5))
         with pytest.raises(CapExceeded):
@@ -348,8 +365,15 @@ class TestCliques:
             clique_lower(a5_pairs(), 1)
 
     def test_exact_numbers(self):
-        assert clique_and_independence_exact(a5_pairs()) == (4, 2)
-        assert clique_and_independence_exact(c5_regular()) == (5, 1)
+        for act, sizes in ((a5_pairs(), (4, 2)), (c5_regular(), (5, 1))):
+            clique, independent = clique_and_independence_exact(act)
+            assert (len(clique), len(independent)) == sizes
+            assert clique == sorted(clique) and independent == sorted(independent)
+            g = saxl_graph(act)
+            for i, a in enumerate(clique):
+                assert all(g.has_edge(a, b) for b in clique[i + 1 :])
+            for i, a in enumerate(independent):
+                assert not any(g.has_edge(a, b) for b in independent[i + 1 :])
 
     def test_max_clique_on_path(self):
         # path 0-1-2: rows as bitmasks

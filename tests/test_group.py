@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saxl.actions import GroupVariant, ksubset_action, psl2_c2_action
-from saxl.group import CapExceeded, Caps, PermGroup, StabChain, conjugacy_class, prime_order_class_reps
-from saxl.perm import Perm, all_perms, from_cycles, identity
+from saxl.group import CapExceeded, Caps, PermGroup, StabChain, conjugacy_class
+from saxl.perm import Perm, from_cycles, identity
+
+from conftest import all_perms, prime_order_class_reps
 
 
 def symmetric(n):
@@ -40,6 +42,31 @@ def count_chains(monkeypatch):
 
     monkeypatch.setattr(StabChain, "__init__", counted)
     return calls
+
+
+def block_through(g, beta):
+    """Size of the minimal block of g containing {0, beta}: the union-find
+    closure of the pair under the generators, over all points."""
+    parent = list(range(g.degree))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    parent[beta] = 0
+    queue = [(0, beta)]
+    gen_images = [h.images.tolist() for h in g.gens]
+    while queue:
+        a, b = queue.pop()
+        for images in gen_images:
+            ra, rb = find(images[a]), find(images[b])
+            if ra != rb:
+                parent[rb] = ra
+                queue.append((ra, rb))
+    root = find(0)
+    return sum(1 for pt in range(g.degree) if find(pt) == root)
 
 
 def sign(p):
@@ -125,12 +152,13 @@ class TestOrbits:
         assert not d4.is_primitive()
 
     def test_primitivity_matches_every_beta(self):
-        # is_primitive tries one beta per suborbit; the reference tries all
+        # is_primitive grows one block per suborbit over G_0-orbits; the
+        # reference closes the pair {0, beta} over points, for every beta
         def by_every_beta(g):
             n = g.degree
             if not g.is_transitive():
                 return False
-            return n <= 2 or all(g._block_through(beta) == n for beta in range(1, n))
+            return n <= 2 or all(block_through(g, beta) == n for beta in range(1, n))
 
         groups = [
             symmetric(4), symmetric(5), alternating(6), psl2_mobius(7), psl2_mobius(13),
@@ -140,10 +168,14 @@ class TestOrbits:
             ksubset_action(4, 2).group,
             ksubset_action(6, 3).group,
             psl2_c2_action(GroupVariant("PSL2", 5)).group,
+            # regular C8: beta = 2 needs three rounds to reach the block {0, 2, 4, 6}
+            PermGroup(8, [from_cycles(8, [range(8)])]),
+            # D8 on the octagon: antipodal pairs are blocks
+            PermGroup(8, [from_cycles(8, [range(8)]), from_cycles(8, [(1, 7), (2, 6), (3, 5)])]),
         ]
         verdicts = [g.is_primitive() for g in groups]
         assert verdicts == [by_every_beta(g) for g in groups]
-        assert verdicts == [True] * 5 + [False] * 6
+        assert verdicts == [True] * 5 + [False] * 8
 
 
 class TestStabilisers:

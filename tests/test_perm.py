@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saxl.perm import Perm, all_perms, from_cycles, identity, parse_cycles
+from saxl.perm import Perm, from_cycles, identity, parse_cycles
+
+from conftest import all_perms
 
 
 def random_perm(degree):
