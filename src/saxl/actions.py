@@ -12,6 +12,15 @@ Three families of transitive actions are built here, each as a
   nondegenerate 1-spaces of a unitary plane over GF(q^2), whose points
   are labelled by field scalars.
 
+The k-subset and projective families are each induced from one carrier
+action: S_n on n points for k-subsets, and Moebius and Frobenius maps on
+the projective line PG(1,q) for pairs, or PG(1,q^2) for the unitary
+points.  Every label is a block, a sorted tuple of carrier points, and
+:func:`_induced` turns each carrier generator into a permutation of the
+labels; a generator that maps some block outside the labelling raises
+:class:`CrossCheckFailed`, which for the unitary family certifies that it
+preserves orthogonality.
+
 Every constructor checks the group order and the point-0 stabiliser order
 against closed forms before returning, and that explicit stabiliser
 generators fix point 0 and lie in the group, so a successfully constructed
@@ -23,10 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
-from .gf import FqElem, FqField, field_create, split_prime_power
+from .gf import FqField, field_create, split_prime_power
 from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup
 from .perm import Perm, from_cycles, parse_cycles
 
@@ -83,6 +93,14 @@ class GroupVariant:
     @property
     def f(self) -> int:
         return split_prime_power(self.q)[1]
+
+    @property
+    def index(self) -> int:
+        """[G : PSL(2,q)], which scales both |G| and |G_0|."""
+        h, f = math.gcd(2, self.q - 1), self.f
+        if self.family == "DeltaPhi":
+            return f // math.gcd(f, self.j)
+        return {"PSL2": 1, "PGL2": h, "PSigmaL2": f, "PGammaL2": h * f}[self.family]
 
     def describe(self) -> str:
         if self.family == "DeltaPhi":
@@ -149,6 +167,25 @@ def _verify_orders(action: LabelledAction) -> LabelledAction:
     return action
 
 
+def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
+    """The permutations of ``blocks`` induced by permutations of the points
+    the blocks hold.
+
+    ``blocks`` are sorted point tuples, one per label, in label order.  A
+    generator that maps some block to a tuple outside the list raises
+    :class:`CrossCheckFailed`.
+    """
+    where = {b: i for i, b in enumerate(blocks)}
+    induced = []
+    for g in carrier_gens:
+        images = g.images.tolist()
+        try:
+            induced.append(Perm(where[tuple(sorted(images[x] for x in b))] for b in blocks))
+        except KeyError:
+            raise CrossCheckFailed("generator does not permute the blocks") from None
+    return induced
+
+
 # -- k-subset actions --------------------------------------------------------------
 
 
@@ -170,12 +207,6 @@ def ksubset_action(
         raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
 
     subsets = list(combinations(range(n), k))
-    index = {s: i for i, s in enumerate(subsets)}
-
-    def induced(g: Perm) -> Perm:
-        images = g.images.tolist()
-        return Perm(index[tuple(sorted(images[i] for i in s))] for s in subsets)
-
     if even_only:
         if n < 3:
             raise ValueError("alternating groups need n >= 3")
@@ -190,7 +221,7 @@ def ksubset_action(
         base_gens = [from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(range(n))])]
         name = "S%d/%d-subsets" % (n, k)
 
-    group = PermGroup(degree, [induced(g) for g in base_gens], caps=caps)
+    group = PermGroup(degree, _induced(subsets, base_gens), caps=caps)
     labels = tuple(OmegaPoint("k_subset", s) for s in subsets)
     stab_order, rem = divmod(order, degree)
     if rem:
@@ -304,11 +335,12 @@ def coset_action(
 INF = "inf"  # the 1-space <e2>, i.e. homogeneous coordinates (0, 1)
 
 
-def _proj_sort_key(t) -> int:
-    """Deterministic order on projective points: <e2>, then <e1>, then logs."""
+def _line_pos(t) -> int:
+    """Position of a projective point in the labelling's order: <e2>, then
+    <e1>, then the other points by log."""
     if t is INF:
-        return -2
-    return -1 if t.is_zero() else t.log
+        return 0
+    return 1 if t.is_zero() else 2 + t.log
 
 
 def _proj_payload(t) -> tuple:
@@ -320,13 +352,20 @@ def _proj_payload(t) -> tuple:
 def proj_pair_payload(labels) -> tuple:
     """The "proj_pair" payload of two projective labels (INF or FqElem),
     the points in the labelling's order: INF, then 0, then by log."""
-    return tuple(_proj_payload(t) for t in sorted(labels, key=_proj_sort_key))
+    return tuple(_proj_payload(t) for t in sorted(labels, key=_line_pos))
 
 
 def proj_pair_labels(F: FqField, payload) -> tuple:
     """The two projective labels (INF or FqElem) of a "proj_pair" payload;
     the inverse of :func:`proj_pair_payload`."""
     return tuple(INF if kind == 0 else F.from_packed_int(value) for kind, value in payload)
+
+
+def _line(F: FqField):
+    """The points of PG(1,F) in the labelling's order (INF, 0, then by log),
+    and ``line_perm``, which turns a point map into a permutation of them."""
+    points = [INF, *F.elements()]
+    return points, lambda point_map: Perm(_line_pos(point_map(t)) for t in points)
 
 
 def _mobius_apply(M, t):
@@ -339,10 +378,6 @@ def _mobius_apply(M, t):
     if x.is_zero():
         return INF
     return y / x
-
-
-def _frobenius_point(t, j: int):
-    return t if t is INF else t.frobenius(j)
 
 
 def _mat_mul(A, B):
@@ -363,21 +398,27 @@ def _mat_conj_transpose(A, f: int):
     return ((a.frobenius(f), c.frobenius(f)), (b.frobenius(f), d.frobenius(f)))
 
 
-def _extension(variant: GroupVariant, delta: Perm, phi: Perm) -> tuple[list[Perm], int]:
-    """The generators the variant adds to PSL(2,q), given the diagonal
-    automorphism delta and the Frobenius phi of one action, and the index
-    [G : PSL(2,q)], which scales both |G| and |G_0|."""
-    q, f = variant.q, variant.f
-    h = math.gcd(2, q - 1)
+def _extension(variant: GroupVariant, delta: Perm, line_perm) -> list[Perm]:
+    """The generators the variant adds to PSL(2,q) as permutations of a line,
+    given the diagonal automorphism delta there and the line's ``line_perm``."""
     if variant.family == "PSL2":
-        return [], 1
+        return []
     if variant.family == "PGL2":
-        return [delta], h
+        return [delta]
+    phi = line_perm(lambda t: t if t is INF else t.frobenius(1))
     if variant.family == "PSigmaL2":
-        return [phi], f
+        return [phi]
     if variant.family == "PGammaL2":
-        return [delta, phi], h * f
-    return [delta * phi**variant.j], f // math.gcd(f, variant.j)
+        return [delta, phi]
+    return [delta * phi**variant.j]
+
+
+def _capped_order(variant: GroupVariant, psl_order: int, caps: Caps) -> int:
+    """|G| = [G : PSL(2,q)] * |PSL(2,q)|, refused over the group cap."""
+    order = variant.index * psl_order
+    if order > caps.group_cap:
+        raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
+    return order
 
 
 def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
@@ -389,45 +430,22 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     q = variant.q
     if q < 4:
         raise ValueError("need q >= 4")
-    p, f = variant.p, variant.f
     degree = q * (q + 1) // 2
     if degree > caps.point_cap:
         raise CapExceeded("degree %d exceeds point cap %d" % (degree, caps.point_cap))
+    h = math.gcd(2, q - 1)
+    order = _capped_order(variant, q * (q * q - 1) // h, caps)
 
-    F = field_create(p, f)
-    lam = F.gen()
-    one, zero = F.one(), F.zero()
-    points = sorted([INF] + list(F.elements()), key=_proj_sort_key)
-    point_pos = {(_proj_sort_key(t)): i for i, t in enumerate(points)}
-    pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
-    pair_index = {pr: k for k, pr in enumerate(pairs)}
-
-    def pair_of(t1, t2) -> int:
-        i, j = point_pos[_proj_sort_key(t1)], point_pos[_proj_sort_key(t2)]
-        return pair_index[(i, j) if i < j else (j, i)]
-
-    def perm_of_matrix(M) -> Perm:
-        moved = [_mobius_apply(M, t) for t in points]
-        return Perm(pair_of(moved[i], moved[j]) for i, j in pairs)
-
-    def perm_of_frobenius(j: int) -> Perm:
-        moved = [_frobenius_point(t, j) for t in points]
-        return Perm(pair_of(moved[i], moved[j_]) for i, j_ in pairs)
-
+    F = field_create(variant.p, variant.f)
+    points, line_perm = _line(F)
+    lam, one, zero = F.gen(), F.one(), F.zero()
     mat_u = ((one, one), (zero, one))
     mat_d = ((lam, zero), (zero, lam.inverse()))
     mat_s = ((zero, one), (-one, zero))
     mat_delta = ((lam, zero), (zero, one))
-
-    psl_gens = [perm_of_matrix(m) for m in (mat_u, mat_d, mat_s)]
-    delta = perm_of_matrix(mat_delta)
-    phi = perm_of_frobenius(1)
-
-    extra, index = _extension(variant, delta, phi)
-    h = math.gcd(2, q - 1)
-    order, stab_order = index * q * (q * q - 1) // h, index * 2 * (q - 1) // h
-    if order > caps.group_cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
+    u, d, s, delta = (line_perm(partial(_mobius_apply, M)) for M in (mat_u, mat_d, mat_s, mat_delta))
+    pairs = list(combinations(range(q + 1), 2))
+    gens = _induced(pairs, [u, d, s] + _extension(variant, delta, line_perm))
 
     labels = tuple(
         OmegaPoint("proj_pair", (_proj_payload(points[i]), _proj_payload(points[j])))
@@ -439,12 +457,12 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     # PSL(2,q)'s torus and swap generators fix alpha = {<e1>, <e2>}
     return _verify_orders(
         LabelledAction(
-            PermGroup(degree, psl_gens + extra, caps=caps),
+            PermGroup(degree, gens, caps=caps),
             labels,
             "%s/proj-pairs" % variant.describe(),
-            stab0=PermGroup(degree, psl_gens[1:] + extra, caps=caps),
+            stab0=PermGroup(degree, gens[1:], caps=caps),
             expected_group_order=order,
-            expected_stab_order=stab_order,
+            expected_stab_order=variant.index * 2 * (q - 1) // h,
             warnings=warnings,
         )
     )
@@ -479,7 +497,6 @@ def su2_conjugator(F2: FqField, q: int):
     Entries are chosen deterministically: b0 is the least-log solution of
     b0^{q+1} = -1 and eps = lambda^{(q+1)/2} (so eps^q = -eps).
     """
-    lam = F2.gen()
     b0 = F2.from_log((q - 1) // 2)
     eps = F2.from_log((q + 1) // 2)
     return ((b0, F2.one()), (-eps, eps * b0 ** (-q)))
@@ -501,9 +518,9 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     degree = q * (q - 1) // 2
     if degree > caps.point_cap:
         raise CapExceeded("degree %d exceeds point cap %d" % (degree, caps.point_cap))
+    order = _capped_order(variant, q * (q * q - 1) // 2, caps)
 
     F2 = field_create(p, 2 * f)
-    m = F2.q - 1
     lam = F2.gen()
     one, zero = F2.one(), F2.zero()
     scalar_logs = c3_label_logs(F2, q)
@@ -512,28 +529,11 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     labels = (OmegaPoint("c3_point", ALPHA),) + tuple(
         OmegaPoint("c3_point", log) for log in scalar_logs
     )
-    pos = {log: i + 1 for i, log in enumerate(scalar_logs)}
-
-    def point_of(t: FqElem | None) -> int:
-        # t = image scalar; None or zero means a coordinate vanished -> alpha
-        if t is None or t.is_zero():
-            return 0
-        return pos[c3_canonical_log(F2, q, t.log)]
-
-    def perm_of_matrix(M) -> Perm:
-        (a, b_), (c, d) = M
-        images = [0 if a.is_zero() else point_of(b_ / a)]
-        for log in scalar_logs:
-            t = F2.from_log(log)
-            x, y = a + t * c, b_ + t * d
-            images.append(0 if x.is_zero() else point_of(y / x))
-        return Perm(images)
-
-    def perm_of_frobenius(j: int) -> Perm:
-        images = [0]
-        for log in scalar_logs:
-            images.append(pos[c3_canonical_log(F2, q, (log * p**j) % m)])
-        return Perm(images)
+    _, line_perm = _line(F2)
+    blocks = [(_line_pos(INF), _line_pos(zero))]
+    for log in scalar_logs:
+        b = F2.from_log(log)
+        blocks.append(tuple(sorted((_line_pos(b), _line_pos(-(b ** -q))))))
 
     C = su2_conjugator(F2, q)
     C_inv = _mat_inv(C)
@@ -555,25 +555,18 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     mat_t = ((lam ** (q - 1), zero), (zero, lam ** (1 - q)))  # SU2 torus
     mat_w = ((zero, one), (-one, zero))  # SU2 swap of <u>, <v>
     mat_b = ((lam ** (q - 1), zero), (zero, one))  # diagonal coset rep in GU2
-
-    psl_gens = [perm_of_matrix(M) for M in su_mats]
-    torus, swap = perm_of_matrix(mat_t), perm_of_matrix(mat_w)
-    delta = perm_of_matrix(mat_b)
-    phi = perm_of_frobenius(1)
-
-    extra, index = _extension(variant, delta, phi)
-    order, stab_order = index * q * (q * q - 1) // 2, index * (q + 1)
-    if order > caps.group_cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
+    *carrier, delta = (line_perm(partial(_mobius_apply, M)) for M in (*su_mats, mat_t, mat_w, mat_b))
+    # SU2's three generators, then torus and swap (both fix alpha), then the extension
+    gens = _induced(blocks, carrier + _extension(variant, delta, line_perm))
 
     return _verify_orders(
         LabelledAction(
-            PermGroup(degree, psl_gens + extra, caps=caps),
+            PermGroup(degree, gens[:3] + gens[5:], caps=caps),
             labels,
             "%s/unitary-pairs" % variant.describe(),
-            stab0=PermGroup(degree, [torus, swap] + extra, caps=caps),
+            stab0=PermGroup(degree, gens[3:], caps=caps),
             expected_group_order=order,
-            expected_stab_order=stab_order,
+            expected_stab_order=variant.index * (q + 1),
         )
     )
 

@@ -1,7 +1,11 @@
 """Labelled actions: k-subsets, cosets, the projective families, catalogue I/O."""
 
+import hashlib
+import math
+
 import pytest
 
+from saxl import actions
 from saxl.actions import (
     CatalogueError,
     GroupVariant,
@@ -16,11 +20,12 @@ from saxl.actions import (
     psl2_c2_action,
     psl2_c3_action,
     su2_conjugator,
+    _induced,
     _verify_orders,
 )
-from saxl.gf import field_create
+from saxl.gf import field_create, split_prime_power
 from saxl.group import CapExceeded, CrossCheckFailed, PermGroup
-from saxl.perm import from_cycles
+from saxl.perm import Perm, from_cycles
 
 
 class TestKSubsetAction:
@@ -112,6 +117,30 @@ class TestGroupVariant:
             GroupVariant("DeltaPhi", 9, 2)
         with pytest.raises(ValueError):
             GroupVariant("DeltaPhi", 8, 1)  # needs odd q
+
+    def test_index_over_psl2(self):
+        assert GroupVariant("PGL2", 8).index == 1
+        assert GroupVariant("PGammaL2", 27).index == 6
+        assert GroupVariant("DeltaPhi", 81, 1).index == 4
+        assert [GroupVariant(family, 9).index for family in ("PSL2", "PGL2", "PSigmaL2", "PGammaL2")] == [1, 2, 2, 4]
+
+    @pytest.mark.parametrize("build", [psl2_c2_action, psl2_c3_action])
+    def test_over_cap_group_builds_no_field(self, monkeypatch, build):
+        def no_field(p, f):
+            raise AssertionError("field_create ran for an over-cap group")
+
+        monkeypatch.setattr(actions, "field_create", no_field)
+        with pytest.raises(CapExceeded, match="group order"):
+            build(GroupVariant("PSigmaL2", 243))
+
+
+class TestInduced:
+    def test_permutes_blocks(self):
+        assert _induced([(0, 1), (2, 3)], [from_cycles(4, [(0, 2), (1, 3)])]) == [Perm([1, 0])]
+
+    def test_refuses_a_generator_that_breaks_a_block(self):
+        with pytest.raises(CrossCheckFailed, match="does not permute the blocks"):
+            _induced([(0, 1), (2, 3)], [from_cycles(4, [(1, 2)])])
 
 
 class TestProjectivePairAction:
@@ -206,6 +235,57 @@ class TestUnitaryPairAction:
         m11 = c * conj(c) + d * conj(d)
         assert m00.is_zero() and m11.is_zero()
         assert m01 == -m10 and not m01.is_zero()
+
+
+def _distinct_variants(qmax: int):
+    """Every GroupVariant with 4 <= q <= qmax whose extension of PSL(2,q) is
+    not already another family's: PGL2 needs odd q, PSigmaL2 needs f > 1,
+    PGammaL2 both."""
+    for q in range(4, qmax + 1):
+        try:
+            p, f = split_prime_power(q)
+        except ValueError:
+            continue
+        h = math.gcd(2, q - 1)
+        yield GroupVariant("PSL2", q)
+        if h == 2:
+            yield GroupVariant("PGL2", q)
+        if f > 1:
+            yield GroupVariant("PSigmaL2", q)
+        if h == 2 and f > 1:
+            yield GroupVariant("PGammaL2", q)
+            for j in range(1, f):
+                if (f // math.gcd(f, j)) % 2 == 0:
+                    yield GroupVariant("DeltaPhi", q, j)
+
+
+class TestPinnedGenerators:
+    """sha256 over the generators, point-0 stabiliser generators and labels
+    of every distinct c2/c3 variant with q <= 27 and six k-subset actions,
+    pinned before the constructors were rewritten.  CI runs this class under
+    two hash seeds."""
+
+    DIGEST = "ba7cb76fbb6f234399dddddbe7e642238c4c109489e158601d2ad48a243622bd"
+
+    @staticmethod
+    def _actions():
+        for n, k, even in ((4, 1, False), (5, 2, True), (6, 2, False), (6, 3, False), (7, 3, True), (8, 2, False)):
+            yield ksubset_action(n, k, even_only=even)
+        for variant in _distinct_variants(27):
+            yield psl2_c2_action(variant)
+            if variant.q % 2 and variant.q >= 5:
+                yield psl2_c3_action(variant)
+
+    def test_generator_digest(self):
+        digest = hashlib.sha256()
+        count = 0
+        for act in self._actions():
+            for gens in (act.group.gens, act.stabiliser0().gens):
+                digest.update(b"".join(g.key for g in gens) + b"|")
+            digest.update(repr(act.labels).encode() + b"\n")
+            count += 1
+        assert count == 68
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestLabelledActionInvariants:
