@@ -36,6 +36,8 @@ from functools import partial
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 from .gf import FqField, field_create, split_prime_power
 from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup
 from .perm import Perm, from_cycles, parse_cycles
@@ -481,14 +483,10 @@ def c3_canonical_log(F2: FqField, q: int, log: int) -> int:
 def c3_label_logs(F2: FqField, q: int) -> list[int]:
     """Ascending canonical logs of the scalar points (b with b^{q+1} != -1)."""
     m = F2.q - 1
-    half = m // 2
-    out = []
-    for log in range(m):
-        if (log * (q + 1)) % m == half:
-            continue  # b^{q+1} = -1: not a point
-        if c3_canonical_log(F2, q, log) == log:
-            out.append(log)
-    return out
+    log = np.arange(m, dtype=np.int64)
+    point = log * (q + 1) % m != m // 2  # b^{q+1} = -1: not a point
+    canonical = log <= (m // 2 - q * log) % m  # c3_canonical_log(F2, q, log) == log
+    return np.flatnonzero(point & canonical).tolist()
 
 
 def su2_conjugator(F2: FqField, q: int):

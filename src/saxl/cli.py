@@ -31,6 +31,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .actions import (
     ALPHA,
     INF,
@@ -61,11 +63,13 @@ from .engine import (
     saxl_graph,
 )
 from .gf import (
+    LOG_ZERO,
     count_nonsquare_nonsubfield,
     euler_bound_scan,
     field_create,
     field_from_order,
     is_square,
+    log_neg,
     prime_powers,
     split_prime_power,
 )
@@ -306,34 +310,48 @@ def _sweep_table_rows(args) -> list[dict]:
     return checks
 
 
-def _edge_disagreements(graph, pred) -> int:
-    """The pairs a < b on which the engine's graph and ``pred(a, b)`` disagree."""
+def _edge_disagreements(graph, row) -> int:
+    """The pairs a < b on which the engine's graph and the criterion disagree;
+    ``row(a)`` is the criterion's boolean row over b = a + 1, ..., n - 1."""
     n = graph.n
-    return sum(1 for a in range(n) for b in range(a + 1, n) if graph.has_edge(a, b) != pred(a, b))
+    width = (n + 7) // 8
+    bad = 0
+    for a in range(n):
+        packed = np.frombuffer(graph.rows[a].to_bytes(width, "little"), dtype=np.uint8)
+        edges = np.unpackbits(packed, bitorder="little")[a + 1 : n].astype(bool)
+        bad += int(np.count_nonzero(edges != row(a)))
+    return bad
 
 
-def _oracle_check(name: str, action, base) -> dict:
-    """The engine's graph of ``action`` against the criterion ``base(a, b)``, on every pair."""
+def _oracle_check(name: str, action, row) -> dict:
+    """The engine's graph of ``action`` against the criterion's rows ``row(a)``, on every pair."""
     n = action.degree
-    mismatches = _edge_disagreements(saxl_graph(action), base)
+    mismatches = _edge_disagreements(saxl_graph(action), row)
     return _check(name, mismatches == 0, "%d pairs, %d mismatches" % (n * (n - 1) // 2, mismatches))
+
+
+# the field sizes of the oracle sweeps; the default --qmax stops short of the last two
+_ORACLE_FIELDS = (5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 49, 81)
 
 
 def _sweep_c2_oracle(args) -> list[dict]:
     checks = []
-    for q in _upto(args, (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)):
+    for q in _upto(args, _ORACLE_FIELDS):
         action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         F = field_from_order(q)
-        labs = [proj_pair_labels(F, lab.payload) for lab in action.labels]
-        checks.append(_oracle_check(
-            "c2-oracle PSigmaL2 q=%d" % q, action, lambda a, b: criteria.c2_pair_base(F, labs[a], labs[b])
-        ))
+        ends = np.array([[criteria.line_code(t) for t in proj_pair_labels(F, lab.payload)] for lab in action.labels])
+        P, R = ends[:, 0], ends[:, 1]
+
+        def row(a):
+            return criteria.c2_pair_base_logs(F, (P[a], R[a]), (P[a + 1 :], R[a + 1 :]))
+
+        checks.append(_oracle_check("c2-oracle PSigmaL2 q=%d" % q, action, row))
     return checks
 
 
 def _sweep_c3_oracle(args) -> list[dict]:
     rows = []
-    for q in _upto(args, (5, 7, 9, 11, 13, 17, 19, 23, 25, 27)):
+    for q in _upto(args, _ORACLE_FIELDS):
         rows.append((q, "PSL2", "G0"))
         if split_prime_power(q)[1] >= 2:
             rows.append((q, "PSigmaL2", "PSigmaL"))
@@ -342,14 +360,15 @@ def _sweep_c3_oracle(args) -> list[dict]:
         action = psl2_c3_action(GroupVariant(family, q))
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
-        xs = [None if lab.payload == ALPHA else F2.from_log(lab.payload) for lab in action.labels]
+        # alpha is coded LOG_ZERO, which no scalar label is
+        xs = np.array([LOG_ZERO if lab.payload == ALPHA else lab.payload for lab in action.labels])
 
-        def base(a, b):
-            if xs[a] is None:
-                return criteria.c3_base(F2, variant, xs[b])
-            return criteria.c3_pair_base(F2, variant, xs[a], xs[b])
+        def row(a):
+            if xs[a] == LOG_ZERO:
+                return criteria.c3_base_logs(F2, variant, xs[a + 1 :])
+            return criteria.c3_pair_base_logs(F2, variant, xs[a], xs[a + 1 :])
 
-        checks.append(_oracle_check("c3-oracle %s q=%d" % (family, q), action, base))
+        checks.append(_oracle_check("c3-oracle %s q=%d" % (family, q), action, row))
     return checks
 
 
@@ -358,9 +377,15 @@ def _sweep_johnson(args) -> list[dict]:
     for q in _upto(args, (4, 8, 9, 13)):
         action = psl2_c2_action(GroupVariant("PGL2", q))
         graph = saxl_graph(action)
-        sets = [frozenset(lab.payload) for lab in action.labels]
+        # each projective point (k, v) as the integer kq + v
+        ends = np.array([lab.payload for lab in action.labels]) @ np.array([q, 1])
         n = action.degree
-        bad = _edge_disagreements(graph, lambda a, b: len(sets[a] & sets[b]) == 1)
+
+        def meets_once(a):
+            rest = ends[a + 1 :]
+            return (rest[:, :, None] == ends[a]).sum(axis=(1, 2)) == 1
+
+        bad = _edge_disagreements(graph, meets_once)
         r = regular_suborbit_count(action)
         checks.append(
             _check(
@@ -468,19 +493,20 @@ def _sweep_witnesses(args) -> list[dict]:
         action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         graph = saxl_graph(action)
         index = action.label_index
-        count = 0
         alpha = proj_pair_payload((INF, F.zero()))
         ok = action.labels[0] == OmegaPoint("proj_pair", alpha)
-        for b in F.nonzero_elements():
-            for c in F.nonzero_elements():
-                if b == c or not criteria.c2_base_psigma(F, b, c):
-                    continue
-                gamma, _ = criteria.c2_common_neighbour_witness(F, b, c)
-                bi = index[OmegaPoint("proj_pair", proj_pair_payload((b, c)))]
-                gi = index[OmegaPoint("proj_pair", proj_pair_payload(gamma))]
-                ok &= graph.has_edge(0, gi) and graph.has_edge(bi, gi)
-                count += 1
-        checks.append(_check("c2-witness q=%d (engine-checked)" % q, ok and count > 0, "%d inputs" % count))
+        units = np.array([x.log for x in F.nonzero_elements()], dtype=np.int64)
+        b, c = np.repeat(units, len(units)), np.tile(units, len(units))
+        b, c = b[b != c], c[b != c]
+        valid = criteria.c2_base_psigma_logs(F, b, c)
+        b, c = b[valid], c[valid]
+        criteria.c2_common_neighbour_witness_logs(F, b, c)
+        # the witnessed common neighbour of alpha and (b, c) is gamma = (-b, -c)
+        for lb, lc, lnb, lnc in np.stack([b, c, log_neg(F, b), log_neg(F, c)], 1).tolist():
+            bi = index[OmegaPoint("proj_pair", proj_pair_payload((F.from_log(lb), F.from_log(lc))))]
+            gi = index[OmegaPoint("proj_pair", proj_pair_payload((F.from_log(lnb), F.from_log(lnc))))]
+            ok &= graph.has_edge(0, gi) and graph.has_edge(bi, gi)
+        checks.append(_check("c2-witness q=%d (engine-checked)" % q, ok and len(b) > 0, "%d inputs" % len(b)))
     for q in _upto(args, (9, 13)):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
@@ -488,45 +514,33 @@ def _sweep_witnesses(args) -> list[dict]:
         action = psl2_c3_action(GroupVariant(family, q))
         graph = saxl_graph(action)
         index = action.label_index
-        count = 0
         ok = action.labels[0] == OmegaPoint("c3_point", ALPHA)
-        for L in c3_label_logs(F2, q):
-            b = F2.from_log(L)
-            if not criteria.c3_base(F2, "PSigmaL", b):
-                continue
-            c, _ = criteria.c3_common_neighbour_witness(F2, b)
+        b = np.array(c3_label_logs(F2, q), dtype=np.int64)
+        b = b[criteria.c3_base_logs(F2, "PSigmaL", b)]
+        criteria.c3_common_neighbour_witness_logs(F2, b)
+        # the witnessed common neighbour is omega_{-b}
+        for L, c in zip(b.tolist(), log_neg(F2, b).tolist()):
             bi = index[OmegaPoint("c3_point", L)]
-            ci = index[OmegaPoint("c3_point", c3_canonical_log(F2, q, c.log))]
+            ci = index[OmegaPoint("c3_point", c3_canonical_log(F2, q, c))]
             ok &= graph.has_edge(0, ci) and graph.has_edge(bi, ci)
-            count += 1
-        checks.append(_check("c3-witness q=%d (engine-checked)" % q, ok and count > 0, "%d inputs" % count))
-    # large fields: the constructors verify their own identities arithmetically
+        checks.append(_check("c3-witness q=%d (engine-checked)" % q, ok and len(b) > 0, "%d inputs" % len(b)))
+    # large fields: the constructors verify their own identities arithmetically,
+    # on the first --per-field inputs at once
     target = args.per_field
     for q in _upto(args, _WITNESS_ARITHMETIC_FIELDS):
         F = field_from_order(q)
-        count = 0
-        for b, c in criteria.c2_base_candidates(F):
-            criteria.c2_common_neighbour_witness(F, b, c)
-            count += 1
-            if count >= target:
-                break
-        checks.append(_check("c2-witness q=%d (arithmetic)" % q, count >= target, "%d inputs" % count))
+        b, c = criteria.c2_base_candidates(F, target)
+        criteria.c2_common_neighbour_witness_logs(F, b, c)
+        checks.append(_check("c2-witness q=%d (arithmetic)" % q, len(b) >= target, "%d inputs" % len(b)))
     for q in _upto(args, _WITNESS_ARITHMETIC_FIELDS):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
-        half = (F2.q - 1) // 2
-        count = 0
-        for L in range(F2.q - 1):
-            if L * (q + 1) % (F2.q - 1) == half:
-                continue
-            b = F2.from_log(L)
-            if not criteria.c3_base(F2, "PSigmaL", b):
-                continue
-            criteria.c3_common_neighbour_witness(F2, b)
-            count += 1
-            if count >= target:
-                break
-        checks.append(_check("c3-witness q=%d (arithmetic)" % q, count >= target, "%d inputs" % count))
+        m = F2.q - 1
+        b = np.arange(m)
+        b = b[b * (q + 1) % m != m // 2]  # b^(q+1) = -1 is no point
+        b = b[criteria.c3_base_logs(F2, "PSigmaL", b)][:target]
+        criteria.c3_common_neighbour_witness_logs(F2, b)
+        checks.append(_check("c3-witness q=%d (arithmetic)" % q, len(b) >= target, "%d inputs" % len(b)))
     return checks
 
 

@@ -13,23 +13,44 @@ homogeneous coordinates (0, 1)) or a field element t (the point (1, t)); a
 pair-point is a 2-tuple of such labels, with the fixed point alpha = (INF, 0).
 Unitary pair-points are labelled by a nonzero scalar b of GF(q^2) with
 b^(q+1) != -1, canonicalized as in :mod:`saxl.actions`, or by ALPHA.
+
+Array form.  Each criterion and witness constructor is written once, over
+the log arrays of :mod:`saxl.gf`: int64 discrete logs with LOG_ZERO = -1
+for zero.  A projective point is coded the same way, with LINE_INF = -2 for
+INF.  Arguments broadcast, so one call decides a whole row of labels, and
+every re-check runs on the whole array: one failing entry raises.  The
+array forms carry the suffix ``_logs``; the entry points of the same name
+without it take :class:`saxl.gf.FqElem` labels and make length-1 calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import reduce
+from itertools import combinations
+from operator import and_
+
+import numpy as np
 
 from .actions import ALPHA, INF, c3_canonical_log, c3_label_logs
 from .gf import (
+    LOG_ZERO,
     FqElem,
     FqField,
+    as_logs,
     count_nonsquare_nonsubfield,
     euler_phi,
-    in_proper_subfield,
     is_prime,
     is_square,
+    log_add,
+    log_div,
+    log_in_proper_subfield,
+    log_is_square,
+    log_mul,
+    log_neg,
+    log_pow,
+    log_sub,
     prime_powers,
     split_prime_power,
 )
@@ -37,6 +58,33 @@ from .group import CrossCheckFailed
 
 C3_VARIANTS = ("G0", "PSigmaL")
 CLOSED_FORM_KINDS = ("Dq_minus_1", "Dq_plus_1", "PGL_Dq_minus_1")
+
+LINE_INF = -2  # the array code of the projective point INF
+
+
+def line_code(x) -> int:
+    """The array code of a projective label or field element."""
+    if x is INF:
+        return LINE_INF
+    return LOG_ZERO if x.log is None else x.log
+
+
+def _one(x) -> np.ndarray:
+    """The length-1 array of a label, for the scalar entry points."""
+    return np.array([line_code(x)], dtype=np.int64)
+
+
+def _elem(F: FqField, log) -> FqElem:
+    return F.from_log(None if log < 0 else int(log))
+
+
+def _int_log(F: FqField, n: int) -> int:
+    """The array code of the prime-field element n."""
+    return line_code(F.from_int(n))
+
+
+def _all(masks) -> np.ndarray:
+    return reduce(and_, masks)
 
 
 # -- domain types ----------------------------------------------------------------
@@ -59,9 +107,6 @@ class C2Pair:
     def labels(self) -> tuple[FqElem, FqElem]:
         return self.b, self.c
 
-    def as_label_set(self) -> frozenset:
-        return frozenset((self.b, self.c))
-
     def negated(self) -> "C2Pair":
         return C2Pair(-self.b, -self.c)
 
@@ -81,7 +126,7 @@ class C3Point:
 
     @classmethod
     def from_scalar(cls, b: FqElem, q: int) -> "C3Point":
-        _require_c3_scalar(b, q)
+        _require_c3_scalars(b.field, q, _one(b))
         return cls(b.field, q, c3_canonical_log(b.field, q, b.log))
 
     def is_alpha(self) -> bool:
@@ -112,20 +157,24 @@ def _check_c2_field(F: FqField) -> None:
         raise ValueError("the pair criterion needs odd q")
 
 
-def c2_condition_iii(F: FqField, b: FqElem, c: FqElem) -> bool:
+def c2_condition_iii_logs(F: FqField, b, c) -> np.ndarray:
     """The subfield condition: b^(p^k - 1) != c^(p^k - 1) for all 0 < k < f.
 
     Checked literally over every k; equivalently the ratio b/c avoids every
-    proper subfield, which :func:`saxl.gf.in_proper_subfield` tests.
+    proper subfield, which :func:`saxl.gf.log_in_proper_subfield` tests.
     """
+    ok = np.ones(np.broadcast_shapes(np.shape(b), np.shape(c)), dtype=bool)
     for k in range(1, F.f):
         e = F.p**k - 1
-        if b**e == c**e:
-            return False
-    return True
+        ok &= log_pow(F, b, e) != log_pow(F, c, e)
+    return ok
 
 
-def c2_base_psigma(F: FqField, b: FqElem, c: FqElem) -> bool:
+def c2_condition_iii(F: FqField, b: FqElem, c: FqElem) -> bool:
+    return bool(c2_condition_iii_logs(F, _one(b), _one(c))[0])
+
+
+def c2_base_psigma_logs(F: FqField, b, c) -> np.ndarray:
     """Whether {alpha, {b, c}} is a base pair for the full field-automorphism
     extension acting on projective pairs (q odd).
 
@@ -133,54 +182,40 @@ def c2_base_psigma(F: FqField, b: FqElem, c: FqElem) -> bool:
     and (iii) the subfield condition holds.
     """
     _check_c2_field(F)
-    if b == c:
+    b, c = np.broadcast_arrays(as_logs(b), as_logs(c))
+    if (b == c).any():
         raise ValueError("pair labels must be distinct")
-    if b.is_zero() or c.is_zero():
-        return False
-    if is_square(-(b / c)):
-        return False
-    return c2_condition_iii(F, b, c)
+    nonzero = (b >= 0) & (c >= 0)
+    b, c = np.where(nonzero, b, 0), np.where(nonzero, c, 0)
+    nonsquare = ~log_is_square(F, log_neg(F, log_div(F, b, c)))
+    return nonzero & nonsquare & c2_condition_iii_logs(F, b, c)
 
 
-def _point_set(pair) -> set:
-    pts = set(pair)
-    if len(pts) != 2:
-        raise ValueError("a pair-point needs two distinct projective labels")
-    return pts
+def c2_base_psigma(F: FqField, b: FqElem, c: FqElem) -> bool:
+    return bool(c2_base_psigma_logs(F, _one(b), _one(c))[0])
 
 
-def _anchor_map(F: FqField, pair):
-    """A fractional-linear map over GF(q) sending the given pair onto {INF, 0}."""
-    P, R = pair
-    if P is INF:
+def _anchor_image(F: FqField, P, R, t) -> np.ndarray:
+    """Images of the points t, none of them P or R, under the
+    fractional-linear map over GF(q) sending P to INF and R to 0:
+    t |-> (t - R)/(t - P), where t - INF reads 1, and INF |-> 1."""
+    inf = t == LINE_INF
+    finite = np.where(inf, 0, t)
 
-        def send(t):
-            return t if t is INF else t - R
+    def minus(u):
+        return np.where(u == LINE_INF, 0, log_sub(F, finite, np.where(u == LINE_INF, 0, u)))
 
-    elif R is INF:
-
-        def send(t):
-            if t is INF:
-                return F.zero()
-            if t == P:
-                return INF
-            return (t - P).inverse()
-
-    else:
-
-        def send(t):
-            if t is INF:
-                return F.one()
-            if t == P:
-                return INF
-            return (t - R) / (t - P)
-
-    return send
+    num, den = minus(R), minus(P)
+    # disjointness keeps every image finite and nonzero
+    if (~inf & ((num < 0) | (den < 0))).any():
+        raise CrossCheckFailed("disjoint pair transported onto the anchor")
+    return np.where(inf, 0, log_div(F, num, np.where(inf, 0, den)))
 
 
-def c2_pair_base(F: FqField, beta, gamma) -> bool:
+def c2_pair_base_logs(F: FqField, beta, gamma) -> np.ndarray:
     """Whether {beta, gamma} is a base for the full field-automorphism
-    extension, for arbitrary distinct pair-points (labels INF or scalars).
+    extension, for arbitrary distinct pair-points, each a pair of point
+    codes.
 
     Pairs sharing a projective point are bases exactly when f = 1 (any
     stabilising element must fix three points, which kills the fractional
@@ -190,20 +225,25 @@ def c2_pair_base(F: FqField, beta, gamma) -> bool:
     alpha-criterion applied to the transported labels of gamma.
     """
     _check_c2_field(F)
-    bset, gset = _point_set(beta), _point_set(gamma)
-    if bset == gset:
+    P, R, X, Y = np.broadcast_arrays(*map(as_logs, (*beta, *gamma)))
+    if ((P == R) | (X == Y)).any():
+        raise ValueError("a pair-point needs two distinct projective labels")
+    if (((X == P) & (Y == R)) | ((X == R) & (Y == P))).any():
         raise ValueError("the two pair-points must be distinct")
-    if bset & gset:
-        return F.f == 1
-    send = _anchor_map(F, tuple(beta))
-    x, y = send(gamma[0]), send(gamma[1])
-    # disjointness keeps both images finite and nonzero
-    if x is INF or y is INF or x.is_zero() or y.is_zero():
-        raise CrossCheckFailed("disjoint pair transported onto the anchor")
-    return c2_base_psigma(F, x, y)
+    apart = ~((X == P) | (X == R) | (Y == P) | (Y == R))
+    out = np.full(P.shape, F.f == 1)
+    P, R = P[apart], R[apart]
+    out[apart] = c2_base_psigma_logs(F, _anchor_image(F, P, R, X[apart]), _anchor_image(F, P, R, Y[apart]))
+    return out
 
 
-def c2_neighbour_transfer(F: FqField, b: FqElem, c: FqElem, d: FqElem, e: FqElem):
+def c2_pair_base(F: FqField, beta, gamma) -> bool:
+    """:func:`c2_pair_base_logs` on two pair-points, each a pair of labels
+    INF or FqElem."""
+    return bool(c2_pair_base_logs(F, map(_one, beta), map(_one, gamma))[0])
+
+
+def c2_neighbour_transfer(F: FqField, b, c, d, e) -> tuple[np.ndarray, np.ndarray]:
     """Transport of alpha-neighbour labels across the edge {alpha, {b, c}}.
 
     Applies t |-> (b(c - b) + tc) / (c - b + t) to d and e; this is the label
@@ -212,50 +252,73 @@ def c2_neighbour_transfer(F: FqField, b: FqElem, c: FqElem, d: FqElem, e: FqElem
     pair.  Undefined at t = b - c (the pole); d = e is allowed and yields a
     degenerate output.
     """
-    C2Pair(b, c)
-    pole = b - c
-    if d == pole or e == pole:
+    b, c, d, e = map(as_logs, (b, c, d, e))
+    if ((b < 0) | (c < 0)).any():
+        raise ValueError("pair scalars must be nonzero")
+    if (b == c).any():
+        raise ValueError("pair scalars must be distinct")
+    pole = log_sub(F, b, c)
+    if ((d == pole) | (e == pole)).any():
         raise ValueError("transfer undefined at t = b - c")
+    c_minus_b = log_sub(F, c, b)
 
     def T(t):
-        return (b * (c - b) + t * c) / (c - b + t)
+        return log_div(F, log_add(F, log_mul(F, b, c_minus_b), log_mul(F, t, c)), log_add(F, c_minus_b, t))
 
     return T(d), T(e)
 
 
-def c2_common_neighbour_witness(F: FqField, b: FqElem, c: FqElem):
-    """A common neighbour of alpha and beta = {b, c}, with certificates.
+def _c2_witness_scalars(F: FqField, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form d = 2b(b - c)/(b + c), e = (b^2 - c^2)/(2c)."""
+    two = _int_log(F, 2)
+    d = log_div(F, log_mul(F, log_mul(F, two, b), log_sub(F, b, c)), log_add(F, b, c))
+    e = log_div(F, log_sub(F, log_mul(F, b, b), log_mul(F, c, c)), log_mul(F, two, c))
+    return d, e
 
-    Returns (gamma, WitnessScalars(d, e)) where gamma = (-b, -c): the scalars
+
+def c2_common_neighbour_witness_logs(F: FqField, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Scalars (d, e) certifying that gamma = (-b, -c) is a common neighbour
+    of alpha and beta = {b, c}.
+
     d = 2b(b - c)/(b + c) and e = (b^2 - c^2)/(2c) form an alpha-neighbour
     pair whose transfer across {alpha, beta} lands on gamma.  Requires that
-    (b, c) itself is an alpha-neighbour; every claimed property of the
+    every (b, c) itself is an alpha-neighbour; every claimed property of the
     output is re-checked and a failure raises.
     """
-    if not c2_base_psigma(F, b, c):
+    b, c = np.broadcast_arrays(as_logs(b), as_logs(c))
+    if not c2_base_psigma_logs(F, b, c).all():
         raise ValueError("(b, c) is not an alpha-neighbour")
-    two = F.from_int(2)
-    if (b + c).is_zero():
+    if (log_add(F, b, c) < 0).any():
         # cannot happen: c = -b makes -b/c = 1 a square
         raise CrossCheckFailed("witness needs b + c != 0")
-    d = two * b * (b - c) / (b + c)
-    e = (b * b - c * c) / (two * c)
-    pole = b - c
-    if d == pole or e == pole:
+    d, e = _c2_witness_scalars(F, b, c)
+    pole = log_sub(F, b, c)
+    if ((d == pole) | (e == pole)).any():
         raise CrossCheckFailed("witness scalars collide with the transfer pole")
-    if d == e:
+    if (d == e).any():
         raise CrossCheckFailed("witness pair is degenerate")
-    if not c2_base_psigma(F, d, e):
+    if not c2_base_psigma_logs(F, d, e).all():
         raise CrossCheckFailed("witness pair fails the alpha-neighbour conditions")
     # the exact identity forcing condition (ii) for (d, e):
     # -d/e = -4 / (b/c + c/b + 2), the same square class as -b/c
-    if -(d / e) != -(F.from_int(4) / (b / c + c / b + two)):
+    two, four = _int_log(F, 2), _int_log(F, 4)
+    sum_of_ratios = log_add(F, log_add(F, log_div(F, b, c), log_div(F, c, b)), two)
+    if (log_neg(F, log_div(F, d, e)) != log_neg(F, log_div(F, four, sum_of_ratios))).any():
         raise CrossCheckFailed("witness identity -d/e = -4/(b/c + c/b + 2) fails")
-    if set(c2_neighbour_transfer(F, b, c, d, e)) != {-b, -c}:
+    x, y = c2_neighbour_transfer(F, b, c, d, e)
+    nb, nc = log_neg(F, b), log_neg(F, c)
+    if not (((x == nb) & (y == nc)) | ((x == nc) & (y == nb))).all():
         raise CrossCheckFailed("witness transfer does not reach (-b, -c)")
-    if not c2_base_psigma(F, -b, -c):
+    if not c2_base_psigma_logs(F, nb, nc).all():
         raise CrossCheckFailed("gamma fails the alpha-neighbour conditions")
-    return (-b, -c), WitnessScalars(d=d, e=e)
+    return d, e
+
+
+def c2_common_neighbour_witness(F: FqField, b: FqElem, c: FqElem):
+    """(gamma, WitnessScalars(d, e)) with gamma = (-b, -c): see
+    :func:`c2_common_neighbour_witness_logs`."""
+    d, e = c2_common_neighbour_witness_logs(F, _one(b), _one(c))
+    return (-b, -c), WitnessScalars(d=_elem(F, d[0]), e=_elem(F, e[0]))
 
 
 def c2_counts(F: FqField) -> tuple[int, int]:
@@ -288,15 +351,24 @@ def _c3_split(F2: FqField) -> int:
     return F2.p ** (F2.f // 2)
 
 
-def _require_c3_scalar(b: FqElem, q: int) -> None:
-    if b.is_zero():
+def _require_c3_scalars(F2: FqField, q: int, b) -> np.ndarray:
+    """b as logs, refusing zero and the isotropic b^(q+1) = -1."""
+    b = as_logs(b)
+    if (b < 0).any():
         raise ValueError("scalar label must be nonzero")
-    m = b.field.q - 1
-    if b.log * (q + 1) % m == m // 2:
+    m = F2.q - 1
+    if (b * (q + 1) % m == m // 2).any():
         raise ValueError("b^(q+1) = -1: the vector is isotropic, not a point")
+    return b
 
 
-def c3_base(F2: FqField, variant: str, b: FqElem) -> bool:
+def _c3_canonical_logs(F2: FqField, q: int, b) -> np.ndarray:
+    """:func:`saxl.actions.c3_canonical_log` elementwise: min(b, -b^(-q))."""
+    m = F2.q - 1
+    return np.minimum(b, (m // 2 - q * b) % m)
+
+
+def c3_base_logs(F2: FqField, variant: str, b) -> np.ndarray:
     """Whether {alpha, omega_b} is a base pair in the unitary-pair action.
 
     variant "G0" (the socle): true exactly when b is a non-square in GF(q^2).
@@ -307,21 +379,25 @@ def c3_base(F2: FqField, variant: str, b: FqElem) -> bool:
     q = _c3_split(F2)
     if variant not in C3_VARIANTS:
         raise ValueError("unknown variant %r" % (variant,))
-    _require_c3_scalar(b, q)
-    socle = not is_square(b)
+    b = _require_c3_scalars(F2, q, b)
+    socle = ~log_is_square(F2, b)
     if variant == "G0":
         return socle
     m = F2.q - 1
-    L = c3_canonical_log(F2, q, b.log)
+    L = _c3_canonical_logs(F2, q, b)
+    extension = np.ones(b.shape, dtype=bool)
     for k in range(1, F2.f):
-        if L * ((q + 1) * (F2.p**k - 1) // 2) % m == 0:
-            return False
-    if not socle:
+        extension &= L * ((q + 1) * (F2.p**k - 1) // 2 % m) % m != 0
+    if (extension & ~socle).any():
         raise CrossCheckFailed("extension base criterion passed a square scalar")
-    return True
+    return extension
 
 
-def c3_a1(F2: FqField, b: FqElem) -> FqElem:
+def c3_base(F2: FqField, variant: str, b: FqElem) -> bool:
+    return bool(c3_base_logs(F2, variant, _one(b))[0])
+
+
+def _c3_a1_logs(F2: FqField, q: int, b) -> np.ndarray:
     """The least-log scalar with a1^(q+1) = 1 + b^(q+1).
 
     The right side lies in the base subfield (its log is a multiple of q + 1)
@@ -329,28 +405,42 @@ def c3_a1(F2: FqField, b: FqElem) -> FqElem:
     (q+1) x = log(1 + b^(q+1)) mod (q^2 - 1) is solvable; the least solution
     is the reduction of log/(q+1) modulo q - 1.
     """
-    q = _c3_split(F2)
-    _require_c3_scalar(b, q)
-    rhs = F2.one() + b ** (q + 1)
-    if rhs.is_zero():
+    rhs = log_add(F2, 0, log_pow(F2, b, q + 1))
+    if (rhs < 0).any():
         raise CrossCheckFailed("1 + b^(q+1) vanished for a point label")
-    quot, rem = divmod(rhs.log, q + 1)
-    if rem:
+    if (rhs % (q + 1)).any():
         raise CrossCheckFailed("norm value off the base-subfield grid")
-    return F2.from_log(quot % (q - 1))
+    return rhs // (q + 1) % (q - 1)
 
 
-def _c3_transfer_scale(F2: FqField, q: int, b: FqElem) -> tuple[FqElem, FqElem]:
+def c3_a1(F2: FqField, b: FqElem) -> FqElem:
+    q = _c3_split(F2)
+    return _elem(F2, _c3_a1_logs(F2, q, _require_c3_scalars(F2, q, _one(b)))[0])
+
+
+def _c3_transfer_scale(F2: FqField, q: int, b) -> tuple[np.ndarray, np.ndarray]:
     """(a1, A) with A = a1^(-2) (b + b^(-q)), the transfer scale at omega_b."""
-    a1 = c3_a1(F2, b)
-    A = a1 ** (-2) * (b + b ** (-q))
-    if A.is_zero():
+    a1 = _c3_a1_logs(F2, q, b)
+    A = log_mul(F2, log_pow(F2, a1, -2), log_add(F2, b, log_pow(F2, b, -q)))
+    if (A < 0).any():
         # b + b^(-q) = 0 would force b^(q+1) = -1
         raise CrossCheckFailed("transfer scale vanished for a point label")
     return a1, A
 
 
-def c3_pair_base(F2: FqField, variant: str, b: FqElem, c: FqElem) -> bool:
+def _c3_pull_back(F2: FqField, q: int, b, A, c) -> np.ndarray:
+    """d = A(c - b)/(c + b^(-q)): a socle element carrying alpha onto
+    omega_b pulls omega_c back to omega_d."""
+    return log_div(F2, log_mul(F2, A, log_sub(F2, c, b)), log_add(F2, c, log_pow(F2, b, -q)))
+
+
+def _c3_push_forward(F2: FqField, q: int, b, A, d) -> np.ndarray:
+    """(bA + b^(-q) d)/(A - d): the scalar of the image of omega_d under the
+    same element, which must be omega_c again."""
+    return log_div(F2, log_add(F2, log_mul(F2, b, A), log_mul(F2, log_pow(F2, b, -q), d)), log_sub(F2, A, d))
+
+
+def c3_pair_base_logs(F2: FqField, variant: str, b, c) -> np.ndarray:
     """Whether {omega_b, omega_c} is a base pair, by pure arithmetic.
 
     A group element of the socle carries alpha onto omega_b and pulls omega_c
@@ -359,56 +449,73 @@ def c3_pair_base(F2: FqField, variant: str, b: FqElem, c: FqElem) -> bool:
     before trusting d.
     """
     q = _c3_split(F2)
-    _require_c3_scalar(b, q)
-    _require_c3_scalar(c, q)
-    if c3_canonical_log(F2, q, b.log) == c3_canonical_log(F2, q, c.log):
+    b, c = _require_c3_scalars(F2, q, b), _require_c3_scalars(F2, q, c)
+    if (_c3_canonical_logs(F2, q, b) == _c3_canonical_logs(F2, q, c)).any():
         raise ValueError("the two points must be distinct")
-    a1, A = _c3_transfer_scale(F2, q, b)
-    d = A * (c - b) / (c + b ** (-q))
-    if d.is_zero() or d == A or d == -(b ** (q + 1)) * A:
+    _, A = _c3_transfer_scale(F2, q, b)
+    d = _c3_pull_back(F2, q, b, A, c)
+    excluded = log_mul(F2, log_neg(F2, log_pow(F2, b, q + 1)), A)
+    if ((d < 0) | (d == A) | (d == excluded)).any():
         # excluded values would force c = b, c = 0, or b isotropic
         raise CrossCheckFailed("transfer scalar hit an excluded value")
     m = F2.q - 1
-    if d.log * (q + 1) % m == m // 2:
+    if (d * (q + 1) % m == m // 2).any():
         raise CrossCheckFailed("transfer scalar is isotropic")
-    img = (b * A + b ** (-q) * d) / (A - d)
-    if img != c and img != -(c ** (-q)):
+    img = _c3_push_forward(F2, q, b, A, d)
+    if ((img != c) & (img != log_neg(F2, log_pow(F2, c, -q)))).any():
         raise CrossCheckFailed("transfer image misses the target point")
-    return c3_base(F2, variant, F2.from_log(c3_canonical_log(F2, q, d.log)))
+    return c3_base_logs(F2, variant, _c3_canonical_logs(F2, q, d))
 
 
-def c3_common_neighbour_witness(F2: FqField, b: FqElem):
-    """A common neighbour of alpha and omega_b, with certificates.
+def c3_pair_base(F2: FqField, variant: str, b: FqElem, c: FqElem) -> bool:
+    return bool(c3_pair_base_logs(F2, variant, _one(b), _one(c))[0])
 
-    Returns (c, WitnessScalars(a1=a1, d=d)) where c = -b and d is the scalar
-    witnessing the edge {omega_b, omega_{-b}} under the transfer at omega_b.
-    Requires {alpha, omega_b} to be a base for the full extension; all
+
+def _c3_half_norm(F2: FqField, q: int, b) -> np.ndarray:
+    """2/(s - 1/s) with s = b^((q+1)/2): up to sign, the half-norm
+    d^((q+1)/2) of the witness scalar at omega_b."""
+    s = log_pow(F2, b, (q + 1) // 2)
+    return log_div(F2, _int_log(F2, 2), log_sub(F2, s, log_pow(F2, s, -1)))
+
+
+def c3_common_neighbour_witness_logs(F2: FqField, b) -> tuple[np.ndarray, np.ndarray]:
+    """Scalars (a1, d) certifying that omega_{-b} is a common neighbour of
+    alpha and omega_b: d witnesses the edge {omega_b, omega_{-b}} under the
+    transfer at omega_b.
+
+    Requires every {alpha, omega_b} to be a base for the full extension; all
     certified properties are re-checked, including the half-norm identity
     d^((q+1)/2) = +-2/(s - 1/s) with s = b^((q+1)/2).
     """
     q = _c3_split(F2)
-    _require_c3_scalar(b, q)
-    if not c3_base(F2, "PSigmaL", b):
+    b = _require_c3_scalars(F2, q, b)
+    if not c3_base_logs(F2, "PSigmaL", b).all():
         raise ValueError("{alpha, omega_b} is not an extension base")
-    c = -b
+    c = log_neg(F2, b)
     a1, A = _c3_transfer_scale(F2, q, b)
-    denom = b - b ** (-q)
-    if denom.is_zero():
+    denom = log_sub(F2, b, log_pow(F2, b, -q))
+    if (denom < 0).any():
         # b^(q+1) = 1 fails the extension criterion, so cannot reach here
         raise CrossCheckFailed("witness denominator vanished")
-    d = F2.from_int(2) * b * A / denom
-    if not c3_base(F2, "PSigmaL", c):
+    d = log_div(F2, log_mul(F2, log_mul(F2, _int_log(F2, 2), b), A), denom)
+    if not c3_base_logs(F2, "PSigmaL", c).all():
         raise CrossCheckFailed("negated scalar fails the alpha-criterion")
-    if d != A * (c - b) / (c + b ** (-q)):
+    if (d != _c3_pull_back(F2, q, b, A, c)).any():
         raise CrossCheckFailed("closed-form d disagrees with the transfer scalar")
-    if not c3_pair_base(F2, "PSigmaL", b, c):
+    if not c3_pair_base_logs(F2, "PSigmaL", b, c).all():
         raise CrossCheckFailed("witness pair fails the transfer criterion")
-    s = b ** ((q + 1) // 2)
-    rhs = F2.from_int(2) / (s - s.inverse())
-    lhs = d ** ((q + 1) // 2)
-    if lhs != rhs and lhs != -rhs:
+    half_norm = log_pow(F2, d, (q + 1) // 2)
+    predicted = _c3_half_norm(F2, q, b)
+    if ((half_norm != predicted) & (half_norm != log_neg(F2, predicted))).any():
         raise CrossCheckFailed("half-norm identity fails")
-    return c, WitnessScalars(d=d, a1=a1)
+    return a1, d
+
+
+def c3_common_neighbour_witness(F2: FqField, b: FqElem):
+    """(-b, WitnessScalars(a1=a1, d=d)): see
+    :func:`c3_common_neighbour_witness_logs`."""
+    a1, d = c3_common_neighbour_witness_logs(F2, _one(b))
+    return -b, WitnessScalars(d=_elem(F2, d[0]), a1=_elem(F2, a1[0]))
 
 
 def c3_clique(F2: FqField, b: FqElem) -> list[C3Point]:
@@ -421,7 +528,7 @@ def c3_clique(F2: FqField, b: FqElem) -> list[C3Point]:
     re-verified arithmetically before returning.
     """
     q = _c3_split(F2)
-    _require_c3_scalar(b, q)
+    _require_c3_scalars(F2, q, _one(b))
     if is_square(b):
         raise ValueError("clique anchor must be a non-square")
     m = F2.q - 1
@@ -435,14 +542,12 @@ def c3_clique(F2: FqField, b: FqElem) -> list[C3Point]:
     pts = [C3Point.alpha(F2, q)] + [C3Point(F2, q, L) for L in sorted(logs)]
     if len(pts) < (q - 1) // 2:
         raise CrossCheckFailed("clique fell below the guaranteed size")
-    scalars = [pt.scalar() for pt in pts[1:]]
-    for x in scalars:
-        if not c3_base(F2, "G0", x):
-            raise CrossCheckFailed("alpha-edge fails inside the clique")
+    scalars = np.array(sorted(logs), dtype=np.int64)
+    if not c3_base_logs(F2, "G0", scalars).all():
+        raise CrossCheckFailed("alpha-edge fails inside the clique")
     for i in range(len(scalars)):
-        for j in range(i + 1, len(scalars)):
-            if not c3_pair_base(F2, "G0", scalars[i], scalars[j]):
-                raise CrossCheckFailed("pair edge fails inside the clique")
+        if not c3_pair_base_logs(F2, "G0", scalars[i], scalars[i + 1 :]).all():
+            raise CrossCheckFailed("pair edge fails inside the clique")
     return pts
 
 
@@ -487,39 +592,30 @@ def remark_q_closed_forms(q: int, kind: str) -> Fraction:
 # -- explicit 5-cliques ------------------------------------------------------------
 
 
-def c2_base_candidates(F: FqField):
-    """Alpha-neighbour pairs (b, c) = (ct, c) in deterministic order: the
-    ratio t runs over valid logs, then c over all logs."""
-    for lt in range(F.q - 1):
-        t = F.from_log(lt)
-        if t == F.one():
-            continue
-        if is_square(-t) or in_proper_subfield(t):
-            continue
-        for lc in range(F.q - 1):
-            c = F.from_log(lc)
-            yield c * t, c
+def c2_base_candidates(F: FqField, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``limit`` alpha-neighbour pairs (b, c) = (ct, c), as two log
+    arrays, in deterministic order: the ratio t runs over the logs with
+    t != 1, -t a non-square and t in no proper subfield, then c over all
+    logs.  Ratios are scanned ``limit`` logs at a time, so memory follows
+    ``limit``, not q."""
+    m = F.q - 1
+    wanted = -(-limit // m)  # ratios that give ``limit`` pairs
+    ratios = np.empty(0, dtype=np.int64)
+    for lo in range(1, m, limit):  # log 0 is t = 1
+        t = np.arange(lo, min(lo + limit, m), dtype=np.int64)
+        t = t[~log_is_square(F, log_neg(F, t)) & ~log_in_proper_subfield(F, t)]
+        ratios = np.concatenate([ratios, t[: wanted - len(ratios)]])
+        if len(ratios) == wanted:
+            break
+    k = np.arange(min(limit, len(ratios) * m), dtype=np.int64)
+    c = k % m
+    return (c + ratios[k // m]) % m, c
 
 
-def _c2_vertex_ok(F: FqField, pair: C2Pair) -> bool:
-    return c2_base_psigma(F, pair.b, pair.c)
-
-
-def _c2_clique5_edges_ok(F: FqField, verts: list) -> bool:
-    """All ten edges of the alpha + four-pairs candidate clique."""
-    pairs = verts[1:]
-    if any(not _c2_vertex_ok(F, pr) for pr in pairs):
-        return False
-    seen = set()
-    for pr in pairs:
-        seen |= pr.as_label_set()
-    if len(seen) != 8:
-        return False
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if not c2_pair_base(F, pairs[i].labels(), pairs[j].labels()):
-                return False
-    return True
+def _distinct(*labels) -> np.ndarray:
+    """Whether the labels, broadcast against each other, are distinct in each entry."""
+    ranked = np.sort(np.stack(np.broadcast_arrays(*map(as_logs, labels))), axis=0)
+    return (ranked[1:] != ranked[:-1]).all(axis=0)
 
 
 # scan budgets of the 5-clique searches: anchors tried, and candidate pairs
@@ -534,54 +630,56 @@ def c2_clique5(F: FqField) -> list:
     field-automorphism extension (q odd, f >= 2).
 
     Shape: alpha, a neighbour pair beta, its negation, and a second such pair
-    with its negation; the deterministic scan tries anchors and partners in
-    log order and re-checks all ten edges before returning
-    [ALPHA, beta, -beta, beta', -beta'].
+    with its negation; the deterministic scan tries anchors in log order and,
+    for each, every partner at once, and returns the first partner whose
+    clique passes all ten edge checks: [ALPHA, beta, -beta, beta', -beta'].
     """
     _check_c2_field(F)
     if F.f < 2:
         raise ValueError("the scan targets proper extensions (f >= 2)")
-    cands = []
-    for b, c in islice(c2_base_candidates(F), _C2_CLIQUE5_PARTNERS):
-        if c2_base_psigma(F, b, c):
-            cands.append(C2Pair(b, c))
-    for beta in cands[:_C2_CLIQUE5_ANCHORS]:
-        gamma = beta.negated()
-        taken = beta.as_label_set() | gamma.as_label_set()
-        for beta2 in cands:
-            if beta2.as_label_set() & taken:
-                continue
-            verts = [ALPHA, beta, gamma, beta2, beta2.negated()]
-            if _c2_clique5_edges_ok(F, verts):
-                return verts
+    B, C = c2_base_candidates(F, _C2_CLIQUE5_PARTNERS)
+    keep = c2_base_psigma_logs(F, B, C)
+    B, C = B[keep], C[keep]
+    for b, c in zip(B[:_C2_CLIQUE5_ANCHORS].tolist(), C[:_C2_CLIQUE5_ANCHORS].tolist()):
+        nb, nc = int(log_neg(F, b)), int(log_neg(F, c))
+        # eight distinct scalars: the partner pair and its negation avoid beta and -beta
+        rows = np.flatnonzero(_distinct(b, c, nb, nc, B, C, log_neg(F, B), log_neg(F, C)))
+        if not len(rows):
+            continue
+        B2, C2 = B[rows], C[rows]
+        pairs = [(b, c), (nb, nc), (B2, C2), (log_neg(F, B2), log_neg(F, C2))]
+        ok = _all(c2_base_psigma_logs(F, *pair) for pair in pairs)
+        ok = ok & _all(c2_pair_base_logs(F, u, v) for u, v in combinations(pairs, 2))
+        hits = rows[np.broadcast_to(ok, rows.shape)]
+        if len(hits):
+            beta = C2Pair(_elem(F, b), _elem(F, c))
+            beta2 = C2Pair(_elem(F, B[hits[0]]), _elem(F, C[hits[0]]))
+            return [ALPHA, beta, beta.negated(), beta2, beta2.negated()]
     raise RuntimeError("no 5-clique found within the scan budget")
 
 
 def c3_clique5(F2: FqField) -> list[C3Point]:
     """A verified 5-clique in the unitary-pair graph of the full
     field-automorphism extension: alpha, omega_b, omega_{-b}, omega_c,
-    omega_{-c} with all ten edges re-checked arithmetically."""
+    omega_{-c} with all ten edges re-checked arithmetically.  Anchors b are
+    tried in label order and, for each, every partner c at once."""
     q = _c3_split(F2)
-    cands = [
-        L for L in c3_label_logs(F2, q) if c3_base(F2, "PSigmaL", F2.from_log(L))
-    ]
-    for bL in cands[:_C3_CLIQUE5_ANCHORS]:
-        b = F2.from_log(bL)
-        nbL = c3_canonical_log(F2, q, (-b).log)
-        for cL in cands:
-            c = F2.from_log(cL)
-            ncL = c3_canonical_log(F2, q, (-c).log)
-            if len({bL, nbL, cL, ncL}) != 4:
-                continue
-            verts = [b, -b, c, -c]
-            if all(c3_base(F2, "PSigmaL", v) for v in verts) and all(
-                c3_pair_base(F2, "PSigmaL", verts[i], verts[j])
-                for i in range(4)
-                for j in range(i + 1, 4)
-            ):
-                return [C3Point.alpha(F2, q)] + [
-                    C3Point.from_scalar(v, q) for v in verts
-                ]
+    labels = np.array(c3_label_logs(F2, q), dtype=np.int64)
+    cands = labels[c3_base_logs(F2, "PSigmaL", labels)]
+    for b in cands[:_C3_CLIQUE5_ANCHORS].tolist():
+        nb = int(log_neg(F2, b))
+        points = [_c3_canonical_logs(F2, q, x) for x in (b, nb, cands, log_neg(F2, cands))]
+        rows = np.flatnonzero(_distinct(*points))
+        if not len(rows):
+            continue
+        verts = [b, nb, cands[rows], log_neg(F2, cands[rows])]
+        ok = _all(c3_base_logs(F2, "PSigmaL", v) for v in verts)
+        ok = ok & _all(c3_pair_base_logs(F2, "PSigmaL", u, v) for u, v in combinations(verts, 2))
+        hits = rows[np.broadcast_to(ok, rows.shape)]
+        if len(hits):
+            c = int(cands[hits[0]])
+            scalars = [b, nb, c, int(log_neg(F2, c))]
+            return [C3Point.alpha(F2, q)] + [C3Point.from_scalar(_elem(F2, x), q) for x in scalars]
     raise RuntimeError("no 5-clique found within the scan budget")
 
 

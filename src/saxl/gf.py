@@ -25,6 +25,15 @@ from C, deterministically:
 Fields are capped at q <= 2**20 (table memory); larger requests raise
 :class:`CapExceeded`.
 
+Besides the boxed :class:`FqElem`, elements come in a log-array form: an
+int64 numpy array of discrete logs, with LOG_ZERO = -1 for zero, the same
+sentinel as the value -> log table.  Equal elements have equal entries.
+``log_mul`` and ``log_div`` add and subtract logs mod q - 1, ``log_add``
+reads the Zech table through a numpy view of it (no copy):
+lambda^x + lambda^y = lambda^(x + zech[y - x]) (Lidl and Niederreiter,
+*Finite Fields*), and ``log_neg``, ``log_pow``, ``log_is_square`` and
+``log_in_proper_subfield`` act on the log alone.  Arguments broadcast.
+
 The module also carries the number theory of the regular suborbit counts:
 the prime powers in a range, an exact totient by trial division, and a scan
 of the lower bound phi(n) > n / (e^gamma * log log n + 3 / log log n) over
@@ -386,6 +395,77 @@ def field_from_order(q: int) -> FqField:
     return field_create(p, f)
 
 
+# -- the log-array form ----------------------------------------------------------
+
+LOG_ZERO = -1
+
+
+def as_logs(x) -> np.ndarray:
+    """x as an int64 array of logs (LOG_ZERO for zero)."""
+    return np.asarray(x, dtype=np.int64)
+
+
+def log_mul(F: FqField, x, y) -> np.ndarray:
+    x, y = as_logs(x), as_logs(y)
+    return np.where((x < 0) | (y < 0), LOG_ZERO, (x + y) % (F.q - 1))
+
+
+def log_div(F: FqField, x, y) -> np.ndarray:
+    """x / y; raises ZeroDivisionError if any y is zero."""
+    x, y = as_logs(x), as_logs(y)
+    if (y < 0).any():
+        raise ZeroDivisionError("division by field zero")
+    return np.where(x < 0, LOG_ZERO, (x - y) % (F.q - 1))
+
+
+def log_add(F: FqField, x, y) -> np.ndarray:
+    x, y = as_logs(x), as_logs(y)
+    m = F.q - 1
+    z = np.frombuffer(F._zech, dtype=np.intc)[(y - x) % m]  # log(1 + lambda^(y - x)), -1 for zero
+    total = np.where(z < 0, LOG_ZERO, (x + z) % m)
+    return np.where(x < 0, y, np.where(y < 0, x, total))
+
+
+def log_neg(F: FqField, x) -> np.ndarray:
+    x = as_logs(x)
+    return np.where(x < 0, LOG_ZERO, (x + F._log_minus_one) % (F.q - 1))
+
+
+def log_sub(F: FqField, x, y) -> np.ndarray:
+    return log_add(F, x, log_neg(F, y))
+
+
+def log_pow(F: FqField, x, k: int) -> np.ndarray:
+    """x^k for an integer k; raises ZeroDivisionError for zero to a negative power."""
+    x = as_logs(x)
+    zero = x < 0
+    if k < 0 and zero.any():
+        raise ZeroDivisionError("negative power of field zero")
+    m = F.q - 1
+    return np.where(zero, LOG_ZERO if k else 0, x * (k % m) % m)
+
+
+def log_is_square(F: FqField, x) -> np.ndarray:
+    """:func:`is_square` elementwise: zero, and the even logs for odd q."""
+    x = as_logs(x)
+    if F.p == 2:
+        return np.ones(x.shape, dtype=bool)
+    return (x < 0) | (x % 2 == 0)
+
+
+def log_in_proper_subfield(F: FqField, x) -> np.ndarray:
+    """:func:`in_proper_subfield` elementwise: lambda^L lies in GF(p^k), k a
+    proper divisor of f, exactly when L (p^k - 1) = 0 mod q - 1."""
+    x = as_logs(x)
+    out = np.zeros(x.shape, dtype=bool)
+    if F.f == 1:
+        return out
+    for k in range(1, F.f):
+        if F.f % k == 0:
+            out |= x * (F.p**k - 1) % (F.q - 1) == 0
+    return out | (x < 0)
+
+
 # -- predicates and counts -------------------------------------------------------
 
 
@@ -478,14 +558,17 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
-def prime_powers(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """Every prime power lo <= q < hi, as (p, f, q) with q = p^f, in ascending q."""
-    for q in range(lo, hi):
-        try:
-            p, f = split_prime_power(q)
-        except ValueError:
-            continue
-        yield p, f, q
+def prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """Every prime power lo <= q < hi, as (p, f, q) with q = p^f, in ascending
+    q: the powers p, p^2, ... of each prime p < hi from one sieve."""
+    out = []
+    for p in map(int, _primes_upto(max(hi - 1, 1))):
+        f, q = 1, p
+        while q < hi:
+            if q >= lo:
+                out.append((p, f, q))
+            f, q = f + 1, q * p
+    return sorted(out, key=lambda pfq: pfq[2])
 
 
 def _phi_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ are the expensive shared objects (a few seconds each), so they are
 session-scoped; tests that need to *time* a cold build construct their own
 copies instead of using these.  ``all_perms`` and ``prime_order_class_reps``
 enumerate by brute force, as independent references for the package.
+
+The ``oracle_*`` functions are the per-element closed-form criteria and
+witness constructors in boxed ``FqElem`` arithmetic, one pair at a time, as
+references for the log-array forms of :mod:`saxl.criteria`.
 """
 
 import json
@@ -14,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from saxl.actions import LabelledAction, OmegaPoint, bundled_catalogue_path, coset_action, load_catalogue
-from saxl.gf import is_prime
+from saxl.actions import INF, LabelledAction, OmegaPoint, bundled_catalogue_path, c3_canonical_log, coset_action, load_catalogue
+from saxl.gf import CrossCheckFailed, is_prime, is_square
 from saxl.group import CapExceeded, PermGroup, conjugacy_class
 from saxl.perm import Perm
 
@@ -91,3 +95,156 @@ def prime_order_class_reps(G: PermGroup) -> list[ConjClassData]:
         out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=cls))
     out.sort(key=lambda c: (c.order, c.class_size, c.rep))
     return out
+
+
+# -- per-element closed-form criteria ---------------------------------------------
+
+
+def oracle_c2_base_psigma(F, b, c) -> bool:
+    """{alpha, {b, c}} is a base pair: b, c nonzero, -b/c a non-square, and
+    b^(p^k - 1) != c^(p^k - 1) for all 0 < k < f."""
+    if b == c:
+        raise ValueError("pair labels must be distinct")
+    if b.is_zero() or c.is_zero():
+        return False
+    if is_square(-(b / c)):
+        return False
+    return all(b ** (F.p**k - 1) != c ** (F.p**k - 1) for k in range(1, F.f))
+
+
+def _oracle_anchor_map(F, pair):
+    """A fractional-linear map over GF(q) sending the given pair onto {INF, 0}."""
+    P, R = pair
+    if P is INF:
+        return lambda t: t if t is INF else t - R
+    if R is INF:
+        return lambda t: F.zero() if t is INF else INF if t == P else (t - P).inverse()
+    return lambda t: F.one() if t is INF else INF if t == P else (t - R) / (t - P)
+
+
+def oracle_c2_pair_base(F, beta, gamma) -> bool:
+    """{beta, gamma} is a base pair, for pair-points of labels INF or FqElem."""
+    bset, gset = set(beta), set(gamma)
+    if len(bset) != 2 or len(gset) != 2:
+        raise ValueError("a pair-point needs two distinct projective labels")
+    if bset == gset:
+        raise ValueError("the two pair-points must be distinct")
+    if bset & gset:
+        return F.f == 1
+    send = _oracle_anchor_map(F, tuple(beta))
+    x, y = send(gamma[0]), send(gamma[1])
+    if x is INF or y is INF or x.is_zero() or y.is_zero():
+        raise CrossCheckFailed("disjoint pair transported onto the anchor")
+    return oracle_c2_base_psigma(F, x, y)
+
+
+def oracle_c2_witness(F, b, c):
+    """(d, e) = (2b(b - c)/(b + c), (b^2 - c^2)/(2c)), with every property re-checked."""
+    if not oracle_c2_base_psigma(F, b, c):
+        raise ValueError("(b, c) is not an alpha-neighbour")
+    two = F.from_int(2)
+    if (b + c).is_zero():
+        raise CrossCheckFailed("witness needs b + c != 0")
+    d = two * b * (b - c) / (b + c)
+    e = (b * b - c * c) / (two * c)
+    pole = b - c
+    if d == pole or e == pole:
+        raise CrossCheckFailed("witness scalars collide with the transfer pole")
+    if d == e:
+        raise CrossCheckFailed("witness pair is degenerate")
+    if not oracle_c2_base_psigma(F, d, e):
+        raise CrossCheckFailed("witness pair fails the alpha-neighbour conditions")
+    if -(d / e) != -(F.from_int(4) / (b / c + c / b + two)):
+        raise CrossCheckFailed("witness identity -d/e = -4/(b/c + c/b + 2) fails")
+
+    def transfer(t):
+        return (b * (c - b) + t * c) / (c - b + t)
+
+    if {transfer(d), transfer(e)} != {-b, -c}:
+        raise CrossCheckFailed("witness transfer does not reach (-b, -c)")
+    if not oracle_c2_base_psigma(F, -b, -c):
+        raise CrossCheckFailed("gamma fails the alpha-neighbour conditions")
+    return d, e
+
+
+def _oracle_require_c3(F2, q, b):
+    if b.is_zero():
+        raise ValueError("scalar label must be nonzero")
+    m = F2.q - 1
+    if b.log * (q + 1) % m == m // 2:
+        raise ValueError("b^(q+1) = -1: the vector is isotropic, not a point")
+
+
+def oracle_c3_base(F2, q, variant, b) -> bool:
+    """{alpha, omega_b}: b a non-square (G0), or b^((q+1)(p^k-1)/2) != 1 for
+    every 0 < k < 2f, b canonical (PSigmaL)."""
+    _oracle_require_c3(F2, q, b)
+    if variant == "G0":
+        return not is_square(b)
+    m = F2.q - 1
+    L = c3_canonical_log(F2, q, b.log)
+    if any(L * ((q + 1) * (F2.p**k - 1) // 2) % m == 0 for k in range(1, F2.f)):
+        return False
+    if is_square(b):
+        raise CrossCheckFailed("extension base criterion passed a square scalar")
+    return True
+
+
+def oracle_c3_transfer_scale(F2, q, b):
+    """(a1, A): a1 the least-log scalar with a1^(q+1) = 1 + b^(q+1), and
+    A = a1^(-2) (b + b^(-q))."""
+    _oracle_require_c3(F2, q, b)
+    rhs = F2.one() + b ** (q + 1)
+    if rhs.is_zero():
+        raise CrossCheckFailed("1 + b^(q+1) vanished for a point label")
+    quot, rem = divmod(rhs.log, q + 1)
+    if rem:
+        raise CrossCheckFailed("norm value off the base-subfield grid")
+    a1 = F2.from_log(quot % (q - 1))
+    A = a1 ** (-2) * (b + b ** (-q))
+    if A.is_zero():
+        raise CrossCheckFailed("transfer scale vanished for a point label")
+    return a1, A
+
+
+def oracle_c3_pair_base(F2, q, variant, b, c) -> bool:
+    """{omega_b, omega_c}: the alpha-criterion on d = A(c - b)/(c + b^(-q))."""
+    _oracle_require_c3(F2, q, b)
+    _oracle_require_c3(F2, q, c)
+    if c3_canonical_log(F2, q, b.log) == c3_canonical_log(F2, q, c.log):
+        raise ValueError("the two points must be distinct")
+    _, A = oracle_c3_transfer_scale(F2, q, b)
+    d = A * (c - b) / (c + b ** (-q))
+    if d.is_zero() or d == A or d == -(b ** (q + 1)) * A:
+        raise CrossCheckFailed("transfer scalar hit an excluded value")
+    m = F2.q - 1
+    if d.log * (q + 1) % m == m // 2:
+        raise CrossCheckFailed("transfer scalar is isotropic")
+    img = (b * A + b ** (-q) * d) / (A - d)
+    if img != c and img != -(c ** (-q)):
+        raise CrossCheckFailed("transfer image misses the target point")
+    return oracle_c3_base(F2, q, variant, F2.from_log(c3_canonical_log(F2, q, d.log)))
+
+
+def oracle_c3_witness(F2, q, b):
+    """(a1, d) with d = 2bA/(b - b^(-q)), witnessing the edge {omega_b, omega_{-b}}."""
+    _oracle_require_c3(F2, q, b)
+    if not oracle_c3_base(F2, q, "PSigmaL", b):
+        raise ValueError("{alpha, omega_b} is not an extension base")
+    c = -b
+    a1, A = oracle_c3_transfer_scale(F2, q, b)
+    denom = b - b ** (-q)
+    if denom.is_zero():
+        raise CrossCheckFailed("witness denominator vanished")
+    d = F2.from_int(2) * b * A / denom
+    if not oracle_c3_base(F2, q, "PSigmaL", c):
+        raise CrossCheckFailed("negated scalar fails the alpha-criterion")
+    if d != A * (c - b) / (c + b ** (-q)):
+        raise CrossCheckFailed("closed-form d disagrees with the transfer scalar")
+    if not oracle_c3_pair_base(F2, q, "PSigmaL", b, c):
+        raise CrossCheckFailed("witness pair fails the transfer criterion")
+    s = b ** ((q + 1) // 2)
+    rhs = F2.from_int(2) / (s - s.inverse())
+    if d ** ((q + 1) // 2) not in (rhs, -rhs):
+        raise CrossCheckFailed("half-norm identity fails")
+    return a1, d

@@ -8,9 +8,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from saxl.cli import main
+from saxl.criteria import _c2_witness_scalars as _real_c2_witness_scalars
+from saxl.criteria import _c3_half_norm as _real_c3_half_norm
+
+
+def _swapped(pair):
+    return pair[1], pair[0]
 
 
 @pytest.fixture()
@@ -158,6 +165,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cross-check failed: witness transfer does not reach (-b, -c)\n"
+
+    # one fault per re-check of the log-array criteria: (function to replace,
+    # its stand-in, sweep, the check's message)
+    ARRAY_FAULTS = {
+        "transfer image": (
+            "_c3_push_forward", lambda F2, q, b, A, d: np.broadcast_to(b, np.shape(d)),
+            "verify c3-oracle --qmax 5", "transfer image misses the target point",
+        ),
+        "isotropic transfer scalar": (
+            # b^((q-1)/2) with b^(q+1) = -1: an isotropic log, never A or -b^(q+1) A
+            "_c3_pull_back", lambda F2, q, b, A, c: np.full(np.shape(c), (q - 1) // 2),
+            "verify c3-oracle --qmax 5", "transfer scalar is isotropic",
+        ),
+        "-d/e identity": (
+            # swapping d and e keeps every earlier check, but -e/d != -d/e
+            "_c2_witness_scalars", lambda F, b, c: _swapped(_real_c2_witness_scalars(F, b, c)),
+            "verify witnesses --qmax 9", "witness identity -d/e = -4/(b/c + c/b + 2) fails",
+        ),
+        "half-norm identity": (
+            # lambda times the predicted half-norm is neither it nor its negative
+            "_c3_half_norm", lambda F2, q, b: (_real_c3_half_norm(F2, q, b) + 1) % (F2.q - 1),
+            "verify witnesses --qmax 9", "half-norm identity fails",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", list(ARRAY_FAULTS))
+    def test_array_recheck_is_3(self, capsys, monkeypatch, fault):
+        from saxl import criteria
+
+        name, stand_in, argv, message = self.ARRAY_FAULTS[fault]
+        monkeypatch.setattr(criteria, name, stand_in)
+        assert main(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cross-check failed: %s\n" % message
 
     def test_totient_sieve_check_is_3(self, capsys, monkeypatch):
         import numpy as np

@@ -1,12 +1,24 @@
 """Closed-form base-pair criteria against the brute-force engine at desk scale."""
 
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
+from conftest import (
+    oracle_c2_base_psigma,
+    oracle_c2_pair_base,
+    oracle_c2_witness,
+    oracle_c3_base,
+    oracle_c3_pair_base,
+    oracle_c3_witness,
+)
 from saxl import criteria
 from saxl.actions import (
     ALPHA,
+    INF,
     GroupVariant,
     OmegaPoint,
     c3_canonical_log,
@@ -388,3 +400,113 @@ class TestLabelBridge:
         b = C3Point.from_scalar(F2.from_log(partner), q)
         assert a == b
         assert a.log == L
+
+
+ODD_Q_UPTO_27 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27]
+
+
+def _logs(xs):
+    return np.array([criteria.line_code(x) for x in xs], dtype=np.int64)
+
+
+def _c2_pair_points(F):
+    """Every pair-point of PG(1,q), as label pairs."""
+    return list(combinations([INF, *F.elements()], 2))
+
+
+def _c3_fields(q):
+    p, f = split_prime_power(q)
+    F2 = field_create(p, 2 * f)
+    return F2, [F2.from_log(L) for L in c3_label_logs(F2, q)]
+
+
+def _sample(n, size, seed):
+    """A fixed sample of index pairs a < b below n."""
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(size)}
+    return sorted(pairs)
+
+
+class TestArrayFormsAgainstOracles:
+    """Each log-array criterion against its per-element oracle from conftest:
+    every pair at odd q <= 27, a fixed sample at q = 49 and 81."""
+
+    @pytest.mark.parametrize("q", ODD_Q_UPTO_27 + [49, 81])
+    def test_c2_alpha_criterion_and_witness(self, q):
+        F = field_from_order(q)
+        elems = list(F.elements())
+        pairs = [(b, c) for b in elems for c in elems if b != c]
+        B, C = _logs(b for b, _ in pairs), _logs(c for _, c in pairs)
+        verdicts = criteria.c2_base_psigma_logs(F, B, C)
+        assert verdicts.tolist() == [oracle_c2_base_psigma(F, b, c) for b, c in pairs]
+        d, e = criteria.c2_common_neighbour_witness_logs(F, B[verdicts], C[verdicts])
+        want = [oracle_c2_witness(F, b, c) for (b, c), ok in zip(pairs, verdicts) if ok]
+        assert list(zip(d.tolist(), e.tolist())) == [(x.log, y.log) for x, y in want]
+
+    @pytest.mark.parametrize("q", ODD_Q_UPTO_27)
+    def test_c2_pair_base_every_pair(self, q):
+        F = field_from_order(q)
+        points = _c2_pair_points(F)
+        P, R = _logs(x for x, _ in points), _logs(y for _, y in points)
+        for a, beta in enumerate(points):
+            got = criteria.c2_pair_base_logs(F, (P[a], R[a]), (P[a + 1 :], R[a + 1 :]))
+            assert got.tolist() == [oracle_c2_pair_base(F, beta, gamma) for gamma in points[a + 1 :]]
+
+    @pytest.mark.parametrize("q", [49, 81])
+    def test_c2_pair_base_sample(self, q):
+        F = field_from_order(q)
+        points = _c2_pair_points(F)
+        P, R = _logs(x for x, _ in points), _logs(y for _, y in points)
+        index = np.array(_sample(len(points), 3000, q))
+        got = criteria.c2_pair_base_logs(F, (P[index[:, 0]], R[index[:, 0]]), (P[index[:, 1]], R[index[:, 1]]))
+        assert got.tolist() == [oracle_c2_pair_base(F, points[a], points[b]) for a, b in index.tolist()]
+        assert got.any() and not got.all()
+
+    @pytest.mark.parametrize("q", ODD_Q_UPTO_27 + [49, 81])
+    def test_c3_alpha_criterion_and_witness(self, q):
+        F2, scalars = _c3_fields(q)
+        X = _logs(scalars)
+        for variant in ("G0", "PSigmaL"):
+            got = criteria.c3_base_logs(F2, variant, X)
+            assert got.tolist() == [oracle_c3_base(F2, q, variant, b) for b in scalars]
+        valid = criteria.c3_base_logs(F2, "PSigmaL", X)
+        a1, d = criteria.c3_common_neighbour_witness_logs(F2, X[valid])
+        want = [oracle_c3_witness(F2, q, b) for b, ok in zip(scalars, valid) if ok]
+        assert list(zip(a1.tolist(), d.tolist())) == [(x.log, y.log) for x, y in want]
+
+    @pytest.mark.parametrize(
+        "q,variant",
+        [(q, "G0") for q in ODD_Q_UPTO_27] + [(q, "PSigmaL") for q in ODD_Q_UPTO_27 if split_prime_power(q)[1] > 1],
+    )
+    def test_c3_pair_base_every_pair(self, q, variant):
+        F2, scalars = _c3_fields(q)
+        X = _logs(scalars)
+        for a, b in enumerate(scalars):
+            got = criteria.c3_pair_base_logs(F2, variant, X[a], X[a + 1 :])
+            assert got.tolist() == [oracle_c3_pair_base(F2, q, variant, b, c) for c in scalars[a + 1 :]]
+
+    @pytest.mark.parametrize("q", [49, 81])
+    @pytest.mark.parametrize("variant", ["G0", "PSigmaL"])
+    def test_c3_pair_base_sample(self, q, variant):
+        F2, scalars = _c3_fields(q)
+        X = _logs(scalars)
+        index = np.array(_sample(len(scalars), 3000, q))
+        got = criteria.c3_pair_base_logs(F2, variant, X[index[:, 0]], X[index[:, 1]])
+        assert got.tolist() == [oracle_c3_pair_base(F2, q, variant, scalars[a], scalars[b]) for a, b in index.tolist()]
+        assert got.any() and not got.all()
+
+
+class TestCandidateMemory:
+    def test_c2_clique5_candidates_bounded_by_the_budget(self):
+        # GF(5^8) has q - 1 = 390624 logs: a scan of every ratio, or a q x q
+        # grid, would hold megabytes of int64 logs; the budget holds 4096 pairs
+        F = field_create(5, 8)
+        tracemalloc.start()
+        try:
+            B, C = criteria.c2_base_candidates(F, criteria._C2_CLIQUE5_PARTNERS)
+            keep = criteria.c2_base_psigma_logs(F, B, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(B) == criteria._C2_CLIQUE5_PARTNERS and keep.all()
+        assert peak < 8 * 2**20

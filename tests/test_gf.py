@@ -447,3 +447,41 @@ def test_one_cross_check_exception():
     from saxl import engine, group
 
     assert engine.CrossCheckFailed is group.CrossCheckFailed is gf.CrossCheckFailed
+
+
+def _code(x: FqElem) -> int:
+    return gf.LOG_ZERO if x.log is None else x.log
+
+
+@pytest.mark.parametrize("q", [q for _, _, q in prime_powers(2, 50)] + [81])
+def test_log_arrays_match_boxed_elements(q):
+    # every ordered pair of elements, zero included
+    F = field_from_order(q)
+    elems = list(F.elements())
+    xs = [x for x in elems for _ in elems]
+    ys = [y for _ in elems for y in elems]
+    X, Y = np.array([_code(x) for x in xs]), np.array([_code(y) for y in ys])
+    assert gf.log_add(F, X, Y).tolist() == [_code(x + y) for x, y in zip(xs, ys)]
+    assert gf.log_sub(F, X, Y).tolist() == [_code(x - y) for x, y in zip(xs, ys)]
+    assert gf.log_mul(F, X, Y).tolist() == [_code(x * y) for x, y in zip(xs, ys)]
+    nonzero = Y >= 0
+    quotients = [_code(x / y) for x, y in zip(xs, ys) if not y.is_zero()]
+    assert gf.log_div(F, X[nonzero], Y[nonzero]).tolist() == quotients
+    E = np.array([_code(x) for x in elems])
+    assert gf.log_neg(F, E).tolist() == [_code(-x) for x in elems]
+    for k in (0, 1, 2, 3, F.p, q - 1, q, q + 1, 7 * q + 5):
+        assert gf.log_pow(F, E, k).tolist() == [_code(x**k) for x in elems]
+    for k in (-1, -2, -q):
+        assert gf.log_pow(F, E[1:], k).tolist() == [_code(x**k) for x in elems[1:]]
+    assert gf.log_is_square(F, E).tolist() == [is_square(x) for x in elems]
+    assert gf.log_in_proper_subfield(F, E).tolist() == [in_proper_subfield(x) for x in elems]
+
+
+def test_log_arrays_refuse_zero_divisors():
+    F = field_from_order(9)
+    with pytest.raises(ZeroDivisionError):
+        gf.log_div(F, [1, 2], [3, gf.LOG_ZERO])
+    with pytest.raises(ZeroDivisionError):
+        gf.log_pow(F, [1, gf.LOG_ZERO], -1)
+    assert gf.log_pow(F, [gf.LOG_ZERO], 0).tolist() == [0]  # 0^0 = 1, as FqElem has it
+
