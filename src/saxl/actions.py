@@ -12,20 +12,16 @@ Three families of transitive actions are built here, each as a
   nondegenerate 1-spaces of a unitary plane over GF(q^2), whose points
   are labelled by field scalars.
 
-The k-subset and projective families are each induced from one carrier
-action: S_n on n points for k-subsets, and Moebius and Frobenius maps on
-the projective line PG(1,q) for pairs, or PG(1,q^2) for the unitary
-points.  Every label is a block, a sorted tuple of carrier points, and
-:func:`_induced` turns each carrier generator into a permutation of the
-labels; a generator that maps some block outside the labelling raises
-:class:`CrossCheckFailed`, which for the unitary family certifies that it
-preserves orthogonality.
-
-Every constructor checks the group order and the point-0 stabiliser order
-against closed forms before returning, and that explicit stabiliser
-generators fix point 0 and lie in the group, so a successfully constructed
-action is certified: its stabiliser is G_0.  A catalogue loader ingests fixture groups from a small text
-format and applies the same verify-on-load policy.
+Every action is induced from a small carrier action: S_n on n points for
+k-subsets, Moebius and Frobenius maps on PG(1,q) for pairs and on the q + 1
+isotropic points of PG(1,q^2) for the unitary points, and a catalogue
+group's own points for its coset and natural actions.  A label of the first
+three families is a block of carrier points, and :func:`_induced` turns
+each carrier generator into a permutation of the labels; a generator that
+maps some block outside the labelling raises :class:`CrossCheckFailed`.
+Every constructor returns through :func:`_certified`, which proves |G| and
+G_0 with no chain of G on its n points.  A catalogue loader ingests fixture
+groups from a small text format and checks their declared orders on load.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf import FqField, field_create, split_prime_power
-from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup
+from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup, StabChain
 from .perm import Perm, from_cycles, parse_cycles
 
 ALPHA = "alpha"
@@ -117,9 +113,6 @@ class LabelledAction:
     group: PermGroup
     labels: tuple
     name: str
-    stab0: PermGroup | None = None
-    expected_group_order: int | None = None
-    expected_stab_order: int | None = None
     warnings: tuple = ()
     label_index: dict = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
@@ -138,35 +131,53 @@ class LabelledAction:
         return len(self.labels)
 
     def stabiliser0(self) -> PermGroup:
-        """The stabiliser of point 0 (explicit generators when available)."""
-        if self.stab0 is None:
-            self.stab0 = self.group.point_stabiliser(0)
-        return self.stab0
+        """The stabiliser of point 0 (the certified one for a constructed action)."""
+        return self.group.point_stabiliser(0)
 
 
-def _verify_orders(action: LabelledAction) -> LabelledAction:
-    """Check the constructed group and stabiliser against their closed forms.
+def _diagonal(carrier: Perm, label: Perm) -> Perm:
+    """The permutation of carrier and labels together, carrier points first."""
+    return Perm(np.concatenate([carrier.images, label.images.astype(np.intp) + carrier.degree]).tolist())
 
-    An explicit stabiliser must also fix point 0 and lie in the group; with
-    its order equal to |G|/n, orbit-stabiliser then makes it all of G_0.
+
+def _certified(name, labels, gens, stab_gens, order, caps, warnings=(), stab_order=None) -> LabelledAction:
+    """The action on ``labels`` of a carrier group of order ``order``, certified.
+
+    ``gens`` and ``stab_gens`` are (carrier, label) pairs of permutations that
+    generate the group and the stabiliser of label 0.  D is the group they
+    generate on the m carrier points and the n labels together, and H the
+    group of the label parts of ``stab_gens``.  Four checks raise
+    :class:`CrossCheckFailed`: (a) |D| = ``order``, from D's deterministic
+    chain, whose base lies in the carrier while carrier -> labels is well
+    defined; (b) label 0 has an orbit of length n; (c) every stabiliser pair
+    fixes label 0 and lies in D; (d) |H|, from H's own chain, is |G|/n.  The
+    label group G is a quotient of D, so |G| <= |D|, and by (b), (c) and (d)
+    |G| >= n|H|: the two agree, and H = G_0.  A random chain would prove only
+    a lower bound on |D| (Seress, *Permutation Group Algorithms*, 2003,
+    ch. 4).  G is faithful, unless the carrier's stabiliser order
+    ``stab_order`` is given, as for a coset action: the kernel lies in the
+    stabiliser, so its order is ``stab_order`` / |H|.
     """
-    if action.expected_group_order is not None:
-        got = action.group.order()
-        if got != action.expected_group_order:
-            raise CrossCheckFailed(
-                "%s: group order %d, expected %d"
-                % (action.name, got, action.expected_group_order)
-            )
-    if action.stab0 is not None and not all(g(0) == 0 and action.group.contains(g) for g in action.stab0.gens):
-        raise CrossCheckFailed("%s: a point stabiliser generator moves 0 or lies outside the group" % action.name)
-    if action.expected_stab_order is not None:
-        got = action.stabiliser0().order()
-        if got != action.expected_stab_order:
-            raise CrossCheckFailed(
-                "%s: point stabiliser order %d, expected %d"
-                % (action.name, got, action.expected_stab_order)
-            )
-    return action
+    n = len(labels)
+    diagonal = StabChain(gens[0][0].degree + n, [_diagonal(c, g) for c, g in gens])
+    group = PermGroup(n, [g for _, g in gens], caps=caps)
+    H = PermGroup(n, [g for _, g in stab_gens], caps=caps)
+    if diagonal.order() != order:
+        raise CrossCheckFailed("%s: diagonal order %d, expected %d" % (name, diagonal.order(), order))
+    if len(group.schreier_vector.orbit) != n:
+        raise CrossCheckFailed("%s: label 0 has an orbit of length %d, not %d" % (name, len(group.schreier_vector.orbit), n))
+    for c, g in stab_gens:
+        if g(0) != 0:
+            raise CrossCheckFailed("%s: a point stabiliser generator moves label 0" % name)
+        if not diagonal.contains(_diagonal(c, g)):
+            raise CrossCheckFailed("%s: a point stabiliser generator is not in the group" % name)
+    kernel = 1 if stab_order is None else stab_order // H.order()
+    if H.order() * n * kernel != order:
+        raise CrossCheckFailed("%s: point stabiliser order %d, expected %d" % (name, H.order(), order // max(kernel, 1) // n))
+    group.adopt_certificate(order // kernel, H)
+    if kernel > 1:
+        warnings += ("action has kernel of order %d" % kernel,)
+    return LabelledAction(group, labels, name, warnings=warnings)
 
 
 def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
@@ -209,6 +220,7 @@ def ksubset_action(
         raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
 
     subsets = list(combinations(range(n), k))
+    parts = (range(k), range(k, n))  # label 0 is the first part
     if even_only:
         if n < 3:
             raise ValueError("alternating groups need n >= 3")
@@ -218,25 +230,20 @@ def ksubset_action(
             else from_cycles(n, [tuple(range(1, n))])
         )
         base_gens = [from_cycles(n, [(0, 1, 2)]), long_cycle]
+        # (S_k x S_{n-k}) & A_n: 3-cycles generate A_k and A_{n-k}, and one
+        # product of two transpositions swaps within both parts
+        stab_gens = [from_cycles(n, [(p[0], p[1], x)]) for p in parts for x in p[2:]]
+        if k >= 2 and n - k >= 2:
+            stab_gens.append(from_cycles(n, [(0, 1), (k, k + 1)]))
         name = "A%d/%d-subsets" % (n, k)
     else:
         base_gens = [from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(range(n))])]
+        stab_gens = [from_cycles(n, [(p[0], x)]) for p in parts for x in p[1:]]  # S_k x S_{n-k}
         name = "S%d/%d-subsets" % (n, k)
 
-    group = PermGroup(degree, _induced(subsets, base_gens), caps=caps)
     labels = tuple(OmegaPoint("k_subset", s) for s in subsets)
-    stab_order, rem = divmod(order, degree)
-    if rem:
-        raise CrossCheckFailed("order %d not divisible by degree %d" % (order, degree))
-    return _verify_orders(
-        LabelledAction(
-            group,
-            labels,
-            name,
-            expected_group_order=order,
-            expected_stab_order=stab_order,
-        )
-    )
+    gens, stab_gens = (list(zip(g, _induced(subsets, g))) for g in (base_gens, stab_gens))
+    return _certified(name, labels, gens, stab_gens, order, caps)
 
 
 # -- coset actions ------------------------------------------------------------------
@@ -266,9 +273,9 @@ def coset_action(
 ) -> LabelledAction:
     """The action of G on the right cosets of H, with point 0 = H itself.
 
-    The kernel is the core of H in G; the returned action is the faithful-
-    or-not image group, whose point-0 stabiliser is certified (by an exact
-    order count) to be the image of H.
+    The kernel is the core of H in G, which lies in H, so its order is |H|
+    over the order of H's image.  The returned action is the image group,
+    certified by :func:`_certified` with the image of H as G_0.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -282,54 +289,29 @@ def coset_action(
     reps = [start]
     seen = {start: 0}
     images_per_gen = [[] for _ in G.gens]
-    qi = 0
-    while qi < len(reps):
-        rep = reps[qi]
-        qi += 1
-        for gi, gen in enumerate(G.gens):
+    for rep in reps:  # grows as cosets are found
+        for images, gen in zip(images_per_gen, G.gens):
             nxt = _coset_canonical(chain_h, rep * gen)
-            at = seen.get(nxt)
-            if at is None:
-                at = len(reps)
-                seen[nxt] = at
+            at = seen.setdefault(nxt, len(reps))
+            if at == len(reps):
                 reps.append(nxt)
-            images_per_gen[gi].append(at)
+            images.append(at)
     if len(reps) != index:
-        raise CrossCheckFailed(
-            "coset enumeration found %d cosets, expected %d" % (len(reps), index)
-        )
+        raise CrossCheckFailed("coset enumeration found %d cosets, expected %d" % (len(reps), index))
 
-    group = PermGroup(index, [Perm(imgs) for imgs in images_per_gen], caps=caps)
-    stab_gens = []
-    for h in H.gens:
-        col = [seen[_coset_canonical(chain_h, rep * h)] for rep in reps]
-        stab_gens.append(Perm(col))
-    stab0 = PermGroup(index, stab_gens, caps=caps)
-
-    order_image = group.order()
-    kernel_order, rem = divmod(order_g, order_image)
-    if rem:
-        raise CrossCheckFailed("image order %d does not divide |G|" % order_image)
-    # orbit-stabiliser: |image| = index * |stab|, which certifies that the
-    # image of H (all of whose generators fix point 0) is the full stabiliser
-    if order_image != index * stab0.order():
-        raise CrossCheckFailed("point-0 stabiliser is larger than the image of H")
-
+    gens = [(g, Perm(imgs)) for g, imgs in zip(G.gens, images_per_gen)]
+    stab_gens = [(h, Perm(seen[_coset_canonical(chain_h, rep * h)] for rep in reps)) for h in H.gens]
     labels = tuple(OmegaPoint("coset_index", i) for i in range(index))
-    warnings = ()
-    if kernel_order > 1:
-        warnings = ("action has kernel of order %d" % kernel_order,)
-    return _verify_orders(
-        LabelledAction(
-            group,
-            labels,
-            name,
-            stab0=stab0,
-            expected_group_order=order_image,
-            expected_stab_order=order_h // kernel_order,
-            warnings=warnings,
-        )
-    )
+    return _certified(name, labels, gens, stab_gens, order_g, caps, stab_order=order_h)
+
+
+def natural_action(G: PermGroup, name: str, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
+    """G on its own points, labelled by index, with G as its own carrier."""
+    if G.degree > caps.point_cap:
+        raise CapExceeded("degree %d exceeds point cap %d" % (G.degree, caps.point_cap))
+    labels = tuple(OmegaPoint("coset_index", i) for i in range(G.degree))
+    stab_gens = G.point_stabiliser(0).gens
+    return _certified(name, labels, [(g, g) for g in G.gens], [(h, h) for h in stab_gens], G.order(), caps)
 
 
 # -- the projective-pair (C2) family -------------------------------------------------
@@ -447,7 +429,8 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     mat_delta = ((lam, zero), (zero, one))
     u, d, s, delta = (line_perm(partial(_mobius_apply, M)) for M in (mat_u, mat_d, mat_s, mat_delta))
     pairs = list(combinations(range(q + 1), 2))
-    gens = _induced(pairs, [u, d, s] + _extension(variant, delta, line_perm))
+    carrier = [u, d, s] + _extension(variant, delta, line_perm)
+    gens = list(zip(carrier, _induced(pairs, carrier)))
 
     labels = tuple(
         OmegaPoint("proj_pair", (_proj_payload(points[i]), _proj_payload(points[j])))
@@ -457,17 +440,7 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     if q == 5:
         warnings = ("point stabiliser is not maximal for q = 5; action is imprimitive",)
     # PSL(2,q)'s torus and swap generators fix alpha = {<e1>, <e2>}
-    return _verify_orders(
-        LabelledAction(
-            PermGroup(degree, gens, caps=caps),
-            labels,
-            "%s/proj-pairs" % variant.describe(),
-            stab0=PermGroup(degree, gens[1:], caps=caps),
-            expected_group_order=order,
-            expected_stab_order=variant.index * 2 * (q - 1) // h,
-            warnings=warnings,
-        )
-    )
+    return _certified("%s/proj-pairs" % variant.describe(), labels, gens, gens[1:], order, caps, warnings)
 
 
 # -- the unitary-model (C3) family ---------------------------------------------------
@@ -553,20 +526,15 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     mat_t = ((lam ** (q - 1), zero), (zero, lam ** (1 - q)))  # SU2 torus
     mat_w = ((zero, one), (-one, zero))  # SU2 swap of <u>, <v>
     mat_b = ((lam ** (q - 1), zero), (zero, one))  # diagonal coset rep in GU2
-    *carrier, delta = (line_perm(partial(_mobius_apply, M)) for M in (*su_mats, mat_t, mat_w, mat_b))
+    *line, delta = (line_perm(partial(_mobius_apply, M)) for M in (*su_mats, mat_t, mat_w, mat_b))
     # SU2's three generators, then torus and swap (both fix alpha), then the extension
-    gens = _induced(blocks, carrier + _extension(variant, delta, line_perm))
-
-    return _verify_orders(
-        LabelledAction(
-            PermGroup(degree, gens[:3] + gens[5:], caps=caps),
-            labels,
-            "%s/unitary-pairs" % variant.describe(),
-            stab0=PermGroup(degree, gens[3:], caps=caps),
-            expected_group_order=order,
-            expected_stab_order=variant.index * (q + 1),
-        )
-    )
+    line += _extension(variant, delta, line_perm)
+    # the carrier: the isotropic points b^(q+1) = -1, at line positions 2 + log b
+    m = F2.q - 1
+    isotropic = [(2 + log,) for log in np.flatnonzero(np.arange(m) * (q + 1) % m == m // 2).tolist()]
+    gens = list(zip(_induced(isotropic, line), _induced(blocks, line)))
+    name = "%s/unitary-pairs" % variant.describe()
+    return _certified(name, labels, gens[:3] + gens[5:], gens[3:], order, caps)
 
 
 # -- catalogue ingestion --------------------------------------------------------------

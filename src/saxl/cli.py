@@ -45,6 +45,7 @@ from .actions import (
     coset_action,
     ksubset_action,
     load_catalogue,
+    natural_action,
     proj_pair_labels,
     proj_pair_payload,
     psl2_c2_action,
@@ -212,10 +213,7 @@ def _entry_action(entry, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
         raise CapExceeded("group order %d exceeds cap %d" % (entry.expected_order, caps.group_cap))
     if entry.subgroup is not None:
         return coset_action(entry.group, entry.subgroup, entry.name, caps=caps)
-    if entry.group.degree > caps.point_cap:
-        raise CapExceeded("degree %d exceeds point cap %d" % (entry.group.degree, caps.point_cap))
-    labels = tuple(OmegaPoint("coset_index", i) for i in range(entry.group.degree))
-    return LabelledAction(entry.group, labels, entry.name)
+    return natural_action(entry.group, entry.name, caps)
 
 
 def build_action(args) -> LabelledAction:

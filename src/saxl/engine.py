@@ -28,7 +28,7 @@ import numpy as np
 from .actions import LabelledAction
 from .gf import is_prime
 from .group import CapExceeded, CrossCheckFailed, conjugacy_class
-from .perm import Perm, identity
+from .perm import Perm
 
 
 # -- cached per-action analysis -------------------------------------------------------
@@ -40,7 +40,8 @@ class _Analysis:
     ``orbits`` are the orbits of H = G_0, ordered by minimal point;
     ``lengths[i]`` is the length of ``orbits[i]`` and ``regular[i]`` whether it
     is regular (of length |H|); ``flags[b]`` is whether {0, b} is a base pair,
-    and ``transversal[a]`` maps 0 to a.  Each suborbit's flag is computed by
+    and ``tree`` is a Schreier vector of 0 over G's generators, whose path
+    product u_a maps 0 to a.  Each suborbit's flag is computed by
     two independent routes that must agree: orbit length (a breadth-first
     search over the generators of H) versus fixed points ({0, b} is a base
     exactly when no non-identity element of H fixes b, from H's
@@ -53,10 +54,7 @@ class _Analysis:
         n = action.degree
         self.n = n
         self.order_h = H.order()
-        # G is transitive, so its chain's base starts at 0 and level 0 holds a
-        # transversal of G_0 in G; only a degree-1 chain has no levels
-        levels = action.group.chain.levels
-        self.transversal = levels[0].transversal if levels else {0: identity(1)}
+        self.tree = action.group.schreier_vector
         self.orbits = H.orbits()  # ordered by minimal point
         points = np.arange(n)
         fixed_by_nonidentity = np.zeros(n, dtype=bool)
@@ -87,8 +85,8 @@ class _Analysis:
         self.regular_count = int(self.regular.sum())
 
     def flags_from(self, a: int) -> np.ndarray:
-        """Image array w with flags[w[x]] == is_base_pair(a, x)."""
-        return self.transversal[a].inverse().images
+        """Image array w with flags[w[x]] == is_base_pair(a, x): u_a^-1."""
+        return self.tree.inverse(a)
 
 
 def _analysis(action: LabelledAction) -> _Analysis:
@@ -290,26 +288,27 @@ def saxl_graph(action: LabelledAction) -> SaxlGraph:
         return cached
     data = _analysis(action)
     n = data.n
-    caps = action.group.caps
-    if n > caps.graph_cap:
-        raise CapExceeded("degree %d exceeds graph cap %d" % (n, caps.graph_cap))
+    if n > action.group.caps.graph_cap:
+        raise CapExceeded("degree %d exceeds graph cap %d" % (n, action.group.caps.graph_cap))
 
-    matrix = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        matrix[a] = data.flags[data.flags_from(a)]
-    np.fill_diagonal(matrix, False)
-    if not np.array_equal(matrix, matrix.T):
-        raise CrossCheckFailed("base-pair adjacency is not symmetric")
+    # packed rows, filled in the Schreier vector's tree order: n^2/8 bytes
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    degrees = np.zeros(n, dtype=np.intp)
+    for a, w in data.tree.walk():
+        row = data.flags[w]
+        row[a] = False
+        degrees[a] = np.count_nonzero(row)
+        packed[a] = np.packbits(row, bitorder="little")
+    # symmetry, one block of 128 columns against the same 128 rows at a time
+    for lo in range(0, n, 128):
+        columns = np.unpackbits(packed[:, lo // 8 : lo // 8 + 16], axis=1, count=min(128, n - lo), bitorder="little")
+        block = np.unpackbits(packed[lo : lo + 128], axis=1, count=n, bitorder="little")
+        if not np.array_equal(columns, block.T):
+            raise CrossCheckFailed("base-pair adjacency is not symmetric")
     expected = data.regular_count * data.order_h - (1 if data.order_h == 1 else 0)
-    degrees = matrix.sum(axis=1)
     if not (degrees == expected).all():
-        raise CrossCheckFailed(
-            "valency %s != r*|H| = %d" % (sorted(set(degrees.tolist())), expected)
-        )
-    rows = tuple(
-        int.from_bytes(np.packbits(matrix[a], bitorder="little").tobytes(), "little")
-        for a in range(n)
-    )
+        raise CrossCheckFailed("valency %s != r*|H| = %d" % (sorted(set(degrees.tolist())), expected))
+    rows = tuple(int.from_bytes(packed[a].tobytes(), "little") for a in range(n))
     graph = SaxlGraph(n, rows, expected)
     action._cache["graph"] = graph
     return graph

@@ -2,13 +2,13 @@
 
 The stabiliser chain is built by the classical (non-randomised) Schreier-Sims
 procedure.  A group's chain starts its base at the least point that any
-generator moves, which is 0 for every transitive group of degree >= 2: level 0
-then holds a transversal of G_0 in G and the deeper levels are G_0's own chain,
-so the point stabiliser of 0 costs no second chain.  Further base points are
-always the smallest point moved by the offending residue, so chains, strong
-generating sets, orders and memberships are reproducible across runs.  Other
-pointwise stabilisers come from a fresh chain whose base starts with the
-given points.
+generator moves; further base points are always the smallest point moved by
+the offending residue, so chains, strong generating sets, orders and
+memberships are reproducible across runs.  Pointwise stabilisers come from a
+fresh chain whose base starts with the given points.
+
+A certified group answers its order and G_0 with no chain of its own, and
+coset representatives of G_0 come from a :class:`SchreierVector`.
 
 Hard limits guard every potentially explosive operation (element enumeration,
 class materialisation); exceeding a limit raises :class:`CapExceeded` rather
@@ -18,6 +18,7 @@ than silently degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -81,6 +82,58 @@ def _close_orbit(transversal: dict[int, Perm], orbit_list: list[int], gens: Sequ
                 orbit_list.append(gamma)
 
 
+class SchreierVector:
+    """The orbit of one point as a tree over a list of generators (Seress,
+    *Permutation Group Algorithms*, 2003, section 4.1).
+
+    ``orbit`` lists the orbit in breadth-first order from the root.
+    Generator ``via[a]`` maps ``parent[a]`` to a, so the product u_a of the
+    generators on the tree path from the root maps the root to a; points
+    outside the orbit have parent -1.  The tree takes O(n) bytes where a
+    transversal holds n permutations.
+    """
+
+    def __init__(self, degree: int, gens: Sequence[Perm], root: int):
+        self.root, self._gens = root, gens
+        self.parent, self.via = [-1] * degree, [0] * degree
+        self.parent[root] = root
+        self.orbit = [root]
+        gen_images = [g.images.tolist() for g in gens]
+        for b in self.orbit:
+            for i, images in enumerate(gen_images):
+                a = images[b]
+                if self.parent[a] < 0:
+                    self.parent[a], self.via[a] = b, i
+                    self.orbit.append(a)
+
+    @cached_property
+    def _inverses(self) -> list[np.ndarray]:
+        return [g.inverse().images for g in self._gens]
+
+    def inverse(self, a: int) -> np.ndarray:
+        """The images of u_a^-1, which maps a to the root: one gather per
+        tree edge from a up to the root."""
+        if self.parent[a] < 0:
+            raise ValueError("point %d is not in the orbit" % a)
+        w = np.arange(len(self.parent))
+        while a != self.root:
+            w = self._inverses[self.via[a]].take(w)
+            a = self.parent[a]
+        return w
+
+    def walk(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(a, images of u_a^-1) for every orbit point a, depth first, so
+        u_a^-1 = g^-1 * u_b^-1 for b = parent[a] costs one gather."""
+        children: list[list[int]] = [[] for _ in self.parent]
+        for a in self.orbit[1:]:
+            children[self.parent[a]].append(a)
+        stack = [(self.root, np.arange(len(self.parent)))]
+        while stack:
+            b, w = stack.pop()
+            yield b, w
+            stack.extend((a, w.take(self._inverses[self.via[a]])) for a in children[b])
+
+
 class StabChain:
     """Deterministic stabiliser chain for a permutation group.
 
@@ -101,17 +154,12 @@ class StabChain:
                 raise ValueError("generator degree %d does not match %d" % (g.degree, degree))
             self._add_element(g)
 
-    @classmethod
-    def _adopt(cls, degree: int, levels: list[_Level]) -> "StabChain":
-        """Wrap existing (complete) levels as a chain without reprocessing."""
-        chain = cls.__new__(cls)
-        chain.degree = degree
-        chain.levels = levels
-        return chain
-
     def suffix_chain(self, idx: int) -> "StabChain":
-        """The chain of the pointwise stabiliser of the first ``idx`` base points."""
-        return StabChain._adopt(self.degree, self.levels[idx:])
+        """The chain of the pointwise stabiliser of the first ``idx`` base
+        points: this chain's deeper levels, which are complete already."""
+        chain = StabChain.__new__(StabChain)
+        chain.degree, chain.levels = self.degree, self.levels[idx:]
+        return chain
 
     # -- construction --------------------------------------------------------
 
@@ -160,7 +208,7 @@ class StabChain:
         certified they stay certified, because deeper levels only ever grow.
         """
         level = self.levels[idx]
-        self._rebuild_orbit(level)
+        _close_orbit(level.transversal, level.orbit_list, level.gens)
         i = 0
         while i < len(level.orbit_list):
             beta = level.orbit_list[i]
@@ -180,10 +228,6 @@ class StabChain:
                 self._insert(residue, idx + 1, j)
             i += 1
 
-    def _rebuild_orbit(self, level: _Level) -> None:
-        """Extend the orbit/transversal of a level after adding generators."""
-        _close_orbit(level.transversal, level.orbit_list, level.gens)
-
     # -- queries --------------------------------------------------------------
 
     def order(self) -> int:
@@ -191,9 +235,6 @@ class StabChain:
         for level in self.levels:
             n *= len(level.transversal)
         return n
-
-    def base(self) -> list[int]:
-        return [level.point for level in self.levels]
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
@@ -250,6 +291,8 @@ class PermGroup:
         self.caps = caps
         self._chain: StabChain | None = None
         self._elements: list[Perm] | None = None
+        self._order: int | None = None
+        self._stabiliser0: PermGroup | None = None
 
     # -- chain-backed basics ---------------------------------------------------
 
@@ -262,7 +305,14 @@ class PermGroup:
         return self._chain
 
     def order(self) -> int:
-        return self.chain.order()
+        if self._order is None:
+            self._order = self.chain.order()
+        return self._order
+
+    def adopt_certificate(self, order: int, stabiliser0: "PermGroup") -> None:
+        """Answer :meth:`order` and :meth:`point_stabiliser` of 0 from a
+        certificate such as :func:`saxl.actions._certified`, with no chain."""
+        self._order, self._stabiliser0 = order, stabiliser0
 
     def contains(self, g: Perm) -> bool:
         return self.chain.contains(g)
@@ -284,21 +334,14 @@ class PermGroup:
 
     # -- orbits ------------------------------------------------------------------
 
+    @cached_property
+    def schreier_vector(self) -> SchreierVector:
+        """The Schreier vector of point 0 over the generators, built once."""
+        return SchreierVector(self.degree, self.gens, 0)
+
     def orbit(self, point: int) -> list[int]:
         """Orbit of a point, in BFS discovery order from the point."""
-        seen = {point}
-        out = [point]
-        gen_images = [g.images.tolist() for g in self.gens]
-        qi = 0
-        while qi < len(out):
-            beta = out[qi]
-            qi += 1
-            for images in gen_images:
-                gamma = images[beta]
-                if gamma not in seen:
-                    seen.add(gamma)
-                    out.append(gamma)
-        return out
+        return SchreierVector(self.degree, self.gens, point).orbit
 
     def orbit_transversal(self, point: int) -> dict[int, Perm]:
         """Orbit with coset representatives u mapping ``point`` to each orbit point."""
@@ -320,7 +363,7 @@ class PermGroup:
         return out
 
     def is_transitive(self) -> bool:
-        return self.degree <= 1 or len(self.orbit(0)) == self.degree
+        return self.degree <= 1 or len(self.schreier_vector.orbit) == self.degree
 
     def is_primitive(self) -> bool:
         """Transitive with no nontrivial block system.
@@ -328,12 +371,13 @@ class PermGroup:
         The blocks through 0 correspond to the overgroups of G_0 (Dixon and
         Mortimer, *Permutation Groups*, 1996, section 1.5), so the minimal
         block through {0, beta} is the orbit of 0 under <G_0, u_beta>, where
-        u_beta in level 0 of the group's chain maps 0 to beta.  That orbit is
-        a union of G_0-orbits: a boolean vector over them, started at those of
-        0 and beta, gains the G_0-orbit of every u_beta-image of its points
-        until it stops growing.  The group is primitive when every such block
-        covers all G_0-orbits.  For h in G_0 the block through {0, beta^h} is
-        the h-image of the block through {0, beta}, so one beta per G_0-orbit
+        u_beta maps 0 to beta; its inverse comes from the group's
+        :attr:`schreier_vector`.  That orbit is a union of G_0-orbits: a
+        boolean vector over them, started at those of 0 and beta, gains the
+        G_0-orbit of every u_beta^-1-image of its points until it stops
+        growing.  The group is primitive when every such block covers all
+        G_0-orbits.  For h in G_0 the block through {0, beta^h} is the
+        h-image of the block through {0, beta}, so one beta per G_0-orbit
         decides.  Groups of degree <= 2 are primitive by convention.
         """
         n = self.degree
@@ -345,9 +389,8 @@ class PermGroup:
         label = np.empty(n, dtype=np.intp)
         for i, orbit in enumerate(suborbits):
             label[orbit] = i
-        transversal = self.chain.levels[0].transversal
         for i, orbit in enumerate(suborbits[1:], 1):
-            images = transversal[orbit[0]].images
+            images = self.schreier_vector.inverse(orbit[0])
             block = np.zeros(len(suborbits), dtype=bool)
             block[[0, i]] = True
             size = 0
@@ -361,28 +404,19 @@ class PermGroup:
     # -- stabilisers ----------------------------------------------------------------
 
     def point_stabiliser(self, point: int) -> "PermGroup":
-        """Stabiliser of one point.
-
-        The group's own chain starts its base at the least moved point (0
-        for a transitive group), so that point's stabiliser is the rest of
-        the cached chain; any other point goes through
-        :meth:`pointwise_stabiliser`."""
-        chain = self.chain
-        if chain.levels and chain.levels[0].point == point:
-            return self._suffix_group(chain, 1)
+        """Stabiliser of one point: the certified one for point 0, else
+        from :meth:`pointwise_stabiliser`."""
+        if point == 0 and self._stabiliser0 is not None:
+            return self._stabiliser0
         return self.pointwise_stabiliser([point])
 
     def pointwise_stabiliser(self, points: Sequence[int]) -> "PermGroup":
         """Pointwise stabiliser of a point sequence, from a fresh chain whose
-        base starts with those points."""
+        base starts with those points: the deeper part of that chain already
+        is the stabiliser's chain."""
         chain = StabChain(self.degree, self.gens, base_prefix=list(points))
-        return self._suffix_group(chain, len(points))
-
-    def _suffix_group(self, chain: StabChain, idx: int) -> "PermGroup":
-        """The pointwise stabiliser of the first ``idx`` base points of one of
-        this group's chains: the deeper part of the chain already is its chain."""
-        sub = PermGroup(self.degree, chain.strong_gens_from(idx), caps=self.caps)
-        sub._chain = chain.suffix_chain(idx)
+        sub = PermGroup(self.degree, chain.strong_gens_from(len(points)), caps=self.caps)
+        sub._chain = chain.suffix_chain(len(points))
         return sub
 
     # -- element enumeration ------------------------------------------------------

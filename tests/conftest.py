@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from saxl.actions import INF, LabelledAction, OmegaPoint, bundled_catalogue_path, c3_canonical_log, coset_action, load_catalogue
+from saxl.actions import INF, bundled_catalogue_path, c3_canonical_log, coset_action, load_catalogue
 from saxl.gf import CrossCheckFailed, is_prime, is_square
 from saxl.group import CapExceeded, PermGroup, conjugacy_class
 from saxl.perm import Perm
@@ -43,12 +43,6 @@ def fixture_actions(catalogue, table_rows):
         entry = catalogue[name]
         out[name] = coset_action(entry.group, entry.subgroup, name)
     return out
-
-
-def natural_action(group, name):
-    """The defining action of a permutation group, with index labels."""
-    labels = tuple(OmegaPoint("coset_index", i) for i in range(group.degree))
-    return LabelledAction(group, labels, name)
 
 
 def all_perms(degree: int):

@@ -20,11 +20,11 @@ from saxl.actions import (
     psl2_c2_action,
     psl2_c3_action,
     su2_conjugator,
+    _certified,
     _induced,
-    _verify_orders,
 )
 from saxl.gf import field_create, split_prime_power
-from saxl.group import CapExceeded, CrossCheckFailed, PermGroup
+from saxl.group import DEFAULT_CAPS, CapExceeded, CrossCheckFailed, PermGroup
 from saxl.perm import Perm, from_cycles
 
 
@@ -80,6 +80,17 @@ class TestCosetAction:
         odd = PermGroup(5, [from_cycles(5, [(0, 1)])])
         with pytest.raises(ValueError):
             coset_action(a5, odd)
+
+    def test_kernel_is_the_core_of_the_subgroup(self):
+        # S4 on the 3 cosets of D8: the kernel is the Klein four-group
+        s4 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 1)])])
+        d8 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(1, 3)])])
+        act = coset_action(s4, d8, "S4/D8")
+        assert act.degree == 3
+        assert act.warnings == ("action has kernel of order 4",)
+        assert act.group.order() == 6
+        assert act.stabiliser0().order() == 2
+        assert act.group.same_group(PermGroup(3, [from_cycles(3, [(0, 1, 2)]), from_cycles(3, [(1, 2)])]))
 
     def test_point_cap(self):
         s12 = PermGroup(12, [from_cycles(12, [range(12)]), from_cycles(12, [(0, 1)])])
@@ -261,11 +272,13 @@ def _distinct_variants(qmax: int):
 
 class TestPinnedGenerators:
     """sha256 over the generators, point-0 stabiliser generators and labels
-    of every distinct c2/c3 variant with q <= 27 and six k-subset actions,
-    pinned before the constructors were rewritten.  CI runs this class under
-    two hash seeds."""
+    of every distinct c2/c3 variant with q <= 27, and over the generators and
+    labels of six k-subset actions, pinned before the constructors were
+    rewritten.  A k-subset action's stabiliser generators are the explicit
+    ones of S_k x S_{n-k}, which its certificate checks, so they are left
+    out.  CI runs this class under two hash seeds."""
 
-    DIGEST = "ba7cb76fbb6f234399dddddbe7e642238c4c109489e158601d2ad48a243622bd"
+    DIGEST = "e80effaeae13f6d8207434e9f3b17d731e94eeaf7d135f7a131c47c221a0427a"
 
     @staticmethod
     def _actions():
@@ -280,7 +293,8 @@ class TestPinnedGenerators:
         digest = hashlib.sha256()
         count = 0
         for act in self._actions():
-            for gens in (act.group.gens, act.stabiliser0().gens):
+            stab_gens = [] if act.labels[0].kind == "k_subset" else act.stabiliser0().gens
+            for gens in (act.group.gens, stab_gens):
                 digest.update(b"".join(g.key for g in gens) + b"|")
             digest.update(repr(act.labels).encode() + b"\n")
             count += 1
@@ -313,24 +327,32 @@ class TestLabelledActionInvariants:
             assert act.label_index[lab] == i
 
     @pytest.mark.parametrize(
-        "group_gens, stab_gens",
+        "group_gens, stab_gens, refusal",
         [
             # S4 with S3 on {0, 1, 2}: the right order, but it moves 0
-            ([[(0, 1, 2, 3)], [(0, 1)]], [[(0, 1, 2)], [(0, 1)]]),
+            ([[(0, 1, 2, 3)], [(0, 1)]], [[(0, 1, 2)], [(0, 1)]], "moves label 0"),
             # D4 with <(1 2)>: the right order, fixes 0, not in D4
-            ([[(0, 1, 2, 3)], [(1, 3)]], [[(1, 2)]]),
+            ([[(0, 1, 2, 3)], [(1, 3)]], [[(1, 2)]], "is not in the group"),
         ],
     )
-    def test_explicit_stabiliser_is_certified(self, group_gens, stab_gens):
-        g = PermGroup(4, [from_cycles(4, c) for c in group_gens])
-        stab0 = PermGroup(4, [from_cycles(4, c) for c in stab_gens])
+    def test_explicit_stabiliser_is_certified(self, group_gens, stab_gens, refusal):
+        gens = [from_cycles(4, c) for c in group_gens]
+        stab = [from_cycles(4, c) for c in stab_gens]
         labs = tuple(OmegaPoint("coset_index", i) for i in range(4))
-        act = LabelledAction(
-            g, labs, "bad", stab0=stab0,
-            expected_group_order=g.order(), expected_stab_order=g.order() // 4,
-        )
-        with pytest.raises(CrossCheckFailed, match="point stabiliser generator"):
-            _verify_orders(act)
+        order = PermGroup(4, gens).order()
+        with pytest.raises(CrossCheckFailed, match="point stabiliser generator " + refusal):
+            _certified("bad", labs, [(g, g) for g in gens], [(h, h) for h in stab], order, DEFAULT_CAPS)
+
+    def test_certificate_checks_orbit_and_stabiliser_order(self):
+        s3 = [from_cycles(3, [(0, 1, 2)]), from_cycles(3, [(0, 1)])]
+        # S3 on four labels, the last one fixed: the right order, not transitive
+        on_four = [(g, Perm(list(g.images) + [3])) for g in s3]
+        labs = tuple(OmegaPoint("coset_index", i) for i in range(4))
+        with pytest.raises(CrossCheckFailed, match="label 0 has an orbit of length 3, not 4"):
+            _certified("bad", labs, on_four, [], 6, DEFAULT_CAPS)
+        # S3 naturally, with a trivial stabiliser in place of <(1 2)>
+        with pytest.raises(CrossCheckFailed, match="point stabiliser order 1, expected 2"):
+            _certified("bad", labs[:3], [(g, g) for g in s3], [], 6, DEFAULT_CAPS)
 
 
 class TestCatalogue:

@@ -147,14 +147,31 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
 
     def test_action_order_check_is_3(self, capsys, monkeypatch):
-        from saxl.group import PermGroup
+        from saxl.group import StabChain
 
-        # a wrong |G| trips the closed-form order check in actions._verify_orders
-        monkeypatch.setattr(PermGroup, "order", lambda self: 7)
+        # a wrong chain order trips the certificate's diagonal order check
+        monkeypatch.setattr(StabChain, "order", lambda self: 7)
         assert main(["analyze", "--ksubsets", "5", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: cross-check failed: S5/2-subsets: group order 7, expected 120\n"
+        assert captured.err == "error: cross-check failed: S5/2-subsets: diagonal order 7, expected 120\n"
+
+    def test_swapped_label_generators_are_3(self, capsys, monkeypatch):
+        from saxl import actions
+
+        # the label images of u and d swapped: the diagonal group is then
+        # PSL(2,7) x PSL(2,7), not the graph of one action
+        induced = actions._induced
+
+        def swapped(blocks, carrier_gens):
+            gens = induced(blocks, carrier_gens)
+            return [gens[1], gens[0], *gens[2:]]
+
+        monkeypatch.setattr(actions, "_induced", swapped)
+        assert main(["analyze", "--psl2", "c2", "--q", "7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cross-check failed: PSL2(7)/proj-pairs: diagonal order 28224, expected 168\n"
 
     def test_witness_check_is_3(self, capsys, monkeypatch):
         from saxl import criteria
@@ -480,6 +497,8 @@ class TestGoldens:
         "verify closed-forms": "a43af65fbbdeddaed12c8acbb2799462f1d1f6e3051557e9a19d0de6e3e88690",
         "verify cliques": "0b604a0ea700d82d0e66ba18df1a3bb3e5d05d71ebaba17472b7268c6fd55ad0",
         "verify estimates": "13d5c6c705f3808ba4f82744111b6c68d84a9dd06c40c897590562c57859808f",
+        "analyze --psl2 c2 --q 121 --no-classes": "e1c46f0d17b1c850149132d0a54709a292c1b5f8a7b1f81cb7c824069b8bb638",
+        "analyze --psl2 c3 --q 121 --no-classes": "3dcfa8fef36660e96a6deecfc9a7c878d306caa5111395df01df31420e242ef7",
     }
 
     @pytest.mark.parametrize("argv", list(DIGESTS))

@@ -1,6 +1,7 @@
 """Base pairs, suborbit statistics, the Q-estimates, graphs, cliques, reports."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from saxl.actions import (
     coset_action,
     ksubset_action,
     load_catalogue,
+    natural_action,
     psl2_c2_action,
     psl2_c3_action,
 )
@@ -40,7 +42,7 @@ from saxl.engine import (
 from saxl.group import CapExceeded, Caps, PermGroup
 from saxl.perm import from_cycles
 
-from conftest import natural_action, prime_order_class_reps
+from conftest import prime_order_class_reps
 
 
 def a5_pairs():
@@ -322,6 +324,30 @@ class TestGraph:
         data.flags[short] = True  # the disjoint pairs: symmetric, but valency 9
         with pytest.raises(CrossCheckFailed, match="valency"):
             saxl_graph(act)
+
+    def test_asymmetric_rows_are_caught(self, monkeypatch):
+        act = a5_pairs()
+        data = _analysis(act)
+        walk = list(data.tree.walk())
+        # every point gets the row of the next point in the walk
+        shifted = [(a, w) for (a, _), (_, w) in zip(walk, walk[1:] + walk[:1])]
+        monkeypatch.setattr(data.tree, "walk", lambda: iter(shifted))
+        with pytest.raises(CrossCheckFailed, match="not symmetric"):
+            saxl_graph(act)
+
+    def test_packed_rows_stay_small(self):
+        # PSigmaL(2,81) on pairs, n = 3321: the result is 1.5 MB, and a dense
+        # n x n boolean matrix alone would be 11 MB
+        act = psl2_c2_action(GroupVariant("PSigmaL2", 81))
+        _analysis(act)
+        tracemalloc.start()
+        try:
+            graph = saxl_graph(act)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.n == 3321 and graph.valency == 5 * 320
+        assert peak < 5 * 2**20
 
     def test_graph_cap(self):
         act = ksubset_action(5, 2, even_only=True, caps=Caps(graph_cap=5))

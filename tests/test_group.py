@@ -1,5 +1,6 @@
 """Stabiliser chains, orders, orbits, classes, caps."""
 
+import json
 import random
 from collections import Counter
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saxl.actions import GroupVariant, ksubset_action, psl2_c2_action
-from saxl.group import CapExceeded, Caps, PermGroup, StabChain, conjugacy_class
+from saxl.cli import _build_parser, build_action, main
+from saxl.group import CapExceeded, Caps, PermGroup, SchreierVector, StabChain, conjugacy_class
 from saxl.perm import Perm, from_cycles, identity
 
 from conftest import all_perms, prime_order_class_reps
@@ -29,19 +31,6 @@ def psl2_mobius(q):
     for z in range(1, q):
         inv.append((-pow(z, -1, q)) % q + 1)
     return PermGroup(q + 1, [Perm(shift), Perm(inv)])
-
-
-def count_chains(monkeypatch):
-    """A list that gains one entry per StabChain built from now on."""
-    calls = []
-    build = StabChain.__init__
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(StabChain, "__init__", counted)
-    return calls
 
 
 def block_through(g, beta):
@@ -143,6 +132,21 @@ class TestOrbits:
             for point in range(0, g.degree, 2):
                 assert len(g.orbit(point)) * g.point_stabiliser(point).order() == g.order()
 
+    def test_schreier_vector(self):
+        two_orbits = PermGroup(6, [from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(1, 2)]), from_cycles(6, [(3, 4, 5)])])
+        for g in (symmetric(5), alternating(6), psl2_mobius(13), two_orbits):
+            tree = SchreierVector(g.degree, g.gens, 0)
+            orbit = g.orbit(0)
+            assert tree.orbit == orbit
+            walked = dict((a, w.tolist()) for a, w in tree.walk())
+            assert sorted(walked) == sorted(orbit)
+            for a in orbit:
+                u_inv = Perm(tree.inverse(a).tolist())
+                assert u_inv(a) == 0 and g.contains(u_inv)
+                assert walked[a] == u_inv.images.tolist()
+        with pytest.raises(ValueError, match="not in the orbit"):
+            tree.inverse(3)
+
     def test_primitivity(self):
         assert psl2_mobius(13).is_primitive()
         assert symmetric(4).is_primitive()
@@ -184,23 +188,44 @@ class TestStabilisers:
         assert stab.order() == 720
         assert all(g(0) == 0 for g in stab.gens)
 
-    def test_certified_action_builds_one_chain(self, monkeypatch):
-        calls = count_chains(monkeypatch)
-        act = ksubset_action(6, 2)  # certifies |G| and |G_0| against closed forms
-        assert len(calls) == 1
-        assert act.stabiliser0().order() == 48
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            ("--psl2 c2 --q 25 --variant psigma", 325),
+            ("--psl2 c3 --q 27", 351),
+            ("--ksubsets 7 3 --alternating", 35),
+            ("--catalogue PGL2_13_S4", 91),
+        ],
+        ids=["c2", "c3", "ksubsets", "catalogue"],
+    )
+    def test_analyze_builds_no_chain_of_g_on_its_points(self, monkeypatch, capsys, argv, n):
+        # the certificate's chain acts on carrier and points together, so the
+        # one chain of degree n built by analyze is H's, all of whose
+        # generators fix point 0
+        chains = []
+        build = StabChain.__init__
 
-    def test_is_primitive_reuses_the_chain(self, monkeypatch):
-        act = psl2_c2_action(GroupVariant("PSL2", 13))
-        calls = count_chains(monkeypatch)
-        assert act.group.is_primitive()
-        assert calls == []
+        def recorded(self, degree, gens, *args, **kwargs):
+            chains.append((degree, [g(0) for g in gens]))
+            build(self, degree, gens, *args, **kwargs)
+
+        monkeypatch.setattr(StabChain, "__init__", recorded)
+        assert main(["analyze", *argv.split()]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == n
+        on_points = [images_of_0 for degree, images_of_0 in chains if degree == n]
+        assert len(on_points) == 1
+        assert set(on_points[0]) == {0}
+        # primitivity reads the certified G_0 and a Schreier vector
+        action = build_action(_build_parser().parse_args(["analyze", *argv.split()]))
+        chains.clear()
+        action.group.is_primitive()
+        assert chains == []
 
     def test_base_starts_at_point_0(self, fixture_actions):
         groups = [act.group for act in fixture_actions.values()]
         groups.append(ksubset_action(10, 2).group)  # its first generator fixes point 0
         for g in groups:
-            assert g.chain.base()[0] == 0
+            assert g.chain.levels[0].point == 0
 
     def test_point_stabiliser_idempotent(self):
         g = psl2_mobius(7)
