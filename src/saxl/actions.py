@@ -108,12 +108,16 @@ class GroupVariant:
 
 @dataclass(eq=False)
 class LabelledAction:
-    """A transitive permutation group together with its point labels."""
+    """A transitive permutation group together with its point labels.
+
+    ``carrier`` holds the (carrier, label) generator pairs of G and of G_0
+    on a faithful carrier, as :func:`_certified` certified them."""
 
     group: PermGroup
     labels: tuple
     name: str
     warnings: tuple = ()
+    carrier: tuple = ((), ())
     label_index: dict = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -135,7 +139,7 @@ class LabelledAction:
         return self.group.point_stabiliser(0)
 
 
-def _diagonal(carrier: Perm, label: Perm) -> Perm:
+def diagonal(carrier: Perm, label: Perm) -> Perm:
     """The permutation of carrier and labels together, carrier points first."""
     return Perm(np.concatenate([carrier.images, label.images.astype(np.intp) + carrier.degree]).tolist())
 
@@ -157,19 +161,24 @@ def _certified(name, labels, gens, stab_gens, order, caps, warnings=(), stab_ord
     ch. 4).  G is faithful, unless the carrier's stabiliser order
     ``stab_order`` is given, as for a coset action: the kernel lies in the
     stabiliser, so its order is ``stab_order`` / |H|.
+
+    The action keeps the certified pairs as its ``carrier``.  When the
+    kernel is 1 and every base point of D's chain is a carrier point, D maps
+    one to one onto both its carrier and its label parts, so the carrier
+    parts are G in degree m; otherwise the labels are their own carrier.
     """
-    n = len(labels)
-    diagonal = StabChain(gens[0][0].degree + n, [_diagonal(c, g) for c, g in gens])
+    n, m = len(labels), gens[0][0].degree
+    chain = StabChain(m + n, [diagonal(c, g) for c, g in gens])
     group = PermGroup(n, [g for _, g in gens], caps=caps)
     H = PermGroup(n, [g for _, g in stab_gens], caps=caps)
-    if diagonal.order() != order:
-        raise CrossCheckFailed("%s: diagonal order %d, expected %d" % (name, diagonal.order(), order))
+    if chain.order() != order:
+        raise CrossCheckFailed("%s: diagonal order %d, expected %d" % (name, chain.order(), order))
     if len(group.schreier_vector.orbit) != n:
         raise CrossCheckFailed("%s: label 0 has an orbit of length %d, not %d" % (name, len(group.schreier_vector.orbit), n))
     for c, g in stab_gens:
         if g(0) != 0:
             raise CrossCheckFailed("%s: a point stabiliser generator moves label 0" % name)
-        if not diagonal.contains(_diagonal(c, g)):
+        if not chain.contains(diagonal(c, g)):
             raise CrossCheckFailed("%s: a point stabiliser generator is not in the group" % name)
     kernel = 1 if stab_order is None else stab_order // H.order()
     if H.order() * n * kernel != order:
@@ -177,7 +186,9 @@ def _certified(name, labels, gens, stab_gens, order, caps, warnings=(), stab_ord
     group.adopt_certificate(order // kernel, H)
     if kernel > 1:
         warnings += ("action has kernel of order %d" % kernel,)
-    return LabelledAction(group, labels, name, warnings=warnings)
+    faithful = kernel == 1 and all(level.point < m for level in chain.levels)
+    carrier = tuple(tuple((c if faithful else g, g) for c, g in pairs) for pairs in (gens, stab_gens))
+    return LabelledAction(group, labels, name, warnings=warnings, carrier=carrier)
 
 
 def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:

@@ -7,7 +7,10 @@ pointwise stabiliser is trivial.  The central quantities are
 * Q, the exact probability that a uniformly random ordered pair of points
   is NOT a base, computed two independent ways and cross-checked,
 * the union-bound estimates Q-hat (per conjugacy class of prime-order
-  elements) and Q-tilde (classes pooled by order and class size),
+  elements) and Q-tilde (classes pooled by order and class size), whose
+  classes are searched on the action's small faithful carrier (degree m,
+  such as q + 1 for the projective families) while fixed points are
+  counted on the labels,
 * the base-pair graph on the point set, its star property (every two
   vertices share a common neighbour), and clique/independence numbers.
 
@@ -25,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import LabelledAction
+from .actions import LabelledAction, diagonal
 from .gf import is_prime
-from .group import CapExceeded, CrossCheckFailed, conjugacy_class
+from .group import CapExceeded, CrossCheckFailed, PermGroup, conjugacy_class
 from .perm import Perm
 
 
@@ -144,29 +147,41 @@ def q_exact(action: LabelledAction) -> Fraction:
 
 
 def _prime_class_data(action: LabelledAction):
-    """Fuse prime-order elements of H into G-classes.
+    """Fuse prime-order elements of H into G-classes, on the action's carrier.
 
     Returns (g_classes, pools) where g_classes entries are
     (order, class_size, count_in_H) per G-class meeting H, and pools maps
     (order, G-class size) to the number of elements of H in the H-classes
-    with that key.  Every G-class entry is cross-checked against the
-    orbit-counting identity |x^G meet H| * n == fix(x) * |x^G|, and the
-    pools against the G-class counts pooled by the same key.
+    with that key.  H is enumerated once, through the chain of its diagonal
+    generators on carrier and labels: the carrier part of an element gives
+    its order and seeds the class searches, which run in the carrier's
+    degree m, and the label part gives fix(x).  Every G-class entry is
+    cross-checked against the orbit-counting identity
+    |x^G meet H| * n == fix(x) * |x^G|, count and size from the carrier
+    search and fix(x) from the labels, and the pools against the G-class
+    counts pooled by the same key.
     """
     cached = action._cache.get("prime_classes")
     if cached is not None:
         return cached
-    G = action.group
-    H = action.stabiliser0()
-    n = action.degree
-    # H streamed in chain order: Q-hat and Q-tilde are sums over classes,
-    # so the order in which classes are found does not matter
-    prime_elems = [h for h in H.iter_elements() if is_prime(h.order())]
-    unassigned = set(prime_elems)
+    gens, stab_gens = action.carrier
+    n, m, caps = action.degree, gens[0][0].degree, action.group.caps
+    G = PermGroup(m, [c for c, _ in gens], caps=caps)
+    H = PermGroup(m, [c for c, _ in stab_gens], caps=caps)
+    D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens], caps=caps)
+    # H streamed in D's chain order: Q-hat and Q-tilde are sums over
+    # classes, so the order in which classes are found does not matter
+    labels = np.arange(m, m + n)
+    fixed: dict[Perm, int] = {}  # carrier part -> fixed labels, for prime order
+    for d in D.iter_elements():
+        h = Perm(d.images[:m].tolist())
+        if is_prime(h.order()):
+            fixed[h] = int(np.count_nonzero(d.images[m:] == labels))
+    unassigned = set(fixed)
 
     g_classes = []
     membership: dict[Perm, int] = {}
-    for h in prime_elems:
+    for h, fix in fixed.items():
         if h not in unassigned:
             continue
         cls = conjugacy_class(G, h)
@@ -178,7 +193,7 @@ def _prime_class_data(action: LabelledAction):
                 count += 1
                 membership[member] = len(g_classes)
         del cls  # hold one G-class at a time: the next search must not overlap it
-        if count * n != h.fixed_point_count() * size:
+        if count * n != fix * size:
             raise CrossCheckFailed(
                 "orbit-counting identity failed for class of %s" % (h.cycle_string(),)
             )
@@ -186,7 +201,7 @@ def _prime_class_data(action: LabelledAction):
 
     pools_h: dict[tuple[int, int], int] = {}
     seen = set()
-    for h in prime_elems:
+    for h in fixed:
         if h in seen:
             continue
         cls_h = conjugacy_class(H, h)

@@ -25,7 +25,7 @@ import numpy as np
 
 # CapExceeded and CrossCheckFailed are re-exported: one exception of each kind
 from .gf import CapExceeded, CrossCheckFailed
-from .perm import Perm, identity
+from .perm import Perm, conjugates, identity
 
 
 @dataclass(frozen=True)
@@ -350,16 +350,24 @@ class PermGroup:
         return transversal
 
     def orbits(self) -> list[list[int]]:
-        """All orbits on points, scanned in point order."""
-        assigned = [False] * self.degree
+        """All orbits on points, ordered by least point, each in BFS
+        discovery order from that point: one sweep over the points, with
+        the generators' image lists taken once."""
+        gen_images = [g.images.tolist() for g in self.gens]
+        seen = [False] * self.degree
         out = []
         for pt in range(self.degree):
-            if assigned[pt]:
+            if seen[pt]:
                 continue
-            orb = self.orbit(pt)
-            for beta in orb:
-                assigned[beta] = True
-            out.append(orb)
+            seen[pt] = True
+            orbit = [pt]
+            for b in orbit:
+                for images in gen_images:
+                    a = images[b]
+                    if not seen[a]:
+                        seen[a] = True
+                        orbit.append(a)
+            out.append(orbit)
         return out
 
     def is_transitive(self) -> bool:
@@ -444,22 +452,15 @@ class PermGroup:
 
 
 def conjugacy_class(G: PermGroup, x: Perm) -> frozenset[Perm]:
-    """The class x^G, materialised by conjugation-orbit BFS over the
-    generators, within G's ``class_cap``."""
-    cap = G.caps.class_cap
-    inv_gens = [(g, g.inverse()) for g in G.gens]
-    seen = {x}
-    queue = [x]
-    qi = 0
-    while qi < len(queue):
-        y = queue[qi]
-        qi += 1
-        for g, g_inv in inv_gens:
-            z = g_inv * y * g
-            if z not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("conjugacy class larger than cap %d" % cap)
-                seen.add(z)
-                queue.append(z)
-    return frozenset(seen)
+    """The class x^G, materialised within G's ``class_cap``.
 
+    :func:`saxl.perm.conjugates` closes it breadth-first, conjugating a
+    whole frontier by each generator in one gather; the cap is checked
+    before each new member is kept."""
+    cap = G.caps.class_cap
+    members = []
+    for y in conjugates(x, G.gens):
+        if len(members) >= cap:
+            raise CapExceeded("conjugacy class larger than cap %d" % cap)
+        members.append(y)
+    return frozenset(members)

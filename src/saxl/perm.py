@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -193,6 +193,32 @@ def _trusted(key: bytes, dtype: np.dtype) -> Perm:
 
 def identity(degree: int) -> Perm:
     return _trusted(_identity_key(degree), _dtype(degree))
+
+
+def conjugates(x: Perm, gens: Sequence[Perm]) -> Iterator[Perm]:
+    """x and then each new conjugate of it under the group that ``gens``
+    generate, in breadth-first rounds, until the class is closed.
+
+    A round conjugates the whole frontier by each generator in one gather:
+    row y becomes ``g.images[y[g^-1]]``, the images of g^-1 * y * g.  Rows
+    stay in the key dtype and are deduplicated by their key bytes.  A
+    caller that stops early stops the search."""
+    dtype, width = x.images.dtype, len(x.key)
+    steps = [(g.images, g.inverse().images.astype(np.intp)) for g in gens]
+    seen = {x.key}
+    yield x
+    frontier = x.images.reshape(1, -1)
+    while len(frontier):
+        fresh = []
+        for g, g_inv in steps:
+            buf = g[frontier[:, g_inv]].tobytes()
+            for at in range(0, len(buf), width):
+                key = buf[at : at + width]
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(key)
+                    yield _trusted(key, dtype)
+        frontier = np.frombuffer(b"".join(fresh), dtype).reshape(len(fresh), x.degree)
 
 
 def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:

@@ -4,7 +4,9 @@ The bundled catalogue and its coset actions are built once: the coset actions
 are the expensive shared objects (a few seconds each), so they are
 session-scoped; tests that need to *time* a cold build construct their own
 copies instead of using these.  ``all_perms`` and ``prime_order_class_reps``
-enumerate by brute force, as independent references for the package.
+enumerate by brute force, as independent references for the package, and
+``oracle_prime_class_data`` fuses the prime-order classes of G_0 in the
+label degree, the route that the engine's carrier search replaced.
 
 The ``oracle_*`` functions are the per-element closed-form criteria and
 witness constructors in boxed ``FqElem`` arithmetic, one pair at a time, as
@@ -89,6 +91,35 @@ def prime_order_class_reps(G: PermGroup) -> list[ConjClassData]:
         out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=cls))
     out.sort(key=lambda c: (c.order, c.class_size, c.rep))
     return out
+
+
+def oracle_prime_class_data(action):
+    """(g_classes, pools) as :func:`saxl.engine._prime_class_data` returns
+    them, computed on the labels: H streamed from its own chain, every
+    class searched in G's and H's label degree, fix(x) from the element
+    itself, and nothing cached."""
+    G, H, n = action.group, action.stabiliser0(), action.degree
+    prime_elems = [h for h in H.iter_elements() if is_prime(h.order())]
+    unassigned = set(prime_elems)
+    g_classes, membership = [], {}
+    for h in prime_elems:
+        if h not in unassigned:
+            continue
+        cls = conjugacy_class(G, h)
+        hits = cls & unassigned
+        membership.update(dict.fromkeys(hits, len(g_classes)))
+        unassigned -= hits
+        if len(hits) * n != h.fixed_point_count() * len(cls):
+            raise CrossCheckFailed("orbit-counting identity failed")
+        g_classes.append((h.order(), len(cls), len(hits)))
+    pools, seen = {}, set()
+    for h in prime_elems:
+        if h not in seen:
+            cls_h = conjugacy_class(H, h)
+            seen |= cls_h
+            key = (h.order(), g_classes[membership[h]][1])
+            pools[key] = pools.get(key, 0) + len(cls_h)
+    return g_classes, pools
 
 
 # -- per-element closed-form criteria ---------------------------------------------

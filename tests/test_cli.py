@@ -499,6 +499,9 @@ class TestGoldens:
         "verify estimates": "13d5c6c705f3808ba4f82744111b6c68d84a9dd06c40c897590562c57859808f",
         "analyze --psl2 c2 --q 121 --no-classes": "e1c46f0d17b1c850149132d0a54709a292c1b5f8a7b1f81cb7c824069b8bb638",
         "analyze --psl2 c3 --q 121 --no-classes": "3dcfa8fef36660e96a6deecfc9a7c878d306caa5111395df01df31420e242ef7",
+        "analyze --psl2 c2 --q 121": "fc52622ba66e341c5b5aa8f5db6c01086a2a2129925d5618f08f144f78d03866",
+        "analyze --psl2 c3 --q 81": "37e6346c617357245b0cd1d8f9962bf729528260178203b3f4a411d4624c4267",
+        "analyze --psl2 c2 --q 81 --variant pgamma": "2b736cf3da5227b6908bd6b143d2ecbcc13e6c1f18867c4e5e2de1108e45c934",
     }
 
     @pytest.mark.parametrize("argv", list(DIGESTS))

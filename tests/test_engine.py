@@ -1,14 +1,18 @@
 """Base pairs, suborbit statistics, the Q-estimates, graphs, cliques, reports."""
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from saxl.actions import (
     GroupVariant,
     OmegaPoint,
+    _certified,
+    _induced,
     bundled_catalogue_path,
     coset_action,
     ksubset_action,
@@ -39,10 +43,11 @@ from saxl.engine import (
     suborbits,
     t_value,
 )
-from saxl.group import CapExceeded, Caps, PermGroup
+from saxl.cli import main
+from saxl.group import DEFAULT_CAPS, CapExceeded, Caps, PermGroup
 from saxl.perm import from_cycles
 
-from conftest import prime_order_class_reps
+from conftest import oracle_prime_class_data, prime_order_class_reps
 
 
 def a5_pairs():
@@ -220,18 +225,100 @@ class TestQEstimates:
 
     def test_pooling_disagreement_is_caught(self, monkeypatch):
         act = a5_pairs()
-        H = act.stabiliser0()
+        stab_parts = {c for c, _ in act.carrier[1]}
         real = engine.conjugacy_class
         # every H-class gains the identity, so the H pools outgrow the G-classes
         monkeypatch.setattr(
-            engine, "conjugacy_class", lambda G, x: real(G, x) | {G.identity()} if G is H else real(G, x)
+            engine,
+            "conjugacy_class",
+            lambda G, x: real(G, x) | {G.identity()} if set(G.gens) <= stab_parts else real(G, x),
         )
         with pytest.raises(CrossCheckFailed, match="pooling"):
             q_tilde(act)
 
+    def test_dropped_class_member_is_caught(self, monkeypatch, capsys):
+        real = engine.conjugacy_class
+        # every class search loses its seed: count and size both fall by one
+        monkeypatch.setattr(engine, "conjugacy_class", lambda G, x: real(G, x) - {x})
+        with pytest.raises(CrossCheckFailed, match="orbit-counting identity"):
+            q_hat(a5_pairs())
+        assert main(["analyze", "--psl2", "c2", "--q", "13"]) == 3
+        assert "orbit-counting identity" in capsys.readouterr().err
+
     def test_chain_on_samples(self):
         for act in (a5_pairs(), s3_natural(), psl2_c2_action(GroupVariant("PSL2", 9))):
             assert q_exact(act) <= q_hat(act) <= q_tilde(act)
+
+
+def _prime_class_variants():
+    """Every c2 and c3 action with q <= 27, one per distinct group variant."""
+    out = []
+    for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        f = GroupVariant("PSL2", q).f
+        families = [("PSL2", 0)] + [("PGL2", 0)] * (q % 2)
+        if f >= 2:
+            families += [("PSigmaL2", 0)] + [("PGammaL2", 0)] * (q % 2)
+            families += [("DeltaPhi", j) for j in range(1, f) if q % 2 and (f // math.gcd(f, j)) % 2 == 0]
+        for kind, build in (("c2", psl2_c2_action), ("c3", psl2_c3_action)):
+            if kind == "c2" or (q % 2 and q >= 5):
+                out += [pytest.param(build, GroupVariant(family, q, j), id="%s-%s-%d-%d" % (kind, family, q, j)) for family, j in families]
+    return out
+
+
+def _sign_carried_s5_pairs():
+    """S5 on its 10 pairs, certified through a carrier of 2 points on which
+    each generator acts by its sign: D's chain leaves the carrier after its
+    first level, so the carrier is not faithful."""
+    pairs = list(combinations(range(5), 2))
+    gens = [from_cycles(5, [(0, 1)]), from_cycles(5, [range(5)])]
+    stab_gens = [from_cycles(5, [(0, 1)]), from_cycles(5, [(2, 3)]), from_cycles(5, [(3, 4)])]
+
+    def by_sign(perms):
+        signs = [from_cycles(2, [(0, 1)] * (sum(len(c) - 1 for c in g.cycles()) % 2)) for g in perms]
+        return list(zip(signs, _induced(pairs, perms)))
+
+    labels = tuple(OmegaPoint("k_subset", pair) for pair in pairs)
+    return _certified("S5/2-subsets by sign", labels, by_sign(gens), by_sign(stab_gens), 120, DEFAULT_CAPS)
+
+
+class TestPrimeClassData:
+    """The carrier search against the label-degree oracle."""
+
+    @staticmethod
+    def _agree(act):
+        g_classes, pools = engine._prime_class_data(act)
+        oracle_classes, oracle_pools = oracle_prime_class_data(act)
+        assert sorted(g_classes) == sorted(oracle_classes)
+        assert pools == oracle_pools
+
+    def test_catalogue_fixtures(self, catalogue, fixture_actions):
+        for name, entry in catalogue.items():
+            self._agree(fixture_actions[name] if entry.subgroup else natural_action(entry.group, name))
+
+    @pytest.mark.parametrize("n, k, even_only", [(5, 2, True), (6, 2, False), (7, 3, True), (10, 2, False)])
+    def test_ksubsets(self, n, k, even_only):
+        act = ksubset_action(n, k, even_only=even_only)
+        assert act.carrier[0][0][0].degree == n  # S_n's own points carry it
+        self._agree(act)
+
+    def test_kernel_action_falls_back_to_labels(self):
+        s4 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 1)])])
+        d8 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(1, 3)])])
+        act = coset_action(s4, d8, "S4/D8")
+        assert all(c == g for pairs in act.carrier for c, g in pairs)
+        self._agree(act)
+
+    def test_unfaithful_carrier_falls_back_to_labels(self):
+        act = _sign_carried_s5_pairs()
+        assert all(c == g for pairs in act.carrier for c, g in pairs)
+        self._agree(act)
+        assert q_hat(act) == brute_q_hat(act)
+
+    @pytest.mark.parametrize("build, variant", _prime_class_variants())
+    def test_psl2_variants(self, build, variant):
+        act = build(variant)
+        assert act.carrier[0][0][0].degree < act.degree
+        self._agree(act)
 
 
 class TestTValue:

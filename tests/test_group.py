@@ -119,6 +119,18 @@ class TestOrbits:
         assert not g.is_transitive()
         assert g.orbit(3) == [3, 4]
 
+    def test_orbits_are_the_per_point_searches(self):
+        # G_0 of A5 on pairs and of PSL(2,13) on PG(1,13), and the two-orbit group above
+        groups = [ksubset_action(5, 2, even_only=True).stabiliser0(), psl2_mobius(13).point_stabiliser(0)]
+        groups.append(PermGroup(7, [from_cycles(7, [(4, 5, 6)]), from_cycles(7, [(1, 3)]), from_cycles(7, [(6, 4)])]))
+        for g in groups:
+            expected, seen = [], set()
+            for pt in range(g.degree):
+                if pt not in seen:
+                    expected.append(SchreierVector(g.degree, g.gens, pt).orbit)
+                    seen.update(expected[-1])
+            assert g.orbits() == expected
+
     def test_orbit_transversal_semantics(self):
         g = symmetric(5)
         trans = g.orbit_transversal(2)
@@ -284,6 +296,16 @@ class TestConjugacyClasses:
         cls = conjugacy_class(s4, from_cycles(4, [(0, 1)]))
         assert len(cls) == 6
         assert all(x.order() == 2 for x in cls)
+
+    def test_class_is_every_conjugate(self):
+        for g, x in ((symmetric(5), from_cycles(5, [(0, 1), (2, 3)])), (alternating(6), from_cycles(6, [(0, 1, 2)])), (psl2_mobius(7), psl2_mobius(7).gens[0])):
+            assert conjugacy_class(g, x) == {x**h for h in g.elements()}
+
+    def test_class_cap_is_inclusive(self):
+        transposition = from_cycles(4, [(0, 1)])
+        assert len(conjugacy_class(PermGroup(4, symmetric(4).gens, Caps(class_cap=6)), transposition)) == 6
+        with pytest.raises(CapExceeded):
+            conjugacy_class(PermGroup(4, symmetric(4).gens, Caps(class_cap=5)), transposition)
 
     def test_s3_prime_order_classes(self):
         data = prime_order_class_reps(symmetric(3))
