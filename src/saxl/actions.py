@@ -22,19 +22,40 @@ maps some block outside the labelling raises :class:`CrossCheckFailed`.
 Every constructor returns through :func:`_certified`, which proves |G| and
 G_0 with no chain of G on its n points.  A catalogue loader ingests fixture
 groups from a small text format and checks their declared orders on load.
+
+The projective maps run on the log arrays of :mod:`saxl.gf`.  A point of
+PG(1,q) or PG(1,q^2) has one code, LINE_INF = -2 for <e2>, LOG_ZERO = -1
+for <e1> and log t for (1, t), and its carrier position is code + 2.  A
+Moebius map, a 2 x 2 matrix of logs, is one gather over every point, and
+Frobenius sends log to p * log mod (q - 1).  The codes, the "proj_pair"
+payload of two codes, :func:`c3_canonical_logs` and :func:`c3_isotropic`
+are the label formats that :mod:`saxl.criteria` and :mod:`saxl.cli` read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .gf import FqField, field_create, split_prime_power
+from .gf import (
+    LOG_ZERO,
+    FqField,
+    as_logs,
+    field_create,
+    log_add,
+    log_div,
+    log_mul,
+    log_neg,
+    log_of_packed,
+    log_pow,
+    log_sub,
+    log_to_packed,
+    split_prime_power,
+)
 from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup, StabChain
 from .perm import Perm, from_cycles, parse_cycles
 
@@ -325,82 +346,73 @@ def natural_action(G: PermGroup, name: str, caps: Caps = DEFAULT_CAPS) -> Labell
     return _certified(name, labels, [(g, g) for g in G.gens], [(h, h) for h in stab_gens], G.order(), caps)
 
 
-# -- the projective-pair (C2) family -------------------------------------------------
+# -- the projective line, in codes ---------------------------------------------------
 
-INF = "inf"  # the 1-space <e2>, i.e. homogeneous coordinates (0, 1)
-
-
-def _line_pos(t) -> int:
-    """Position of a projective point in the labelling's order: <e2>, then
-    <e1>, then the other points by log."""
-    if t is INF:
-        return 0
-    return 1 if t.is_zero() else 2 + t.log
+LINE_INF = -2  # the code of <e2>; <e1> is LOG_ZERO, and (1, t) is log t
 
 
-def _proj_payload(t) -> tuple:
-    if t is INF:
-        return (0, 1)
-    return (1, t.as_int())
+def _line_codes(F: FqField) -> np.ndarray:
+    """The codes of the points of PG(1,F) in position order: position = code + 2."""
+    return np.arange(LINE_INF, F.q - 1)
 
 
-def proj_pair_payload(labels) -> tuple:
-    """The "proj_pair" payload of two projective labels (INF or FqElem),
-    the points in the labelling's order: INF, then 0, then by log."""
-    return tuple(_proj_payload(t) for t in sorted(labels, key=_line_pos))
+def _line_perm(codes) -> Perm:
+    """The permutation of the line's positions whose images have ``codes``."""
+    return Perm((as_logs(codes) + 2).tolist())
+
+
+def _mat_mul(F: FqField, A, B) -> np.ndarray:
+    """The product of a k x 2 and a 2 x 2 matrix of logs."""
+    A, B = as_logs(A), as_logs(B)
+    return log_add(F, log_mul(F, A[:, :1], B[:1]), log_mul(F, A[:, 1:], B[1:]))
+
+
+def _det(F: FqField, M) -> np.ndarray:
+    (a, b), (c, d) = as_logs(M)
+    return log_sub(F, log_mul(F, a, d), log_mul(F, b, c))
+
+
+def _mat_inv(F: FqField, M) -> np.ndarray:
+    (a, b), (c, d) = as_logs(M)
+    return log_div(F, [[d, log_neg(F, b)], [log_neg(F, c), a]], _det(F, M))
+
+
+def _mobius(F: FqField, M) -> Perm:
+    """The map (x, y) -> (x, y) M of the line, for a matrix M of logs, on
+    every point at once: <e2> is the row (0, 1), and t the row (1, t)."""
+    codes = _line_codes(F)
+    inf = codes == LINE_INF
+    x, y = _mat_mul(F, np.stack([np.where(inf, LOG_ZERO, 0), np.where(inf, 0, codes)], 1), M).T
+    return _line_perm(np.where(x < 0, LINE_INF, log_div(F, y, np.where(x < 0, 0, x))))
+
+
+def _coords(F: FqField, codes) -> list[tuple]:
+    """The normalized homogeneous coordinates of the points with ``codes``:
+    (0, 1) for <e2>, else (1, t) with t packed as by FqElem.as_int."""
+    codes = as_logs(codes)
+    return [(0, 1) if c == LINE_INF else (1, v) for c, v in zip(codes.tolist(), log_to_packed(F, codes).tolist())]
+
+
+def proj_pair_payload(F: FqField, codes) -> tuple:
+    """The "proj_pair" payload of two point codes, the points in code order."""
+    return tuple(_coords(F, sorted(codes)))
 
 
 def proj_pair_labels(F: FqField, payload) -> tuple:
-    """The two projective labels (INF or FqElem) of a "proj_pair" payload;
-    the inverse of :func:`proj_pair_payload`."""
-    return tuple(INF if kind == 0 else F.from_packed_int(value) for kind, value in payload)
+    """The two point codes of a "proj_pair" payload; the inverse of
+    :func:`proj_pair_payload`."""
+    return tuple(LINE_INF if kind == 0 else int(log_of_packed(F, value)) for kind, value in payload)
 
 
-def _line(F: FqField):
-    """The points of PG(1,F) in the labelling's order (INF, 0, then by log),
-    and ``line_perm``, which turns a point map into a permutation of them."""
-    points = [INF, *F.elements()]
-    return points, lambda point_map: Perm(_line_pos(point_map(t)) for t in points)
-
-
-def _mobius_apply(M, t):
-    """Image of the projective point (1, t) or <e2> under a matrix row action."""
-    (a, b), (c, d) = M
-    if t is INF:
-        x, y = c, d
-    else:
-        x, y = a + t * c, b + t * d
-    if x.is_zero():
-        return INF
-    return y / x
-
-
-def _mat_mul(A, B):
-    (a, b), (c, d) = A
-    (e, f_), (g, h) = B
-    return ((a * e + b * g, a * f_ + b * h), (c * e + d * g, c * f_ + d * h))
-
-
-def _mat_inv(A):
-    (a, b), (c, d) = A
-    det = a * d - b * c
-    inv = det.inverse()
-    return ((d * inv, -b * inv), (-c * inv, a * inv))
-
-
-def _mat_conj_transpose(A, f: int):
-    (a, b), (c, d) = A
-    return ((a.frobenius(f), c.frobenius(f)), (b.frobenius(f), d.frobenius(f)))
-
-
-def _extension(variant: GroupVariant, delta: Perm, line_perm) -> list[Perm]:
-    """The generators the variant adds to PSL(2,q) as permutations of a line,
-    given the diagonal automorphism delta there and the line's ``line_perm``."""
+def _extension(variant: GroupVariant, F: FqField, delta: Perm) -> list[Perm]:
+    """The generators the variant adds to PSL(2,q) as permutations of the
+    line over F, given the diagonal automorphism delta there."""
     if variant.family == "PSL2":
         return []
     if variant.family == "PGL2":
         return [delta]
-    phi = line_perm(lambda t: t if t is INF else t.frobenius(1))
+    codes = _line_codes(F)
+    phi = _line_perm(np.where(codes < 0, codes, codes * F.p % (F.q - 1)))  # t -> t^p
     if variant.family == "PSigmaL2":
         return [phi]
     if variant.family == "PGammaL2":
@@ -414,6 +426,9 @@ def _capped_order(variant: GroupVariant, psl_order: int, caps: Caps) -> int:
     if order > caps.group_cap:
         raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
     return order
+
+
+# -- the projective-pair (C2) family -------------------------------------------------
 
 
 def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
@@ -432,21 +447,16 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     order = _capped_order(variant, q * (q * q - 1) // h, caps)
 
     F = field_create(variant.p, variant.f)
-    points, line_perm = _line(F)
-    lam, one, zero = F.gen(), F.one(), F.zero()
-    mat_u = ((one, one), (zero, one))
-    mat_d = ((lam, zero), (zero, lam.inverse()))
-    mat_s = ((zero, one), (-one, zero))
-    mat_delta = ((lam, zero), (zero, one))
-    u, d, s, delta = (line_perm(partial(_mobius_apply, M)) for M in (mat_u, mat_d, mat_s, mat_delta))
+    Z = LOG_ZERO
+    # u, the torus diag(lambda, 1/lambda), the swap, and delta = diag(lambda, 1)
+    mats = ([[0, 0], [Z, 0]], [[1, Z], [Z, q - 2]], [[Z, 0], [log_neg(F, 0), Z]], [[1, Z], [Z, 0]])
+    u, d, s, delta = (_mobius(F, M) for M in mats)
     pairs = list(combinations(range(q + 1), 2))
-    carrier = [u, d, s] + _extension(variant, delta, line_perm)
+    carrier = [u, d, s] + _extension(variant, F, delta)
     gens = list(zip(carrier, _induced(pairs, carrier)))
 
-    labels = tuple(
-        OmegaPoint("proj_pair", (_proj_payload(points[i]), _proj_payload(points[j])))
-        for i, j in pairs
-    )
+    coords = _coords(F, _line_codes(F))
+    labels = tuple(OmegaPoint("proj_pair", (coords[i], coords[j])) for i, j in pairs)
     warnings = ()
     if q == 5:
         warnings = ("point stabiliser is not maximal for q = 5; action is imprimitive",)
@@ -457,31 +467,38 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
 # -- the unitary-model (C3) family ---------------------------------------------------
 
 
-def c3_canonical_log(F2: FqField, q: int, log: int) -> int:
-    """Canonical scalar label: min(b, -b^(-q)) in log order, for b = lambda^log."""
+def c3_isotropic(F2: FqField, q: int, b) -> np.ndarray:
+    """Whether b^(q+1) = -1, for each scalar log b: then u + bv is isotropic,
+    and b labels no point."""
+    b = as_logs(b)
     m = F2.q - 1
-    partner = (m // 2 - q * log) % m
-    return min(log, partner)
+    return (b >= 0) & (b * (q + 1) % m == m // 2)
+
+
+def c3_canonical_logs(F2: FqField, q: int, b) -> np.ndarray:
+    """The canonical log min(b, -b^(-q)) of each nonzero scalar log b:
+    omega_b and omega_{-b^(-q)} are one point, and -b^(-q) has log
+    m/2 - qb mod m, m = q^2 - 1."""
+    b = as_logs(b)
+    m = F2.q - 1
+    return np.minimum(b, (m // 2 - q * b) % m)
 
 
 def c3_label_logs(F2: FqField, q: int) -> list[int]:
     """Ascending canonical logs of the scalar points (b with b^{q+1} != -1)."""
-    m = F2.q - 1
-    log = np.arange(m, dtype=np.int64)
-    point = log * (q + 1) % m != m // 2  # b^{q+1} = -1: not a point
-    canonical = log <= (m // 2 - q * log) % m  # c3_canonical_log(F2, q, log) == log
-    return np.flatnonzero(point & canonical).tolist()
+    log = np.arange(F2.q - 1)
+    return np.flatnonzero(~c3_isotropic(F2, q, log) & (c3_canonical_logs(F2, q, log) == log)).tolist()
 
 
-def su2_conjugator(F2: FqField, q: int):
-    """A matrix C with C * conj(C)^T antisymmetric, so C^-1 SL2(q) C = SU2(q).
+def su2_conjugator(F2: FqField, q: int) -> np.ndarray:
+    """A matrix C of logs with C * conj(C)^T antisymmetric, so C^-1 SL2(q) C = SU2(q).
 
-    Entries are chosen deterministically: b0 is the least-log solution of
-    b0^{q+1} = -1 and eps = lambda^{(q+1)/2} (so eps^q = -eps).
+    Entries are chosen deterministically: b0 = lambda^((q-1)/2) is the
+    least-log solution of b0^{q+1} = -1 and eps = lambda^{(q+1)/2} (so
+    eps^q = -eps).
     """
-    b0 = F2.from_log((q - 1) // 2)
-    eps = F2.from_log((q + 1) // 2)
-    return ((b0, F2.one()), (-eps, eps * b0 ** (-q)))
+    b0, eps = (q - 1) // 2, (q + 1) // 2
+    return as_logs([[b0, 0], [log_neg(F2, eps), log_mul(F2, eps, log_pow(F2, b0, -q))]])
 
 
 def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
@@ -503,46 +520,37 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     order = _capped_order(variant, q * (q * q - 1) // 2, caps)
 
     F2 = field_create(p, 2 * f)
-    lam = F2.gen()
-    one, zero = F2.one(), F2.zero()
+    m, Z = F2.q - 1, LOG_ZERO
     scalar_logs = c3_label_logs(F2, q)
     if len(scalar_logs) + 1 != degree:
         raise CrossCheckFailed("scalar label count %d != degree - 1" % len(scalar_logs))
     labels = (OmegaPoint("c3_point", ALPHA),) + tuple(
         OmegaPoint("c3_point", log) for log in scalar_logs
     )
-    _, line_perm = _line(F2)
-    blocks = [(_line_pos(INF), _line_pos(zero))]
-    for log in scalar_logs:
-        b = F2.from_log(log)
-        blocks.append(tuple(sorted((_line_pos(b), _line_pos(-(b ** -q))))))
+    # alpha is {<e2>, <e1>}, at positions 0 and 1, and omega_b the codes b and -b^(-q)
+    ends = np.stack([scalar_logs, log_neg(F2, log_pow(F2, scalar_logs, -q))], 1)
+    blocks = [(0, 1), *map(tuple, (np.sort(ends, axis=1) + 2).tolist())]
 
     C = su2_conjugator(F2, q)
-    C_inv = _mat_inv(C)
-    mu = lam ** (q + 1)  # a primitive element of the GF(q) subfield
-    sl2_gens = (
-        ((one, one), (zero, one)),
-        ((mu, zero), (zero, mu.inverse())),
-        ((zero, one), (-one, zero)),
-    )
-    su_mats = [_mat_mul(_mat_mul(C_inv, M), C) for M in sl2_gens]
+    C_inv = _mat_inv(F2, C)
+    mu, minus_one = q + 1, log_neg(F2, 0)  # mu: a primitive element of the GF(q) subfield
+    sl2_gens = ([[0, 0], [Z, 0]], [[mu, Z], [Z, m - mu]], [[Z, 0], [minus_one, Z]])
+    su_mats = [_mat_mul(F2, _mat_mul(F2, C_inv, M), C) for M in sl2_gens]
+    identity = np.where(np.eye(2, dtype=bool), 0, Z)
     for M in su_mats:
-        (a, b_), (c, d) = M
-        if not (a * d - b_ * c == one):
+        if _det(F2, M) != 0:
             raise CrossCheckFailed("conjugated generator does not have determinant 1")
-        (w, x), (y, z) = _mat_mul(M, _mat_conj_transpose(M, f))
-        if not (w == one and z == one and x.is_zero() and y.is_zero()):
+        if (_mat_mul(F2, M, log_pow(F2, M.T, q)) != identity).any():
             raise CrossCheckFailed("conjugated generator is not unitary")
 
-    mat_t = ((lam ** (q - 1), zero), (zero, lam ** (1 - q)))  # SU2 torus
-    mat_w = ((zero, one), (-one, zero))  # SU2 swap of <u>, <v>
-    mat_b = ((lam ** (q - 1), zero), (zero, one))  # diagonal coset rep in GU2
-    *line, delta = (line_perm(partial(_mobius_apply, M)) for M in (*su_mats, mat_t, mat_w, mat_b))
+    mat_t = [[q - 1, Z], [Z, m - (q - 1)]]  # SU2 torus
+    mat_w = [[Z, 0], [minus_one, Z]]  # SU2 swap of <u>, <v>
+    mat_b = [[q - 1, Z], [Z, 0]]  # diagonal coset rep in GU2
+    *line, delta = (_mobius(F2, M) for M in (*su_mats, mat_t, mat_w, mat_b))
     # SU2's three generators, then torus and swap (both fix alpha), then the extension
-    line += _extension(variant, delta, line_perm)
-    # the carrier: the isotropic points b^(q+1) = -1, at line positions 2 + log b
-    m = F2.q - 1
-    isotropic = [(2 + log,) for log in np.flatnonzero(np.arange(m) * (q + 1) % m == m // 2).tolist()]
+    line += _extension(variant, F2, delta)
+    # the carrier: the isotropic points, at positions 2 + log b
+    isotropic = [(2 + log,) for log in np.flatnonzero(c3_isotropic(F2, q, np.arange(m))).tolist()]
     gens = list(zip(_induced(isotropic, line), _induced(blocks, line)))
     name = "%s/unitary-pairs" % variant.describe()
     return _certified(name, labels, gens[:3] + gens[5:], gens[3:], order, caps)

@@ -35,12 +35,13 @@ import numpy as np
 
 from .actions import (
     ALPHA,
-    INF,
+    LINE_INF,
     GroupVariant,
     LabelledAction,
     OmegaPoint,
     bundled_catalogue_path,
-    c3_canonical_log,
+    c3_canonical_logs,
+    c3_isotropic,
     c3_label_logs,
     coset_action,
     ksubset_action,
@@ -67,7 +68,6 @@ from .gf import (
     LOG_ZERO,
     count_nonsquare_nonsubfield,
     euler_bound_scan,
-    field_create,
     field_from_order,
     is_square,
     log_neg,
@@ -337,7 +337,7 @@ def _sweep_c2_oracle(args) -> list[dict]:
     for q in _upto(args, _ORACLE_FIELDS):
         action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         F = field_from_order(q)
-        ends = np.array([[criteria.line_code(t) for t in proj_pair_labels(F, lab.payload)] for lab in action.labels])
+        ends = np.array([proj_pair_labels(F, lab.payload) for lab in action.labels])
         P, R = ends[:, 0], ends[:, 1]
 
         def row(a):
@@ -356,8 +356,7 @@ def _sweep_c3_oracle(args) -> list[dict]:
     checks = []
     for q, family, variant in rows:
         action = psl2_c3_action(GroupVariant(family, q))
-        p, f = split_prime_power(q)
-        F2 = field_create(p, 2 * f)
+        F2 = field_from_order(q * q)
         # alpha is coded LOG_ZERO, which no scalar label is
         xs = np.array([LOG_ZERO if lab.payload == ALPHA else lab.payload for lab in action.labels])
 
@@ -375,8 +374,8 @@ def _sweep_johnson(args) -> list[dict]:
     for q in _upto(args, (4, 8, 9, 13)):
         action = psl2_c2_action(GroupVariant("PGL2", q))
         graph = saxl_graph(action)
-        # each projective point (k, v) as the integer kq + v
-        ends = np.array([lab.payload for lab in action.labels]) @ np.array([q, 1])
+        F = field_from_order(q)
+        ends = np.array([proj_pair_labels(F, lab.payload) for lab in action.labels])
         n = action.degree
 
         def meets_once(a):
@@ -491,24 +490,18 @@ def _sweep_witnesses(args) -> list[dict]:
         action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         graph = saxl_graph(action)
         index = action.label_index
-        alpha = proj_pair_payload((INF, F.zero()))
-        ok = action.labels[0] == OmegaPoint("proj_pair", alpha)
-        units = np.array([x.log for x in F.nonzero_elements()], dtype=np.int64)
-        b, c = np.repeat(units, len(units)), np.tile(units, len(units))
-        b, c = b[b != c], c[b != c]
-        valid = criteria.c2_base_psigma_logs(F, b, c)
-        b, c = b[valid], c[valid]
+        ok = action.labels[0] == OmegaPoint("proj_pair", proj_pair_payload(F, (LINE_INF, LOG_ZERO)))
+        b, c = criteria.c2_base_candidates(F, (F.q - 1) ** 2)  # every alpha-neighbour pair
         criteria.c2_common_neighbour_witness_logs(F, b, c)
         # the witnessed common neighbour of alpha and (b, c) is gamma = (-b, -c)
         for lb, lc, lnb, lnc in np.stack([b, c, log_neg(F, b), log_neg(F, c)], 1).tolist():
-            bi = index[OmegaPoint("proj_pair", proj_pair_payload((F.from_log(lb), F.from_log(lc))))]
-            gi = index[OmegaPoint("proj_pair", proj_pair_payload((F.from_log(lnb), F.from_log(lnc))))]
+            bi = index[OmegaPoint("proj_pair", proj_pair_payload(F, (lb, lc)))]
+            gi = index[OmegaPoint("proj_pair", proj_pair_payload(F, (lnb, lnc)))]
             ok &= graph.has_edge(0, gi) and graph.has_edge(bi, gi)
         checks.append(_check("c2-witness q=%d (engine-checked)" % q, ok and len(b) > 0, "%d inputs" % len(b)))
     for q in _upto(args, (9, 13)):
-        p, f = split_prime_power(q)
-        F2 = field_create(p, 2 * f)
-        family = "PSigmaL2" if f > 1 else "PSL2"
+        F2 = field_from_order(q * q)
+        family = "PSigmaL2" if split_prime_power(q)[1] > 1 else "PSL2"
         action = psl2_c3_action(GroupVariant(family, q))
         graph = saxl_graph(action)
         index = action.label_index
@@ -517,9 +510,9 @@ def _sweep_witnesses(args) -> list[dict]:
         b = b[criteria.c3_base_logs(F2, "PSigmaL", b)]
         criteria.c3_common_neighbour_witness_logs(F2, b)
         # the witnessed common neighbour is omega_{-b}
-        for L, c in zip(b.tolist(), log_neg(F2, b).tolist()):
+        for L, c in zip(b.tolist(), c3_canonical_logs(F2, q, log_neg(F2, b)).tolist()):
             bi = index[OmegaPoint("c3_point", L)]
-            ci = index[OmegaPoint("c3_point", c3_canonical_log(F2, q, c))]
+            ci = index[OmegaPoint("c3_point", c)]
             ok &= graph.has_edge(0, ci) and graph.has_edge(bi, ci)
         checks.append(_check("c3-witness q=%d (engine-checked)" % q, ok and len(b) > 0, "%d inputs" % len(b)))
     # large fields: the constructors verify their own identities arithmetically,
@@ -531,11 +524,9 @@ def _sweep_witnesses(args) -> list[dict]:
         criteria.c2_common_neighbour_witness_logs(F, b, c)
         checks.append(_check("c2-witness q=%d (arithmetic)" % q, len(b) >= target, "%d inputs" % len(b)))
     for q in _upto(args, _WITNESS_ARITHMETIC_FIELDS):
-        p, f = split_prime_power(q)
-        F2 = field_create(p, 2 * f)
-        m = F2.q - 1
-        b = np.arange(m)
-        b = b[b * (q + 1) % m != m // 2]  # b^(q+1) = -1 is no point
+        F2 = field_from_order(q * q)
+        b = np.arange(F2.q - 1)
+        b = b[~c3_isotropic(F2, q, b)]
         b = b[criteria.c3_base_logs(F2, "PSigmaL", b)][:target]
         criteria.c3_common_neighbour_witness_logs(F2, b)
         checks.append(_check("c3-witness q=%d (arithmetic)" % q, len(b) >= target, "%d inputs" % len(b)))
@@ -583,8 +574,7 @@ def _sweep_clique5(args) -> list[dict]:
     # the constructors check their own edges; all ten are checked again here
     checks = []
     for q in _clique5_fields(_qmax(args)):
-        p, f = split_prime_power(q)
-        F, F2 = field_create(p, f), field_create(p, 2 * f)
+        F, F2 = field_from_order(q), field_from_order(q * q)
         c2 = criteria.c2_clique5(F)
         c3 = criteria.c3_clique5(F2)
         ok = _alpha_clique_ok(
@@ -612,8 +602,7 @@ def _sweep_cliques(args) -> list[dict]:
     checks = [_check("exact A5/2-subsets", got == (4, 2), "clique %d, independence %d (want 4, 2)" % got)]
     # socle cliques of size (q-1)/2 through alpha, every edge in the engine's graph
     for q in _upto(args, (9, 13, 25)):
-        p, f = split_prime_power(q)
-        F2 = field_create(p, 2 * f)
+        F2 = field_from_order(q * q)
         anchor = next(b for b in map(F2.from_log, c3_label_logs(F2, q)) if not is_square(b))
         pts = criteria.c3_clique(F2, anchor)
         action = psl2_c3_action(GroupVariant("PSL2", q))
@@ -630,11 +619,10 @@ def _sweep_cliques(args) -> list[dict]:
     # the 5-cliques of the extension groups, each pair a base of the permutation
     # action, whose suborbit analysis checks every representative by two routes
     for q in _clique5_fields(_qmax(args)):
-        p, f = split_prime_power(q)
-        F, F2 = field_create(p, f), field_create(p, 2 * f)
+        F, F2 = field_from_order(q), field_from_order(q * q)
         c2_act = psl2_c2_action(GroupVariant("PSigmaL2", q))
-        c2_labels = [(INF, F.zero()) if v == ALPHA else v.labels() for v in criteria.c2_clique5(F)]
-        c2_idx = [c2_act.label_index[OmegaPoint("proj_pair", proj_pair_payload(labs))] for labs in c2_labels]
+        c2_codes = [(LINE_INF, LOG_ZERO) if v == ALPHA else (v.b.log, v.c.log) for v in criteria.c2_clique5(F)]
+        c2_idx = [c2_act.label_index[OmegaPoint("proj_pair", proj_pair_payload(F, codes))] for codes in c2_codes]
         c3_act = psl2_c3_action(GroupVariant("PSigmaL2", q))
         c3_idx = [c3_act.label_index[_c3_point(pt)] for pt in criteria.c3_clique5(F2)]
         bad = sum(1 for a, b in combinations(c2_idx, 2) if not is_base_pair(c2_act, a, b))

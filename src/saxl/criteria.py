@@ -8,19 +8,22 @@ the brute-force permutation engine at small q, and the witness constructors
 fail closed: any scalar that does not satisfy the conditions it certifies
 raises instead of being returned.
 
-Conventions.  Projective points of the line are labelled INF (the point with
-homogeneous coordinates (0, 1)) or a field element t (the point (1, t)); a
-pair-point is a 2-tuple of such labels, with the fixed point alpha = (INF, 0).
-Unitary pair-points are labelled by a nonzero scalar b of GF(q^2) with
-b^(q+1) != -1, canonicalized as in :mod:`saxl.actions`, or by ALPHA.
+Conventions.  A projective point of the line carries the code of
+:mod:`saxl.actions`: LINE_INF = -2 for <e2>, the point with homogeneous
+coordinates (0, 1), and the log of t (LOG_ZERO = -1 for zero) for the point
+(1, t); the point's carrier position there is code + 2.  A pair-point is a
+2-tuple of codes, with the fixed point alpha = (LINE_INF, LOG_ZERO).
+Unitary pair-points are labelled by a nonzero scalar b of GF(q^2) that is
+not isotropic (b^(q+1) != -1), under the canonical log of
+:func:`saxl.actions.c3_canonical_logs`, or by ALPHA.
 
 Array form.  Each criterion and witness constructor is written once, over
 the log arrays of :mod:`saxl.gf`: int64 discrete logs with LOG_ZERO = -1
-for zero.  A projective point is coded the same way, with LINE_INF = -2 for
-INF.  Arguments broadcast, so one call decides a whole row of labels, and
-every re-check runs on the whole array: one failing entry raises.  The
+for zero.  Arguments broadcast, so one call decides a whole row of labels,
+and every re-check runs on the whole array: one failing entry raises.  The
 array forms carry the suffix ``_logs``; the entry points of the same name
-without it take :class:`saxl.gf.FqElem` labels and make length-1 calls.
+without it take :class:`saxl.gf.FqElem` labels, with INF for <e2>, and make
+length-1 calls.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from operator import and_
 
 import numpy as np
 
-from .actions import ALPHA, INF, c3_canonical_log, c3_label_logs
+from .actions import ALPHA, LINE_INF, c3_canonical_logs, c3_isotropic, c3_label_logs
 from .gf import (
     LOG_ZERO,
     FqElem,
@@ -59,7 +62,7 @@ from .group import CrossCheckFailed
 C3_VARIANTS = ("G0", "PSigmaL")
 CLOSED_FORM_KINDS = ("Dq_minus_1", "Dq_plus_1", "PGL_Dq_minus_1")
 
-LINE_INF = -2  # the array code of the projective point INF
+INF = "inf"  # the label of <e2> in the FqElem entry points
 
 
 def line_code(x) -> int:
@@ -126,8 +129,8 @@ class C3Point:
 
     @classmethod
     def from_scalar(cls, b: FqElem, q: int) -> "C3Point":
-        _require_c3_scalars(b.field, q, _one(b))
-        return cls(b.field, q, c3_canonical_log(b.field, q, b.log))
+        logs = _require_c3_scalars(b.field, q, _one(b))
+        return cls(b.field, q, int(c3_canonical_logs(b.field, q, logs)[0]))
 
     def is_alpha(self) -> bool:
         return self.log is None
@@ -356,16 +359,9 @@ def _require_c3_scalars(F2: FqField, q: int, b) -> np.ndarray:
     b = as_logs(b)
     if (b < 0).any():
         raise ValueError("scalar label must be nonzero")
-    m = F2.q - 1
-    if (b * (q + 1) % m == m // 2).any():
+    if c3_isotropic(F2, q, b).any():
         raise ValueError("b^(q+1) = -1: the vector is isotropic, not a point")
     return b
-
-
-def _c3_canonical_logs(F2: FqField, q: int, b) -> np.ndarray:
-    """:func:`saxl.actions.c3_canonical_log` elementwise: min(b, -b^(-q))."""
-    m = F2.q - 1
-    return np.minimum(b, (m // 2 - q * b) % m)
 
 
 def c3_base_logs(F2: FqField, variant: str, b) -> np.ndarray:
@@ -384,7 +380,7 @@ def c3_base_logs(F2: FqField, variant: str, b) -> np.ndarray:
     if variant == "G0":
         return socle
     m = F2.q - 1
-    L = _c3_canonical_logs(F2, q, b)
+    L = c3_canonical_logs(F2, q, b)
     extension = np.ones(b.shape, dtype=bool)
     for k in range(1, F2.f):
         extension &= L * ((q + 1) * (F2.p**k - 1) // 2 % m) % m != 0
@@ -411,11 +407,6 @@ def _c3_a1_logs(F2: FqField, q: int, b) -> np.ndarray:
     if (rhs % (q + 1)).any():
         raise CrossCheckFailed("norm value off the base-subfield grid")
     return rhs // (q + 1) % (q - 1)
-
-
-def c3_a1(F2: FqField, b: FqElem) -> FqElem:
-    q = _c3_split(F2)
-    return _elem(F2, _c3_a1_logs(F2, q, _require_c3_scalars(F2, q, _one(b)))[0])
 
 
 def _c3_transfer_scale(F2: FqField, q: int, b) -> tuple[np.ndarray, np.ndarray]:
@@ -450,7 +441,7 @@ def c3_pair_base_logs(F2: FqField, variant: str, b, c) -> np.ndarray:
     """
     q = _c3_split(F2)
     b, c = _require_c3_scalars(F2, q, b), _require_c3_scalars(F2, q, c)
-    if (_c3_canonical_logs(F2, q, b) == _c3_canonical_logs(F2, q, c)).any():
+    if (c3_canonical_logs(F2, q, b) == c3_canonical_logs(F2, q, c)).any():
         raise ValueError("the two points must be distinct")
     _, A = _c3_transfer_scale(F2, q, b)
     d = _c3_pull_back(F2, q, b, A, c)
@@ -458,13 +449,12 @@ def c3_pair_base_logs(F2: FqField, variant: str, b, c) -> np.ndarray:
     if ((d < 0) | (d == A) | (d == excluded)).any():
         # excluded values would force c = b, c = 0, or b isotropic
         raise CrossCheckFailed("transfer scalar hit an excluded value")
-    m = F2.q - 1
-    if (d * (q + 1) % m == m // 2).any():
+    if c3_isotropic(F2, q, d).any():
         raise CrossCheckFailed("transfer scalar is isotropic")
     img = _c3_push_forward(F2, q, b, A, d)
     if ((img != c) & (img != log_neg(F2, log_pow(F2, c, -q)))).any():
         raise CrossCheckFailed("transfer image misses the target point")
-    return c3_base_logs(F2, variant, _c3_canonical_logs(F2, q, d))
+    return c3_base_logs(F2, variant, c3_canonical_logs(F2, q, d))
 
 
 def c3_pair_base(F2: FqField, variant: str, b: FqElem, c: FqElem) -> bool:
@@ -531,18 +521,11 @@ def c3_clique(F2: FqField, b: FqElem) -> list[C3Point]:
     _require_c3_scalars(F2, q, _one(b))
     if is_square(b):
         raise ValueError("clique anchor must be a non-square")
-    m = F2.q - 1
-    half = m // 2
-    logs = set()
-    for t in range(q - 1):
-        bl = (b.log + (q + 1) * t) % m  # b times the embedded unit lambda_q^t
-        if bl * (q + 1) % m == half:
-            continue
-        logs.add(c3_canonical_log(F2, q, bl))
-    pts = [C3Point.alpha(F2, q)] + [C3Point(F2, q, L) for L in sorted(logs)]
+    products = (b.log + (q + 1) * np.arange(q - 1)) % (F2.q - 1)  # b times the embedded units
+    scalars = np.unique(c3_canonical_logs(F2, q, products[~c3_isotropic(F2, q, products)]))
+    pts = [C3Point.alpha(F2, q)] + [C3Point(F2, q, L) for L in scalars.tolist()]
     if len(pts) < (q - 1) // 2:
         raise CrossCheckFailed("clique fell below the guaranteed size")
-    scalars = np.array(sorted(logs), dtype=np.int64)
     if not c3_base_logs(F2, "G0", scalars).all():
         raise CrossCheckFailed("alpha-edge fails inside the clique")
     for i in range(len(scalars)):
@@ -633,6 +616,7 @@ def c2_clique5(F: FqField) -> list:
     with its negation; the deterministic scan tries anchors in log order and,
     for each, every partner at once, and returns the first partner whose
     clique passes all ten edge checks: [ALPHA, beta, -beta, beta', -beta'].
+    A scan that finds none within its budget returns [].
     """
     _check_c2_field(F)
     if F.f < 2:
@@ -655,20 +639,21 @@ def c2_clique5(F: FqField) -> list:
             beta = C2Pair(_elem(F, b), _elem(F, c))
             beta2 = C2Pair(_elem(F, B[hits[0]]), _elem(F, C[hits[0]]))
             return [ALPHA, beta, beta.negated(), beta2, beta2.negated()]
-    raise RuntimeError("no 5-clique found within the scan budget")
+    return []
 
 
 def c3_clique5(F2: FqField) -> list[C3Point]:
     """A verified 5-clique in the unitary-pair graph of the full
     field-automorphism extension: alpha, omega_b, omega_{-b}, omega_c,
     omega_{-c} with all ten edges re-checked arithmetically.  Anchors b are
-    tried in label order and, for each, every partner c at once."""
+    tried in label order and, for each, every partner c at once; a scan that
+    finds none within its budget returns []."""
     q = _c3_split(F2)
     labels = np.array(c3_label_logs(F2, q), dtype=np.int64)
     cands = labels[c3_base_logs(F2, "PSigmaL", labels)]
     for b in cands[:_C3_CLIQUE5_ANCHORS].tolist():
         nb = int(log_neg(F2, b))
-        points = [_c3_canonical_logs(F2, q, x) for x in (b, nb, cands, log_neg(F2, cands))]
+        points = [c3_canonical_logs(F2, q, x) for x in (b, nb, cands, log_neg(F2, cands))]
         rows = np.flatnonzero(_distinct(*points))
         if not len(rows):
             continue
@@ -680,7 +665,7 @@ def c3_clique5(F2: FqField) -> list[C3Point]:
             c = int(cands[hits[0]])
             scalars = [b, nb, c, int(log_neg(F2, c))]
             return [C3Point.alpha(F2, q)] + [C3Point.from_scalar(_elem(F2, x), q) for x in scalars]
-    raise RuntimeError("no 5-clique found within the scan budget")
+    return []
 
 
 # -- totient scans -----------------------------------------------------------------

@@ -32,7 +32,9 @@ sentinel as the value -> log table.  Equal elements have equal entries.
 reads the Zech table through a numpy view of it (no copy):
 lambda^x + lambda^y = lambda^(x + zech[y - x]) (Lidl and Niederreiter,
 *Finite Fields*), and ``log_neg``, ``log_pow``, ``log_is_square`` and
-``log_in_proper_subfield`` act on the log alone.  Arguments broadcast.
+``log_in_proper_subfield`` act on the log alone, and ``log_to_packed`` and
+``log_of_packed`` convert to and from packed values.  Arguments
+broadcast.
 
 The module also carries the number theory of the regular suborbit counts:
 the prime powers in a range, an exact totient by trial division, and a scan
@@ -464,6 +466,17 @@ def log_in_proper_subfield(F: FqField, x) -> np.ndarray:
         if F.f % k == 0:
             out |= x * (F.p**k - 1) % (F.q - 1) == 0
     return out | (x < 0)
+
+
+def log_to_packed(F: FqField, x) -> np.ndarray:
+    """:meth:`FqElem.as_int` elementwise: the packed value of each log, 0 for zero."""
+    x = as_logs(x)
+    return np.where(x < 0, 0, np.frombuffer(F._exp, dtype=np.intc)[x % (F.q - 1)])
+
+
+def log_of_packed(F: FqField, n) -> np.ndarray:
+    """:meth:`FqField.from_packed_int` elementwise: the log of each packed value."""
+    return np.frombuffer(F._log, dtype=np.intc)[as_logs(n)].astype(np.int64)
 
 
 # -- predicates and counts -------------------------------------------------------

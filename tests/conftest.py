@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from saxl.actions import INF, bundled_catalogue_path, c3_canonical_log, coset_action, load_catalogue
+from saxl.actions import bundled_catalogue_path, coset_action, load_catalogue
+from saxl.criteria import INF
 from saxl.gf import CrossCheckFailed, is_prime, is_square
 from saxl.group import CapExceeded, PermGroup, conjugacy_class
 from saxl.perm import Perm
@@ -192,6 +193,11 @@ def oracle_c2_witness(F, b, c):
     return d, e
 
 
+def _oracle_canonical_log(q, b) -> int:
+    """The log of min(b, -b^(-q)) in log order: omega_b's label."""
+    return min(b.log, (-(b ** -q)).log)
+
+
 def _oracle_require_c3(F2, q, b):
     if b.is_zero():
         raise ValueError("scalar label must be nonzero")
@@ -207,7 +213,7 @@ def oracle_c3_base(F2, q, variant, b) -> bool:
     if variant == "G0":
         return not is_square(b)
     m = F2.q - 1
-    L = c3_canonical_log(F2, q, b.log)
+    L = _oracle_canonical_log(q, b)
     if any(L * ((q + 1) * (F2.p**k - 1) // 2) % m == 0 for k in range(1, F2.f)):
         return False
     if is_square(b):
@@ -236,7 +242,7 @@ def oracle_c3_pair_base(F2, q, variant, b, c) -> bool:
     """{omega_b, omega_c}: the alpha-criterion on d = A(c - b)/(c + b^(-q))."""
     _oracle_require_c3(F2, q, b)
     _oracle_require_c3(F2, q, c)
-    if c3_canonical_log(F2, q, b.log) == c3_canonical_log(F2, q, c.log):
+    if _oracle_canonical_log(q, b) == _oracle_canonical_log(q, c):
         raise ValueError("the two points must be distinct")
     _, A = oracle_c3_transfer_scale(F2, q, b)
     d = A * (c - b) / (c + b ** (-q))
@@ -248,7 +254,7 @@ def oracle_c3_pair_base(F2, q, variant, b, c) -> bool:
     img = (b * A + b ** (-q) * d) / (A - d)
     if img != c and img != -(c ** (-q)):
         raise CrossCheckFailed("transfer image misses the target point")
-    return oracle_c3_base(F2, q, variant, F2.from_log(c3_canonical_log(F2, q, d.log)))
+    return oracle_c3_base(F2, q, variant, F2.from_log(_oracle_canonical_log(q, d)))
 
 
 def oracle_c3_witness(F2, q, b):

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+from itertools import chain
 
+import numpy as np
 import pytest
 
 from saxl import actions
@@ -12,7 +14,8 @@ from saxl.actions import (
     LabelledAction,
     OmegaPoint,
     bundled_catalogue_path,
-    c3_canonical_log,
+    c3_canonical_logs,
+    c3_isotropic,
     c3_label_logs,
     coset_action,
     ksubset_action,
@@ -23,7 +26,8 @@ from saxl.actions import (
     _certified,
     _induced,
 )
-from saxl.gf import field_create, split_prime_power
+from saxl.cli import main
+from saxl.gf import LOG_ZERO, field_create, log_add, log_mul, log_neg, log_pow, split_prime_power
 from saxl.group import DEFAULT_CAPS, CapExceeded, CrossCheckFailed, PermGroup
 from saxl.perm import Perm, from_cycles
 
@@ -214,14 +218,14 @@ class TestUnitaryPairAction:
         q = 9
         F2 = field_create(3, 4)
         m = F2.q - 1
-        half = m // 2
-        for log in range(m):
-            if (log * (q + 1)) % m == half:
-                continue
-            c = c3_canonical_log(F2, q, log)
-            assert c3_canonical_log(F2, q, c) == c
-            partner = (half - q * log) % m
-            assert c == min(log, partner)
+        logs = np.arange(m)
+        isotropic = c3_isotropic(F2, q, logs)
+        assert logs[isotropic].tolist() == [L for L in range(m) if L * (q + 1) % m == m // 2]
+        assert isotropic.sum() == q + 1 and not c3_isotropic(F2, q, LOG_ZERO)
+        logs = logs[~isotropic]
+        c = c3_canonical_logs(F2, q, logs)
+        assert (c3_canonical_logs(F2, q, c) == c).all()
+        assert (c == np.minimum(logs, (m // 2 - q * logs) % m)).all()
 
     def test_label_logs(self):
         q = 9
@@ -237,22 +241,36 @@ class TestUnitaryPairAction:
         q = 9
         F2 = field_create(3, 4)
         C = su2_conjugator(F2, q)
-        # C * conj(C)^T must be antisymmetric with zero diagonal
-        (a, b), (c, d) = C
-        conj = lambda x: x**q
-        m00 = a * conj(a) + b * conj(b)
-        m01 = a * conj(c) + b * conj(d)
-        m10 = c * conj(a) + d * conj(b)
-        m11 = c * conj(c) + d * conj(d)
-        assert m00.is_zero() and m11.is_zero()
-        assert m01 == -m10 and not m01.is_zero()
+        conj = log_pow(F2, C, q)
+        # C * conj(C)^T, entry (i, j) = sum_k C[i, k] conj(C[j, k]), must be
+        # antisymmetric with zero diagonal
+        M = log_add(F2, *(log_mul(F2, C[:, None, k], conj[None, :, k]) for k in (0, 1)))
+        assert (np.diag(M) == LOG_ZERO).all()
+        assert M[0, 1] == log_neg(F2, M[1, 0]) and M[0, 1] != LOG_ZERO
+
+    def test_identity_conjugator_is_refused_as_not_unitary(self, monkeypatch, capsys):
+        # C = 1 leaves SL(2,q)'s generators as they are: determinant 1, not unitary
+        monkeypatch.setattr(actions, "su2_conjugator", lambda F2, q: np.where(np.eye(2, dtype=bool), 0, LOG_ZERO))
+        with pytest.raises(CrossCheckFailed, match="not unitary"):
+            psl2_c3_action(GroupVariant("PSL2", 9))
+        assert main(["analyze", "--psl2", "c3", "--q", "9"]) == 3
+        assert "not unitary" in capsys.readouterr().err
+
+    def test_scaled_inverse_is_refused_for_its_determinant(self, monkeypatch, capsys):
+        # lambda C^-1 in place of C^-1 scales every determinant by lambda^2
+        inverse = actions._mat_inv
+        monkeypatch.setattr(actions, "_mat_inv", lambda F, M: log_mul(F, inverse(F, M), 1))
+        with pytest.raises(CrossCheckFailed, match="determinant 1"):
+            psl2_c3_action(GroupVariant("PSL2", 9))
+        assert main(["analyze", "--psl2", "c3", "--q", "9"]) == 3
+        assert "determinant 1" in capsys.readouterr().err
 
 
-def _distinct_variants(qmax: int):
-    """Every GroupVariant with 4 <= q <= qmax whose extension of PSL(2,q) is
+def _distinct_variants(fields):
+    """Every GroupVariant with q in ``fields`` whose extension of PSL(2,q) is
     not already another family's: PGL2 needs odd q, PSigmaL2 needs f > 1,
     PGammaL2 both."""
-    for q in range(4, qmax + 1):
+    for q in fields:
         try:
             p, f = split_prime_power(q)
         except ValueError:
@@ -274,32 +292,41 @@ class TestPinnedGenerators:
     """sha256 over the generators, point-0 stabiliser generators and labels
     of every distinct c2/c3 variant with q <= 27, and over the generators and
     labels of six k-subset actions, pinned before the constructors were
-    rewritten.  A k-subset action's stabiliser generators are the explicit
-    ones of S_k x S_{n-k}, which its certificate checks, so they are left
-    out.  CI runs this class under two hash seeds."""
+    rewritten; and the same over every distinct c2/c3 variant at q = 49 and
+    81, pinned before the projective maps moved to log arrays.  A k-subset
+    action's stabiliser generators are the explicit ones of S_k x S_{n-k},
+    which its certificate checks, so they are left out.  CI runs this class
+    under two hash seeds."""
 
     DIGEST = "e80effaeae13f6d8207434e9f3b17d731e94eeaf7d135f7a131c47c221a0427a"
+    DIGEST_49_81 = "2b711fa94fc40db39518c05cb45e085e8635922e883dfd395fd99be57bf80404"
 
     @staticmethod
-    def _actions():
-        for n, k, even in ((4, 1, False), (5, 2, True), (6, 2, False), (6, 3, False), (7, 3, True), (8, 2, False)):
-            yield ksubset_action(n, k, even_only=even)
-        for variant in _distinct_variants(27):
+    def _projective(fields):
+        for variant in _distinct_variants(fields):
             yield psl2_c2_action(variant)
             if variant.q % 2 and variant.q >= 5:
                 yield psl2_c3_action(variant)
 
-    def test_generator_digest(self):
+    @staticmethod
+    def _digest(acts) -> tuple[int, str]:
         digest = hashlib.sha256()
         count = 0
-        for act in self._actions():
+        for act in acts:
             stab_gens = [] if act.labels[0].kind == "k_subset" else act.stabiliser0().gens
             for gens in (act.group.gens, stab_gens):
                 digest.update(b"".join(g.key for g in gens) + b"|")
             digest.update(repr(act.labels).encode() + b"\n")
             count += 1
-        assert count == 68
-        assert digest.hexdigest() == self.DIGEST
+        return count, digest.hexdigest()
+
+    def test_generator_digest(self):
+        subsets = ((4, 1, False), (5, 2, True), (6, 2, False), (6, 3, False), (7, 3, True), (8, 2, False))
+        acts = [ksubset_action(n, k, even_only=even) for n, k, even in subsets]
+        assert self._digest(chain(acts, self._projective(range(4, 28)))) == (68, self.DIGEST)
+
+    def test_generator_digest_q49_q81(self):
+        assert self._digest(self._projective((49, 81))) == (24, self.DIGEST_49_81)
 
 
 class TestLabelledActionInvariants:

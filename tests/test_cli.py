@@ -345,11 +345,10 @@ class TestVerify:
         assert not any("q=49" in name for name in names)
 
     def test_witnesses_sweep_fails_without_inputs(self, capsys, monkeypatch):
-        from saxl import cli
-        from saxl.gf import FqField
+        from saxl import cli, criteria
 
         # the engine-checked witness loops find nothing to check
-        monkeypatch.setattr(FqField, "nonzero_elements", lambda self: iter(()))
+        monkeypatch.setattr(criteria, "c2_base_candidates", lambda F, limit: (np.empty(0, dtype=np.int64),) * 2)
         monkeypatch.setattr(cli, "c3_label_logs", lambda F2, q: [])
         assert main(["verify", "witnesses", "--per-field", "1"]) == 1
         checks = json.loads(capsys.readouterr().out)["checks"]
@@ -409,6 +408,16 @@ class TestVerify:
         monkeypatch.setattr(criteria, "c2_clique5", with_a_non_edge)
         assert main(["verify", "clique5", "--qmax", "49"]) == 1
         assert self._failed_check(capsys, "clique5 q=49")
+
+    @pytest.mark.parametrize("budget", ["_C2_CLIQUE5_ANCHORS", "_C3_CLIQUE5_ANCHORS"])
+    @pytest.mark.parametrize("sweep,check", [("clique5", "clique5 q=49"), ("cliques", "clique5 q=49 (engine-checked)")])
+    def test_clique5_scan_that_finds_none_fails_its_check(self, capsys, monkeypatch, budget, sweep, check):
+        from saxl import criteria
+
+        # with no anchors to try, the scan finds no 5-clique
+        monkeypatch.setattr(criteria, budget, 0)
+        assert main(["verify", sweep, "--qmax", "50"]) == 1
+        assert self._failed_check(capsys, check)
 
     def test_closed_forms_sweep_compares_the_forms(self, capsys, monkeypatch):
         from saxl import criteria

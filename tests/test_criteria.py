@@ -18,10 +18,8 @@ from conftest import (
 from saxl import criteria
 from saxl.actions import (
     ALPHA,
-    INF,
     GroupVariant,
     OmegaPoint,
-    c3_canonical_log,
     c3_label_logs,
     proj_pair_labels,
     proj_pair_payload,
@@ -29,6 +27,7 @@ from saxl.actions import (
     psl2_c3_action,
 )
 from saxl.criteria import (
+    INF,
     C2Pair,
     C3Point,
     c2_base_psigma,
@@ -37,7 +36,6 @@ from saxl.criteria import (
     c2_condition_iii,
     c2_counts,
     c2_pair_base,
-    c3_a1,
     c3_base,
     c3_clique,
     c3_clique5,
@@ -58,7 +56,8 @@ def anchor_index(action):
 
 
 def pair_index(action, x, y):
-    return action.label_index[OmegaPoint("proj_pair", proj_pair_payload((x, y)))]
+    codes = (criteria.line_code(x), criteria.line_code(y))
+    return action.label_index[OmegaPoint("proj_pair", proj_pair_payload(x.field, codes))]
 
 
 class TestSubfieldCondition:
@@ -211,9 +210,9 @@ class TestC3Scale:
     def test_a1_defining_property(self, q):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
-        for L in c3_label_logs(F2, q):
-            b = F2.from_log(L)
-            a1 = c3_a1(F2, b)
+        logs = c3_label_logs(F2, q)
+        for L, a1_log in zip(logs, criteria._c3_a1_logs(F2, q, logs).tolist()):
+            b, a1 = F2.from_log(L), F2.from_log(a1_log)
             assert a1 ** (q + 1) == F2.one() + b ** (q + 1)
             assert a1.log < q - 1  # least solution
 
@@ -257,7 +256,7 @@ class TestC3Witness:
                 continue
             c, w = c3_common_neighbour_witness(F2, b)
             assert c == -b
-            assert w.a1 == c3_a1(F2, b)
+            assert w.a1.log == criteria._c3_a1_logs(F2, q, L)
             s = b ** ((q + 1) // 2)
             halfnorm = w.d ** ((q + 1) // 2)
             assert halfnorm in (two / (s - s.inverse()), -(two / (s - s.inverse())))
@@ -381,8 +380,9 @@ class TestLabelBridge:
         act = psl2_c2_action(GroupVariant("PSigmaL2", q))
         for lab in act.labels:
             x, y = proj_pair_labels(F, lab.payload)
-            assert proj_pair_payload((x, y)) == lab.payload
-            assert proj_pair_payload((y, x)) == lab.payload
+            assert x < y
+            assert proj_pair_payload(F, (x, y)) == lab.payload
+            assert proj_pair_payload(F, (y, x)) == lab.payload
 
     def test_pair_validation(self):
         F = field_from_order(9)

@@ -475,6 +475,9 @@ def test_log_arrays_match_boxed_elements(q):
         assert gf.log_pow(F, E[1:], k).tolist() == [_code(x**k) for x in elems[1:]]
     assert gf.log_is_square(F, E).tolist() == [is_square(x) for x in elems]
     assert gf.log_in_proper_subfield(F, E).tolist() == [in_proper_subfield(x) for x in elems]
+    packed = gf.log_to_packed(F, E)
+    assert packed.tolist() == [x.as_int() for x in elems]
+    assert gf.log_of_packed(F, packed).tolist() == [_code(F.from_packed_int(n)) for n in packed.tolist()] == E.tolist()
 
 
 def test_log_arrays_refuse_zero_divisors():
