@@ -388,7 +388,8 @@ def _mobius(F: FqField, M) -> Perm:
 
 def _coords(F: FqField, codes) -> list[tuple]:
     """The normalized homogeneous coordinates of the points with ``codes``:
-    (0, 1) for <e2>, else (1, t) with t packed as by FqElem.as_int."""
+    (0, 1) for <e2>, else (1, t) with t as its packed value
+    (:func:`saxl.gf.log_to_packed`)."""
     codes = as_logs(codes)
     return [(0, 1) if c == LINE_INF else (1, v) for c, v in zip(codes.tolist(), log_to_packed(F, codes).tolist())]
 

@@ -341,7 +341,7 @@ def _sweep_c2_oracle(args) -> list[dict]:
         P, R = ends[:, 0], ends[:, 1]
 
         def row(a):
-            return criteria.c2_pair_base_logs(F, (P[a], R[a]), (P[a + 1 :], R[a + 1 :]))
+            return criteria.c2_pair_base(F, (P[a], R[a]), (P[a + 1 :], R[a + 1 :]))
 
         checks.append(_oracle_check("c2-oracle PSigmaL2 q=%d" % q, action, row))
     return checks
@@ -362,8 +362,8 @@ def _sweep_c3_oracle(args) -> list[dict]:
 
         def row(a):
             if xs[a] == LOG_ZERO:
-                return criteria.c3_base_logs(F2, variant, xs[a + 1 :])
-            return criteria.c3_pair_base_logs(F2, variant, xs[a], xs[a + 1 :])
+                return criteria.c3_base(F2, variant, xs[a + 1 :])
+            return criteria.c3_pair_base(F2, variant, xs[a], xs[a + 1 :])
 
         checks.append(_oracle_check("c3-oracle %s q=%d" % (family, q), action, row))
     return checks
@@ -492,7 +492,7 @@ def _sweep_witnesses(args) -> list[dict]:
         index = action.label_index
         ok = action.labels[0] == OmegaPoint("proj_pair", proj_pair_payload(F, (LINE_INF, LOG_ZERO)))
         b, c = criteria.c2_base_candidates(F, (F.q - 1) ** 2)  # every alpha-neighbour pair
-        criteria.c2_common_neighbour_witness_logs(F, b, c)
+        criteria.c2_common_neighbour_witness(F, b, c)
         # the witnessed common neighbour of alpha and (b, c) is gamma = (-b, -c)
         for lb, lc, lnb, lnc in np.stack([b, c, log_neg(F, b), log_neg(F, c)], 1).tolist():
             bi = index[OmegaPoint("proj_pair", proj_pair_payload(F, (lb, lc)))]
@@ -507,8 +507,8 @@ def _sweep_witnesses(args) -> list[dict]:
         index = action.label_index
         ok = action.labels[0] == OmegaPoint("c3_point", ALPHA)
         b = np.array(c3_label_logs(F2, q), dtype=np.int64)
-        b = b[criteria.c3_base_logs(F2, "PSigmaL", b)]
-        criteria.c3_common_neighbour_witness_logs(F2, b)
+        b = b[criteria.c3_base(F2, "PSigmaL", b)]
+        criteria.c3_common_neighbour_witness(F2, b)
         # the witnessed common neighbour is omega_{-b}
         for L, c in zip(b.tolist(), c3_canonical_logs(F2, q, log_neg(F2, b)).tolist()):
             bi = index[OmegaPoint("c3_point", L)]
@@ -521,14 +521,14 @@ def _sweep_witnesses(args) -> list[dict]:
     for q in _upto(args, _WITNESS_ARITHMETIC_FIELDS):
         F = field_from_order(q)
         b, c = criteria.c2_base_candidates(F, target)
-        criteria.c2_common_neighbour_witness_logs(F, b, c)
+        criteria.c2_common_neighbour_witness(F, b, c)
         checks.append(_check("c2-witness q=%d (arithmetic)" % q, len(b) >= target, "%d inputs" % len(b)))
     for q in _upto(args, _WITNESS_ARITHMETIC_FIELDS):
         F2 = field_from_order(q * q)
         b = np.arange(F2.q - 1)
         b = b[~c3_isotropic(F2, q, b)]
-        b = b[criteria.c3_base_logs(F2, "PSigmaL", b)][:target]
-        criteria.c3_common_neighbour_witness_logs(F2, b)
+        b = b[criteria.c3_base(F2, "PSigmaL", b)][:target]
+        criteria.c3_common_neighbour_witness(F2, b)
         checks.append(_check("c3-witness q=%d (arithmetic)" % q, len(b) >= target, "%d inputs" % len(b)))
     return checks
 
@@ -579,22 +579,17 @@ def _sweep_clique5(args) -> list[dict]:
         c3 = criteria.c3_clique5(F2)
         ok = _alpha_clique_ok(
             c2,
-            lambda v: v == ALPHA,
-            lambda v: criteria.c2_base_psigma(F, v.b, v.c),
-            lambda u, v: criteria.c2_pair_base(F, u.labels(), v.labels()),
+            lambda v: v == (LINE_INF, LOG_ZERO),
+            lambda v: criteria.c2_base_psigma(F, *v),
+            lambda u, v: criteria.c2_pair_base(F, u, v),
         ) and _alpha_clique_ok(
             c3,
-            lambda v: v.is_alpha(),
-            lambda v: criteria.c3_base(F2, "PSigmaL", v.scalar()),
-            lambda u, v: criteria.c3_pair_base(F2, "PSigmaL", u.scalar(), v.scalar()),
+            lambda v: v == ALPHA,
+            lambda v: criteria.c3_base(F2, "PSigmaL", v),
+            lambda u, v: criteria.c3_pair_base(F2, "PSigmaL", u, v),
         )
         checks.append(_check("clique5 q=%d" % q, ok, "c2 %d vertices, c3 %d vertices" % (len(c2), len(c3))))
     return checks
-
-
-def _c3_point(pt) -> OmegaPoint:
-    """The action label of a :class:`criteria.C3Point`."""
-    return OmegaPoint("c3_point", ALPHA if pt.is_alpha() else pt.log)
 
 
 def _sweep_cliques(args) -> list[dict]:
@@ -603,11 +598,11 @@ def _sweep_cliques(args) -> list[dict]:
     # socle cliques of size (q-1)/2 through alpha, every edge in the engine's graph
     for q in _upto(args, (9, 13, 25)):
         F2 = field_from_order(q * q)
-        anchor = next(b for b in map(F2.from_log, c3_label_logs(F2, q)) if not is_square(b))
-        pts = criteria.c3_clique(F2, anchor)
+        labels = np.array(c3_label_logs(F2, q))
+        pts = criteria.c3_clique(F2, int(labels[~is_square(F2, labels)][0]))
         action = psl2_c3_action(GroupVariant("PSL2", q))
         graph = saxl_graph(action)
-        idx = [action.label_index[_c3_point(pt)] for pt in pts]
+        idx = [action.label_index[OmegaPoint("c3_point", pt)] for pt in pts]
         missing = sum(1 for a, b in combinations(idx, 2) if not graph.has_edge(a, b))
         checks.append(
             _check(
@@ -621,10 +616,9 @@ def _sweep_cliques(args) -> list[dict]:
     for q in _clique5_fields(_qmax(args)):
         F, F2 = field_from_order(q), field_from_order(q * q)
         c2_act = psl2_c2_action(GroupVariant("PSigmaL2", q))
-        c2_codes = [(LINE_INF, LOG_ZERO) if v == ALPHA else (v.b.log, v.c.log) for v in criteria.c2_clique5(F)]
-        c2_idx = [c2_act.label_index[OmegaPoint("proj_pair", proj_pair_payload(F, codes))] for codes in c2_codes]
+        c2_idx = [c2_act.label_index[OmegaPoint("proj_pair", proj_pair_payload(F, v))] for v in criteria.c2_clique5(F)]
         c3_act = psl2_c3_action(GroupVariant("PSigmaL2", q))
-        c3_idx = [c3_act.label_index[_c3_point(pt)] for pt in criteria.c3_clique5(F2)]
+        c3_idx = [c3_act.label_index[OmegaPoint("c3_point", pt)] for pt in criteria.c3_clique5(F2)]
         bad = sum(1 for a, b in combinations(c2_idx, 2) if not is_base_pair(c2_act, a, b))
         bad += sum(1 for a, b in combinations(c3_idx, 2) if not is_base_pair(c3_act, a, b))
         checks.append(

@@ -21,14 +21,11 @@ Array form.  Each criterion and witness constructor is written once, over
 the log arrays of :mod:`saxl.gf`: int64 discrete logs with LOG_ZERO = -1
 for zero.  Arguments broadcast, so one call decides a whole row of labels,
 and every re-check runs on the whole array: one failing entry raises.  The
-array forms carry the suffix ``_logs``; the entry points of the same name
-without it take :class:`saxl.gf.FqElem` labels, with INF for <e2>, and make
-length-1 calls.
+explicit cliques come back as the label payloads of :mod:`saxl.actions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -39,19 +36,18 @@ import numpy as np
 from .actions import ALPHA, LINE_INF, c3_canonical_logs, c3_isotropic, c3_label_logs
 from .gf import (
     LOG_ZERO,
-    FqElem,
     FqField,
     as_logs,
     count_nonsquare_nonsubfield,
     euler_phi,
+    in_proper_subfield,
     is_prime,
     is_square,
     log_add,
     log_div,
-    log_in_proper_subfield,
-    log_is_square,
     log_mul,
     log_neg,
+    log_of_packed,
     log_pow,
     log_sub,
     prime_powers,
@@ -62,94 +58,14 @@ from .group import CrossCheckFailed
 C3_VARIANTS = ("G0", "PSigmaL")
 CLOSED_FORM_KINDS = ("Dq_minus_1", "Dq_plus_1", "PGL_Dq_minus_1")
 
-INF = "inf"  # the label of <e2> in the FqElem entry points
-
-
-def line_code(x) -> int:
-    """The array code of a projective label or field element."""
-    if x is INF:
-        return LINE_INF
-    return LOG_ZERO if x.log is None else x.log
-
-
-def _one(x) -> np.ndarray:
-    """The length-1 array of a label, for the scalar entry points."""
-    return np.array([line_code(x)], dtype=np.int64)
-
-
-def _elem(F: FqField, log) -> FqElem:
-    return F.from_log(None if log < 0 else int(log))
-
 
 def _int_log(F: FqField, n: int) -> int:
-    """The array code of the prime-field element n."""
-    return line_code(F.from_int(n))
+    """The log of the prime-field element n."""
+    return int(log_of_packed(F, n % F.p))
 
 
 def _all(masks) -> np.ndarray:
     return reduce(and_, masks)
-
-
-# -- domain types ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class C2Pair:
-    """An unordered pair {(1, b), (1, c)} of projective points avoiding INF
-    and 0, encoded by its two nonzero, distinct scalars."""
-
-    b: FqElem
-    c: FqElem
-
-    def __post_init__(self):
-        if self.b.is_zero() or self.c.is_zero():
-            raise ValueError("pair scalars must be nonzero")
-        if self.b == self.c:
-            raise ValueError("pair scalars must be distinct")
-
-    def labels(self) -> tuple[FqElem, FqElem]:
-        return self.b, self.c
-
-    def negated(self) -> "C2Pair":
-        return C2Pair(-self.b, -self.c)
-
-
-@dataclass(frozen=True)
-class C3Point:
-    """A point of the unitary-pair action: ALPHA (log None) or the canonical
-    log of a scalar b with b^(q+1) != -1."""
-
-    field: FqField
-    q: int
-    log: int | None
-
-    @classmethod
-    def alpha(cls, F2: FqField, q: int) -> "C3Point":
-        return cls(F2, q, None)
-
-    @classmethod
-    def from_scalar(cls, b: FqElem, q: int) -> "C3Point":
-        logs = _require_c3_scalars(b.field, q, _one(b))
-        return cls(b.field, q, int(c3_canonical_logs(b.field, q, logs)[0]))
-
-    def is_alpha(self) -> bool:
-        return self.log is None
-
-    def scalar(self) -> FqElem:
-        if self.log is None:
-            raise ValueError("alpha carries no scalar")
-        return self.field.from_log(self.log)
-
-
-@dataclass(frozen=True)
-class WitnessScalars:
-    """Scalars certifying an edge: (d, e) for the projective-pair family,
-    (a1, d) for the unitary family.  Producers re-verify every condition the
-    scalars are claimed to satisfy before returning them."""
-
-    d: FqElem
-    e: FqElem | None = None
-    a1: FqElem | None = None
 
 
 # -- projective-pair (C2) criteria -------------------------------------------------
@@ -160,11 +76,11 @@ def _check_c2_field(F: FqField) -> None:
         raise ValueError("the pair criterion needs odd q")
 
 
-def c2_condition_iii_logs(F: FqField, b, c) -> np.ndarray:
+def c2_condition_iii(F: FqField, b, c) -> np.ndarray:
     """The subfield condition: b^(p^k - 1) != c^(p^k - 1) for all 0 < k < f.
 
     Checked literally over every k; equivalently the ratio b/c avoids every
-    proper subfield, which :func:`saxl.gf.log_in_proper_subfield` tests.
+    proper subfield, which :func:`saxl.gf.in_proper_subfield` tests.
     """
     ok = np.ones(np.broadcast_shapes(np.shape(b), np.shape(c)), dtype=bool)
     for k in range(1, F.f):
@@ -173,11 +89,7 @@ def c2_condition_iii_logs(F: FqField, b, c) -> np.ndarray:
     return ok
 
 
-def c2_condition_iii(F: FqField, b: FqElem, c: FqElem) -> bool:
-    return bool(c2_condition_iii_logs(F, _one(b), _one(c))[0])
-
-
-def c2_base_psigma_logs(F: FqField, b, c) -> np.ndarray:
+def c2_base_psigma(F: FqField, b, c) -> np.ndarray:
     """Whether {alpha, {b, c}} is a base pair for the full field-automorphism
     extension acting on projective pairs (q odd).
 
@@ -190,18 +102,14 @@ def c2_base_psigma_logs(F: FqField, b, c) -> np.ndarray:
         raise ValueError("pair labels must be distinct")
     nonzero = (b >= 0) & (c >= 0)
     b, c = np.where(nonzero, b, 0), np.where(nonzero, c, 0)
-    nonsquare = ~log_is_square(F, log_neg(F, log_div(F, b, c)))
-    return nonzero & nonsquare & c2_condition_iii_logs(F, b, c)
-
-
-def c2_base_psigma(F: FqField, b: FqElem, c: FqElem) -> bool:
-    return bool(c2_base_psigma_logs(F, _one(b), _one(c))[0])
+    nonsquare = ~is_square(F, log_neg(F, log_div(F, b, c)))
+    return nonzero & nonsquare & c2_condition_iii(F, b, c)
 
 
 def _anchor_image(F: FqField, P, R, t) -> np.ndarray:
     """Images of the points t, none of them P or R, under the
-    fractional-linear map over GF(q) sending P to INF and R to 0:
-    t |-> (t - R)/(t - P), where t - INF reads 1, and INF |-> 1."""
+    fractional-linear map over GF(q) sending P to <e2> and R to 0:
+    t |-> (t - R)/(t - P), where t - <e2> reads 1, and <e2> |-> 1."""
     inf = t == LINE_INF
     finite = np.where(inf, 0, t)
 
@@ -215,7 +123,7 @@ def _anchor_image(F: FqField, P, R, t) -> np.ndarray:
     return np.where(inf, 0, log_div(F, num, np.where(inf, 0, den)))
 
 
-def c2_pair_base_logs(F: FqField, beta, gamma) -> np.ndarray:
+def c2_pair_base(F: FqField, beta, gamma) -> np.ndarray:
     """Whether {beta, gamma} is a base for the full field-automorphism
     extension, for arbitrary distinct pair-points, each a pair of point
     codes.
@@ -224,7 +132,7 @@ def c2_pair_base_logs(F: FqField, beta, gamma) -> np.ndarray:
     stabilising element must fix three points, which kills the fractional
     -linear part but not a field automorphism twisted by a square scale).
     Disjoint pairs are moved by a fractional-linear map taking beta onto
-    {INF, 0}; the map normalises the extension, so the verdict is the
+    alpha; the map normalises the extension, so the verdict is the
     alpha-criterion applied to the transported labels of gamma.
     """
     _check_c2_field(F)
@@ -236,14 +144,8 @@ def c2_pair_base_logs(F: FqField, beta, gamma) -> np.ndarray:
     apart = ~((X == P) | (X == R) | (Y == P) | (Y == R))
     out = np.full(P.shape, F.f == 1)
     P, R = P[apart], R[apart]
-    out[apart] = c2_base_psigma_logs(F, _anchor_image(F, P, R, X[apart]), _anchor_image(F, P, R, Y[apart]))
+    out[apart] = c2_base_psigma(F, _anchor_image(F, P, R, X[apart]), _anchor_image(F, P, R, Y[apart]))
     return out
-
-
-def c2_pair_base(F: FqField, beta, gamma) -> bool:
-    """:func:`c2_pair_base_logs` on two pair-points, each a pair of labels
-    INF or FqElem."""
-    return bool(c2_pair_base_logs(F, map(_one, beta), map(_one, gamma))[0])
 
 
 def c2_neighbour_transfer(F: FqField, b, c, d, e) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +181,7 @@ def _c2_witness_scalars(F: FqField, b, c) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def c2_common_neighbour_witness_logs(F: FqField, b, c) -> tuple[np.ndarray, np.ndarray]:
+def c2_common_neighbour_witness(F: FqField, b, c) -> tuple[np.ndarray, np.ndarray]:
     """Scalars (d, e) certifying that gamma = (-b, -c) is a common neighbour
     of alpha and beta = {b, c}.
 
@@ -289,7 +191,7 @@ def c2_common_neighbour_witness_logs(F: FqField, b, c) -> tuple[np.ndarray, np.n
     output is re-checked and a failure raises.
     """
     b, c = np.broadcast_arrays(as_logs(b), as_logs(c))
-    if not c2_base_psigma_logs(F, b, c).all():
+    if not c2_base_psigma(F, b, c).all():
         raise ValueError("(b, c) is not an alpha-neighbour")
     if (log_add(F, b, c) < 0).any():
         # cannot happen: c = -b makes -b/c = 1 a square
@@ -300,7 +202,7 @@ def c2_common_neighbour_witness_logs(F: FqField, b, c) -> tuple[np.ndarray, np.n
         raise CrossCheckFailed("witness scalars collide with the transfer pole")
     if (d == e).any():
         raise CrossCheckFailed("witness pair is degenerate")
-    if not c2_base_psigma_logs(F, d, e).all():
+    if not c2_base_psigma(F, d, e).all():
         raise CrossCheckFailed("witness pair fails the alpha-neighbour conditions")
     # the exact identity forcing condition (ii) for (d, e):
     # -d/e = -4 / (b/c + c/b + 2), the same square class as -b/c
@@ -312,16 +214,9 @@ def c2_common_neighbour_witness_logs(F: FqField, b, c) -> tuple[np.ndarray, np.n
     nb, nc = log_neg(F, b), log_neg(F, c)
     if not (((x == nb) & (y == nc)) | ((x == nc) & (y == nb))).all():
         raise CrossCheckFailed("witness transfer does not reach (-b, -c)")
-    if not c2_base_psigma_logs(F, nb, nc).all():
+    if not c2_base_psigma(F, nb, nc).all():
         raise CrossCheckFailed("gamma fails the alpha-neighbour conditions")
     return d, e
-
-
-def c2_common_neighbour_witness(F: FqField, b: FqElem, c: FqElem):
-    """(gamma, WitnessScalars(d, e)) with gamma = (-b, -c): see
-    :func:`c2_common_neighbour_witness_logs`."""
-    d, e = c2_common_neighbour_witness_logs(F, _one(b), _one(c))
-    return (-b, -c), WitnessScalars(d=_elem(F, d[0]), e=_elem(F, e[0]))
 
 
 def c2_counts(F: FqField) -> tuple[int, int]:
@@ -364,7 +259,7 @@ def _require_c3_scalars(F2: FqField, q: int, b) -> np.ndarray:
     return b
 
 
-def c3_base_logs(F2: FqField, variant: str, b) -> np.ndarray:
+def c3_base(F2: FqField, variant: str, b) -> np.ndarray:
     """Whether {alpha, omega_b} is a base pair in the unitary-pair action.
 
     variant "G0" (the socle): true exactly when b is a non-square in GF(q^2).
@@ -376,7 +271,7 @@ def c3_base_logs(F2: FqField, variant: str, b) -> np.ndarray:
     if variant not in C3_VARIANTS:
         raise ValueError("unknown variant %r" % (variant,))
     b = _require_c3_scalars(F2, q, b)
-    socle = ~log_is_square(F2, b)
+    socle = ~is_square(F2, b)
     if variant == "G0":
         return socle
     m = F2.q - 1
@@ -389,11 +284,7 @@ def c3_base_logs(F2: FqField, variant: str, b) -> np.ndarray:
     return extension
 
 
-def c3_base(F2: FqField, variant: str, b: FqElem) -> bool:
-    return bool(c3_base_logs(F2, variant, _one(b))[0])
-
-
-def _c3_a1_logs(F2: FqField, q: int, b) -> np.ndarray:
+def _c3_a1(F2: FqField, q: int, b) -> np.ndarray:
     """The least-log scalar with a1^(q+1) = 1 + b^(q+1).
 
     The right side lies in the base subfield (its log is a multiple of q + 1)
@@ -411,7 +302,7 @@ def _c3_a1_logs(F2: FqField, q: int, b) -> np.ndarray:
 
 def _c3_transfer_scale(F2: FqField, q: int, b) -> tuple[np.ndarray, np.ndarray]:
     """(a1, A) with A = a1^(-2) (b + b^(-q)), the transfer scale at omega_b."""
-    a1 = _c3_a1_logs(F2, q, b)
+    a1 = _c3_a1(F2, q, b)
     A = log_mul(F2, log_pow(F2, a1, -2), log_add(F2, b, log_pow(F2, b, -q)))
     if (A < 0).any():
         # b + b^(-q) = 0 would force b^(q+1) = -1
@@ -431,7 +322,7 @@ def _c3_push_forward(F2: FqField, q: int, b, A, d) -> np.ndarray:
     return log_div(F2, log_add(F2, log_mul(F2, b, A), log_mul(F2, log_pow(F2, b, -q), d)), log_sub(F2, A, d))
 
 
-def c3_pair_base_logs(F2: FqField, variant: str, b, c) -> np.ndarray:
+def c3_pair_base(F2: FqField, variant: str, b, c) -> np.ndarray:
     """Whether {omega_b, omega_c} is a base pair, by pure arithmetic.
 
     A group element of the socle carries alpha onto omega_b and pulls omega_c
@@ -454,11 +345,7 @@ def c3_pair_base_logs(F2: FqField, variant: str, b, c) -> np.ndarray:
     img = _c3_push_forward(F2, q, b, A, d)
     if ((img != c) & (img != log_neg(F2, log_pow(F2, c, -q)))).any():
         raise CrossCheckFailed("transfer image misses the target point")
-    return c3_base_logs(F2, variant, c3_canonical_logs(F2, q, d))
-
-
-def c3_pair_base(F2: FqField, variant: str, b: FqElem, c: FqElem) -> bool:
-    return bool(c3_pair_base_logs(F2, variant, _one(b), _one(c))[0])
+    return c3_base(F2, variant, c3_canonical_logs(F2, q, d))
 
 
 def _c3_half_norm(F2: FqField, q: int, b) -> np.ndarray:
@@ -468,7 +355,7 @@ def _c3_half_norm(F2: FqField, q: int, b) -> np.ndarray:
     return log_div(F2, _int_log(F2, 2), log_sub(F2, s, log_pow(F2, s, -1)))
 
 
-def c3_common_neighbour_witness_logs(F2: FqField, b) -> tuple[np.ndarray, np.ndarray]:
+def c3_common_neighbour_witness(F2: FqField, b) -> tuple[np.ndarray, np.ndarray]:
     """Scalars (a1, d) certifying that omega_{-b} is a common neighbour of
     alpha and omega_b: d witnesses the edge {omega_b, omega_{-b}} under the
     transfer at omega_b.
@@ -479,7 +366,7 @@ def c3_common_neighbour_witness_logs(F2: FqField, b) -> tuple[np.ndarray, np.nda
     """
     q = _c3_split(F2)
     b = _require_c3_scalars(F2, q, b)
-    if not c3_base_logs(F2, "PSigmaL", b).all():
+    if not c3_base(F2, "PSigmaL", b).all():
         raise ValueError("{alpha, omega_b} is not an extension base")
     c = log_neg(F2, b)
     a1, A = _c3_transfer_scale(F2, q, b)
@@ -488,11 +375,11 @@ def c3_common_neighbour_witness_logs(F2: FqField, b) -> tuple[np.ndarray, np.nda
         # b^(q+1) = 1 fails the extension criterion, so cannot reach here
         raise CrossCheckFailed("witness denominator vanished")
     d = log_div(F2, log_mul(F2, log_mul(F2, _int_log(F2, 2), b), A), denom)
-    if not c3_base_logs(F2, "PSigmaL", c).all():
+    if not c3_base(F2, "PSigmaL", c).all():
         raise CrossCheckFailed("negated scalar fails the alpha-criterion")
     if (d != _c3_pull_back(F2, q, b, A, c)).any():
         raise CrossCheckFailed("closed-form d disagrees with the transfer scalar")
-    if not c3_pair_base_logs(F2, "PSigmaL", b, c).all():
+    if not c3_pair_base(F2, "PSigmaL", b, c).all():
         raise CrossCheckFailed("witness pair fails the transfer criterion")
     half_norm = log_pow(F2, d, (q + 1) // 2)
     predicted = _c3_half_norm(F2, q, b)
@@ -501,35 +388,29 @@ def c3_common_neighbour_witness_logs(F2: FqField, b) -> tuple[np.ndarray, np.nda
     return a1, d
 
 
-def c3_common_neighbour_witness(F2: FqField, b: FqElem):
-    """(-b, WitnessScalars(a1=a1, d=d)): see
-    :func:`c3_common_neighbour_witness_logs`."""
-    a1, d = c3_common_neighbour_witness_logs(F2, _one(b))
-    return -b, WitnessScalars(d=_elem(F2, d[0]), a1=_elem(F2, a1[0]))
-
-
-def c3_clique(F2: FqField, b: FqElem) -> list[C3Point]:
+def c3_clique(F2: FqField, b: int) -> list:
     """A verified clique through alpha for the socle action.
 
-    Takes a non-square b with b^(q+1) != -1 and returns alpha together with
-    the points omega_{bx} for x in the embedded base-subfield units (the at
-    most two isotropic products are skipped, and products pair up in the
-    labelling).  The result has at least (q-1)/2 points; every edge is
-    re-verified arithmetically before returning.
+    Takes the log b of a non-square with b^(q+1) != -1 and returns ALPHA
+    followed by the canonical logs of the points omega_{bx}, for x in the
+    embedded base-subfield units (the at most two isotropic products are
+    skipped, and products pair up in the labelling).  The result has at
+    least (q-1)/2 points; every edge is re-verified arithmetically before
+    returning.
     """
     q = _c3_split(F2)
-    _require_c3_scalars(F2, q, _one(b))
-    if is_square(b):
+    _require_c3_scalars(F2, q, b)
+    if is_square(F2, b):
         raise ValueError("clique anchor must be a non-square")
-    products = (b.log + (q + 1) * np.arange(q - 1)) % (F2.q - 1)  # b times the embedded units
+    products = (b + (q + 1) * np.arange(q - 1)) % (F2.q - 1)  # b times the embedded units
     scalars = np.unique(c3_canonical_logs(F2, q, products[~c3_isotropic(F2, q, products)]))
-    pts = [C3Point.alpha(F2, q)] + [C3Point(F2, q, L) for L in scalars.tolist()]
+    pts = [ALPHA] + scalars.tolist()
     if len(pts) < (q - 1) // 2:
         raise CrossCheckFailed("clique fell below the guaranteed size")
-    if not c3_base_logs(F2, "G0", scalars).all():
+    if not c3_base(F2, "G0", scalars).all():
         raise CrossCheckFailed("alpha-edge fails inside the clique")
     for i in range(len(scalars)):
-        if not c3_pair_base_logs(F2, "G0", scalars[i], scalars[i + 1 :]).all():
+        if not c3_pair_base(F2, "G0", scalars[i], scalars[i + 1 :]).all():
             raise CrossCheckFailed("pair edge fails inside the clique")
     return pts
 
@@ -586,7 +467,7 @@ def c2_base_candidates(F: FqField, limit: int) -> tuple[np.ndarray, np.ndarray]:
     ratios = np.empty(0, dtype=np.int64)
     for lo in range(1, m, limit):  # log 0 is t = 1
         t = np.arange(lo, min(lo + limit, m), dtype=np.int64)
-        t = t[~log_is_square(F, log_neg(F, t)) & ~log_in_proper_subfield(F, t)]
+        t = t[~is_square(F, log_neg(F, t)) & ~in_proper_subfield(F, t)]
         ratios = np.concatenate([ratios, t[: wanted - len(ratios)]])
         if len(ratios) == wanted:
             break
@@ -615,14 +496,15 @@ def c2_clique5(F: FqField) -> list:
     Shape: alpha, a neighbour pair beta, its negation, and a second such pair
     with its negation; the deterministic scan tries anchors in log order and,
     for each, every partner at once, and returns the first partner whose
-    clique passes all ten edge checks: [ALPHA, beta, -beta, beta', -beta'].
-    A scan that finds none within its budget returns [].
+    clique passes all ten edge checks: [alpha, beta, -beta, beta', -beta'],
+    each a pair of point codes, alpha = (LINE_INF, LOG_ZERO).  A scan that
+    finds none within its budget returns [].
     """
     _check_c2_field(F)
     if F.f < 2:
         raise ValueError("the scan targets proper extensions (f >= 2)")
     B, C = c2_base_candidates(F, _C2_CLIQUE5_PARTNERS)
-    keep = c2_base_psigma_logs(F, B, C)
+    keep = c2_base_psigma(F, B, C)
     B, C = B[keep], C[keep]
     for b, c in zip(B[:_C2_CLIQUE5_ANCHORS].tolist(), C[:_C2_CLIQUE5_ANCHORS].tolist()):
         nb, nc = int(log_neg(F, b)), int(log_neg(F, c))
@@ -632,25 +514,26 @@ def c2_clique5(F: FqField) -> list:
             continue
         B2, C2 = B[rows], C[rows]
         pairs = [(b, c), (nb, nc), (B2, C2), (log_neg(F, B2), log_neg(F, C2))]
-        ok = _all(c2_base_psigma_logs(F, *pair) for pair in pairs)
-        ok = ok & _all(c2_pair_base_logs(F, u, v) for u, v in combinations(pairs, 2))
+        ok = _all(c2_base_psigma(F, *pair) for pair in pairs)
+        ok = ok & _all(c2_pair_base(F, u, v) for u, v in combinations(pairs, 2))
         hits = rows[np.broadcast_to(ok, rows.shape)]
         if len(hits):
-            beta = C2Pair(_elem(F, b), _elem(F, c))
-            beta2 = C2Pair(_elem(F, B[hits[0]]), _elem(F, C[hits[0]]))
-            return [ALPHA, beta, beta.negated(), beta2, beta2.negated()]
+            b2, c2 = B[hits[0]], C[hits[0]]
+            nb2, nc2 = log_neg(F, b2), log_neg(F, c2)
+            return [(LINE_INF, LOG_ZERO), (b, c), (nb, nc), (int(b2), int(c2)), (int(nb2), int(nc2))]
     return []
 
 
-def c3_clique5(F2: FqField) -> list[C3Point]:
+def c3_clique5(F2: FqField) -> list:
     """A verified 5-clique in the unitary-pair graph of the full
     field-automorphism extension: alpha, omega_b, omega_{-b}, omega_c,
-    omega_{-c} with all ten edges re-checked arithmetically.  Anchors b are
-    tried in label order and, for each, every partner c at once; a scan that
-    finds none within its budget returns []."""
+    omega_{-c} with all ten edges re-checked arithmetically, as ALPHA and
+    four canonical logs.  Anchors b are tried in label order and, for each,
+    every partner c at once; a scan that finds none within its budget
+    returns []."""
     q = _c3_split(F2)
     labels = np.array(c3_label_logs(F2, q), dtype=np.int64)
-    cands = labels[c3_base_logs(F2, "PSigmaL", labels)]
+    cands = labels[c3_base(F2, "PSigmaL", labels)]
     for b in cands[:_C3_CLIQUE5_ANCHORS].tolist():
         nb = int(log_neg(F2, b))
         points = [c3_canonical_logs(F2, q, x) for x in (b, nb, cands, log_neg(F2, cands))]
@@ -658,13 +541,12 @@ def c3_clique5(F2: FqField) -> list[C3Point]:
         if not len(rows):
             continue
         verts = [b, nb, cands[rows], log_neg(F2, cands[rows])]
-        ok = _all(c3_base_logs(F2, "PSigmaL", v) for v in verts)
-        ok = ok & _all(c3_pair_base_logs(F2, "PSigmaL", u, v) for u, v in combinations(verts, 2))
+        ok = _all(c3_base(F2, "PSigmaL", v) for v in verts)
+        ok = ok & _all(c3_pair_base(F2, "PSigmaL", u, v) for u, v in combinations(verts, 2))
         hits = rows[np.broadcast_to(ok, rows.shape)]
         if len(hits):
-            c = int(cands[hits[0]])
-            scalars = [b, nb, c, int(log_neg(F2, c))]
-            return [C3Point.alpha(F2, q)] + [C3Point.from_scalar(_elem(F2, x), q) for x in scalars]
+            c = cands[hits[0]]
+            return [ALPHA] + c3_canonical_logs(F2, q, [b, nb, c, log_neg(F2, c)]).tolist()
     return []
 
 

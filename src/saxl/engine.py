@@ -298,13 +298,13 @@ class SaxlGraph:
 
 def saxl_graph(action: LabelledAction) -> SaxlGraph:
     """Build the full graph: vertices are points, edges are base pairs."""
+    n = action.degree
+    if n > action.group.caps.graph_cap:
+        raise CapExceeded("degree %d exceeds graph cap %d" % (n, action.group.caps.graph_cap))
     cached = action._cache.get("graph")
     if cached is not None:
         return cached
     data = _analysis(action)
-    n = data.n
-    if n > action.group.caps.graph_cap:
-        raise CapExceeded("degree %d exceeds graph cap %d" % (n, action.group.caps.graph_cap))
 
     # packed rows, filled in the Schreier vector's tree order: n^2/8 bytes
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -433,11 +433,11 @@ def max_clique_exact(rows, n: int) -> list[int]:
 def clique_and_independence_exact(action: LabelledAction) -> tuple[list[int], list[int]]:
     """A maximum clique and a maximum independent set, each sorted, by
     branch and bound."""
-    graph = saxl_graph(action)
-    n = graph.n
+    n = action.degree
     caps = action.group.caps
     if n > caps.exact_cap:
         raise CapExceeded("degree %d exceeds exact-search cap %d" % (n, caps.exact_cap))
+    graph = saxl_graph(action)
     clique = max_clique_exact(graph.rows, n)
     full = (1 << n) - 1
     comp = tuple(full & ~graph.rows[v] & ~(1 << v) for v in range(n))

@@ -25,16 +25,15 @@ from C, deterministically:
 Fields are capped at q <= 2**20 (table memory); larger requests raise
 :class:`CapExceeded`.
 
-Besides the boxed :class:`FqElem`, elements come in a log-array form: an
-int64 numpy array of discrete logs, with LOG_ZERO = -1 for zero, the same
-sentinel as the value -> log table.  Equal elements have equal entries.
-``log_mul`` and ``log_div`` add and subtract logs mod q - 1, ``log_add``
-reads the Zech table through a numpy view of it (no copy):
-lambda^x + lambda^y = lambda^(x + zech[y - x]) (Lidl and Niederreiter,
-*Finite Fields*), and ``log_neg``, ``log_pow``, ``log_is_square`` and
-``log_in_proper_subfield`` act on the log alone, and ``log_to_packed`` and
-``log_of_packed`` convert to and from packed values.  Arguments
-broadcast.
+Elements have one form, the log array: an int64 numpy array of discrete
+logs, with LOG_ZERO = -1 for zero, the same sentinel as the value -> log
+table.  Equal elements have equal entries.  ``log_mul`` and ``log_div`` add
+and subtract logs mod q - 1, ``log_add`` reads the Zech table through a
+numpy view of it (no copy): lambda^x + lambda^y = lambda^(x + zech[y - x])
+(Lidl and Niederreiter, *Finite Fields*), ``log_neg``, ``log_pow``,
+``is_square`` and ``in_proper_subfield`` act on the log alone, and
+``log_to_packed`` and ``log_of_packed`` convert to and from packed values.
+Arguments broadcast.
 
 The module also carries the number theory of the regular suborbit counts:
 the prime powers in a range, an exact totient by trial division, and a scan
@@ -53,7 +52,6 @@ from __future__ import annotations
 import math
 from array import array
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -188,13 +186,6 @@ class FqField:
         self.gen_coeffs = _digits(key, p, f)
         self._build_tables(lam)
 
-    def _val(self, coeffs: tuple[int, ...]) -> int:
-        """Table index: plain base-p value, constant term least significant."""
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + c
-        return val
-
     def _build_tables(self, lam: np.ndarray) -> None:
         p, f, q = self.p, self.f, self.q
         # rows[k] = lambda^k, filled by doubling: step = M_lambda^n
@@ -217,155 +208,11 @@ class FqField:
         self._zech = array("i", zech.tobytes())
         self._log_minus_one = (q - 1) // 2 if p != 2 else 0
 
-    # -- element constructors --------------------------------------------------
-
-    def zero(self) -> "FqElem":
-        return FqElem(self, None)
-
-    def one(self) -> "FqElem":
-        return FqElem(self, 0)
-
-    def gen(self) -> "FqElem":
-        """The chosen primitive element (generator of the multiplicative group)."""
-        return FqElem(self, 1 % (self.q - 1))
-
-    def from_log(self, log: int | None) -> "FqElem":
-        if log is None:
-            return self.zero()
-        return FqElem(self, log % (self.q - 1))
-
-    def from_coeffs(self, coeffs) -> "FqElem":
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.f:
-            raise ValueError("need exactly f coefficients")
-        return self.from_packed_int(self._val(coeffs))
-
-    def from_int(self, n: int) -> "FqElem":
-        """Image of an integer under the prime-field embedding."""
-        return self.from_coeffs((n % self.p,) + (0,) * (self.f - 1))
-
-    def from_packed_int(self, n: int) -> "FqElem":
-        """Inverse of :meth:`FqElem.as_int` (base-p digits, constant term first)."""
-        if not 0 <= n < self.q:
-            raise ValueError("packed value %d out of range" % n)
-        log = self._log[n]
-        return FqElem(self, None if log < 0 else log)
-
-    def elements(self) -> Iterator["FqElem"]:
-        """Zero, then nonzero elements in log order."""
-        yield self.zero()
-        for k in range(self.q - 1):
-            yield FqElem(self, k)
-
-    def nonzero_elements(self) -> Iterator["FqElem"]:
-        for k in range(self.q - 1):
-            yield FqElem(self, k)
-
     def __repr__(self) -> str:
         return "FqField(p=%d, f=%d)" % (self.p, self.f)
 
     def __reduce__(self):
         return (field_create, (self.p, self.f))
-
-
-class FqElem:
-    """A field element as a discrete log (None encodes zero).
-
-    Two elements are equal when they lie in the same field object and have
-    the same log; the hash is that of the pair (field, log).  Elements are
-    immutable by contract: they are hashed into sets, dict keys and frozen
-    dataclasses, so neither attribute may be assigned after construction.
-    Unlike the frozen dataclass this class replaced, nothing enforces that,
-    since a guarding __setattr__ would cost the cheaper construction."""
-
-    __slots__ = ("field", "log")
-
-    def __init__(self, field: FqField, log: int | None):
-        self.field = field
-        self.log = log
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FqElem:
-            return NotImplemented
-        return self.field is other.field and self.log == other.log
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.log))
-
-    def is_zero(self) -> bool:
-        return self.log is None
-
-    def coeffs(self) -> tuple[int, ...]:
-        n, out = self.as_int(), []
-        for _ in range(self.field.f):
-            n, r = divmod(n, self.field.p)
-            out.append(r)
-        return tuple(out)
-
-    def as_int(self) -> int:
-        """Base-p integer encoding of the coefficient vector (constant term last)."""
-        return 0 if self.log is None else self.field._exp[self.log]
-
-    def _check(self, other: "FqElem") -> None:
-        if self.field is not other.field:
-            raise ValueError("elements of different fields")
-
-    # arithmetic ---------------------------------------------------------------
-
-    def __mul__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        if self.log is None or other.log is None:
-            return self.field.zero()
-        return FqElem(self.field, (self.log + other.log) % (self.field.q - 1))
-
-    def __truediv__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        if other.log is None:
-            raise ZeroDivisionError("division by field zero")
-        if self.log is None:
-            return self.field.zero()
-        return FqElem(self.field, (self.log - other.log) % (self.field.q - 1))
-
-    def inverse(self) -> "FqElem":
-        if self.log is None:
-            raise ZeroDivisionError("inverting field zero")
-        return FqElem(self.field, (-self.log) % (self.field.q - 1))
-
-    def __add__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        if self.log is None:
-            return other
-        if other.log is None:
-            return self
-        a, b = self.log, other.log
-        z = self.field._zech[(b - a) % (self.field.q - 1)]
-        if z < 0:
-            return self.field.zero()
-        return FqElem(self.field, (a + z) % (self.field.q - 1))
-
-    def __neg__(self) -> "FqElem":
-        if self.log is None:
-            return self
-        return FqElem(self.field, (self.log + self.field._log_minus_one) % (self.field.q - 1))
-
-    def __sub__(self, other: "FqElem") -> "FqElem":
-        return self + (-other)
-
-    def __pow__(self, k: int) -> "FqElem":
-        if self.log is None:
-            if k < 0:
-                raise ZeroDivisionError("negative power of field zero")
-            return self.field.zero() if k else self.field.one()
-        return FqElem(self.field, (self.log * k) % (self.field.q - 1))
-
-    def frobenius(self, j: int = 1) -> "FqElem":
-        """x -> x^(p^j)."""
-        return self ** (self.field.p**j)
-
-    def __repr__(self) -> str:
-        if self.log is None:
-            return "Fq(0)"
-        return "Fq(lam^%d of %r)" % (self.log, self.field)
 
 
 @lru_cache(maxsize=None)
@@ -447,17 +294,41 @@ def log_pow(F: FqField, x, k: int) -> np.ndarray:
     return np.where(zero, LOG_ZERO if k else 0, x * (k % m) % m)
 
 
-def log_is_square(F: FqField, x) -> np.ndarray:
-    """:func:`is_square` elementwise: zero, and the even logs for odd q."""
+def log_to_packed(F: FqField, x) -> np.ndarray:
+    """The packed value of each log, 0 for zero."""
+    x = as_logs(x)
+    return np.where(x < 0, 0, np.frombuffer(F._exp, dtype=np.intc)[x % (F.q - 1)])
+
+
+def log_of_packed(F: FqField, n) -> np.ndarray:
+    """The log of each packed value; raises ValueError outside [0, q)."""
+    n = as_logs(n)
+    bad = (n < 0) | (n >= F.q)
+    if bad.any():
+        raise ValueError("packed value %d out of range" % n[bad].flat[0])
+    return np.frombuffer(F._log, dtype=np.intc)[n].astype(np.int64)
+
+
+# -- predicates and counts -------------------------------------------------------
+
+
+def is_square(F: FqField, x) -> np.ndarray:
+    """Whether each x is a square: zero, and the even logs for odd q; for
+    even q everything is."""
     x = as_logs(x)
     if F.p == 2:
         return np.ones(x.shape, dtype=bool)
     return (x < 0) | (x % 2 == 0)
 
 
-def log_in_proper_subfield(F: FqField, x) -> np.ndarray:
-    """:func:`in_proper_subfield` elementwise: lambda^L lies in GF(p^k), k a
-    proper divisor of f, exactly when L (p^k - 1) = 0 mod q - 1."""
+def in_proper_subfield(F: FqField, x) -> np.ndarray:
+    """Whether each x lies in a proper subfield of F.
+
+    The defining test is x^(p^k) = x for some 0 < k < f; it suffices to
+    check the proper divisors k of f, because the fixed field of
+    Frobenius^k is GF(p^gcd(k,f)).  So lambda^L lies in one exactly when
+    L (p^k - 1) = 0 mod q - 1 for such a k, and zero lies in every one.
+    """
     x = as_logs(x)
     out = np.zeros(x.shape, dtype=bool)
     if F.f == 1:
@@ -466,47 +337,6 @@ def log_in_proper_subfield(F: FqField, x) -> np.ndarray:
         if F.f % k == 0:
             out |= x * (F.p**k - 1) % (F.q - 1) == 0
     return out | (x < 0)
-
-
-def log_to_packed(F: FqField, x) -> np.ndarray:
-    """:meth:`FqElem.as_int` elementwise: the packed value of each log, 0 for zero."""
-    x = as_logs(x)
-    return np.where(x < 0, 0, np.frombuffer(F._exp, dtype=np.intc)[x % (F.q - 1)])
-
-
-def log_of_packed(F: FqField, n) -> np.ndarray:
-    """:meth:`FqField.from_packed_int` elementwise: the log of each packed value."""
-    return np.frombuffer(F._log, dtype=np.intc)[as_logs(n)].astype(np.int64)
-
-
-# -- predicates and counts -------------------------------------------------------
-
-
-def is_square(x: FqElem) -> bool:
-    """Squares in GF(q).  Zero counts as a square; for even q everything is."""
-    if x.log is None:
-        return True
-    if x.field.p == 2:
-        return True
-    return x.log % 2 == 0
-
-
-def in_proper_subfield(x: FqElem) -> bool:
-    """Whether x lies in a proper subfield of its field.
-
-    The defining test is x^(p^k) == x for some 0 < k < f; it suffices to
-    check the proper divisors k of f, because the fixed field of
-    Frobenius^k is GF(p^gcd(k,f)).
-    """
-    F = x.field
-    if F.f == 1:
-        return False
-    if x.log is None:
-        return True
-    for k in range(1, F.f):
-        if F.f % k == 0 and x.log * (F.p**k - 1) % (F.q - 1) == 0:
-            return True
-    return False
 
 
 def count_nonsquare_nonsubfield(F: FqField) -> int:
@@ -533,19 +363,17 @@ def subfield_logs(F: FqField, d: int) -> list[int]:
     return list(range(0, F.q - 1, step))
 
 
-def embed_into_square_extension(x: FqElem, F2: FqField) -> FqElem:
+def embed_into_square_extension(F: FqField, x, F2: FqField) -> np.ndarray:
     """The multiplicative embedding GF(q) -> GF(q^2) given by log |-> log*(q+1).
 
     It maps the chosen generator of GF(q) onto a generator of the unique
     order-q subfield of GF(q^2); homomorphy of multiplication is exact, and
     the image is the full subfield.
     """
-    F = x.field
     if F2.p != F.p or F2.f != 2 * F.f:
         raise ValueError("target field is not the square extension")
-    if x.log is None:
-        return F2.zero()
-    return FqElem(F2, x.log * (F.q + 1) % (F2.q - 1))
+    x = as_logs(x)
+    return np.where(x < 0, LOG_ZERO, x * (F.q + 1) % (F2.q - 1))
 
 
 # -- Euler totient ---------------------------------------------------------------

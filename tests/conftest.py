@@ -8,9 +8,16 @@ enumerate by brute force, as independent references for the package, and
 ``oracle_prime_class_data`` fuses the prime-order classes of G_0 in the
 label degree, the route that the engine's carrier search replaced.
 
-The ``oracle_*`` functions are the per-element closed-form criteria and
-witness constructors in boxed ``FqElem`` arithmetic, one pair at a time, as
-references for the log-array forms of :mod:`saxl.criteria`.
+``FqElem`` is a boxed field element, a (field, log) pair with Python
+operators, built by ``zero``, ``one``, ``gen``, ``from_log``, ``from_coeffs``,
+``from_int``, ``from_packed_int``, ``elements`` and ``nonzero_elements``; its
+``is_square`` and ``in_proper_subfield`` are the defining tests, Euler's
+criterion and a Frobenius fixed point.  It is the per-element reference for
+the log arrays of :mod:`saxl.gf`.  The ``oracle_*`` functions are the
+per-element closed-form criteria and witness constructors in this
+arithmetic, one pair at a time, as references for the log-array forms of
+:mod:`saxl.criteria`; a projective label there is INF for <e2> or an
+``FqElem``, and ``code`` turns either into its log-array code.
 """
 
 import json
@@ -21,8 +28,8 @@ from pathlib import Path
 import pytest
 
 from saxl.actions import bundled_catalogue_path, coset_action, load_catalogue
-from saxl.criteria import INF
-from saxl.gf import CrossCheckFailed, is_prime, is_square
+from saxl.actions import LINE_INF
+from saxl.gf import LOG_ZERO, CrossCheckFailed, FqField, is_prime
 from saxl.group import CapExceeded, PermGroup, conjugacy_class
 from saxl.perm import Perm
 
@@ -123,6 +130,174 @@ def oracle_prime_class_data(action):
     return g_classes, pools
 
 
+# -- boxed field elements ----------------------------------------------------------
+
+
+class FqElem:
+    """A field element as a discrete log (None encodes zero).
+
+    Two elements are equal when they lie in the same field object and have
+    the same log; the hash is that of the pair (field, log).  Elements are
+    immutable by contract: they are hashed into sets and dict keys, so
+    neither attribute may be assigned after construction."""
+
+    __slots__ = ("field", "log")
+
+    def __init__(self, field: FqField, log: int | None):
+        self.field = field
+        self.log = log
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FqElem:
+            return NotImplemented
+        return self.field is other.field and self.log == other.log
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.log))
+
+    def is_zero(self) -> bool:
+        return self.log is None
+
+    def coeffs(self) -> tuple[int, ...]:
+        n, out = self.as_int(), []
+        for _ in range(self.field.f):
+            n, r = divmod(n, self.field.p)
+            out.append(r)
+        return tuple(out)
+
+    def as_int(self) -> int:
+        """The packed value: the coefficients as base-p digits, constant term least significant."""
+        return 0 if self.log is None else self.field._exp[self.log]
+
+    def _check(self, other: "FqElem") -> None:
+        if self.field is not other.field:
+            raise ValueError("elements of different fields")
+
+    def __mul__(self, other: "FqElem") -> "FqElem":
+        self._check(other)
+        if self.log is None or other.log is None:
+            return zero(self.field)
+        return FqElem(self.field, (self.log + other.log) % (self.field.q - 1))
+
+    def __truediv__(self, other: "FqElem") -> "FqElem":
+        self._check(other)
+        if other.log is None:
+            raise ZeroDivisionError("division by field zero")
+        if self.log is None:
+            return zero(self.field)
+        return FqElem(self.field, (self.log - other.log) % (self.field.q - 1))
+
+    def inverse(self) -> "FqElem":
+        if self.log is None:
+            raise ZeroDivisionError("inverting field zero")
+        return FqElem(self.field, (-self.log) % (self.field.q - 1))
+
+    def __add__(self, other: "FqElem") -> "FqElem":
+        self._check(other)
+        if self.log is None:
+            return other
+        if other.log is None:
+            return self
+        a, b = self.log, other.log
+        z = self.field._zech[(b - a) % (self.field.q - 1)]
+        if z < 0:
+            return zero(self.field)
+        return FqElem(self.field, (a + z) % (self.field.q - 1))
+
+    def __neg__(self) -> "FqElem":
+        if self.log is None:
+            return self
+        return FqElem(self.field, (self.log + self.field._log_minus_one) % (self.field.q - 1))
+
+    def __sub__(self, other: "FqElem") -> "FqElem":
+        return self + (-other)
+
+    def __pow__(self, k: int) -> "FqElem":
+        if self.log is None:
+            if k < 0:
+                raise ZeroDivisionError("negative power of field zero")
+            return zero(self.field) if k else one(self.field)
+        return FqElem(self.field, (self.log * k) % (self.field.q - 1))
+
+    def frobenius(self, j: int = 1) -> "FqElem":
+        """x -> x^(p^j)."""
+        return self ** (self.field.p**j)
+
+    def __repr__(self) -> str:
+        if self.log is None:
+            return "Fq(0)"
+        return "Fq(lam^%d of %r)" % (self.log, self.field)
+
+
+def zero(F: FqField) -> FqElem:
+    return FqElem(F, None)
+
+
+def one(F: FqField) -> FqElem:
+    return FqElem(F, 0)
+
+
+def gen(F: FqField) -> FqElem:
+    """The chosen primitive element (generator of the multiplicative group)."""
+    return FqElem(F, 1 % (F.q - 1))
+
+
+def from_log(F: FqField, log: int | None) -> FqElem:
+    return zero(F) if log is None else FqElem(F, log % (F.q - 1))
+
+
+def from_coeffs(F: FqField, coeffs) -> FqElem:
+    coeffs = tuple(c % F.p for c in coeffs)
+    if len(coeffs) != F.f:
+        raise ValueError("need exactly f coefficients")
+    return from_packed_int(F, sum(c * F.p**i for i, c in enumerate(coeffs)))
+
+
+def from_int(F: FqField, n: int) -> FqElem:
+    """Image of an integer under the prime-field embedding."""
+    return from_coeffs(F, (n % F.p,) + (0,) * (F.f - 1))
+
+
+def from_packed_int(F: FqField, n: int) -> FqElem:
+    """Inverse of :meth:`FqElem.as_int`."""
+    if not 0 <= n < F.q:
+        raise ValueError("packed value %d out of range" % n)
+    log = F._log[n]
+    return FqElem(F, None if log < 0 else log)
+
+
+def elements(F: FqField):
+    """Zero, then nonzero elements in log order."""
+    yield zero(F)
+    yield from nonzero_elements(F)
+
+
+def nonzero_elements(F: FqField):
+    for k in range(F.q - 1):
+        yield FqElem(F, k)
+
+
+def is_square(x: FqElem) -> bool:
+    """Euler's criterion: zero, and x^((q-1)/2) = 1 for odd q; for even q everything is."""
+    F = x.field
+    return F.p == 2 or x.is_zero() or x ** ((F.q - 1) // 2) == one(F)
+
+
+def in_proper_subfield(x: FqElem) -> bool:
+    """Whether x^(p^k) = x for some 0 < k < f."""
+    return any(x.frobenius(k) == x for k in range(1, x.field.f))
+
+
+INF = "inf"  # the <e2> label of the oracles
+
+
+def code(x) -> int:
+    """The log-array code of INF or an FqElem: LINE_INF, LOG_ZERO or the log."""
+    if x is INF:
+        return LINE_INF
+    return LOG_ZERO if x.log is None else x.log
+
+
 # -- per-element closed-form criteria ---------------------------------------------
 
 
@@ -144,8 +319,8 @@ def _oracle_anchor_map(F, pair):
     if P is INF:
         return lambda t: t if t is INF else t - R
     if R is INF:
-        return lambda t: F.zero() if t is INF else INF if t == P else (t - P).inverse()
-    return lambda t: F.one() if t is INF else INF if t == P else (t - R) / (t - P)
+        return lambda t: zero(F) if t is INF else INF if t == P else (t - P).inverse()
+    return lambda t: one(F) if t is INF else INF if t == P else (t - R) / (t - P)
 
 
 def oracle_c2_pair_base(F, beta, gamma) -> bool:
@@ -168,7 +343,7 @@ def oracle_c2_witness(F, b, c):
     """(d, e) = (2b(b - c)/(b + c), (b^2 - c^2)/(2c)), with every property re-checked."""
     if not oracle_c2_base_psigma(F, b, c):
         raise ValueError("(b, c) is not an alpha-neighbour")
-    two = F.from_int(2)
+    two = from_int(F, 2)
     if (b + c).is_zero():
         raise CrossCheckFailed("witness needs b + c != 0")
     d = two * b * (b - c) / (b + c)
@@ -180,7 +355,7 @@ def oracle_c2_witness(F, b, c):
         raise CrossCheckFailed("witness pair is degenerate")
     if not oracle_c2_base_psigma(F, d, e):
         raise CrossCheckFailed("witness pair fails the alpha-neighbour conditions")
-    if -(d / e) != -(F.from_int(4) / (b / c + c / b + two)):
+    if -(d / e) != -(from_int(F, 4) / (b / c + c / b + two)):
         raise CrossCheckFailed("witness identity -d/e = -4/(b/c + c/b + 2) fails")
 
     def transfer(t):
@@ -225,13 +400,13 @@ def oracle_c3_transfer_scale(F2, q, b):
     """(a1, A): a1 the least-log scalar with a1^(q+1) = 1 + b^(q+1), and
     A = a1^(-2) (b + b^(-q))."""
     _oracle_require_c3(F2, q, b)
-    rhs = F2.one() + b ** (q + 1)
+    rhs = one(F2) + b ** (q + 1)
     if rhs.is_zero():
         raise CrossCheckFailed("1 + b^(q+1) vanished for a point label")
     quot, rem = divmod(rhs.log, q + 1)
     if rem:
         raise CrossCheckFailed("norm value off the base-subfield grid")
-    a1 = F2.from_log(quot % (q - 1))
+    a1 = from_log(F2, quot % (q - 1))
     A = a1 ** (-2) * (b + b ** (-q))
     if A.is_zero():
         raise CrossCheckFailed("transfer scale vanished for a point label")
@@ -254,7 +429,7 @@ def oracle_c3_pair_base(F2, q, variant, b, c) -> bool:
     img = (b * A + b ** (-q) * d) / (A - d)
     if img != c and img != -(c ** (-q)):
         raise CrossCheckFailed("transfer image misses the target point")
-    return oracle_c3_base(F2, q, variant, F2.from_log(_oracle_canonical_log(q, d)))
+    return oracle_c3_base(F2, q, variant, from_log(F2, _oracle_canonical_log(q, d)))
 
 
 def oracle_c3_witness(F2, q, b):
@@ -267,7 +442,7 @@ def oracle_c3_witness(F2, q, b):
     denom = b - b ** (-q)
     if denom.is_zero():
         raise CrossCheckFailed("witness denominator vanished")
-    d = F2.from_int(2) * b * A / denom
+    d = from_int(F2, 2) * b * A / denom
     if not oracle_c3_base(F2, q, "PSigmaL", c):
         raise CrossCheckFailed("negated scalar fails the alpha-criterion")
     if d != A * (c - b) / (c + b ** (-q)):
@@ -275,7 +450,7 @@ def oracle_c3_witness(F2, q, b):
     if not oracle_c3_pair_base(F2, q, "PSigmaL", b, c):
         raise CrossCheckFailed("witness pair fails the transfer criterion")
     s = b ** ((q + 1) // 2)
-    rhs = F2.from_int(2) / (s - s.inverse())
+    rhs = from_int(F2, 2) / (s - s.inverse())
     if d ** ((q + 1) // 2) not in (rhs, -rhs):
         raise CrossCheckFailed("half-norm identity fails")
     return a1, d

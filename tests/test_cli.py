@@ -89,6 +89,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("cap exceeded: ")
 
+    def test_exact_cap_is_checked_before_the_graph(self, capsys, monkeypatch):
+        from saxl import engine
+
+        def refuse(action):
+            raise RuntimeError("graph built before the exact-search cap was checked")
+
+        monkeypatch.setattr(engine, "saxl_graph", refuse)
+        # S8 on 2-subsets has 28 points
+        argv = ["analyze", "--ksubsets", "8", "2", "--no-classes", "--no-star", "--exact", "--exact-cap", "10"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "cap exceeded: degree 28 exceeds exact-search cap 10\n"
+
+    def test_graph_cap_is_checked_before_the_suborbit_table(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from saxl import cli, engine
+
+        def refuse(action):
+            raise RuntimeError("suborbit table built before the graph cap was checked")
+
+        monkeypatch.setattr(engine, "_analysis", refuse)
+        monkeypatch.setattr(cli, "DEFAULT_CAPS", replace(cli.DEFAULT_CAPS, graph_cap=10))
+        assert main(["graph", "--ksubsets", "8", "2"]) == 2
+        assert capsys.readouterr().err == "cap exceeded: degree 28 exceeds graph cap 10\n"
+
     def test_group_cap_reads_only_the_selected_entry(self, capsys):
         # S7 (order 5040) fits; A9 and M11, in the same catalogue, would not
         assert main(["analyze", "--catalogue", "S7_AGL17", "--group-cap", "6000", "--no-classes"]) == 0
@@ -403,7 +428,7 @@ class TestVerify:
         def with_a_non_edge(F):
             # the last pair shares a projective point with the one before it
             verts = real(F)
-            return verts[:4] + [criteria.C2Pair(verts[3].b, verts[4].c)]
+            return verts[:4] + [(verts[3][0], verts[4][1])]
 
         monkeypatch.setattr(criteria, "c2_clique5", with_a_non_edge)
         assert main(["verify", "clique5", "--qmax", "49"]) == 1

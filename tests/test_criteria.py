@@ -7,7 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import conftest
 from conftest import (
+    INF,
+    code,
+    elements,
+    from_int,
+    from_log,
     oracle_c2_base_psigma,
     oracle_c2_pair_base,
     oracle_c2_witness,
@@ -18,8 +24,10 @@ from conftest import (
 from saxl import criteria
 from saxl.actions import (
     ALPHA,
+    LINE_INF,
     GroupVariant,
     OmegaPoint,
+    c3_canonical_logs,
     c3_label_logs,
     proj_pair_labels,
     proj_pair_payload,
@@ -27,14 +35,12 @@ from saxl.actions import (
     psl2_c3_action,
 )
 from saxl.criteria import (
-    INF,
-    C2Pair,
-    C3Point,
     c2_base_psigma,
     c2_clique5,
     c2_common_neighbour_witness,
     c2_condition_iii,
     c2_counts,
+    c2_neighbour_transfer,
     c2_pair_base,
     c3_base,
     c3_clique,
@@ -47,7 +53,16 @@ from saxl.criteria import (
     remark_q_closed_forms,
 )
 from saxl.engine import is_base_pair, q_exact, regular_suborbit_count, saxl_graph
-from saxl.gf import field_create, field_from_order, in_proper_subfield, split_prime_power
+from saxl.gf import (
+    LOG_ZERO,
+    field_create,
+    field_from_order,
+    in_proper_subfield,
+    is_square,
+    log_div,
+    log_neg,
+    split_prime_power,
+)
 
 
 def anchor_index(action):
@@ -55,21 +70,26 @@ def anchor_index(action):
     return action.label_index[OmegaPoint("proj_pair", ((0, 1), (1, 0)))]
 
 
-def pair_index(action, x, y):
-    codes = (criteria.line_code(x), criteria.line_code(y))
-    return action.label_index[OmegaPoint("proj_pair", proj_pair_payload(x.field, codes))]
+def pair_index(action, F, b, c):
+    """Index of the pair-vertex of the point codes b and c."""
+    return action.label_index[OmegaPoint("proj_pair", proj_pair_payload(F, (b, c)))]
+
+
+def scalar_pairs(F):
+    """Every ordered pair of distinct nonzero logs, as two arrays."""
+    B, C = np.divmod(np.arange((F.q - 1) ** 2), F.q - 1)
+    return B[B != C], C[B != C]
 
 
 class TestSubfieldCondition:
     @pytest.mark.parametrize("q", [25, 27])
     def test_three_routes_agree(self, q):
         F = field_from_order(q)
-        for b in F.nonzero_elements():
-            for c in F.nonzero_elements():
-                if b == c:
-                    continue
-                literal = c2_condition_iii(F, b, c)
-                assert literal == (not in_proper_subfield(b / c))
+        B, C = scalar_pairs(F)
+        literal = c2_condition_iii(F, B, C)
+        assert (literal == ~in_proper_subfield(F, log_div(F, B, C))).all()
+        ratios = [from_log(F, b) / from_log(F, c) for b, c in zip(B.tolist(), C.tolist())]
+        assert literal.tolist() == [not conftest.in_proper_subfield(t) for t in ratios]
 
 
 class TestC2AlphaCriterion:
@@ -78,46 +98,38 @@ class TestC2AlphaCriterion:
         F = field_from_order(q)
         act = psl2_c2_action(GroupVariant("PSigmaL2", q))
         a0 = anchor_index(act)
-        count = 0
-        for b in F.nonzero_elements():
-            for c in F.nonzero_elements():
-                if b == c:
-                    continue
-                engine = is_base_pair(act, a0, pair_index(act, b, c))
-                assert c2_base_psigma(F, b, c) == engine
-                count += 1
-        assert count == (q - 1) * (q - 2)
+        B, C = scalar_pairs(F)
+        engine = [is_base_pair(act, a0, pair_index(act, F, b, c)) for b, c in zip(B.tolist(), C.tolist())]
+        assert c2_base_psigma(F, B, C).tolist() == engine
+        assert len(engine) == (q - 1) * (q - 2)
 
     def test_zero_scalar_is_never_base(self):
         F = field_from_order(9)
-        assert not c2_base_psigma(F, F.zero(), F.one())
+        assert not c2_base_psigma(F, [LOG_ZERO, 0, 3], [0, LOG_ZERO, LOG_ZERO]).any()
 
     def test_equal_scalars_rejected(self):
         F = field_from_order(9)
         with pytest.raises(ValueError):
-            c2_base_psigma(F, F.one(), F.one())
+            c2_base_psigma(F, 0, 0)
+        with pytest.raises(ValueError):  # one equal entry refuses the whole row
+            c2_base_psigma(F, [1, 2], [3, 2])
 
     def test_even_q_rejected(self):
         F = field_from_order(8)
         with pytest.raises(ValueError):
-            c2_base_psigma(F, F.one(), F.gen())
+            c2_base_psigma(F, 0, 1)
 
 
 class TestC2PairBase:
     def test_meeting_pairs(self):
         # sharing a projective point: base exactly when f = 1
-        F25 = field_from_order(25)
-        t1, t2, t3 = F25.from_log(1), F25.from_log(2), F25.from_log(3)
-        assert not c2_pair_base(F25, (t1, t2), (t1, t3))
-        F13 = field_from_order(13)
-        s1, s2, s3 = F13.from_log(1), F13.from_log(2), F13.from_log(3)
-        assert c2_pair_base(F13, (s1, s2), (s1, s3))
+        assert not c2_pair_base(field_from_order(25), (1, 2), (1, 3))
+        assert c2_pair_base(field_from_order(13), (1, 2), (1, 3))
 
     def test_identical_pairs_rejected(self):
         F = field_from_order(9)
-        b, c = F.from_log(1), F.from_log(2)
         with pytest.raises(ValueError):
-            c2_pair_base(F, (b, c), (c, b))
+            c2_pair_base(F, (1, 2), (2, 1))
 
     @pytest.mark.parametrize("q", [9, 25])
     def test_subgraph_containment_under_extension(self, q):
@@ -139,28 +151,30 @@ class TestC2PairBase:
 class TestC2Witness:
     def test_scalars_and_target_q25(self):
         F = field_from_order(25)
-        two = F.from_int(2)
-        seen = 0
-        for b in F.nonzero_elements():
-            for c in F.nonzero_elements():
-                if b == c or not c2_base_psigma(F, b, c):
-                    continue
-                gamma, w = c2_common_neighbour_witness(F, b, c)
-                assert gamma == (-b, -c)
-                assert w.d == two * b * (b - c) / (b + c)
-                assert w.e == (b * b - c * c) / (two * c)
-                assert c2_base_psigma(F, w.d, w.e)
-                seen += 1
-        assert seen > 0
+        two = from_int(F, 2)
+        B, C = scalar_pairs(F)
+        keep = c2_base_psigma(F, B, C)
+        B, C = B[keep], C[keep]
+        d, e = c2_common_neighbour_witness(F, B, C)
+        for lb, lc, ld, le in zip(B.tolist(), C.tolist(), d.tolist(), e.tolist()):
+            b, c = from_log(F, lb), from_log(F, lc)
+            assert from_log(F, ld) == two * b * (b - c) / (b + c)
+            assert from_log(F, le) == (b * b - c * c) / (two * c)
+        assert c2_base_psigma(F, d, e).all()
+        # the witnessed common neighbour is gamma = (-b, -c)
+        x, y = c2_neighbour_transfer(F, B, C, d, e)
+        assert (np.sort([x, y], axis=0) == np.sort([log_neg(F, B), log_neg(F, C)], axis=0)).all()
+        assert len(B) > 0
 
     def test_requires_alpha_neighbour(self):
         F = field_from_order(9)
-        for b in F.nonzero_elements():
-            for c in F.nonzero_elements():
-                if b != c and not c2_base_psigma(F, b, c):
-                    with pytest.raises(ValueError):
-                        c2_common_neighbour_witness(F, b, c)
-                    return
+        B, C = scalar_pairs(F)
+        keep = c2_base_psigma(F, B, C)
+        b, c = B[~keep][0], C[~keep][0]
+        with pytest.raises(ValueError):
+            c2_common_neighbour_witness(F, b, c)
+        with pytest.raises(ValueError):  # one invalid entry refuses the whole row
+            c2_common_neighbour_witness(F, [B[keep][0], b], [C[keep][0], c])
 
 
 class TestC2Counts:
@@ -183,14 +197,14 @@ class TestC3AlphaCriterion:
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
         act = psl2_c3_action(GroupVariant(family, q))
-        for L in c3_label_logs(F2, q):
-            engine = is_base_pair(act, 0, act.label_index[OmegaPoint("c3_point", L)])
-            assert c3_base(F2, variant, F2.from_log(L)) == engine
+        logs = c3_label_logs(F2, q)
+        engine = [is_base_pair(act, 0, act.label_index[OmegaPoint("c3_point", L)]) for L in logs]
+        assert c3_base(F2, variant, logs).tolist() == engine
 
     def test_variant_names_checked(self):
         F2 = field_create(3, 4)
         with pytest.raises(ValueError):
-            c3_base(F2, "socle", F2.from_log(1))
+            c3_base(F2, "socle", 1)
 
     def test_isotropic_scalar_rejected(self):
         q = 9
@@ -198,11 +212,11 @@ class TestC3AlphaCriterion:
         m = F2.q - 1
         bad_log = next(L for L in range(m) if L * (q + 1) % m == m // 2)
         with pytest.raises(ValueError):
-            c3_base(F2, "G0", F2.from_log(bad_log))
+            c3_base(F2, "G0", bad_log)
 
     def test_needs_square_extension(self):
         with pytest.raises(ValueError):
-            c3_base(field_create(3, 3), "G0", field_create(3, 3).one())
+            c3_base(field_create(3, 3), "G0", 0)
 
 
 class TestC3Scale:
@@ -211,9 +225,9 @@ class TestC3Scale:
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
         logs = c3_label_logs(F2, q)
-        for L, a1_log in zip(logs, criteria._c3_a1_logs(F2, q, logs).tolist()):
-            b, a1 = F2.from_log(L), F2.from_log(a1_log)
-            assert a1 ** (q + 1) == F2.one() + b ** (q + 1)
+        for L, a1_log in zip(logs, criteria._c3_a1(F2, q, logs).tolist()):
+            b, a1 = from_log(F2, L), from_log(F2, a1_log)
+            assert a1 ** (q + 1) == conftest.one(F2) + b ** (q + 1)
             assert a1.log < q - 1  # least solution
 
 
@@ -222,10 +236,9 @@ class TestC3PairBase:
         q = 9
         F2 = field_create(3, 4)
         L = c3_label_logs(F2, q)[1]
-        b = F2.from_log(L)
         partner_log = ((F2.q - 1) // 2 - q * L) % (F2.q - 1)
         with pytest.raises(ValueError):
-            c3_pair_base(F2, "G0", b, F2.from_log(partner_log))
+            c3_pair_base(F2, "G0", L, partner_log)
 
     def test_against_engine_scalar_rows_q9(self):
         q = 9
@@ -235,12 +248,9 @@ class TestC3PairBase:
         logs = c3_label_logs(F2, q)
         for La in logs[:6]:
             ia = act.label_index[OmegaPoint("c3_point", La)]
-            for Lb in logs:
-                if La == Lb:
-                    continue
-                ib = act.label_index[OmegaPoint("c3_point", Lb)]
-                verdict = c3_pair_base(F2, "G0", F2.from_log(La), F2.from_log(Lb))
-                assert verdict == graph.has_edge(ia, ib)
+            others = [Lb for Lb in logs if Lb != La]
+            engine = [graph.has_edge(ia, act.label_index[OmegaPoint("c3_point", Lb)]) for Lb in others]
+            assert c3_pair_base(F2, "G0", La, others).tolist() == engine
 
 
 class TestC3Witness:
@@ -248,27 +258,21 @@ class TestC3Witness:
     def test_identities(self, q):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
-        two = F2.from_int(2)
-        seen = 0
-        for L in c3_label_logs(F2, q):
-            b = F2.from_log(L)
-            if not c3_base(F2, "PSigmaL", b):
-                continue
-            c, w = c3_common_neighbour_witness(F2, b)
-            assert c == -b
-            assert w.a1.log == criteria._c3_a1_logs(F2, q, L)
-            s = b ** ((q + 1) // 2)
-            halfnorm = w.d ** ((q + 1) // 2)
+        two = from_int(F2, 2)
+        X = np.array(c3_label_logs(F2, q))
+        X = X[c3_base(F2, "PSigmaL", X)]
+        a1, d = c3_common_neighbour_witness(F2, X)
+        assert (a1 == criteria._c3_a1(F2, q, X)).all()
+        for L, ld in zip(X.tolist(), d.tolist()):
+            s = from_log(F2, L) ** ((q + 1) // 2)
+            halfnorm = from_log(F2, ld) ** ((q + 1) // 2)
             assert halfnorm in (two / (s - s.inverse()), -(two / (s - s.inverse())))
-            seen += 1
-        assert seen > 0
+        assert len(X) > 0
 
     def test_requires_extension_base(self):
         q = 9
         F2 = field_create(3, 4)
-        square = next(
-            F2.from_log(L) for L in c3_label_logs(F2, q) if L % 2 == 0 and L > 0
-        )
+        square = next(L for L in c3_label_logs(F2, q) if L % 2 == 0 and L > 0)
         with pytest.raises(ValueError):
             c3_common_neighbour_witness(F2, square)
 
@@ -278,17 +282,14 @@ class TestCliques:
     def test_c3_clique_verified_by_engine(self, q):
         p, f = split_prime_power(q)
         F2 = field_create(p, 2 * f)
-        anchor = next(
-            F2.from_log(L) for L in c3_label_logs(F2, q) if not criteria.is_square(F2.from_log(L))
-        )
+        anchor = next(L for L in c3_label_logs(F2, q) if not is_square(F2, L))
         pts = c3_clique(F2, anchor)
         assert len(pts) >= (q - 1) // 2
-        assert pts[0].is_alpha()
+        assert pts[0] == ALPHA
         act = psl2_c3_action(GroupVariant("PSL2", q))
         graph = saxl_graph(act)
-        idx = [0] + [
-            act.label_index[OmegaPoint("c3_point", pt.log)] for pt in pts[1:]
-        ]
+        idx = [act.label_index[OmegaPoint("c3_point", pt)] for pt in pts]
+        assert idx[0] == 0
         for i in range(len(idx)):
             for j in range(i + 1, len(idx)):
                 assert graph.has_edge(idx[i], idx[j])
@@ -296,7 +297,7 @@ class TestCliques:
     def test_c3_clique_needs_nonsquare_anchor(self):
         q = 9
         F2 = field_create(3, 4)
-        square = next(F2.from_log(L) for L in c3_label_logs(F2, q) if L % 2 == 0 and L > 0)
+        square = next(L for L in c3_label_logs(F2, q) if L % 2 == 0 and L > 0)
         with pytest.raises(ValueError):
             c3_clique(F2, square)
 
@@ -304,13 +305,12 @@ class TestCliques:
         F = field_from_order(49)
         verts = c2_clique5(F)
         assert len(verts) == 5
-        assert verts[0] is ALPHA
-        scalars = set()
-        for pr in verts[1:]:
-            assert isinstance(pr, C2Pair)
-            scalars |= {pr.b, pr.c}
-        assert len(scalars) == 8
-        assert verts[2] == verts[1].negated()
+        assert verts[0] == (LINE_INF, LOG_ZERO)
+        scalars = {x for pair in verts[1:] for x in pair}
+        assert len(scalars) == 8 and min(scalars) >= 0
+        assert all(type(x) is int for x in scalars)
+        assert verts[2] == tuple(log_neg(F, verts[1]).tolist())
+        assert verts[4] == tuple(log_neg(F, verts[3]).tolist())
 
     def test_c2_clique5_needs_extension_field(self):
         with pytest.raises(ValueError):
@@ -321,8 +321,9 @@ class TestCliques:
         F2 = field_create(7, 4)
         pts = c3_clique5(F2)
         assert len(pts) == 5
-        assert pts[0].is_alpha()
-        assert len({pt.log for pt in pts[1:]}) == 4
+        assert pts[0] == ALPHA
+        assert len(set(pts[1:])) == 4
+        assert c3_canonical_logs(F2, q, pts[1:]).tolist() == pts[1:]
 
 
 class TestClosedForms:
@@ -385,39 +386,42 @@ class TestLabelBridge:
             assert proj_pair_payload(F, (y, x)) == lab.payload
 
     def test_pair_validation(self):
+        # a pair away from <e2> needs two nonzero, distinct scalars
         F = field_from_order(9)
+        with pytest.raises(ValueError, match="nonzero"):
+            c2_neighbour_transfer(F, LOG_ZERO, 0, 1, 2)
+        with pytest.raises(ValueError, match="distinct"):
+            c2_neighbour_transfer(F, 0, 0, 1, 2)
         with pytest.raises(ValueError):
-            C2Pair(F.zero(), F.one())
-        with pytest.raises(ValueError):
-            C2Pair(F.one(), F.one())
+            c2_common_neighbour_witness(F, LOG_ZERO, 0)
+        with pytest.raises(ValueError, match="distinct"):
+            c2_common_neighbour_witness(F, 0, 0)
 
     def test_c3_point_canonicalisation(self):
         q = 9
         F2 = field_create(3, 4)
         L = c3_label_logs(F2, q)[2]
         partner = ((F2.q - 1) // 2 - q * L) % (F2.q - 1)
-        a = C3Point.from_scalar(F2.from_log(L), q)
-        b = C3Point.from_scalar(F2.from_log(partner), q)
-        assert a == b
-        assert a.log == L
+        assert partner != L
+        assert c3_canonical_logs(F2, q, [L, partner]).tolist() == [L, L]
 
 
 ODD_Q_UPTO_27 = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27]
 
 
 def _logs(xs):
-    return np.array([criteria.line_code(x) for x in xs], dtype=np.int64)
+    return np.array([code(x) for x in xs], dtype=np.int64)
 
 
 def _c2_pair_points(F):
     """Every pair-point of PG(1,q), as label pairs."""
-    return list(combinations([INF, *F.elements()], 2))
+    return list(combinations([INF, *elements(F)], 2))
 
 
 def _c3_fields(q):
     p, f = split_prime_power(q)
     F2 = field_create(p, 2 * f)
-    return F2, [F2.from_log(L) for L in c3_label_logs(F2, q)]
+    return F2, [from_log(F2, L) for L in c3_label_logs(F2, q)]
 
 
 def _sample(n, size, seed):
@@ -434,12 +438,12 @@ class TestArrayFormsAgainstOracles:
     @pytest.mark.parametrize("q", ODD_Q_UPTO_27 + [49, 81])
     def test_c2_alpha_criterion_and_witness(self, q):
         F = field_from_order(q)
-        elems = list(F.elements())
+        elems = list(elements(F))
         pairs = [(b, c) for b in elems for c in elems if b != c]
         B, C = _logs(b for b, _ in pairs), _logs(c for _, c in pairs)
-        verdicts = criteria.c2_base_psigma_logs(F, B, C)
+        verdicts = criteria.c2_base_psigma(F, B, C)
         assert verdicts.tolist() == [oracle_c2_base_psigma(F, b, c) for b, c in pairs]
-        d, e = criteria.c2_common_neighbour_witness_logs(F, B[verdicts], C[verdicts])
+        d, e = criteria.c2_common_neighbour_witness(F, B[verdicts], C[verdicts])
         want = [oracle_c2_witness(F, b, c) for (b, c), ok in zip(pairs, verdicts) if ok]
         assert list(zip(d.tolist(), e.tolist())) == [(x.log, y.log) for x, y in want]
 
@@ -449,7 +453,7 @@ class TestArrayFormsAgainstOracles:
         points = _c2_pair_points(F)
         P, R = _logs(x for x, _ in points), _logs(y for _, y in points)
         for a, beta in enumerate(points):
-            got = criteria.c2_pair_base_logs(F, (P[a], R[a]), (P[a + 1 :], R[a + 1 :]))
+            got = criteria.c2_pair_base(F, (P[a], R[a]), (P[a + 1 :], R[a + 1 :]))
             assert got.tolist() == [oracle_c2_pair_base(F, beta, gamma) for gamma in points[a + 1 :]]
 
     @pytest.mark.parametrize("q", [49, 81])
@@ -458,7 +462,7 @@ class TestArrayFormsAgainstOracles:
         points = _c2_pair_points(F)
         P, R = _logs(x for x, _ in points), _logs(y for _, y in points)
         index = np.array(_sample(len(points), 3000, q))
-        got = criteria.c2_pair_base_logs(F, (P[index[:, 0]], R[index[:, 0]]), (P[index[:, 1]], R[index[:, 1]]))
+        got = criteria.c2_pair_base(F, (P[index[:, 0]], R[index[:, 0]]), (P[index[:, 1]], R[index[:, 1]]))
         assert got.tolist() == [oracle_c2_pair_base(F, points[a], points[b]) for a, b in index.tolist()]
         assert got.any() and not got.all()
 
@@ -467,10 +471,10 @@ class TestArrayFormsAgainstOracles:
         F2, scalars = _c3_fields(q)
         X = _logs(scalars)
         for variant in ("G0", "PSigmaL"):
-            got = criteria.c3_base_logs(F2, variant, X)
+            got = criteria.c3_base(F2, variant, X)
             assert got.tolist() == [oracle_c3_base(F2, q, variant, b) for b in scalars]
-        valid = criteria.c3_base_logs(F2, "PSigmaL", X)
-        a1, d = criteria.c3_common_neighbour_witness_logs(F2, X[valid])
+        valid = criteria.c3_base(F2, "PSigmaL", X)
+        a1, d = criteria.c3_common_neighbour_witness(F2, X[valid])
         want = [oracle_c3_witness(F2, q, b) for b, ok in zip(scalars, valid) if ok]
         assert list(zip(a1.tolist(), d.tolist())) == [(x.log, y.log) for x, y in want]
 
@@ -482,7 +486,7 @@ class TestArrayFormsAgainstOracles:
         F2, scalars = _c3_fields(q)
         X = _logs(scalars)
         for a, b in enumerate(scalars):
-            got = criteria.c3_pair_base_logs(F2, variant, X[a], X[a + 1 :])
+            got = criteria.c3_pair_base(F2, variant, X[a], X[a + 1 :])
             assert got.tolist() == [oracle_c3_pair_base(F2, q, variant, b, c) for c in scalars[a + 1 :]]
 
     @pytest.mark.parametrize("q", [49, 81])
@@ -491,7 +495,7 @@ class TestArrayFormsAgainstOracles:
         F2, scalars = _c3_fields(q)
         X = _logs(scalars)
         index = np.array(_sample(len(scalars), 3000, q))
-        got = criteria.c3_pair_base_logs(F2, variant, X[index[:, 0]], X[index[:, 1]])
+        got = criteria.c3_pair_base(F2, variant, X[index[:, 0]], X[index[:, 1]])
         assert got.tolist() == [oracle_c3_pair_base(F2, q, variant, scalars[a], scalars[b]) for a, b in index.tolist()]
         assert got.any() and not got.all()
 
@@ -504,7 +508,7 @@ class TestCandidateMemory:
         tracemalloc.start()
         try:
             B, C = criteria.c2_base_candidates(F, criteria._C2_CLIQUE5_PARTNERS)
-            keep = criteria.c2_base_psigma_logs(F, B, C)
+            keep = criteria.c2_base_psigma(F, B, C)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
-"""Finite-field tables against a naive polynomial-arithmetic oracle."""
+"""Finite-field tables against a naive polynomial-arithmetic oracle, and
+the log arrays against the boxed elements of conftest."""
 
 import hashlib
 import math
@@ -8,10 +9,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import conftest
+from conftest import (
+    FqElem,
+    code,
+    elements,
+    from_coeffs,
+    from_int,
+    from_log,
+    from_packed_int,
+    gen,
+    nonzero_elements,
+    one,
+    zero,
+)
 from saxl import gf
 from saxl.gf import (
     CapExceeded,
-    FqElem,
     count_nonsquare_nonsubfield,
     embed_into_square_extension,
     euler_bound_scan,
@@ -70,7 +84,7 @@ SMALL_FIELDS = [(2, 3), (3, 2), (5, 2), (3, 3)]
 def test_arithmetic_matches_polynomial_oracle(p, f):
     F = field_create(p, f)
     oracle = PolyOracle(F)
-    elems = list(F.elements())
+    elems = list(elements(F))
     assert len(elems) == p**f
     for x in elems:
         for y in elems:
@@ -85,16 +99,16 @@ def test_fields_near_the_cap_match_the_oracle(p, f):
     must agree with Python-integer arithmetic."""
     F = field_create(p, f)
     oracle = PolyOracle(F)
-    g = F.gen().coeffs()
+    g = gen(F).coeffs()
     rng = random.Random(p)
     for _ in range(100):
         c = tuple(rng.randrange(p) for _ in range(f))
-        x = F.from_coeffs(c)
+        x = from_coeffs(F, c)
         assert x.coeffs() == c
         assert x.is_zero() == (not any(c))
         if any(c):
             assert oracle.pow(g, x.log) == c
-        y = F.from_log(rng.randrange(F.q - 1))
+        y = from_log(F, rng.randrange(F.q - 1))
         assert (x + y).coeffs() == oracle.add(c, y.coeffs())
         assert (x * y).coeffs() == oracle.mul(c, y.coeffs())
 
@@ -102,22 +116,21 @@ def test_fields_near_the_cap_match_the_oracle(p, f):
 @pytest.mark.parametrize("p,f", SMALL_FIELDS)
 def test_negation_subtraction_inverse(p, f):
     F = field_create(p, f)
-    zero, one = F.zero(), F.one()
-    for x in F.elements():
-        assert x + (-x) == zero
-        assert x - x == zero
+    for x in elements(F):
+        assert x + (-x) == zero(F)
+        assert x - x == zero(F)
         if not x.is_zero():
-            assert x * x.inverse() == one
-            assert x / x == one
+            assert x * x.inverse() == one(F)
+            assert x / x == one(F)
 
 
 def test_generator_is_primitive():
     for p, f in SMALL_FIELDS:
         F = field_create(p, f)
         # the generator's order, by repeated multiplication
-        g = F.gen()
+        g = gen(F)
         acc, k = g, 1
-        while acc != F.one():
+        while acc != one(F):
             acc = acc * g
             k += 1
         assert k == F.q - 1
@@ -125,28 +138,28 @@ def test_generator_is_primitive():
 
 def test_powers_and_orders():
     F = field_create(3, 3)
-    for x in F.nonzero_elements():
+    for x in nonzero_elements(F):
         # brute-force multiplicative order
         acc, k = x, 1
-        while acc != F.one():
+        while acc != one(F):
             acc = acc * x
             k += 1
         assert (F.q - 1) % k == 0
-        assert x ** (F.q - 1) == F.one()
-        assert x**0 == F.one()
+        assert x ** (F.q - 1) == one(F)
+        assert x**0 == one(F)
         assert x**-1 == x.inverse()
 
 
 def test_frobenius():
     F = field_create(3, 3)
-    for x in F.elements():
-        for y in F.elements():
+    for x in elements(F):
+        for y in elements(F):
             assert (x + y).frobenius() == x.frobenius() + y.frobenius()
             assert (x * y).frobenius() == x.frobenius() * y.frobenius()
-    for x in F.elements():
+    for x in elements(F):
         assert x.frobenius(F.f) == x
     for n in range(F.p):
-        assert F.from_int(n).frobenius() == F.from_int(n)
+        assert from_int(F, n).frobenius() == from_int(F, n)
 
 
 class TestEncodings:
@@ -154,90 +167,97 @@ class TestEncodings:
         for p, f in SMALL_FIELDS:
             F = field_create(p, f)
             seen = set()
-            for x in F.elements():
+            for x in elements(F):
                 n = x.as_int()
                 assert 0 <= n < F.q
                 seen.add(n)
-                assert F.from_packed_int(n) == x
-                assert F.from_coeffs(x.coeffs()) == x
+                assert from_packed_int(F, n) == x
+                assert from_coeffs(F, x.coeffs()) == x
             assert len(seen) == F.q
 
     def test_packed_out_of_range(self):
         F = field_create(3, 2)
-        with pytest.raises(ValueError):
-            F.from_packed_int(9)
-        with pytest.raises(ValueError):
-            F.from_packed_int(-1)
+        for n in (9, -1):
+            with pytest.raises(ValueError):
+                from_packed_int(F, n)
+            with pytest.raises(ValueError, match="packed value %d out of range" % n):
+                gf.log_of_packed(F, n)
+        with pytest.raises(ValueError, match="packed value -1 out of range"):
+            gf.log_of_packed(F, [0, 8, -1])
 
     def test_from_int_is_prime_field(self):
         F = field_create(5, 2)
-        assert F.from_int(0) == F.zero()
-        assert F.from_int(1) == F.one()
-        assert F.from_int(5) == F.zero()
-        assert F.from_int(2) + F.from_int(3) == F.zero()
+        assert from_int(F, 0) == zero(F)
+        assert from_int(F, 1) == one(F)
+        assert from_int(F, 5) == zero(F)
+        assert from_int(F, 2) + from_int(F, 3) == zero(F)
 
     def test_from_coeffs_length_check(self):
         F = field_create(3, 2)
         with pytest.raises(ValueError):
-            F.from_coeffs((1,))
+            from_coeffs(F, (1,))
 
     def test_cross_field_operations_rejected(self):
-        a = field_create(3, 2).one()
-        b = field_create(3, 3).one()
+        a = one(field_create(3, 2))
+        b = one(field_create(3, 3))
         with pytest.raises(ValueError):
             a + b
 
     def test_zero_division(self):
         F = field_create(3, 2)
         with pytest.raises(ZeroDivisionError):
-            F.one() / F.zero()
+            one(F) / zero(F)
         with pytest.raises(ZeroDivisionError):
-            F.zero().inverse()
+            zero(F).inverse()
 
     def test_element_is_its_field_and_log(self):
         F, G = field_create(3, 2), field_create(3, 3)
-        for x in (F.zero(), F.one(), F.gen()):
+        for x in (zero(F), one(F), gen(F)):
             assert hash(x) == hash((x.field, x.log))
-            assert x == F.from_log(x.log)
+            assert x == from_log(F, x.log)
             assert x != (x.field, x.log)
             assert not hasattr(x, "__dict__")
         # equal logs in two fields are two elements
-        assert F.gen() != G.gen()
-        assert F.zero() != G.zero()
-        assert len({F.one(), G.one(), FqElem(F, 0)}) == 2
+        assert gen(F) != gen(G)
+        assert zero(F) != zero(G)
+        assert len({one(F), one(G), FqElem(F, 0)}) == 2
+
+
+def _all_codes(F):
+    """The code of every element of F in elements(F) order: zero, then log order."""
+    return np.arange(gf.LOG_ZERO, F.q - 1)
 
 
 class TestSquaresAndSubfields:
     @pytest.mark.parametrize("p,f", [(3, 2), (5, 2), (3, 3)])
     def test_is_square_against_brute(self, p, f):
         F = field_create(p, f)
-        squares = {(y * y).as_int() for y in F.elements()}
-        for x in F.elements():
-            assert is_square(x) == (x.as_int() in squares)
+        squares = {(y * y).as_int() for y in elements(F)}
+        got = is_square(F, _all_codes(F))
+        assert got.tolist() == [x.as_int() in squares for x in elements(F)]
         assert len(squares) == (F.q + 1) // 2
 
     def test_even_characteristic_all_squares(self):
         F = field_create(2, 3)
-        assert all(is_square(x) for x in F.elements())
+        assert is_square(F, _all_codes(F)).all()
 
     @pytest.mark.parametrize("p,f", [(2, 4), (3, 4), (5, 2), (3, 3)])
     def test_in_proper_subfield_against_brute(self, p, f):
         F = field_create(p, f)
-        for x in F.elements():
-            brute = x.is_zero() or any(x.frobenius(k) == x for k in range(1, F.f))
-            assert in_proper_subfield(x) == brute
+        brute = [x.is_zero() or any(x.frobenius(k) == x for k in range(1, F.f)) for x in elements(F)]
+        assert in_proper_subfield(F, _all_codes(F)).tolist() == brute
 
     def test_prime_field_has_no_proper_subfield(self):
         F = field_create(7, 1)
-        assert not any(in_proper_subfield(x) for x in F.nonzero_elements())
+        assert not in_proper_subfield(F, _all_codes(F)).any()
 
     @pytest.mark.parametrize("q", [25, 49, 81])
     def test_count_nonsquare_nonsubfield_against_brute(self, q):
         F = field_from_order(q)
         brute = sum(
             1
-            for x in F.nonzero_elements()
-            if not is_square(x) and not in_proper_subfield(x)
+            for x in nonzero_elements(F)
+            if not conftest.is_square(x) and not conftest.in_proper_subfield(x)
         )
         assert count_nonsquare_nonsubfield(F) == brute
 
@@ -246,33 +266,28 @@ class TestSquaresAndSubfields:
         logs = subfield_logs(F, 1)
         assert len(logs) == 4
         for log in logs:
-            x = F.from_log(log)
+            x = from_log(F, log)
             assert x.frobenius() == x
         with pytest.raises(ValueError):
             subfield_logs(F, 3)
 
     def test_embedding_into_square_extension(self):
         F, F2 = field_create(3, 2), field_create(3, 4)
-        images = {}
-        for x in F.elements():
-            z = embed_into_square_extension(x, F2)
-            images[x.as_int()] = z
-            # lands in the order-q subfield
-            assert z ** F.q == z
-        assert len({z.as_int() for z in images.values()}) == F.q
-        for x in F.elements():
-            for y in F.elements():
-                assert (
-                    embed_into_square_extension(x * y, F2)
-                    == images[x.as_int()] * images[y.as_int()]
-                )
-        assert embed_into_square_extension(F.one(), F2) == F2.one()
-        assert embed_into_square_extension(F.zero(), F2) == F2.zero()
+        X = _all_codes(F)
+        Z = embed_into_square_extension(F, X, F2)
+        # lands in the order-q subfield, onto all of it
+        assert all(from_log(F2, z) ** F.q == from_log(F2, z) for z in Z[1:].tolist())
+        assert len(set(Z.tolist())) == F.q
+        # a homomorphism of multiplication, on every pair
+        XX, YY = np.meshgrid(X, X)
+        product = embed_into_square_extension(F, gf.log_mul(F, XX, YY), F2)
+        assert (product == gf.log_mul(F2, Z[XX + 1], Z[YY + 1])).all()
+        assert embed_into_square_extension(F, [0, gf.LOG_ZERO], F2).tolist() == [0, gf.LOG_ZERO]
 
     def test_embedding_target_checked(self):
         F = field_create(3, 2)
         with pytest.raises(ValueError):
-            embed_into_square_extension(F.one(), field_create(3, 3))
+            embed_into_square_extension(F, 0, field_create(3, 3))
 
 
 class TestFieldConstruction:
@@ -371,10 +386,10 @@ class TestPinnedTables:
     def test_table_digest(self, q):
         F = field_from_order(q)
         h = hashlib.sha256(repr((F.modulus, F.gen_coeffs)).encode())
-        one = F.one()
+        unit = one(F)
         for k in range(F.q - 1):
-            x = F.from_log(k)
-            h.update(repr((x.coeffs(), (one + x).log)).encode())
+            x = from_log(F, k)
+            h.update(repr((x.coeffs(), (unit + x).log)).encode())
         assert h.hexdigest() == self.DIGESTS[q]
 
 
@@ -449,35 +464,31 @@ def test_one_cross_check_exception():
     assert engine.CrossCheckFailed is group.CrossCheckFailed is gf.CrossCheckFailed
 
 
-def _code(x: FqElem) -> int:
-    return gf.LOG_ZERO if x.log is None else x.log
-
-
 @pytest.mark.parametrize("q", [q for _, _, q in prime_powers(2, 50)] + [81])
 def test_log_arrays_match_boxed_elements(q):
     # every ordered pair of elements, zero included
     F = field_from_order(q)
-    elems = list(F.elements())
+    elems = list(elements(F))
     xs = [x for x in elems for _ in elems]
     ys = [y for _ in elems for y in elems]
-    X, Y = np.array([_code(x) for x in xs]), np.array([_code(y) for y in ys])
-    assert gf.log_add(F, X, Y).tolist() == [_code(x + y) for x, y in zip(xs, ys)]
-    assert gf.log_sub(F, X, Y).tolist() == [_code(x - y) for x, y in zip(xs, ys)]
-    assert gf.log_mul(F, X, Y).tolist() == [_code(x * y) for x, y in zip(xs, ys)]
+    X, Y = np.array([code(x) for x in xs]), np.array([code(y) for y in ys])
+    assert gf.log_add(F, X, Y).tolist() == [code(x + y) for x, y in zip(xs, ys)]
+    assert gf.log_sub(F, X, Y).tolist() == [code(x - y) for x, y in zip(xs, ys)]
+    assert gf.log_mul(F, X, Y).tolist() == [code(x * y) for x, y in zip(xs, ys)]
     nonzero = Y >= 0
-    quotients = [_code(x / y) for x, y in zip(xs, ys) if not y.is_zero()]
+    quotients = [code(x / y) for x, y in zip(xs, ys) if not y.is_zero()]
     assert gf.log_div(F, X[nonzero], Y[nonzero]).tolist() == quotients
-    E = np.array([_code(x) for x in elems])
-    assert gf.log_neg(F, E).tolist() == [_code(-x) for x in elems]
+    E = np.array([code(x) for x in elems])
+    assert gf.log_neg(F, E).tolist() == [code(-x) for x in elems]
     for k in (0, 1, 2, 3, F.p, q - 1, q, q + 1, 7 * q + 5):
-        assert gf.log_pow(F, E, k).tolist() == [_code(x**k) for x in elems]
+        assert gf.log_pow(F, E, k).tolist() == [code(x**k) for x in elems]
     for k in (-1, -2, -q):
-        assert gf.log_pow(F, E[1:], k).tolist() == [_code(x**k) for x in elems[1:]]
-    assert gf.log_is_square(F, E).tolist() == [is_square(x) for x in elems]
-    assert gf.log_in_proper_subfield(F, E).tolist() == [in_proper_subfield(x) for x in elems]
+        assert gf.log_pow(F, E[1:], k).tolist() == [code(x**k) for x in elems[1:]]
+    assert is_square(F, E).tolist() == [conftest.is_square(x) for x in elems]
+    assert in_proper_subfield(F, E).tolist() == [conftest.in_proper_subfield(x) for x in elems]
     packed = gf.log_to_packed(F, E)
     assert packed.tolist() == [x.as_int() for x in elems]
-    assert gf.log_of_packed(F, packed).tolist() == [_code(F.from_packed_int(n)) for n in packed.tolist()] == E.tolist()
+    assert gf.log_of_packed(F, packed).tolist() == [code(from_packed_int(F, n)) for n in packed.tolist()] == E.tolist()
 
 
 def test_log_arrays_refuse_zero_divisors():
