@@ -1,0 +1,49 @@
+"""Run saxl commands, each in a child process, and bound each one's peak RSS.
+
+Run from the repository root, with the limit in MB and one quoted ``saxl``
+command line per argument:
+
+    python3 scripts/peak_rss.py 80 "analyze --psl2 c2 --q 121 --no-classes"
+
+Each command runs as ``python -m saxl.cli ...`` with its stdout discarded.
+Its peak RSS is the ``ru_maxrss`` that ``os.wait4`` reports for that child
+alone.  One line per command gives its exit code and peak; the script exits
+1 when any command exits non-zero or peaks at or above the limit.
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def peak_rss(argv: list[str]) -> tuple[int, float]:
+    """Exit code and peak RSS in MB of ``saxl argv`` in a child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-m", "saxl.cli", *argv], stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, usage.ru_maxrss / 1024  # Linux reports KB
+
+
+def main(args: list[str]) -> int:
+    if len(args) < 2:
+        sys.stderr.write("usage: peak_rss.py LIMIT_MB COMMAND [COMMAND ...]\n")
+        return 2
+    limit = float(args[0])
+    ok = True
+    for command in args[1:]:
+        code, peak_mb = peak_rss(shlex.split(command))
+        print("saxl %s: exit %d, peak RSS %.1f MB (limit %g)" % (command, code, peak_mb, limit), flush=True)
+        ok = ok and code == 0 and peak_mb < limit
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -27,9 +27,13 @@ The projective maps run on the log arrays of :mod:`saxl.gf`.  A point of
 PG(1,q) or PG(1,q^2) has one code, LINE_INF = -2 for <e2>, LOG_ZERO = -1
 for <e1> and log t for (1, t), and its carrier position is code + 2.  A
 Moebius map, a 2 x 2 matrix of logs, is one gather over every point, and
-Frobenius sends log to p * log mod (q - 1).  The codes, the "proj_pair"
-payload of two codes, :func:`c3_canonical_logs` and :func:`c3_isotropic`
-are the label formats that :mod:`saxl.criteria` and :mod:`saxl.cli` read.
+Frobenius sends log to p * log mod (q - 1).
+
+A label is the plain value that :mod:`saxl.criteria` and :mod:`saxl.cli`
+read: a k-subset is its sorted tuple, a coset or a natural point its index,
+a pair of points of PG(1,q) the sorted pair of their codes, so that alpha
+is (LINE_INF, LOG_ZERO), and a unitary point omega_b the canonical log of
+:func:`c3_canonical_logs`, with alpha coded LOG_ZERO.
 """
 
 from __future__ import annotations
@@ -50,32 +54,14 @@ from .gf import (
     log_div,
     log_mul,
     log_neg,
-    log_of_packed,
     log_pow,
     log_sub,
-    log_to_packed,
     split_prime_power,
 )
 from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup, StabChain
 from .perm import Perm, from_cycles, parse_cycles
 
-ALPHA = "alpha"
-
 FAMILIES = ("PSL2", "PGL2", "PSigmaL2", "PGammaL2", "DeltaPhi")
-
-
-@dataclass(frozen=True)
-class OmegaPoint:
-    """A labelled point of an action domain.
-
-    kind is one of "k_subset", "proj_pair", "c3_point", "coset_index"; the
-    payload is a sorted tuple of integers, a pair of normalized homogeneous
-    coordinates, a canonical scalar log (or the string "alpha"), or a coset
-    index, respectively.
-    """
-
-    kind: str
-    payload: object
 
 
 @dataclass(frozen=True)
@@ -131,14 +117,17 @@ class GroupVariant:
 class LabelledAction:
     """A transitive permutation group together with its point labels.
 
-    ``carrier`` holds the (carrier, label) generator pairs of G and of G_0
-    on a faithful carrier, as :func:`_certified` certified them."""
+    Labels are hashable plain values, one per point in point order, as the
+    module docstring describes; ``label_index`` maps each back to its point.
+    ``carrier`` holds the degree m of a faithful carrier and the (carrier,
+    label) generator pairs of G and of G_0 on it, as :func:`_certified`
+    certified them; it is empty for an action built without it."""
 
     group: PermGroup
     labels: tuple
     name: str
     warnings: tuple = ()
-    carrier: tuple = ((), ())
+    carrier: tuple = ()
     label_index: dict = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -165,13 +154,14 @@ def diagonal(carrier: Perm, label: Perm) -> Perm:
     return Perm(np.concatenate([carrier.images, label.images.astype(np.intp) + carrier.degree]).tolist())
 
 
-def _certified(name, labels, gens, stab_gens, order, caps, warnings=(), stab_order=None) -> LabelledAction:
+def _certified(name, labels, m, gens, stab_gens, order, caps, warnings=(), stab_order=None) -> LabelledAction:
     """The action on ``labels`` of a carrier group of order ``order``, certified.
 
-    ``gens`` and ``stab_gens`` are (carrier, label) pairs of permutations that
-    generate the group and the stabiliser of label 0.  D is the group they
-    generate on the m carrier points and the n labels together, and H the
-    group of the label parts of ``stab_gens``.  Four checks raise
+    ``gens`` and ``stab_gens`` are (carrier, label) pairs of permutations, of
+    the m carrier points and of the labels, that generate the group and the
+    stabiliser of label 0.  D is the group they generate on the m carrier
+    points and the n labels together, and H the group of the label parts of
+    ``stab_gens``.  Four checks raise
     :class:`CrossCheckFailed`: (a) |D| = ``order``, from D's deterministic
     chain, whose base lies in the carrier while carrier -> labels is well
     defined; (b) label 0 has an orbit of length n; (c) every stabiliser pair
@@ -188,7 +178,7 @@ def _certified(name, labels, gens, stab_gens, order, caps, warnings=(), stab_ord
     one to one onto both its carrier and its label parts, so the carrier
     parts are G in degree m; otherwise the labels are their own carrier.
     """
-    n, m = len(labels), gens[0][0].degree
+    n = len(labels)
     chain = StabChain(m + n, [diagonal(c, g) for c, g in gens])
     group = PermGroup(n, [g for _, g in gens], caps=caps)
     H = PermGroup(n, [g for _, g in stab_gens], caps=caps)
@@ -208,8 +198,8 @@ def _certified(name, labels, gens, stab_gens, order, caps, warnings=(), stab_ord
     if kernel > 1:
         warnings += ("action has kernel of order %d" % kernel,)
     faithful = kernel == 1 and all(level.point < m for level in chain.levels)
-    carrier = tuple(tuple((c if faithful else g, g) for c, g in pairs) for pairs in (gens, stab_gens))
-    return LabelledAction(group, labels, name, warnings=warnings, carrier=carrier)
+    pairs = (tuple((c if faithful else g, g) for c, g in p) for p in (gens, stab_gens))
+    return LabelledAction(group, labels, name, warnings=warnings, carrier=(m if faithful else n, *pairs))
 
 
 def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
@@ -273,9 +263,8 @@ def ksubset_action(
         stab_gens = [from_cycles(n, [(p[0], x)]) for p in parts for x in p[1:]]  # S_k x S_{n-k}
         name = "S%d/%d-subsets" % (n, k)
 
-    labels = tuple(OmegaPoint("k_subset", s) for s in subsets)
     gens, stab_gens = (list(zip(g, _induced(subsets, g))) for g in (base_gens, stab_gens))
-    return _certified(name, labels, gens, stab_gens, order, caps)
+    return _certified(name, tuple(subsets), n, gens, stab_gens, order, caps)
 
 
 # -- coset actions ------------------------------------------------------------------
@@ -333,17 +322,18 @@ def coset_action(
 
     gens = [(g, Perm(imgs)) for g, imgs in zip(G.gens, images_per_gen)]
     stab_gens = [(h, Perm(seen[_coset_canonical(chain_h, rep * h)] for rep in reps)) for h in H.gens]
-    labels = tuple(OmegaPoint("coset_index", i) for i in range(index))
-    return _certified(name, labels, gens, stab_gens, order_g, caps, stab_order=order_h)
+    return _certified(name, tuple(range(index)), G.degree, gens, stab_gens, order_g, caps, stab_order=order_h)
 
 
 def natural_action(G: PermGroup, name: str, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
-    """G on its own points, labelled by index, with G as its own carrier."""
+    """G on its own points, labelled by index, with G as its own carrier;
+    an intransitive G is refused with ValueError."""
     if G.degree > caps.point_cap:
         raise CapExceeded("degree %d exceeds point cap %d" % (G.degree, caps.point_cap))
-    labels = tuple(OmegaPoint("coset_index", i) for i in range(G.degree))
-    stab_gens = G.point_stabiliser(0).gens
-    return _certified(name, labels, [(g, g) for g in G.gens], [(h, h) for h in stab_gens], G.order(), caps)
+    if not G.is_transitive():
+        raise ValueError("%s is not transitive on its %d points" % (name, G.degree))
+    gens, stab_gens = ([(g, g) for g in K.gens] for K in (G, G.point_stabiliser(0)))
+    return _certified(name, tuple(range(G.degree)), G.degree, gens, stab_gens, G.order(), caps)
 
 
 # -- the projective line, in codes ---------------------------------------------------
@@ -386,25 +376,6 @@ def _mobius(F: FqField, M) -> Perm:
     return _line_perm(np.where(x < 0, LINE_INF, log_div(F, y, np.where(x < 0, 0, x))))
 
 
-def _coords(F: FqField, codes) -> list[tuple]:
-    """The normalized homogeneous coordinates of the points with ``codes``:
-    (0, 1) for <e2>, else (1, t) with t as its packed value
-    (:func:`saxl.gf.log_to_packed`)."""
-    codes = as_logs(codes)
-    return [(0, 1) if c == LINE_INF else (1, v) for c, v in zip(codes.tolist(), log_to_packed(F, codes).tolist())]
-
-
-def proj_pair_payload(F: FqField, codes) -> tuple:
-    """The "proj_pair" payload of two point codes, the points in code order."""
-    return tuple(_coords(F, sorted(codes)))
-
-
-def proj_pair_labels(F: FqField, payload) -> tuple:
-    """The two point codes of a "proj_pair" payload; the inverse of
-    :func:`proj_pair_payload`."""
-    return tuple(LINE_INF if kind == 0 else int(log_of_packed(F, value)) for kind, value in payload)
-
-
 def _extension(variant: GroupVariant, F: FqField, delta: Perm) -> list[Perm]:
     """The generators the variant adds to PSL(2,q) as permutations of the
     line over F, given the diagonal automorphism delta there."""
@@ -435,8 +406,8 @@ def _capped_order(variant: GroupVariant, psl_order: int, caps: Caps) -> int:
 def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
     """The chosen group acting on unordered pairs of points of PG(1,q).
 
-    Point 0 is the pair {<e1>, <e2>}.  Labels hold normalized homogeneous
-    coordinates (first nonzero coordinate 1).  Degree q(q+1)/2.
+    Point 0 is the pair {<e1>, <e2>}.  A label is the sorted pair of the
+    two points' codes, so point 0 is (LINE_INF, LOG_ZERO).  Degree q(q+1)/2.
     """
     q = variant.q
     if q < 4:
@@ -456,13 +427,12 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     carrier = [u, d, s] + _extension(variant, F, delta)
     gens = list(zip(carrier, _induced(pairs, carrier)))
 
-    coords = _coords(F, _line_codes(F))
-    labels = tuple(OmegaPoint("proj_pair", (coords[i], coords[j])) for i, j in pairs)
+    labels = tuple(combinations(_line_codes(F).tolist(), 2))  # position order is code order
     warnings = ()
     if q == 5:
         warnings = ("point stabiliser is not maximal for q = 5; action is imprimitive",)
     # PSL(2,q)'s torus and swap generators fix alpha = {<e1>, <e2>}
-    return _certified("%s/proj-pairs" % variant.describe(), labels, gens, gens[1:], order, caps, warnings)
+    return _certified("%s/proj-pairs" % variant.describe(), labels, q + 1, gens, gens[1:], order, caps, warnings)
 
 
 # -- the unitary-model (C3) family ---------------------------------------------------
@@ -509,7 +479,8 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     (conjugate of SL(2,q) preserving the identity hermitian form on a plane
     over GF(q^2)).  Point 0 is alpha = {<u>, <v>}; every other point is
     omega_b = {<u+bv>, <u-b^{-q}v>} for a scalar b with b^{q+1} != -1,
-    stored under the canonical log min(b, -b^{-q}).  Degree q(q-1)/2.
+    labelled by the canonical log min(b, -b^{-q}); alpha is labelled
+    LOG_ZERO, which b = 0 would be.  Degree q(q-1)/2.
     """
     q = variant.q
     p, f = variant.p, variant.f
@@ -525,9 +496,7 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     scalar_logs = c3_label_logs(F2, q)
     if len(scalar_logs) + 1 != degree:
         raise CrossCheckFailed("scalar label count %d != degree - 1" % len(scalar_logs))
-    labels = (OmegaPoint("c3_point", ALPHA),) + tuple(
-        OmegaPoint("c3_point", log) for log in scalar_logs
-    )
+    labels = (LOG_ZERO, *scalar_logs)
     # alpha is {<e2>, <e1>}, at positions 0 and 1, and omega_b the codes b and -b^(-q)
     ends = np.stack([scalar_logs, log_neg(F2, log_pow(F2, scalar_logs, -q))], 1)
     blocks = [(0, 1), *map(tuple, (np.sort(ends, axis=1) + 2).tolist())]
@@ -554,7 +523,7 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     isotropic = [(2 + log,) for log in np.flatnonzero(c3_isotropic(F2, q, np.arange(m))).tolist()]
     gens = list(zip(_induced(isotropic, line), _induced(blocks, line)))
     name = "%s/unitary-pairs" % variant.describe()
-    return _certified(name, labels, gens[:3] + gens[5:], gens[3:], order, caps)
+    return _certified(name, labels, len(isotropic), gens[:3] + gens[5:], gens[3:], order, caps)
 
 
 # -- catalogue ingestion --------------------------------------------------------------
@@ -613,6 +582,8 @@ def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, Cat
                 degree = int(line[7:])
             except ValueError:
                 fail(lineno, "bad degree %r" % line[7:])
+            if degree < 1:
+                fail(lineno, "degree %d is below 1" % degree)
         elif line.startswith("sub gen "):
             if degree is None:
                 fail(lineno, "'sub gen' before 'degree'")

@@ -34,11 +34,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .actions import (
-    ALPHA,
     LINE_INF,
     GroupVariant,
     LabelledAction,
-    OmegaPoint,
     bundled_catalogue_path,
     c3_canonical_logs,
     c3_isotropic,
@@ -47,8 +45,6 @@ from .actions import (
     ksubset_action,
     load_catalogue,
     natural_action,
-    proj_pair_labels,
-    proj_pair_payload,
     psl2_c2_action,
     psl2_c3_action,
 )
@@ -337,7 +333,7 @@ def _sweep_c2_oracle(args) -> list[dict]:
     for q in _upto(args, _ORACLE_FIELDS):
         action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         F = field_from_order(q)
-        ends = np.array([proj_pair_labels(F, lab.payload) for lab in action.labels])
+        ends = np.array(action.labels)
         P, R = ends[:, 0], ends[:, 1]
 
         def row(a):
@@ -357,11 +353,10 @@ def _sweep_c3_oracle(args) -> list[dict]:
     for q, family, variant in rows:
         action = psl2_c3_action(GroupVariant(family, q))
         F2 = field_from_order(q * q)
-        # alpha is coded LOG_ZERO, which no scalar label is
-        xs = np.array([LOG_ZERO if lab.payload == ALPHA else lab.payload for lab in action.labels])
+        xs = np.array(action.labels)
 
         def row(a):
-            if xs[a] == LOG_ZERO:
+            if xs[a] == LOG_ZERO:  # alpha
                 return criteria.c3_base(F2, variant, xs[a + 1 :])
             return criteria.c3_pair_base(F2, variant, xs[a], xs[a + 1 :])
 
@@ -374,8 +369,7 @@ def _sweep_johnson(args) -> list[dict]:
     for q in _upto(args, (4, 8, 9, 13)):
         action = psl2_c2_action(GroupVariant("PGL2", q))
         graph = saxl_graph(action)
-        F = field_from_order(q)
-        ends = np.array([proj_pair_labels(F, lab.payload) for lab in action.labels])
+        ends = np.array(action.labels)
         n = action.degree
 
         def meets_once(a):
@@ -490,13 +484,14 @@ def _sweep_witnesses(args) -> list[dict]:
         action = psl2_c2_action(GroupVariant("PSigmaL2", q))
         graph = saxl_graph(action)
         index = action.label_index
-        ok = action.labels[0] == OmegaPoint("proj_pair", proj_pair_payload(F, (LINE_INF, LOG_ZERO)))
+        ok = action.labels[0] == (LINE_INF, LOG_ZERO)
         b, c = criteria.c2_base_candidates(F, (F.q - 1) ** 2)  # every alpha-neighbour pair
         criteria.c2_common_neighbour_witness(F, b, c)
         # the witnessed common neighbour of alpha and (b, c) is gamma = (-b, -c)
-        for lb, lc, lnb, lnc in np.stack([b, c, log_neg(F, b), log_neg(F, c)], 1).tolist():
-            bi = index[OmegaPoint("proj_pair", proj_pair_payload(F, (lb, lc)))]
-            gi = index[OmegaPoint("proj_pair", proj_pair_payload(F, (lnb, lnc)))]
+        betas = np.sort(np.stack([b, c], 1), axis=1)
+        gammas = np.sort(log_neg(F, betas), axis=1)
+        for beta, gamma in zip(betas.tolist(), gammas.tolist()):
+            bi, gi = index[tuple(beta)], index[tuple(gamma)]
             ok &= graph.has_edge(0, gi) and graph.has_edge(bi, gi)
         checks.append(_check("c2-witness q=%d (engine-checked)" % q, ok and len(b) > 0, "%d inputs" % len(b)))
     for q in _upto(args, (9, 13)):
@@ -505,14 +500,13 @@ def _sweep_witnesses(args) -> list[dict]:
         action = psl2_c3_action(GroupVariant(family, q))
         graph = saxl_graph(action)
         index = action.label_index
-        ok = action.labels[0] == OmegaPoint("c3_point", ALPHA)
+        ok = action.labels[0] == LOG_ZERO
         b = np.array(c3_label_logs(F2, q), dtype=np.int64)
         b = b[criteria.c3_base(F2, "PSigmaL", b)]
         criteria.c3_common_neighbour_witness(F2, b)
         # the witnessed common neighbour is omega_{-b}
         for L, c in zip(b.tolist(), c3_canonical_logs(F2, q, log_neg(F2, b)).tolist()):
-            bi = index[OmegaPoint("c3_point", L)]
-            ci = index[OmegaPoint("c3_point", c)]
+            bi, ci = index[L], index[c]
             ok &= graph.has_edge(0, ci) and graph.has_edge(bi, ci)
         checks.append(_check("c3-witness q=%d (engine-checked)" % q, ok and len(b) > 0, "%d inputs" % len(b)))
     # large fields: the constructors verify their own identities arithmetically,
@@ -584,7 +578,7 @@ def _sweep_clique5(args) -> list[dict]:
             lambda u, v: criteria.c2_pair_base(F, u, v),
         ) and _alpha_clique_ok(
             c3,
-            lambda v: v == ALPHA,
+            lambda v: v == LOG_ZERO,
             lambda v: criteria.c3_base(F2, "PSigmaL", v),
             lambda u, v: criteria.c3_pair_base(F2, "PSigmaL", u, v),
         )
@@ -602,7 +596,7 @@ def _sweep_cliques(args) -> list[dict]:
         pts = criteria.c3_clique(F2, int(labels[~is_square(F2, labels)][0]))
         action = psl2_c3_action(GroupVariant("PSL2", q))
         graph = saxl_graph(action)
-        idx = [action.label_index[OmegaPoint("c3_point", pt)] for pt in pts]
+        idx = [action.label_index[pt] for pt in pts]
         missing = sum(1 for a, b in combinations(idx, 2) if not graph.has_edge(a, b))
         checks.append(
             _check(
@@ -616,9 +610,9 @@ def _sweep_cliques(args) -> list[dict]:
     for q in _clique5_fields(_qmax(args)):
         F, F2 = field_from_order(q), field_from_order(q * q)
         c2_act = psl2_c2_action(GroupVariant("PSigmaL2", q))
-        c2_idx = [c2_act.label_index[OmegaPoint("proj_pair", proj_pair_payload(F, v))] for v in criteria.c2_clique5(F)]
+        c2_idx = [c2_act.label_index[v] for v in criteria.c2_clique5(F)]
         c3_act = psl2_c3_action(GroupVariant("PSigmaL2", q))
-        c3_idx = [c3_act.label_index[OmegaPoint("c3_point", pt)] for pt in criteria.c3_clique5(F2)]
+        c3_idx = [c3_act.label_index[pt] for pt in criteria.c3_clique5(F2)]
         bad = sum(1 for a, b in combinations(c2_idx, 2) if not is_base_pair(c2_act, a, b))
         bad += sum(1 for a, b in combinations(c3_idx, 2) if not is_base_pair(c3_act, a, b))
         checks.append(

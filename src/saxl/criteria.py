@@ -15,13 +15,14 @@ coordinates (0, 1), and the log of t (LOG_ZERO = -1 for zero) for the point
 2-tuple of codes, with the fixed point alpha = (LINE_INF, LOG_ZERO).
 Unitary pair-points are labelled by a nonzero scalar b of GF(q^2) that is
 not isotropic (b^(q+1) != -1), under the canonical log of
-:func:`saxl.actions.c3_canonical_logs`, or by ALPHA.
+:func:`saxl.actions.c3_canonical_logs`, and alpha by LOG_ZERO.
 
 Array form.  Each criterion and witness constructor is written once, over
 the log arrays of :mod:`saxl.gf`: int64 discrete logs with LOG_ZERO = -1
 for zero.  Arguments broadcast, so one call decides a whole row of labels,
 and every re-check runs on the whole array: one failing entry raises.  The
-explicit cliques come back as the label payloads of :mod:`saxl.actions`.
+explicit cliques come back as the labels of :mod:`saxl.actions`: sorted
+code pairs, and LOG_ZERO followed by canonical logs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import and_
 
 import numpy as np
 
-from .actions import ALPHA, LINE_INF, c3_canonical_logs, c3_isotropic, c3_label_logs
+from .actions import LINE_INF, c3_canonical_logs, c3_isotropic, c3_label_logs
 from .gf import (
     LOG_ZERO,
     FqField,
@@ -391,10 +392,10 @@ def c3_common_neighbour_witness(F2: FqField, b) -> tuple[np.ndarray, np.ndarray]
 def c3_clique(F2: FqField, b: int) -> list:
     """A verified clique through alpha for the socle action.
 
-    Takes the log b of a non-square with b^(q+1) != -1 and returns ALPHA
-    followed by the canonical logs of the points omega_{bx}, for x in the
-    embedded base-subfield units (the at most two isotropic products are
-    skipped, and products pair up in the labelling).  The result has at
+    Takes the log b of a non-square with b^(q+1) != -1 and returns LOG_ZERO
+    (alpha) followed by the canonical logs of the points omega_{bx}, for x
+    in the embedded base-subfield units (the at most two isotropic products
+    are skipped, and products pair up in the labelling).  The result has at
     least (q-1)/2 points; every edge is re-verified arithmetically before
     returning.
     """
@@ -404,7 +405,7 @@ def c3_clique(F2: FqField, b: int) -> list:
         raise ValueError("clique anchor must be a non-square")
     products = (b + (q + 1) * np.arange(q - 1)) % (F2.q - 1)  # b times the embedded units
     scalars = np.unique(c3_canonical_logs(F2, q, products[~c3_isotropic(F2, q, products)]))
-    pts = [ALPHA] + scalars.tolist()
+    pts = [LOG_ZERO] + scalars.tolist()
     if len(pts) < (q - 1) // 2:
         raise CrossCheckFailed("clique fell below the guaranteed size")
     if not c3_base(F2, "G0", scalars).all():
@@ -497,8 +498,8 @@ def c2_clique5(F: FqField) -> list:
     with its negation; the deterministic scan tries anchors in log order and,
     for each, every partner at once, and returns the first partner whose
     clique passes all ten edge checks: [alpha, beta, -beta, beta', -beta'],
-    each a pair of point codes, alpha = (LINE_INF, LOG_ZERO).  A scan that
-    finds none within its budget returns [].
+    each the sorted pair of its point codes, alpha = (LINE_INF, LOG_ZERO).
+    A scan that finds none within its budget returns [].
     """
     _check_c2_field(F)
     if F.f < 2:
@@ -518,19 +519,19 @@ def c2_clique5(F: FqField) -> list:
         ok = ok & _all(c2_pair_base(F, u, v) for u, v in combinations(pairs, 2))
         hits = rows[np.broadcast_to(ok, rows.shape)]
         if len(hits):
-            b2, c2 = B[hits[0]], C[hits[0]]
-            nb2, nc2 = log_neg(F, b2), log_neg(F, c2)
-            return [(LINE_INF, LOG_ZERO), (b, c), (nb, nc), (int(b2), int(c2)), (int(nb2), int(nc2))]
+            b2, c2 = int(B[hits[0]]), int(C[hits[0]])
+            verts = [(b, c), (nb, nc), (b2, c2), (int(log_neg(F, b2)), int(log_neg(F, c2)))]
+            return [(LINE_INF, LOG_ZERO)] + [tuple(sorted(v)) for v in verts]
     return []
 
 
 def c3_clique5(F2: FqField) -> list:
     """A verified 5-clique in the unitary-pair graph of the full
     field-automorphism extension: alpha, omega_b, omega_{-b}, omega_c,
-    omega_{-c} with all ten edges re-checked arithmetically, as ALPHA and
-    four canonical logs.  Anchors b are tried in label order and, for each,
-    every partner c at once; a scan that finds none within its budget
-    returns []."""
+    omega_{-c} with all ten edges re-checked arithmetically, as LOG_ZERO
+    (alpha) and four canonical logs.  Anchors b are tried in label order
+    and, for each, every partner c at once; a scan that finds none within
+    its budget returns []."""
     q = _c3_split(F2)
     labels = np.array(c3_label_logs(F2, q), dtype=np.int64)
     cands = labels[c3_base(F2, "PSigmaL", labels)]
@@ -546,7 +547,7 @@ def c3_clique5(F2: FqField) -> list:
         hits = rows[np.broadcast_to(ok, rows.shape)]
         if len(hits):
             c = cands[hits[0]]
-            return [ALPHA] + c3_canonical_logs(F2, q, [b, nb, c, log_neg(F2, c)]).tolist()
+            return [LOG_ZERO] + c3_canonical_logs(F2, q, [b, nb, c, log_neg(F2, c)]).tolist()
     return []
 
 

@@ -164,8 +164,10 @@ def _prime_class_data(action: LabelledAction):
     cached = action._cache.get("prime_classes")
     if cached is not None:
         return cached
-    gens, stab_gens = action.carrier
-    n, m, caps = action.degree, gens[0][0].degree, action.group.caps
+    if not action.carrier:
+        raise ValueError("%s has no certified carrier" % action.name)
+    m, gens, stab_gens = action.carrier
+    n, caps = action.degree, action.group.caps
     G = PermGroup(m, [c for c, _ in gens], caps=caps)
     H = PermGroup(m, [c for c, _ in stab_gens], caps=caps)
     D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens], caps=caps)

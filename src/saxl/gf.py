@@ -32,8 +32,7 @@ and subtract logs mod q - 1, ``log_add`` reads the Zech table through a
 numpy view of it (no copy): lambda^x + lambda^y = lambda^(x + zech[y - x])
 (Lidl and Niederreiter, *Finite Fields*), ``log_neg``, ``log_pow``,
 ``is_square`` and ``in_proper_subfield`` act on the log alone, and
-``log_to_packed`` and ``log_of_packed`` convert to and from packed values.
-Arguments broadcast.
+``log_of_packed`` gives the log of a packed value.  Arguments broadcast.
 
 The module also carries the number theory of the regular suborbit counts:
 the prime powers in a range, an exact totient by trial division, and a scan
@@ -292,12 +291,6 @@ def log_pow(F: FqField, x, k: int) -> np.ndarray:
         raise ZeroDivisionError("negative power of field zero")
     m = F.q - 1
     return np.where(zero, LOG_ZERO if k else 0, x * (k % m) % m)
-
-
-def log_to_packed(F: FqField, x) -> np.ndarray:
-    """The packed value of each log, 0 for zero."""
-    x = as_logs(x)
-    return np.where(x < 0, 0, np.frombuffer(F._exp, dtype=np.intc)[x % (F.q - 1)])
 
 
 def log_of_packed(F: FqField, n) -> np.ndarray:

@@ -18,6 +18,8 @@ per-element closed-form criteria and witness constructors in this
 arithmetic, one pair at a time, as references for the log-array forms of
 :mod:`saxl.criteria`; a projective label there is INF for <e2> or an
 ``FqElem``, and ``code`` turns either into its log-array code.
+``omega_point_repr`` renders labels in their earlier boxed form, for digests
+pinned in it.
 """
 
 import json
@@ -296,6 +298,21 @@ def code(x) -> int:
     if x is INF:
         return LINE_INF
     return LOG_ZERO if x.log is None else x.log
+
+
+def omega_point_repr(kind: str, labels, F: FqField | None = None) -> str:
+    """``repr`` of ``labels`` as the tuple of ``OmegaPoint(kind, payload)``
+    that the package's labels were when the pinned generator digests were
+    taken.  A c2 code becomes the normalised homogeneous coordinates of its
+    point over F, (0, 1) for LINE_INF and (1, packed value) otherwise, and
+    the unitary alpha, LOG_ZERO, the string "alpha"."""
+
+    def payload(label):
+        if kind == "proj_pair":
+            return tuple((0, 1) if x == LINE_INF else (1, from_log(F, None if x == LOG_ZERO else x).as_int()) for x in label)
+        return "alpha" if kind == "c3_point" and label == LOG_ZERO else label
+
+    return "(%s)" % ", ".join("OmegaPoint(kind=%r, payload=%r)" % (kind, payload(lab)) for lab in labels)
 
 
 # -- per-element closed-form criteria ---------------------------------------------

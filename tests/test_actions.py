@@ -2,17 +2,18 @@
 
 import hashlib
 import math
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
+from conftest import omega_point_repr
 from saxl import actions
 from saxl.actions import (
+    LINE_INF,
     CatalogueError,
     GroupVariant,
     LabelledAction,
-    OmegaPoint,
     bundled_catalogue_path,
     c3_canonical_logs,
     c3_isotropic,
@@ -27,7 +28,7 @@ from saxl.actions import (
     _induced,
 )
 from saxl.cli import main
-from saxl.gf import LOG_ZERO, field_create, log_add, log_mul, log_neg, log_pow, split_prime_power
+from saxl.gf import LOG_ZERO, field_create, field_from_order, log_add, log_mul, log_neg, log_pow, split_prime_power
 from saxl.group import DEFAULT_CAPS, CapExceeded, CrossCheckFailed, PermGroup
 from saxl.perm import Perm, from_cycles
 
@@ -38,18 +39,14 @@ class TestKSubsetAction:
         assert act.degree == 10
         assert act.group.order() == 60
         assert act.stabiliser0().order() == 6
-        assert act.labels[0] == OmegaPoint("k_subset", (0, 1))
-        assert all(lab.kind == "k_subset" for lab in act.labels)
+        assert act.labels == tuple(combinations(range(5), 2))
 
     def test_action_respects_subsets(self):
         act = ksubset_action(4, 2)
-        index = {lab.payload: i for i, lab in enumerate(act.labels)}
-        from saxl.perm import Perm
-
         for base in (from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(0, 1, 2, 3)])):
             images = [0] * act.degree
             for i, lab in enumerate(act.labels):
-                images[i] = index[tuple(sorted(base(x) for x in lab.payload))]
+                images[i] = act.label_index[tuple(sorted(base(x) for x in lab))]
             assert act.group.contains(Perm(images))
 
     def test_k1_is_natural_action(self):
@@ -77,7 +74,7 @@ class TestCosetAction:
         assert act.degree == 120
         assert act.stabiliser0().order() == 42
         assert act.group.is_transitive()
-        assert act.labels[0].kind == "coset_index"
+        assert act.labels == tuple(range(120))
 
     def test_rejects_non_subgroup(self):
         a5 = PermGroup(5, [from_cycles(5, [range(5)]), from_cycles(5, [(0, 1, 2)])])
@@ -187,9 +184,9 @@ class TestProjectivePairAction:
     def test_labels_are_projective_pairs(self):
         act = psl2_c2_action(GroupVariant("PSL2", 7))
         assert act.degree == 28
-        assert all(lab.kind == "proj_pair" for lab in act.labels)
-        payloads = {lab.payload for lab in act.labels}
-        assert len(payloads) == 28
+        # sorted pairs of the codes LINE_INF, LOG_ZERO and the logs 0, ..., q - 2
+        assert act.labels == tuple(combinations(range(LINE_INF, 6), 2))
+        assert act.labels[0] == (LINE_INF, LOG_ZERO)
 
     def test_q5_warns_but_builds(self):
         act = psl2_c2_action(GroupVariant("PSL2", 5))
@@ -235,7 +232,7 @@ class TestUnitaryPairAction:
         assert logs == sorted(set(logs))
         act = psl2_c3_action(GroupVariant("PSL2", q))
         assert act.degree == len(logs) + 1
-        assert act.labels[0].payload == "alpha"
+        assert act.labels == (LOG_ZERO, *logs)
 
     def test_su2_conjugator_shape(self):
         q = 9
@@ -295,8 +292,10 @@ class TestPinnedGenerators:
     rewritten; and the same over every distinct c2/c3 variant at q = 49 and
     81, pinned before the projective maps moved to log arrays.  A k-subset
     action's stabiliser generators are the explicit ones of S_k x S_{n-k},
-    which its certificate checks, so they are left out.  CI runs this class
-    under two hash seeds."""
+    which its certificate checks, so they are left out.  Labels are hashed
+    in the boxed form they had then (``conftest.omega_point_repr``), so each
+    action comes with its label kind and, for a pair action, its field.  CI
+    runs this class under two hash seeds."""
 
     DIGEST = "e80effaeae13f6d8207434e9f3b17d731e94eeaf7d135f7a131c47c221a0427a"
     DIGEST_49_81 = "2b711fa94fc40db39518c05cb45e085e8635922e883dfd395fd99be57bf80404"
@@ -304,25 +303,26 @@ class TestPinnedGenerators:
     @staticmethod
     def _projective(fields):
         for variant in _distinct_variants(fields):
-            yield psl2_c2_action(variant)
+            yield "proj_pair", psl2_c2_action(variant), field_from_order(variant.q)
             if variant.q % 2 and variant.q >= 5:
-                yield psl2_c3_action(variant)
+                yield "c3_point", psl2_c3_action(variant), None
 
     @staticmethod
     def _digest(acts) -> tuple[int, str]:
+        """Count and digest of (label kind, action, field) triples."""
         digest = hashlib.sha256()
         count = 0
-        for act in acts:
-            stab_gens = [] if act.labels[0].kind == "k_subset" else act.stabiliser0().gens
+        for kind, act, F in acts:
+            stab_gens = [] if kind == "k_subset" else act.stabiliser0().gens
             for gens in (act.group.gens, stab_gens):
                 digest.update(b"".join(g.key for g in gens) + b"|")
-            digest.update(repr(act.labels).encode() + b"\n")
+            digest.update(omega_point_repr(kind, act.labels, F).encode() + b"\n")
             count += 1
         return count, digest.hexdigest()
 
     def test_generator_digest(self):
         subsets = ((4, 1, False), (5, 2, True), (6, 2, False), (6, 3, False), (7, 3, True), (8, 2, False))
-        acts = [ksubset_action(n, k, even_only=even) for n, k, even in subsets]
+        acts = [("k_subset", ksubset_action(n, k, even_only=even), None) for n, k, even in subsets]
         assert self._digest(chain(acts, self._projective(range(4, 28)))) == (68, self.DIGEST)
 
     def test_generator_digest_q49_q81(self):
@@ -332,19 +332,19 @@ class TestPinnedGenerators:
 class TestLabelledActionInvariants:
     def test_duplicate_labels_rejected(self):
         g = PermGroup(3, [from_cycles(3, [(0, 1, 2)])])
-        labs = (OmegaPoint("coset_index", 0),) * 3
+        labs = (0,) * 3
         with pytest.raises(ValueError):
             LabelledAction(g, labs, "bad")
 
     def test_label_count_must_match_degree(self):
         g = PermGroup(3, [from_cycles(3, [(0, 1, 2)])])
-        labs = (OmegaPoint("coset_index", 0), OmegaPoint("coset_index", 1))
+        labs = (0, 1)
         with pytest.raises(ValueError):
             LabelledAction(g, labs, "bad")
 
     def test_intransitive_rejected(self):
         g = PermGroup(4, [from_cycles(4, [(0, 1)])])
-        labs = tuple(OmegaPoint("coset_index", i) for i in range(4))
+        labs = tuple(range(4))
         with pytest.raises(ValueError):
             LabelledAction(g, labs, "bad")
 
@@ -365,21 +365,21 @@ class TestLabelledActionInvariants:
     def test_explicit_stabiliser_is_certified(self, group_gens, stab_gens, refusal):
         gens = [from_cycles(4, c) for c in group_gens]
         stab = [from_cycles(4, c) for c in stab_gens]
-        labs = tuple(OmegaPoint("coset_index", i) for i in range(4))
+        labs = tuple(range(4))
         order = PermGroup(4, gens).order()
         with pytest.raises(CrossCheckFailed, match="point stabiliser generator " + refusal):
-            _certified("bad", labs, [(g, g) for g in gens], [(h, h) for h in stab], order, DEFAULT_CAPS)
+            _certified("bad", labs, 4, [(g, g) for g in gens], [(h, h) for h in stab], order, DEFAULT_CAPS)
 
     def test_certificate_checks_orbit_and_stabiliser_order(self):
         s3 = [from_cycles(3, [(0, 1, 2)]), from_cycles(3, [(0, 1)])]
         # S3 on four labels, the last one fixed: the right order, not transitive
         on_four = [(g, Perm(list(g.images) + [3])) for g in s3]
-        labs = tuple(OmegaPoint("coset_index", i) for i in range(4))
+        labs = tuple(range(4))
         with pytest.raises(CrossCheckFailed, match="label 0 has an orbit of length 3, not 4"):
-            _certified("bad", labs, on_four, [], 6, DEFAULT_CAPS)
+            _certified("bad", labs, 3, on_four, [], 6, DEFAULT_CAPS)
         # S3 naturally, with a trivial stabiliser in place of <(1 2)>
         with pytest.raises(CrossCheckFailed, match="point stabiliser order 1, expected 2"):
-            _certified("bad", labs[:3], [(g, g) for g in s3], [], 6, DEFAULT_CAPS)
+            _certified("bad", labs[:3], 3, [(g, g) for g in s3], [], 6, DEFAULT_CAPS)
 
 
 class TestCatalogue:
@@ -421,6 +421,8 @@ class TestCatalogue:
             ("name A\ndegree 3\ngen (1,2,3)\nwibble 3\n", "unrecognised"),
             ("name A\ndegree 3\ngen (1,2,3)\n", "no 'expect'"),
             ("name A\ngen (1,2,3)\n", "before 'degree'"),
+            ("name A\ndegree 0\ngen ()\nexpect order 1\n", "line 2: degree 0 is below 1"),
+            ("name A\ndegree -2\ngen ()\nexpect order 1\n", "line 2: degree -2 is below 1"),
             ("degree 3\n", "outside a record"),
             (
                 "name A\ndegree 3\ngen (1,2,3)\nexpect order 3\n"

@@ -16,8 +16,19 @@ from saxl.criteria import _c2_witness_scalars as _real_c2_witness_scalars
 from saxl.criteria import _c3_half_norm as _real_c3_half_norm
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def _swapped(pair):
     return pair[1], pair[0]
+
+
+def _saxl(argv, **env):
+    """``saxl argv`` run in a fresh interpreter, with ``env`` added to its environment."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys; from saxl.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=300)
 
 
 @pytest.fixture()
@@ -159,6 +170,24 @@ class TestExitCodes:
     def test_missing_catalogue_file_is_1(self, capsys, tmp_path):
         path = str(tmp_path / "absent.txt")
         assert main(["analyze", "--catalogue", "X", "--catalogue-path", path]) == 1
+
+    def test_one_point_catalogue_group_is_analysed(self, tmp_path):
+        # the trivial group has no non-identity generator to take a degree from
+        path = tmp_path / "cat.txt"
+        path.write_text("name X\ndegree 1\ngen ()\nexpect order 1\n")
+        done = _saxl(["analyze", "--catalogue", "X", "--catalogue-path", str(path)])
+        assert done.returncode == 0 and b"Traceback" not in done.stderr, done.stderr.decode()
+        report = json.loads(done.stdout)
+        assert (report["n"], report["regular_count"], report["q_exact"]) == (1, 1, {"num": 0, "den": 1})
+
+    def test_intransitive_catalogue_group_is_1(self, capsys, tmp_path):
+        # no 'sub gen' lines: the natural action, refused before it is certified
+        path = tmp_path / "cat.txt"
+        path.write_text("name X\ndegree 4\ngen (1,2)\ngen (3,4)\nexpect order 4\n")
+        assert main(["analyze", "--catalogue", "X", "--catalogue-path", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: X is not transitive on its 4 points\n"
 
     def test_cross_check_failure_is_3(self, capsys, monkeypatch):
         from saxl import engine
@@ -482,15 +511,8 @@ class TestHashSeeds:
     """Permutation hashes are salted per process, so no output may follow the
     iteration order of a set or dict of permutations."""
 
-    SRC = Path(__file__).resolve().parents[1] / "src"
-
     def _stdout(self, argv, seed):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
-        code = "import sys; from saxl.cli import main; sys.exit(main(sys.argv[1:]))"
-        done = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=300
-        )
+        done = _saxl(argv, PYTHONHASHSEED=seed)
         assert done.returncode == 0, done.stderr.decode()
         assert done.stdout
         return done.stdout
@@ -530,6 +552,7 @@ class TestGoldens:
         "graph --ksubsets 10 2 --format edges": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
         "verify closed-forms": "a43af65fbbdeddaed12c8acbb2799462f1d1f6e3051557e9a19d0de6e3e88690",
         "verify cliques": "0b604a0ea700d82d0e66ba18df1a3bb3e5d05d71ebaba17472b7268c6fd55ad0",
+        "verify witnesses": "c52ce27baaaae58d5ef8cbfbefa5a5c2644d9c58ca199c1f71c42059a85d06af",
         "verify estimates": "13d5c6c705f3808ba4f82744111b6c68d84a9dd06c40c897590562c57859808f",
         "analyze --psl2 c2 --q 121 --no-classes": "e1c46f0d17b1c850149132d0a54709a292c1b5f8a7b1f81cb7c824069b8bb638",
         "analyze --psl2 c3 --q 121 --no-classes": "3dcfa8fef36660e96a6deecfc9a7c878d306caa5111395df01df31420e242ef7",

@@ -23,14 +23,10 @@ from conftest import (
 )
 from saxl import criteria
 from saxl.actions import (
-    ALPHA,
     LINE_INF,
     GroupVariant,
-    OmegaPoint,
     c3_canonical_logs,
     c3_label_logs,
-    proj_pair_labels,
-    proj_pair_payload,
     psl2_c2_action,
     psl2_c3_action,
 )
@@ -65,16 +61,6 @@ from saxl.gf import (
 )
 
 
-def anchor_index(action):
-    """Index of the {INF, 0} pair-vertex."""
-    return action.label_index[OmegaPoint("proj_pair", ((0, 1), (1, 0)))]
-
-
-def pair_index(action, F, b, c):
-    """Index of the pair-vertex of the point codes b and c."""
-    return action.label_index[OmegaPoint("proj_pair", proj_pair_payload(F, (b, c)))]
-
-
 def scalar_pairs(F):
     """Every ordered pair of distinct nonzero logs, as two arrays."""
     B, C = np.divmod(np.arange((F.q - 1) ** 2), F.q - 1)
@@ -97,9 +83,9 @@ class TestC2AlphaCriterion:
         q = 9
         F = field_from_order(q)
         act = psl2_c2_action(GroupVariant("PSigmaL2", q))
-        a0 = anchor_index(act)
+        a0 = act.label_index[(LINE_INF, LOG_ZERO)]
         B, C = scalar_pairs(F)
-        engine = [is_base_pair(act, a0, pair_index(act, F, b, c)) for b, c in zip(B.tolist(), C.tolist())]
+        engine = [is_base_pair(act, a0, act.label_index[tuple(sorted(bc))]) for bc in zip(B.tolist(), C.tolist())]
         assert c2_base_psigma(F, B, C).tolist() == engine
         assert len(engine) == (q - 1) * (q - 2)
 
@@ -198,7 +184,7 @@ class TestC3AlphaCriterion:
         F2 = field_create(p, 2 * f)
         act = psl2_c3_action(GroupVariant(family, q))
         logs = c3_label_logs(F2, q)
-        engine = [is_base_pair(act, 0, act.label_index[OmegaPoint("c3_point", L)]) for L in logs]
+        engine = [is_base_pair(act, 0, act.label_index[L]) for L in logs]
         assert c3_base(F2, variant, logs).tolist() == engine
 
     def test_variant_names_checked(self):
@@ -247,9 +233,9 @@ class TestC3PairBase:
         graph = saxl_graph(act)
         logs = c3_label_logs(F2, q)
         for La in logs[:6]:
-            ia = act.label_index[OmegaPoint("c3_point", La)]
+            ia = act.label_index[La]
             others = [Lb for Lb in logs if Lb != La]
-            engine = [graph.has_edge(ia, act.label_index[OmegaPoint("c3_point", Lb)]) for Lb in others]
+            engine = [graph.has_edge(ia, act.label_index[Lb]) for Lb in others]
             assert c3_pair_base(F2, "G0", La, others).tolist() == engine
 
 
@@ -285,10 +271,10 @@ class TestCliques:
         anchor = next(L for L in c3_label_logs(F2, q) if not is_square(F2, L))
         pts = c3_clique(F2, anchor)
         assert len(pts) >= (q - 1) // 2
-        assert pts[0] == ALPHA
+        assert pts[0] == LOG_ZERO
         act = psl2_c3_action(GroupVariant("PSL2", q))
         graph = saxl_graph(act)
-        idx = [act.label_index[OmegaPoint("c3_point", pt)] for pt in pts]
+        idx = [act.label_index[pt] for pt in pts]
         assert idx[0] == 0
         for i in range(len(idx)):
             for j in range(i + 1, len(idx)):
@@ -309,8 +295,9 @@ class TestCliques:
         scalars = {x for pair in verts[1:] for x in pair}
         assert len(scalars) == 8 and min(scalars) >= 0
         assert all(type(x) is int for x in scalars)
-        assert verts[2] == tuple(log_neg(F, verts[1]).tolist())
-        assert verts[4] == tuple(log_neg(F, verts[3]).tolist())
+        assert all(x < y for x, y in verts)
+        assert verts[2] == tuple(sorted(log_neg(F, verts[1]).tolist()))
+        assert verts[4] == tuple(sorted(log_neg(F, verts[3]).tolist()))
 
     def test_c2_clique5_needs_extension_field(self):
         with pytest.raises(ValueError):
@@ -321,7 +308,7 @@ class TestCliques:
         F2 = field_create(7, 4)
         pts = c3_clique5(F2)
         assert len(pts) == 5
-        assert pts[0] == ALPHA
+        assert pts[0] == LOG_ZERO
         assert len(set(pts[1:])) == 4
         assert c3_canonical_logs(F2, q, pts[1:]).tolist() == pts[1:]
 
@@ -375,15 +362,15 @@ class TestScans:
 
 
 class TestLabelBridge:
-    def test_payload_roundtrip(self):
-        q = 9
-        F = field_from_order(q)
-        act = psl2_c2_action(GroupVariant("PSigmaL2", q))
-        for lab in act.labels:
-            x, y = proj_pair_labels(F, lab.payload)
-            assert x < y
-            assert proj_pair_payload(F, (x, y)) == lab.payload
-            assert proj_pair_payload(F, (y, x)) == lab.payload
+    def test_pair_labels_are_the_codes_the_carrier_moves(self):
+        # a pair label is the sorted codes of its points, at carrier positions code + 2
+        act = psl2_c2_action(GroupVariant("PSigmaL2", 9))
+        m, gens, _ = act.carrier
+        assert m == 10 and act.labels[0] == (LINE_INF, LOG_ZERO)
+        assert all(LINE_INF <= x < y < m - 2 for x, y in act.labels)
+        for c, g in gens:
+            moved = [tuple(sorted(c(x + 2) - 2 for x in lab)) for lab in act.labels]
+            assert [act.labels[g(i)] for i in range(act.degree)] == moved
 
     def test_pair_validation(self):
         # a pair away from <e2> needs two nonzero, distinct scalars

@@ -10,7 +10,7 @@ import pytest
 
 from saxl.actions import (
     GroupVariant,
-    OmegaPoint,
+    LabelledAction,
     _certified,
     _induced,
     bundled_catalogue_path,
@@ -144,8 +144,8 @@ class TestBasePairs:
 
     def test_disjoint_pairs_share_a_double_transposition(self):
         act = a5_pairs()
-        i = act.label_index[OmegaPoint("k_subset", (0, 1))]
-        j = act.label_index[OmegaPoint("k_subset", (2, 3))]
+        i = act.label_index[(0, 1)]
+        j = act.label_index[(2, 3)]
         stab = act.group.pointwise_stabiliser([i, j])
         assert stab.order() == 2
         fixer = next(x for x in stab.elements() if not x.is_identity())
@@ -225,7 +225,7 @@ class TestQEstimates:
 
     def test_pooling_disagreement_is_caught(self, monkeypatch):
         act = a5_pairs()
-        stab_parts = {c for c, _ in act.carrier[1]}
+        stab_parts = {c for c, _ in act.carrier[2]}
         real = engine.conjugacy_class
         # every H-class gains the identity, so the H pools outgrow the G-classes
         monkeypatch.setattr(
@@ -277,8 +277,7 @@ def _sign_carried_s5_pairs():
         signs = [from_cycles(2, [(0, 1)] * (sum(len(c) - 1 for c in g.cycles()) % 2)) for g in perms]
         return list(zip(signs, _induced(pairs, perms)))
 
-    labels = tuple(OmegaPoint("k_subset", pair) for pair in pairs)
-    return _certified("S5/2-subsets by sign", labels, by_sign(gens), by_sign(stab_gens), 120, DEFAULT_CAPS)
+    return _certified("S5/2-subsets by sign", tuple(pairs), 2, by_sign(gens), by_sign(stab_gens), 120, DEFAULT_CAPS)
 
 
 class TestPrimeClassData:
@@ -298,26 +297,33 @@ class TestPrimeClassData:
     @pytest.mark.parametrize("n, k, even_only", [(5, 2, True), (6, 2, False), (7, 3, True), (10, 2, False)])
     def test_ksubsets(self, n, k, even_only):
         act = ksubset_action(n, k, even_only=even_only)
-        assert act.carrier[0][0][0].degree == n  # S_n's own points carry it
+        assert act.carrier[0] == n  # S_n's own points carry it
         self._agree(act)
+
+    def test_action_without_carrier_is_refused(self):
+        s3 = PermGroup(3, [from_cycles(3, [(0, 1, 2)]), from_cycles(3, [(0, 1)])])
+        with pytest.raises(ValueError, match="S3 has no certified carrier"):
+            q_hat(LabelledAction(s3, (0, 1, 2), "S3"))
 
     def test_kernel_action_falls_back_to_labels(self):
         s4 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 1)])])
         d8 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(1, 3)])])
         act = coset_action(s4, d8, "S4/D8")
-        assert all(c == g for pairs in act.carrier for c, g in pairs)
+        assert act.carrier[0] == act.degree
+        assert all(c == g for pairs in act.carrier[1:] for c, g in pairs)
         self._agree(act)
 
     def test_unfaithful_carrier_falls_back_to_labels(self):
         act = _sign_carried_s5_pairs()
-        assert all(c == g for pairs in act.carrier for c, g in pairs)
+        assert act.carrier[0] == act.degree
+        assert all(c == g for pairs in act.carrier[1:] for c, g in pairs)
         self._agree(act)
         assert q_hat(act) == brute_q_hat(act)
 
     @pytest.mark.parametrize("build, variant", _prime_class_variants())
     def test_psl2_variants(self, build, variant):
         act = build(variant)
-        assert act.carrier[0][0][0].degree < act.degree
+        assert act.carrier[0] == act.carrier[1][0][0].degree < act.degree
         self._agree(act)
 
 

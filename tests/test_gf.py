@@ -486,9 +486,8 @@ def test_log_arrays_match_boxed_elements(q):
         assert gf.log_pow(F, E[1:], k).tolist() == [code(x**k) for x in elems[1:]]
     assert is_square(F, E).tolist() == [conftest.is_square(x) for x in elems]
     assert in_proper_subfield(F, E).tolist() == [conftest.in_proper_subfield(x) for x in elems]
-    packed = gf.log_to_packed(F, E)
-    assert packed.tolist() == [x.as_int() for x in elems]
-    assert gf.log_of_packed(F, packed).tolist() == [code(from_packed_int(F, n)) for n in packed.tolist()] == E.tolist()
+    packed = [x.as_int() for x in elems]
+    assert gf.log_of_packed(F, packed).tolist() == [code(from_packed_int(F, n)) for n in packed] == E.tolist()
 
 
 def test_log_arrays_refuse_zero_divisors():
