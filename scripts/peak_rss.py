@@ -7,8 +7,9 @@ command line per argument:
 
 Each command runs as ``python -m saxl.cli ...`` with its stdout discarded.
 Its peak RSS is the ``ru_maxrss`` that ``os.wait4`` reports for that child
-alone.  One line per command gives its exit code and peak; the script exits
-1 when any command exits non-zero or peaks at or above the limit.
+alone, and its wall time is read with ``perf_counter`` around the child.
+One line per command gives its exit code, wall time and peak; the script
+exits 1 when any command exits non-zero or peaks at or above the limit.
 """
 
 from __future__ import annotations
@@ -17,19 +18,23 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def peak_rss(argv: list[str]) -> tuple[int, float]:
-    """Exit code and peak RSS in MB of ``saxl argv`` in a child process."""
+def peak_rss(argv: list[str]) -> tuple[int, float, float]:
+    """Exit code, wall time in s and peak RSS in MB of ``saxl argv`` in a
+    child process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
     child = subprocess.Popen([sys.executable, "-m", "saxl.cli", *argv], stdout=subprocess.DEVNULL, env=env)
     _, status, usage = os.wait4(child.pid, 0)
+    wall_s = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, usage.ru_maxrss / 1024  # Linux reports KB
+    return child.returncode, wall_s, usage.ru_maxrss / 1024  # Linux reports KB
 
 
 def main(args: list[str]) -> int:
@@ -39,8 +44,11 @@ def main(args: list[str]) -> int:
     limit = float(args[0])
     ok = True
     for command in args[1:]:
-        code, peak_mb = peak_rss(shlex.split(command))
-        print("saxl %s: exit %d, peak RSS %.1f MB (limit %g)" % (command, code, peak_mb, limit), flush=True)
+        code, wall_s, peak_mb = peak_rss(shlex.split(command))
+        print(
+            "saxl %s: exit %d, wall %.2f s, peak RSS %.1f MB (limit %g)" % (command, code, wall_s, peak_mb, limit),
+            flush=True,
+        )
         ok = ok and code == 0 and peak_mb < limit
     return 0 if ok else 1
 

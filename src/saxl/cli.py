@@ -555,13 +555,14 @@ def _clique5_fields(qmax: int) -> list[int]:
 
 def _alpha_clique_ok(verts, is_alpha, alpha_edge, pair_edge) -> bool:
     """Whether verts is a 5-clique with alpha first: each later vertex is
-    alpha's neighbour, and every two of them are adjacent."""
-    return (
-        len(verts) == 5
-        and is_alpha(verts[0])
-        and all(alpha_edge(v) for v in verts[1:])
-        and all(pair_edge(u, v) for u, v in combinations(verts[1:], 2))
-    )
+    alpha's neighbour, and every two of them are adjacent.  The later
+    vertices go in as one array, a row each: alpha_edge gets all four, and
+    pair_edge the two sides of all six pairs."""
+    if len(verts) != 5 or not is_alpha(verts[0]):
+        return False
+    rest = np.array(verts[1:])
+    u, v = map(list, zip(*combinations(range(4), 2)))
+    return bool(alpha_edge(rest).all() and pair_edge(rest[u], rest[v]).all())
 
 
 def _sweep_clique5(args) -> list[dict]:
@@ -574,13 +575,13 @@ def _sweep_clique5(args) -> list[dict]:
         ok = _alpha_clique_ok(
             c2,
             lambda v: v == (LINE_INF, LOG_ZERO),
-            lambda v: criteria.c2_base_psigma(F, *v),
-            lambda u, v: criteria.c2_pair_base(F, u, v),
+            lambda rows: criteria.c2_base_psigma(F, *rows.T),
+            lambda us, vs: criteria.c2_pair_base(F, us.T, vs.T),
         ) and _alpha_clique_ok(
             c3,
             lambda v: v == LOG_ZERO,
-            lambda v: criteria.c3_base(F2, "PSigmaL", v),
-            lambda u, v: criteria.c3_pair_base(F2, "PSigmaL", u, v),
+            lambda rows: criteria.c3_base(F2, "PSigmaL", rows),
+            lambda us, vs: criteria.c3_pair_base(F2, "PSigmaL", us, vs),
         )
         checks.append(_check("clique5 q=%d" % q, ok, "c2 %d vertices, c3 %d vertices" % (len(c2), len(c3))))
     return checks

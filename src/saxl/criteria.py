@@ -488,6 +488,8 @@ def _distinct(*labels) -> np.ndarray:
 _C2_CLIQUE5_ANCHORS = 64
 _C2_CLIQUE5_PARTNERS = 4096
 _C3_CLIQUE5_ANCHORS = 32
+# partners an anchor checks at a time; the scan stops at the first block with a hit
+_CLIQUE5_BLOCK = 64
 
 
 def c2_clique5(F: FqField) -> list:
@@ -496,9 +498,10 @@ def c2_clique5(F: FqField) -> list:
 
     Shape: alpha, a neighbour pair beta, its negation, and a second such pair
     with its negation; the deterministic scan tries anchors in log order and,
-    for each, every partner at once, and returns the first partner whose
-    clique passes all ten edge checks: [alpha, beta, -beta, beta', -beta'],
-    each the sorted pair of its point codes, alpha = (LINE_INF, LOG_ZERO).
+    for each, its partners in order, a block of _CLIQUE5_BLOCK at a time, and
+    returns the first partner whose clique passes all ten edge checks:
+    [alpha, beta, -beta, beta', -beta'], each the sorted pair of its point
+    codes, alpha = (LINE_INF, LOG_ZERO).
     A scan that finds none within its budget returns [].
     """
     _check_c2_field(F)
@@ -509,19 +512,21 @@ def c2_clique5(F: FqField) -> list:
     B, C = B[keep], C[keep]
     for b, c in zip(B[:_C2_CLIQUE5_ANCHORS].tolist(), C[:_C2_CLIQUE5_ANCHORS].tolist()):
         nb, nc = int(log_neg(F, b)), int(log_neg(F, c))
-        # eight distinct scalars: the partner pair and its negation avoid beta and -beta
-        rows = np.flatnonzero(_distinct(b, c, nb, nc, B, C, log_neg(F, B), log_neg(F, C)))
-        if not len(rows):
-            continue
-        B2, C2 = B[rows], C[rows]
-        pairs = [(b, c), (nb, nc), (B2, C2), (log_neg(F, B2), log_neg(F, C2))]
-        ok = _all(c2_base_psigma(F, *pair) for pair in pairs)
-        ok = ok & _all(c2_pair_base(F, u, v) for u, v in combinations(pairs, 2))
-        hits = rows[np.broadcast_to(ok, rows.shape)]
-        if len(hits):
-            b2, c2 = int(B[hits[0]]), int(C[hits[0]])
-            verts = [(b, c), (nb, nc), (b2, c2), (int(log_neg(F, b2)), int(log_neg(F, c2)))]
-            return [(LINE_INF, LOG_ZERO)] + [tuple(sorted(v)) for v in verts]
+        for lo in range(0, len(B), _CLIQUE5_BLOCK):
+            B2, C2 = B[lo : lo + _CLIQUE5_BLOCK], C[lo : lo + _CLIQUE5_BLOCK]
+            nB2, nC2 = log_neg(F, B2), log_neg(F, C2)
+            # eight distinct scalars: the partner pair and its negation avoid beta and -beta
+            rows = np.flatnonzero(_distinct(b, c, nb, nc, B2, C2, nB2, nC2))
+            if not len(rows):
+                continue
+            pairs = [(b, c), (nb, nc), (B2[rows], C2[rows]), (nB2[rows], nC2[rows])]
+            ok = _all(c2_base_psigma(F, *pair) for pair in pairs)
+            ok = ok & _all(c2_pair_base(F, u, v) for u, v in combinations(pairs, 2))
+            hits = rows[np.broadcast_to(ok, rows.shape)]
+            if len(hits):
+                b2, c2 = int(B2[hits[0]]), int(C2[hits[0]])
+                verts = [(b, c), (nb, nc), (b2, c2), (int(nB2[hits[0]]), int(nC2[hits[0]]))]
+                return [(LINE_INF, LOG_ZERO)] + [tuple(sorted(v)) for v in verts]
     return []
 
 
@@ -530,24 +535,28 @@ def c3_clique5(F2: FqField) -> list:
     field-automorphism extension: alpha, omega_b, omega_{-b}, omega_c,
     omega_{-c} with all ten edges re-checked arithmetically, as LOG_ZERO
     (alpha) and four canonical logs.  Anchors b are tried in label order
-    and, for each, every partner c at once; a scan that finds none within
-    its budget returns []."""
+    and, for each, the partners c in order, a block of _CLIQUE5_BLOCK at a
+    time, up to the first hit; a scan that finds none within its budget
+    returns []."""
     q = _c3_split(F2)
     labels = np.array(c3_label_logs(F2, q), dtype=np.int64)
     cands = labels[c3_base(F2, "PSigmaL", labels)]
     for b in cands[:_C3_CLIQUE5_ANCHORS].tolist():
         nb = int(log_neg(F2, b))
-        points = [c3_canonical_logs(F2, q, x) for x in (b, nb, cands, log_neg(F2, cands))]
-        rows = np.flatnonzero(_distinct(*points))
-        if not len(rows):
-            continue
-        verts = [b, nb, cands[rows], log_neg(F2, cands[rows])]
-        ok = _all(c3_base(F2, "PSigmaL", v) for v in verts)
-        ok = ok & _all(c3_pair_base(F2, "PSigmaL", u, v) for u, v in combinations(verts, 2))
-        hits = rows[np.broadcast_to(ok, rows.shape)]
-        if len(hits):
-            c = cands[hits[0]]
-            return [LOG_ZERO] + c3_canonical_logs(F2, q, [b, nb, c, log_neg(F2, c)]).tolist()
+        anchor = [c3_canonical_logs(F2, q, x) for x in (b, nb)]
+        for lo in range(0, len(cands), _CLIQUE5_BLOCK):
+            part = cands[lo : lo + _CLIQUE5_BLOCK]
+            npart = log_neg(F2, part)
+            rows = np.flatnonzero(_distinct(*anchor, c3_canonical_logs(F2, q, part), c3_canonical_logs(F2, q, npart)))
+            if not len(rows):
+                continue
+            verts = [b, nb, part[rows], npart[rows]]
+            ok = _all(c3_base(F2, "PSigmaL", v) for v in verts)
+            ok = ok & _all(c3_pair_base(F2, "PSigmaL", u, v) for u, v in combinations(verts, 2))
+            hits = rows[np.broadcast_to(ok, rows.shape)]
+            if len(hits):
+                c = part[hits[0]]
+                return [LOG_ZERO] + c3_canonical_logs(F2, q, [b, nb, c, log_neg(F2, c)]).tolist()
     return []
 
 

@@ -432,13 +432,17 @@ def max_clique_exact(rows, n: int) -> list[int]:
     return best
 
 
+def _check_exact_cap(action: LabelledAction) -> None:
+    cap = action.group.caps.exact_cap
+    if action.degree > cap:
+        raise CapExceeded("degree %d exceeds exact-search cap %d" % (action.degree, cap))
+
+
 def clique_and_independence_exact(action: LabelledAction) -> tuple[list[int], list[int]]:
     """A maximum clique and a maximum independent set, each sorted, by
     branch and bound."""
+    _check_exact_cap(action)
     n = action.degree
-    caps = action.group.caps
-    if n > caps.exact_cap:
-        raise CapExceeded("degree %d exceeds exact-search cap %d" % (n, caps.exact_cap))
     graph = saxl_graph(action)
     clique = max_clique_exact(graph.rows, n)
     full = (1 << n) - 1
@@ -521,7 +525,10 @@ def build_report(
     clique_target: int | None = None,
     exact_search: bool = False,
 ) -> SaxlReport:
-    """Assemble a report; heavier sections are opt-in or opt-out flags."""
+    """Assemble a report; heavier sections are opt-in or opt-out flags.  An
+    exact search over the cap is refused before any work."""
+    if exact_search:
+        _check_exact_cap(action)
     data = _analysis(action)
     q = q_exact(action)
     qh = q_hat(action) if with_classes else None

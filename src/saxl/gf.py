@@ -38,12 +38,17 @@ The module also carries the number theory of the regular suborbit counts:
 the prime powers in a range, an exact totient by trial division, and a scan
 of the lower bound phi(n) > n / (e^gamma * log log n + 3 / log log n) over
 3 <= n <= N.  The scan walks [3, N] in blocks of PHI_BLOCK = 2**16 numbers
-(a segmented sieve, after Bays and Hudson): each block's totients come from
-the primes up to isqrt(N), and a residual above 1 is the block number's one
-prime factor above the square root.  Memory is O(sqrt(N) + PHI_BLOCK),
-whatever N is.  Each block's totients at its first and last number and at
-its largest prime are compared with the trial-division totient; a mismatch
-raises :class:`CrossCheckFailed`.
+(a segmented sieve, after Bays and Hudson), and it only multiplies: each
+prime power p^k <= N with p <= isqrt(N) multiplies the block's phi by p - 1
+(k = 1) or p (k > 1) at its multiples, and a smooth part of n by p.  Moduli
+up to the square root of the block size take one strided slice each; the
+rest take one scatter pass over all their multiples.  The cofactor
+n / smooth, computed in float64, is 1 or the one prime factor of n above
+isqrt(N), which multiplies phi by cofactor - 1.  The division is exact
+because smooth divides n and n < 2**53, so blocks past 2**53 are refused.
+Memory is O(sqrt(N) + PHI_BLOCK), whatever N is.  Each block's totients at
+its first and last number and at its largest prime are compared with the
+trial-division totient; a mismatch raises :class:`CrossCheckFailed`.
 """
 
 from __future__ import annotations
@@ -405,34 +410,84 @@ def prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
     return sorted(out, key=lambda pfq: pfq[2])
 
 
-def _phi_block(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """int64 array of phi(n) for lo <= n < hi (phi(0) = 0), given every prime
-    up to isqrt(hi - 1).
+def _phi_moduli(limit: int) -> np.ndarray:
+    """The sieve's moduli for numbers up to limit: a (3, M) int64 table whose
+    columns are (p^k, factor, p) for every prime power p^k <= limit with
+    p <= isqrt(limit), where the factor is p - 1 at k = 1 and p above."""
+    rows = []
+    for p in map(int, _primes_upto(math.isqrt(limit))):
+        power, factor = p, p - 1
+        while power <= limit:
+            rows.append((power, factor, p))
+            power, factor = power * p, p
+    return np.array(sorted(rows), dtype=np.int64).reshape(-1, 3).T
 
-    Each prime p runs phi -= phi // p over its multiples, and divides a
-    residual copy of n once per power of p that divides n; a residual above 1
-    is then the one prime factor above the square root."""
-    phi = np.arange(lo, hi, dtype=np.int64)
-    rest = phi.copy()
-    for p in map(int, primes):
-        phi[-lo % p :: p] -= phi[-lo % p :: p] // p
-        power = p
-        while power < hi:
-            rest[-lo % power :: power] //= p
-            power *= p
-    big = rest > 1
-    phi[big] -= phi[big] // rest[big]
+
+def _phi_passes(lo: int, hi: int, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays (phi, smooth) for 1 <= lo <= n < hi, given the moduli of
+    :func:`_phi_moduli` for some limit >= hi - 1: smooth is the part of n
+    made of primes up to isqrt(limit), and phi is its totient.
+
+    Each modulus p^k multiplies its multiples, phi by its factor and smooth
+    by p: those up to isqrt(hi - lo) by one strided slice each, the rest in
+    one scatter pass over all their multiples.  The scatter uses
+    ``np.multiply.at``, which applies every repeat of an index; a fancy
+    assignment would keep only one of the moduli dividing n = 257 * 263."""
+    if lo < 1:
+        raise ValueError("the sieve passes need lo >= 1")
+    phi = np.ones(hi - lo, dtype=np.int64)
+    smooth = np.ones(hi - lo, dtype=np.int64)
+    strided = moduli[0] <= math.isqrt(hi - lo)
+    for m, f, p in moduli[:, strided].T.tolist():
+        phi[-lo % m :: m] *= f
+        smooth[-lo % m :: m] *= p
+    sparse = moduli[:, ~strided]
+    first = -lo % sparse[0]
+    count = (hi - lo - 1 - first) // sparse[0] + 1  # never negative, as first < p^k
+    keep = count > 0
+    (modulus, factor, prime), first, count = sparse[:, keep], first[keep], count[keep]
+    # the offsets first, first + m, ... of each modulus m, as a running sum of
+    # steps m whose first step for each modulus jumps from the last offset of
+    # the one before
+    offset = np.repeat(modulus, count)
+    last = first + modulus * (count - 1)
+    offset[np.cumsum(count) - count] = first - np.concatenate(([0], last[:-1]))
+    np.cumsum(offset, out=offset)
+    np.multiply.at(phi, offset, np.repeat(factor, count))
+    np.multiply.at(smooth, offset, np.repeat(prime, count))
+    return phi, smooth
+
+
+def _phi_block(lo: int, hi: int, moduli: np.ndarray) -> np.ndarray:
+    """int64 array of phi(n) for 0 <= lo <= n < hi <= 2**53 (phi(0) = 0),
+    given the moduli of :func:`_phi_moduli` for some limit >= hi - 1.
+
+    After :func:`_phi_passes`, the cofactor n / smooth is 1 or the one prime
+    factor of n above isqrt(limit), which multiplies phi by cofactor - 1.
+    The cofactor is computed in float64, in place in the array of n: the
+    division is exact because smooth divides n and n < 2**53."""
+    if hi > 2**53:
+        raise ValueError("the float cofactor is exact only below 2**53")
+    if lo == 0:
+        return np.concatenate(([0], _phi_block(1, hi, moduli)))
+    phi, smooth = _phi_passes(lo, hi, moduli)
+    cofactor = np.arange(lo, hi, dtype=np.float64)
+    cofactor /= smooth
+    del smooth
+    cofactor -= 1
+    np.maximum(cofactor, 1, out=cofactor)
+    np.multiply(phi, cofactor, out=phi, casting="unsafe")
     return phi
 
 
 def phi_sieve(limit: int) -> np.ndarray:
     """numpy array phi[0..limit] (phi[0] = 0), as one block."""
-    return _phi_block(0, limit + 1, _primes_upto(math.isqrt(limit)))
+    return _phi_block(0, limit + 1, _phi_moduli(limit))
 
 
 def _check_block(lo: int, hi: int, phi: np.ndarray) -> None:
     """Compare the block's totients at its first and last number and at its
-    largest prime, whose totient takes the large-prime pass, with trial
+    largest prime, whose totient takes the cofactor step, with trial
     division."""
     largest_prime = next((n for n in range(hi - 1, lo - 1, -1) if is_prime(n)), lo)
     for n in sorted({lo, hi - 1, largest_prime}):
@@ -450,15 +505,16 @@ def euler_bound_scan(limit: int) -> list[int]:
     violated or razor-thin (it never is for n >= 3).  The range is walked in
     blocks of PHI_BLOCK numbers, each checked by :func:`_check_block`.
     """
-    primes = _primes_upto(math.isqrt(limit))
+    moduli = _phi_moduli(limit)
     bad = []
     for lo in range(3, limit + 1, PHI_BLOCK):
         hi = min(lo + PHI_BLOCK, limit + 1)
-        phi = _phi_block(lo, hi, primes)
+        phi = _phi_block(lo, hi, moduli)
         _check_block(lo, hi, phi)
         n = np.arange(lo, hi, dtype=np.float64)
         ll = np.log(np.log(n))
         denom = math.exp(EULER_MASCHERONI) * ll + 3.0 / ll
         lhs = phi.astype(np.float64) * (denom * (1.0 - 2.0**-40))
         bad += [int(b) + lo for b in np.nonzero(lhs <= n)[0]]
+        del phi, n, ll, denom, lhs  # before the next block is sieved
     return bad

@@ -19,7 +19,8 @@ arithmetic, one pair at a time, as references for the log-array forms of
 :mod:`saxl.criteria`; a projective label there is INF for <e2> or an
 ``FqElem``, and ``code`` turns either into its log-array code.
 ``omega_point_repr`` renders labels in their earlier boxed form, for digests
-pinned in it.
+pinned in it.  ``oracle_phi_block`` is the division-based totient sieve of
+one block, the reference for the multiply-only sieve of :mod:`saxl.gf`.
 """
 
 import json
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from saxl.actions import bundled_catalogue_path, coset_action, load_catalogue
@@ -471,3 +473,23 @@ def oracle_c3_witness(F2, q, b):
     if d ** ((q + 1) // 2) not in (rhs, -rhs):
         raise CrossCheckFailed("half-norm identity fails")
     return a1, d
+
+
+def oracle_phi_block(lo: int, hi: int, primes) -> np.ndarray:
+    """int64 array of phi(n) for lo <= n < hi (phi(0) = 0), given every prime
+    up to isqrt(hi - 1), by division.
+
+    Each prime p runs phi -= phi // p over its multiples, and divides a
+    residual copy of n once per power of p that divides n; a residual above 1
+    is then the one prime factor above the square root."""
+    phi = np.arange(lo, hi, dtype=np.int64)
+    rest = phi.copy()
+    for p in map(int, primes):
+        phi[-lo % p :: p] -= phi[-lo % p :: p] // p
+        power = p
+        while power < hi:
+            rest[-lo % power :: power] //= p
+            power *= p
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
+    return phi

@@ -112,6 +112,17 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err == "cap exceeded: degree 28 exceeds exact-search cap 10\n"
 
+    def test_exact_cap_is_checked_before_the_analysis(self, capsys, monkeypatch):
+        from saxl import engine
+
+        def refuse(action):
+            raise RuntimeError("suborbits analysed before the exact-search cap was checked")
+
+        monkeypatch.setattr(engine, "_analysis", refuse)
+        argv = ["analyze", "--ksubsets", "8", "2", "--no-classes", "--no-star", "--exact", "--exact-cap", "10"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "cap exceeded: degree 28 exceeds exact-search cap 10\n"
+
     def test_graph_cap_is_checked_before_the_suborbit_table(self, capsys, monkeypatch):
         from dataclasses import replace
 
@@ -273,17 +284,13 @@ class TestExitCodes:
         assert captured.err == "error: cross-check failed: %s\n" % message
 
     def test_totient_sieve_check_is_3(self, capsys, monkeypatch):
-        import numpy as np
         from saxl import gf
 
-        def without_large_primes(lo, hi, primes):
-            # the small-prime passes alone: n with a prime factor above isqrt(n) keeps it
-            phi = np.arange(lo, hi, dtype=np.int64)
-            for p in map(int, primes):
-                phi[-lo % p :: p] -= phi[-lo % p :: p] // p
-            return phi
+        def without_cofactor(lo, hi, moduli):
+            # the sieve passes alone: n with a prime factor above isqrt(N) misses its p - 1
+            return gf._phi_passes(lo, hi, moduli)[0]
 
-        monkeypatch.setattr(gf, "_phi_block", without_large_primes)
+        monkeypatch.setattr(gf, "_phi_block", without_cofactor)
         assert main(["verify", "euler", "--nmax", "20000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

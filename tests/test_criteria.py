@@ -312,6 +312,30 @@ class TestCliques:
         assert len(set(pts[1:])) == 4
         assert c3_canonical_logs(F2, q, pts[1:]).tolist() == pts[1:]
 
+    @pytest.mark.parametrize("q", [49, 81])
+    @pytest.mark.parametrize("scan", [c2_clique5, c3_clique5])
+    def test_blocked_scan_matches_the_whole_array(self, monkeypatch, q, scan):
+        F = field_from_order(q if scan is c2_clique5 else q * q)
+        real, blocks = criteria._distinct, []
+
+        def counted(*labels):
+            blocks.append(1)
+            return real(*labels)
+
+        monkeypatch.setattr(criteria, "_distinct", counted)
+        found = {}
+        # every partner in one block, the default block, one partner per block
+        for size in (2**30, 64, 1):
+            monkeypatch.setattr(criteria, "_CLIQUE5_BLOCK", size)
+            blocks.clear()
+            found[size] = scan(F), len(blocks)
+        whole = found[2**30][0]
+        assert len(whole) == 5
+        # the first anchor's first block of 64 holds the first hit, and the scan stops there
+        assert found[64] == (whole, 1)
+        # one partner per block: the first hit lies past the first block
+        assert found[1][0] == whole and found[1][1] > 1
+
 
 class TestClosedForms:
     def test_dihedral_minus_matches_engine(self):

@@ -417,6 +417,8 @@ class TestEulerTotient:
             (65535, 66535),  # across 2^16
             (65537, 66000),  # from the prime 2^16 + 1
             (997, 1010),  # ends at the prime 1009
+            (66049 - 100, 66049 + 1),  # ends at 257^2, a square above the block's square root
+            (67591 - 100, 67591 + 1),  # ends at 257 * 263, two scattered moduli at one number
             (1018081 - 200, 1018081 + 1),  # ends at 1009^2
             (823543 - 200, 823543 + 1),  # ends at 7^7
             (2**20 - 200, 2**20 + 1),  # ends at 2^20
@@ -424,9 +426,31 @@ class TestEulerTotient:
         ],
     )
     def test_phi_block_against_trial_division(self, lo, hi):
-        phi = gf._phi_block(lo, hi, gf._primes_upto(math.isqrt(hi - 1)))
+        phi = gf._phi_block(lo, hi, gf._phi_moduli(hi - 1))
         assert phi.dtype == np.int64
         assert phi.tolist() == [euler_phi(n) if n else 0 for n in range(lo, hi)]
+
+    @pytest.mark.parametrize(
+        "lo,limit",
+        [
+            (3, 10**6),  # the scan's first block
+            (3 + gf.PHI_BLOCK, 10**6),  # its second: 257^2 = 66049 and 257 * 263 = 67591 are scattered
+            (2**20 - gf.PHI_BLOCK // 2, 2**21),  # across 2^20
+            (10**7 - gf.PHI_BLOCK, 10**7),  # the last full block below 10^7
+        ],
+    )
+    def test_full_blocks_against_the_division_sieve(self, lo, limit):
+        hi = lo + gf.PHI_BLOCK
+        want = conftest.oracle_phi_block(lo, hi, gf._primes_upto(math.isqrt(hi - 1)))
+        assert np.array_equal(gf._phi_block(lo, hi, gf._phi_moduli(limit)), want)
+
+    def test_phi_block_bounds(self):
+        moduli = gf._phi_moduli(100)
+        with pytest.raises(ValueError):
+            gf._phi_block(-1, 10, moduli)
+        # refused before any array is made
+        with pytest.raises(ValueError):
+            gf._phi_block(2**53, 2**53 + 1, moduli)
 
     @staticmethod
     def _whole_range_scan(limit):
