@@ -29,7 +29,7 @@ from functools import partial
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -230,11 +230,12 @@ def build_action(args) -> LabelledAction:
     return ksubset_action(n, k, even_only=args.alternating, caps=caps)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(chunks)
 
 
 def cmd_analyze(args) -> int:
@@ -246,7 +247,7 @@ def cmd_analyze(args) -> int:
         clique_target=args.clique_target,
         exact_search=args.exact,
     )
-    _emit(report.to_json(), args.out)
+    _emit([report.to_json()], args.out)
     return 0
 
 
@@ -255,8 +256,7 @@ def cmd_graph(args) -> int:
     for w in action.warnings:
         sys.stderr.write("warning: %s\n" % w)
     graph = saxl_graph(action)
-    text = graph.to_dot() if args.fmt == "dot" else graph.to_edge_list()
-    _emit(text, args.out)
+    _emit(graph.to_dot() if args.fmt == "dot" else graph.to_edge_list(), args.out)
     return 0
 
 
@@ -307,14 +307,7 @@ def _sweep_table_rows(args) -> list[dict]:
 def _edge_disagreements(graph, row) -> int:
     """The pairs a < b on which the engine's graph and the criterion disagree;
     ``row(a)`` is the criterion's boolean row over b = a + 1, ..., n - 1."""
-    n = graph.n
-    width = (n + 7) // 8
-    bad = 0
-    for a in range(n):
-        packed = np.frombuffer(graph.rows[a].to_bytes(width, "little"), dtype=np.uint8)
-        edges = np.unpackbits(packed, bitorder="little")[a + 1 : n].astype(bool)
-        bad += int(np.count_nonzero(edges != row(a)))
-    return bad
+    return sum(int(np.count_nonzero(graph.row(a)[a + 1 :] != row(a))) for a in range(graph.n))
 
 
 def _oracle_check(name: str, action, row) -> dict:
@@ -681,7 +674,7 @@ def cmd_verify(args) -> int:
     # a sweep that checked nothing (say, --qmax below its first field) proves nothing
     passed = bool(checks) and all(c["ok"] for c in checks)
     payload = {"schema": 1, "sweep": args.sweep, "ok": passed, "checks": checks}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return 0 if passed else 1
 
 

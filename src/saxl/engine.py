@@ -15,7 +15,7 @@ pointwise stabiliser is trivial.  The central quantities are
   vertices share a common neighbour), and clique/independence numbers.
 
 All verdicts are exact: rationals are `fractions.Fraction`, graph adjacency
-is exact bitsets, and every quantity with two available computation routes
+is packed bit rows, and every quantity with two available computation routes
 is compared across both routes before being returned; a disagreement raises
 :class:`CrossCheckFailed`.
 """
@@ -23,7 +23,7 @@ is compared across both routes before being returned; a disagreement raises
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -266,36 +266,48 @@ def t_value(action: LabelledAction) -> int:
 # -- the base-pair graph ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaxlGraph:
-    """Exact adjacency of the base-pair graph, one bitmask row per vertex."""
+    """The base-pair graph on points 0..n-1: bit b of row a of the read-only
+    n x ceil(n/8) uint8 matrix ``packed`` (little-endian bits) is set when
+    {a, b} is a base pair, and every vertex has ``valency`` neighbours."""
 
     n: int
-    rows: tuple
+    packed: np.ndarray
     valency: int
 
+    def row(self, a: int) -> np.ndarray:
+        """The neighbours of ``a``, as a boolean array over 0..n-1."""
+        return np.unpackbits(self.packed[a], count=self.n, bitorder="little").view(bool)
+
     def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.rows[a] >> b & 1)
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise ValueError("points must lie in 0..%d" % (self.n - 1))
+        return bool(self.packed[a, b >> 3] >> (b & 7) & 1)
 
-    def edges(self):
+    def bitsets(self) -> list[int]:
+        """Each row as a Python int, the form the clique searches branch on."""
+        return [int.from_bytes(row.tobytes(), "little") for row in self.packed]
+
+    def _chunks(self, head: str, tail: str):
+        """A string per vertex a with neighbours b > a: ``head % a``, b, ``tail`` for each b."""
         for a in range(self.n):
-            row = self.rows[a] >> (a + 1)
-            b = a + 1
-            while row:
-                if row & 1:
-                    yield (a, b)
-                row >>= 1
-                b += 1
+            later = np.flatnonzero(self.row(a)[a + 1 :]) + (a + 1)
+            if later.size:
+                start = head % a
+                yield start + (tail + start).join(map(str, later.tolist())) + tail
 
-    def to_edge_list(self) -> str:
-        return "\n".join("%d %d" % e for e in self.edges()) + "\n"
+    def to_edge_list(self):
+        """Lines "a b" for the edges a < b, a vertex at a time; no edges is one empty line."""
+        chunks = self._chunks("%d ", "\n")
+        yield next(chunks, "\n")
+        yield from chunks
 
-    def to_dot(self) -> str:
-        lines = ["graph {"]
-        for a, b in self.edges():
-            lines.append("  %d -- %d;" % (a, b))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def to_dot(self):
+        """DOT with a line "a -- b;" per edge a < b, a vertex at a time."""
+        yield "graph {\n"
+        yield from self._chunks("  %d -- ", ";\n")
+        yield "}\n"
 
 
 def saxl_graph(action: LabelledAction) -> SaxlGraph:
@@ -325,8 +337,8 @@ def saxl_graph(action: LabelledAction) -> SaxlGraph:
     expected = data.regular_count * data.order_h - (1 if data.order_h == 1 else 0)
     if not (degrees == expected).all():
         raise CrossCheckFailed("valency %s != r*|H| = %d" % (sorted(set(degrees.tolist())), expected))
-    rows = tuple(int.from_bytes(packed[a].tobytes(), "little") for a in range(n))
-    graph = SaxlGraph(n, rows, expected)
+    packed.flags.writeable = False
+    graph = SaxlGraph(n, packed, expected)
     action._cache["graph"] = graph
     return graph
 
@@ -382,7 +394,7 @@ def clique_lower(action: LabelledAction, target: int) -> tuple[bool, list[int]]:
     if target < 2:
         raise ValueError("target must be at least 2")
     graph = saxl_graph(action)
-    best = _greedy_clique(graph.rows, graph.n, target)
+    best = _greedy_clique(graph.bitsets(), graph.n, target)
     if len(best) < target:
         return False, best
     found = best[:target]
@@ -444,9 +456,10 @@ def clique_and_independence_exact(action: LabelledAction) -> tuple[list[int], li
     _check_exact_cap(action)
     n = action.degree
     graph = saxl_graph(action)
-    clique = max_clique_exact(graph.rows, n)
+    rows = graph.bitsets()
+    clique = max_clique_exact(rows, n)
     full = (1 << n) - 1
-    comp = tuple(full & ~graph.rows[v] & ~(1 << v) for v in range(n))
+    comp = tuple(full & ~rows[v] & ~(1 << v) for v in range(n))
     independent = max_clique_exact(comp, n)
     return sorted(clique), sorted(independent)
 
@@ -484,35 +497,16 @@ class SaxlReport:
     warnings: tuple
 
     def to_json_dict(self) -> dict:
-        def rat(x):
-            if x is None:
-                return None
-            return {"num": x.numerator, "den": x.denominator}
+        """``schema`` 1, then each field: a Fraction as {num, den}, a dict by sorted str key."""
 
-        return {
-            "schema": 1,
-            "name": self.name,
-            "n": self.n,
-            "stab_order": self.stab_order,
-            "regular_count": self.regular_count,
-            "q_exact": rat(self.q_exact),
-            "q_hat": rat(self.q_hat),
-            "q_tilde": rat(self.q_tilde),
-            "t_value": self.t_value,
-            "t_unbounded": self.t_unbounded,
-            "star_ok": self.star_ok,
-            "star_witnesses": (
-                None
-                if self.star_witnesses is None
-                else {str(k): v for k, v in sorted(self.star_witnesses.items())}
-            ),
-            "clique_lb": self.clique_lb,
-            "clique_exact": self.clique_exact,
-            "independence_exact": self.independence_exact,
-            "size_inequality_ok": self.size_inequality_ok,
-            "witnesses": {str(k): v for k, v in sorted(self.witnesses.items())},
-            "warnings": list(self.warnings),
-        }
+        def encode(x):
+            if isinstance(x, Fraction):
+                return {"num": x.numerator, "den": x.denominator}
+            if isinstance(x, dict):
+                return {str(k): v for k, v in sorted(x.items())}
+            return x
+
+        return {"schema": 1, **{f.name: encode(getattr(self, f.name)) for f in fields(self)}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"

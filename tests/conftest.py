@@ -21,6 +21,9 @@ arithmetic, one pair at a time, as references for the log-array forms of
 ``omega_point_repr`` renders labels in their earlier boxed form, for digests
 pinned in it.  ``oracle_phi_block`` is the division-based totient sieve of
 one block, the reference for the multiply-only sieve of :mod:`saxl.gf`.
+``reference_edges``, ``reference_edge_list`` and ``reference_dot`` read a
+``SaxlGraph`` one bit at a time from Python-int rows, the references for its
+vertex-at-a-time exports.
 """
 
 import json
@@ -493,3 +496,28 @@ def oracle_phi_block(lo: int, hi: int, primes) -> np.ndarray:
     big = rest > 1
     phi[big] -= phi[big] // rest[big]
     return phi
+
+
+def reference_edges(graph):
+    """The edges (a, b), a < b, of a ``SaxlGraph`` in order, shifting each row
+    as a Python int one bit at a time."""
+    for a in range(graph.n):
+        row = int.from_bytes(graph.packed[a].tobytes(), "little") >> (a + 1)
+        b = a + 1
+        while row:
+            if row & 1:
+                yield (a, b)
+            row >>= 1
+            b += 1
+
+
+def reference_edge_list(graph) -> str:
+    return "\n".join("%d %d" % e for e in reference_edges(graph)) + "\n"
+
+
+def reference_dot(graph) -> str:
+    lines = ["graph {"]
+    for a, b in reference_edges(graph):
+        lines.append("  %d -- %d;" % (a, b))
+    lines.append("}")
+    return "\n".join(lines) + "\n"

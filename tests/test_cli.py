@@ -371,6 +371,15 @@ class TestGraph:
         assert "q = 5" in captured.err
         assert captured.out.startswith("graph {")
 
+    def test_out_file_matches_stdout(self, capsys, tmp_path):
+        argv = ["graph", "--psl2", "c2", "--q", "9", "--format", "edges"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "graph.txt"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode()
+
     def test_variant_selector(self, capsys):
         assert main(["graph", "--psl2", "c2", "--q", "9", "--variant", "psigma", "--format", "edges"]) == 0
         psigma = capsys.readouterr().out

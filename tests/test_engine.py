@@ -47,7 +47,13 @@ from saxl.cli import main
 from saxl.group import DEFAULT_CAPS, CapExceeded, Caps, PermGroup
 from saxl.perm import from_cycles
 
-from conftest import oracle_prime_class_data, prime_order_class_reps
+from conftest import (
+    oracle_prime_class_data,
+    prime_order_class_reps,
+    reference_dot,
+    reference_edge_list,
+    reference_edges,
+)
 
 
 def a5_pairs():
@@ -175,7 +181,7 @@ class TestQExact:
         assert q_exact(act) == Fraction(2, 5)
         # cross-check against the ordered-pair count from the graph
         g = saxl_graph(act)
-        base_ordered = sum(1 for _ in g.edges()) * 2
+        base_ordered = sum(1 for _ in reference_edges(g)) * 2
         n = act.degree
         assert q_exact(act) == Fraction(n * n - base_ordered, n * n)
 
@@ -380,35 +386,62 @@ class TestGraph:
     def test_a5_pairs_valency(self):
         g = saxl_graph(a5_pairs())
         assert g.valency == 6
-        assert sum(1 for _ in g.edges()) == 30
+        assert sum(1 for _ in reference_edges(g)) == 30
         for v in range(g.n):
             assert sum(g.has_edge(v, b) for b in range(g.n)) == 6
 
     def test_pgl2_8_valency(self):
         g = saxl_graph(psl2_c2_action(GroupVariant("PGL2", 8)))
         assert g.valency == 14
-        assert sum(1 for _ in g.edges()) == 36 * 14 // 2
+        assert sum(1 for _ in reference_edges(g)) == 36 * 14 // 2
 
     def test_regular_action_gives_complete_graph(self):
         g = saxl_graph(c5_regular())
         assert g.valency == 4
-        assert sum(1 for _ in g.edges()) == 10
+        assert sum(1 for _ in reference_edges(g)) == 10
 
     def test_edges_are_ordered_and_match_has_edge(self):
         g = saxl_graph(a5_pairs())
-        for a, b in g.edges():
+        for a, b in reference_edges(g):
             assert a < b
             assert g.has_edge(a, b) and g.has_edge(b, a)
 
     def test_serialisations(self):
         g = saxl_graph(c5_regular())
-        lines = g.to_edge_list().strip().split("\n")
+        lines = "".join(g.to_edge_list()).strip().split("\n")
         assert len(lines) == 10
         assert lines[0] == "0 1"
-        dot = g.to_dot()
+        dot = "".join(g.to_dot())
         assert dot.startswith("graph {")
         assert dot.rstrip().endswith("}")
         assert "  0 -- 1;" in dot
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            a5_pairs,
+            c5_regular,
+            lambda: ksubset_action(10, 2),  # no regular suborbit: no edges
+            lambda: natural_action(load_catalogue(bundled_catalogue_path())["M11"].group, "M11-natural"),
+            lambda: psl2_c2_action(GroupVariant("PSigmaL2", 13)),
+        ],
+        ids=["A5-pairs", "C5-regular", "S10-pairs", "M11-natural", "c2-q13-psigma"],
+    )
+    def test_exports_match_the_bit_loop_reference(self, build):
+        g = saxl_graph(build())
+        assert "".join(g.to_edge_list()) == reference_edge_list(g)
+        assert "".join(g.to_dot()) == reference_dot(g)
+
+    def test_rows_are_read_only_and_match_has_edge(self):
+        g = saxl_graph(a5_pairs())
+        assert not g.packed.flags.writeable
+        for a in range(g.n):
+            assert g.row(a).tolist() == [g.has_edge(a, b) for b in range(g.n)]
+
+    @pytest.mark.parametrize("a, b", [(-1, 3), (0, -1), (0, 10), (0, 500)])
+    def test_has_edge_refuses_points_outside(self, a, b):
+        with pytest.raises(ValueError, match=r"points must lie in 0\.\.9"):
+            saxl_graph(a5_pairs()).has_edge(a, b)
 
     def test_tampered_flags_are_caught(self):
         act = a5_pairs()
