@@ -206,22 +206,50 @@ def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
     """The permutations of ``blocks`` induced by permutations of the points
     the blocks hold.
 
-    ``blocks`` are sorted point tuples, one per label, in label order.  A
-    generator that maps some block to a tuple outside the list raises
-    :class:`CrossCheckFailed`.
+    ``blocks`` are sorted point tuples of one size, one per label, in label
+    order, which must also be ascending.  Each generator maps every block in
+    one gather; each image row is sorted, and found among the blocks by a
+    binary search over their rows' big-endian bytes, whose order is that of
+    the tuples.  A generator that maps some block to a tuple outside the
+    list raises :class:`CrossCheckFailed`.
     """
-    where = {b: i for i, b in enumerate(blocks)}
+    if not carrier_gens:
+        return []
+    dtype = carrier_gens[0].images.dtype
+    points = np.array(blocks, dtype=np.intp).reshape(len(blocks), -1)
+    row = np.dtype((np.void, dtype.itemsize * points.shape[1]))
+    where = np.ascontiguousarray(points, dtype=dtype).view(row).ravel()
     induced = []
     for g in carrier_gens:
-        images = g.images.tolist()
-        try:
-            induced.append(Perm(where[tuple(sorted(images[x] for x in b))] for b in blocks))
-        except KeyError:
-            raise CrossCheckFailed("generator does not permute the blocks") from None
+        images = np.sort(g.images[points], axis=1).view(row).ravel()
+        at = np.searchsorted(where, images).clip(max=len(where) - 1)
+        if not (where[at] == images).all():
+            raise CrossCheckFailed("generator does not permute the blocks")
+        induced.append(Perm(at.tolist()))
     return induced
 
 
+def _within_caps(degree: int, order: int, caps: Caps) -> tuple[int, int]:
+    """(degree, order), refused over the point cap and then the group cap."""
+    if degree > caps.point_cap:
+        raise CapExceeded("degree %d exceeds point cap %d" % (degree, caps.point_cap))
+    if order > caps.group_cap:
+        raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
+    return degree, order
+
+
 # -- k-subset actions --------------------------------------------------------------
+
+
+def ksubset_size(n: int, k: int, even_only: bool = False, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
+    """(degree, |G|) of :func:`ksubset_action`, from its arguments, with
+    every refusal it makes before building anything, in the same order."""
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n")
+    size = _within_caps(math.comb(n, k), math.factorial(n) // (2 if even_only else 1), caps)
+    if even_only and n < 3:
+        raise ValueError("alternating groups need n >= 3")
+    return size
 
 
 def ksubset_action(
@@ -232,20 +260,10 @@ def ksubset_action(
     k = 1 gives the natural action.  Labels are sorted tuples in
     lexicographic order, so the action is reproducible.
     """
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    degree = math.comb(n, k)
-    if degree > caps.point_cap:
-        raise CapExceeded("degree %d exceeds point cap %d" % (degree, caps.point_cap))
-    order = math.factorial(n) // (2 if even_only else 1)
-    if order > caps.group_cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
-
+    _, order = ksubset_size(n, k, even_only, caps)
     subsets = list(combinations(range(n), k))
     parts = (range(k), range(k, n))  # label 0 is the first part
     if even_only:
-        if n < 3:
-            raise ValueError("alternating groups need n >= 3")
         long_cycle = (
             from_cycles(n, [tuple(range(n))])
             if n % 2
@@ -392,15 +410,17 @@ def _extension(variant: GroupVariant, F: FqField, delta: Perm) -> list[Perm]:
     return [delta * phi**variant.j]
 
 
-def _capped_order(variant: GroupVariant, psl_order: int, caps: Caps) -> int:
-    """|G| = [G : PSL(2,q)] * |PSL(2,q)|, refused over the group cap."""
-    order = variant.index * psl_order
-    if order > caps.group_cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
-    return order
-
-
 # -- the projective-pair (C2) family -------------------------------------------------
+
+
+def psl2_c2_size(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
+    """(degree q(q+1)/2, |G|) of :func:`psl2_c2_action`, from the variant,
+    with every refusal it makes before building anything, in the same
+    order; |G| = [G : PSL(2,q)] * |PSL(2,q)|."""
+    q = variant.q
+    if q < 4:
+        raise ValueError("need q >= 4")
+    return _within_caps(q * (q + 1) // 2, variant.index * q * (q * q - 1) // math.gcd(2, q - 1), caps)
 
 
 def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
@@ -410,14 +430,7 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     two points' codes, so point 0 is (LINE_INF, LOG_ZERO).  Degree q(q+1)/2.
     """
     q = variant.q
-    if q < 4:
-        raise ValueError("need q >= 4")
-    degree = q * (q + 1) // 2
-    if degree > caps.point_cap:
-        raise CapExceeded("degree %d exceeds point cap %d" % (degree, caps.point_cap))
-    h = math.gcd(2, q - 1)
-    order = _capped_order(variant, q * (q * q - 1) // h, caps)
-
+    _, order = psl2_c2_size(variant, caps)
     F = field_create(variant.p, variant.f)
     Z = LOG_ZERO
     # u, the torus diag(lambda, 1/lambda), the swap, and delta = diag(lambda, 1)
@@ -472,6 +485,16 @@ def su2_conjugator(F2: FqField, q: int) -> np.ndarray:
     return as_logs([[b0, 0], [log_neg(F2, eps), log_mul(F2, eps, log_pow(F2, b0, -q))]])
 
 
+def psl2_c3_size(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
+    """(degree q(q-1)/2, |G|) of :func:`psl2_c3_action`, from the variant,
+    with every refusal it makes before building anything, in the same
+    order."""
+    q = variant.q
+    if variant.p == 2 or q < 5:
+        raise ValueError("the unitary-model action needs odd q >= 5")
+    return _within_caps(q * (q - 1) // 2, variant.index * q * (q * q - 1) // 2, caps)
+
+
 def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
     """The chosen group acting on orthogonal pairs of nondegenerate 1-spaces.
 
@@ -482,15 +505,8 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     labelled by the canonical log min(b, -b^{-q}); alpha is labelled
     LOG_ZERO, which b = 0 would be.  Degree q(q-1)/2.
     """
-    q = variant.q
-    p, f = variant.p, variant.f
-    if p == 2 or q < 5:
-        raise ValueError("the unitary-model action needs odd q >= 5")
-    degree = q * (q - 1) // 2
-    if degree > caps.point_cap:
-        raise CapExceeded("degree %d exceeds point cap %d" % (degree, caps.point_cap))
-    order = _capped_order(variant, q * (q * q - 1) // 2, caps)
-
+    q, p, f = variant.q, variant.p, variant.f
+    degree, order = psl2_c3_size(variant, caps)
     F2 = field_create(p, 2 * f)
     m, Z = F2.q - 1, LOG_ZERO
     scalar_logs = c3_label_logs(F2, q)

@@ -43,13 +43,17 @@ from .actions import (
     c3_label_logs,
     coset_action,
     ksubset_action,
+    ksubset_size,
     load_catalogue,
     natural_action,
     psl2_c2_action,
+    psl2_c2_size,
     psl2_c3_action,
+    psl2_c3_size,
 )
 from .engine import (
     build_report,
+    check_exact_cap,
     check_star,
     clique_and_independence_exact,
     is_base_pair,
@@ -222,11 +226,17 @@ def build_action(args) -> LabelledAction:
                 % (args.catalogue, ", ".join(sorted(entries)))
             )
         return _entry_action(entries[args.catalogue], caps)
+    # an exact search over the cap is refused from the degree, before the build
+    exact = args.command == "analyze" and args.exact
     if args.psl2 is not None:
         variant = GroupVariant(VARIANT_NAMES[args.variant], args.q, args.j if args.variant == "dphi" else 0)
-        ctor = psl2_c2_action if args.psl2 == "c2" else psl2_c3_action
+        size, ctor = (psl2_c2_size, psl2_c2_action) if args.psl2 == "c2" else (psl2_c3_size, psl2_c3_action)
+        if exact:
+            check_exact_cap(size(variant, caps)[0], caps)
         return ctor(variant, caps=caps)
     n, k = args.ksubsets
+    if exact:
+        check_exact_cap(ksubset_size(n, k, args.alternating, caps)[0], caps)
     return ksubset_action(n, k, even_only=args.alternating, caps=caps)
 
 

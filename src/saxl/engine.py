@@ -29,9 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from .actions import LabelledAction, diagonal
-from .gf import is_prime
-from .group import CapExceeded, CrossCheckFailed, PermGroup, conjugacy_class
-from .perm import Perm
+from .gf import prime_factors
+from .group import CapExceeded, Caps, CrossCheckFailed, PermGroup, conjugacy_class
+from .perm import Perm, row_keys
 
 
 # -- cached per-action analysis -------------------------------------------------------
@@ -146,20 +146,45 @@ def q_exact(action: LabelledAction) -> Fraction:
 # -- class-based estimates -------------------------------------------------------------
 
 
+_BLOCK_ENTRIES = 1 << 14  # image entries per block of H's elements
+
+
+def _prime_orders(rows: np.ndarray, primes: list[int]) -> np.ndarray:
+    """The order of each row of permutation images, or 0 where it is not a
+    prime; ``primes`` must hold every prime that divides an order.
+
+    x has prime order p exactly when x != 1 and x^p = 1, so each p takes
+    the p-th powers of all rows at once, squaring and multiplying by
+    binary powering with one row-wise gather a step."""
+    points = np.arange(rows.shape[1])
+    x = rows.astype(np.intp)
+    moved = (x != points).any(axis=1)
+    orders = np.zeros(len(x), dtype=np.intp)
+    for p in primes:
+        power = x
+        for bit in bin(p)[3:]:
+            power = np.take_along_axis(power, power, axis=1)
+            if bit == "1":
+                power = np.take_along_axis(x, power, axis=1)
+        orders[moved & (power == points).all(axis=1)] = p
+    return orders
+
+
 def _prime_class_data(action: LabelledAction):
     """Fuse prime-order elements of H into G-classes, on the action's carrier.
 
     Returns (g_classes, pools) where g_classes entries are
     (order, class_size, count_in_H) per G-class meeting H, and pools maps
     (order, G-class size) to the number of elements of H in the H-classes
-    with that key.  H is enumerated once, through the chain of its diagonal
-    generators on carrier and labels: the carrier part of an element gives
-    its order and seeds the class searches, which run in the carrier's
-    degree m, and the label part gives fix(x).  Every G-class entry is
-    cross-checked against the orbit-counting identity
-    |x^G meet H| * n == fix(x) * |x^G|, count and size from the carrier
-    search and fix(x) from the labels, and the pools against the G-class
-    counts pooled by the same key.
+    with that key.  H is enumerated once, in blocks of rows from the chain
+    of D, the group of its diagonal generators on carrier and labels: a
+    block's carrier columns give each element's key and, by powers of all
+    rows at once, its order, and its label columns give fix(x) by one
+    comparison.  The class searches run over keys in the carrier's degree
+    m.  Every G-class entry is cross-checked against the orbit-counting
+    identity |x^G meet H| * n == fix(x) * |x^G|, count and size from the
+    carrier search and fix(x) from the labels, and the pools against the
+    G-class counts pooled by the same key.
     """
     cached = action._cache.get("prime_classes")
     if cached is not None:
@@ -171,44 +196,44 @@ def _prime_class_data(action: LabelledAction):
     G = PermGroup(m, [c for c, _ in gens], caps=caps)
     H = PermGroup(m, [c for c, _ in stab_gens], caps=caps)
     D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens], caps=caps)
-    # H streamed in D's chain order: Q-hat and Q-tilde are sums over
-    # classes, so the order in which classes are found does not matter
-    labels = np.arange(m, m + n)
-    fixed: dict[Perm, int] = {}  # carrier part -> fixed labels, for prime order
-    for d in D.iter_elements():
-        h = Perm(d.images[:m].tolist())
-        if is_prime(h.order()):
-            fixed[h] = int(np.count_nonzero(d.images[m:] == labels))
+    # H in D's chain order: Q-hat and Q-tilde are sums over classes, so the
+    # order in which classes are found does not matter
+    key_dtype = G.identity().images.dtype
+    labels = D.identity().images[m:]
+    primes = prime_factors(D.order())
+    fixed: dict[bytes, tuple[int, int]] = {}  # carrier key -> (prime order, fixed labels)
+    for block in D.iter_blocks(max(1, _BLOCK_ENTRIES // (m + n))):
+        carrier = block[:, :m].astype(key_dtype)  # D's rows may be wider
+        orders = _prime_orders(carrier, primes)
+        prime = orders > 0
+        fix = np.count_nonzero(block[prime, m:] == labels, axis=1)
+        fixed.update(zip(row_keys(carrier[prime]), zip(orders[prime].tolist(), fix.tolist())))
     unassigned = set(fixed)
 
     g_classes = []
-    membership: dict[Perm, int] = {}
-    for h, fix in fixed.items():
+    membership: dict[bytes, int] = {}
+    for h, (order, fix) in fixed.items():
         if h not in unassigned:
             continue
         cls = conjugacy_class(G, h)
-        size = len(cls)
-        count = 0
-        for member in cls:
-            if member in unassigned:
-                unassigned.remove(member)
-                count += 1
-                membership[member] = len(g_classes)
+        hits = cls & unassigned
+        size, count = len(cls), len(hits)
         del cls  # hold one G-class at a time: the next search must not overlap it
+        unassigned -= hits
+        membership.update(dict.fromkeys(hits, len(g_classes)))
         if count * n != fix * size:
-            raise CrossCheckFailed(
-                "orbit-counting identity failed for class of %s" % (h.cycle_string(),)
-            )
-        g_classes.append((h.order(), size, count))
+            rep = Perm(np.frombuffer(h, key_dtype).tolist())
+            raise CrossCheckFailed("orbit-counting identity failed for class of %s" % (rep.cycle_string(),))
+        g_classes.append((order, size, count))
 
     pools_h: dict[tuple[int, int], int] = {}
-    seen = set()
-    for h in fixed:
+    seen: set[bytes] = set()
+    for h, (order, _) in fixed.items():
         if h in seen:
             continue
         cls_h = conjugacy_class(H, h)
-        seen.update(cls_h)
-        key = (h.order(), g_classes[membership[h]][1])
+        seen |= cls_h
+        key = (order, g_classes[membership[h]][1])
         pools_h[key] = pools_h.get(key, 0) + len(cls_h)
 
     # the two partitions must cover the same elements, pool by pool
@@ -444,16 +469,16 @@ def max_clique_exact(rows, n: int) -> list[int]:
     return best
 
 
-def _check_exact_cap(action: LabelledAction) -> None:
-    cap = action.group.caps.exact_cap
-    if action.degree > cap:
-        raise CapExceeded("degree %d exceeds exact-search cap %d" % (action.degree, cap))
+def check_exact_cap(degree: int, caps: Caps) -> None:
+    """Refuse an exact search over ``degree`` points above ``exact_cap``."""
+    if degree > caps.exact_cap:
+        raise CapExceeded("degree %d exceeds exact-search cap %d" % (degree, caps.exact_cap))
 
 
 def clique_and_independence_exact(action: LabelledAction) -> tuple[list[int], list[int]]:
     """A maximum clique and a maximum independent set, each sorted, by
     branch and bound."""
-    _check_exact_cap(action)
+    check_exact_cap(action.degree, action.group.caps)
     n = action.degree
     graph = saxl_graph(action)
     rows = graph.bitsets()
@@ -522,7 +547,7 @@ def build_report(
     """Assemble a report; heavier sections are opt-in or opt-out flags.  An
     exact search over the cap is refused before any work."""
     if exact_search:
-        _check_exact_cap(action)
+        check_exact_cap(action.degree, action.group.caps)
     data = _analysis(action)
     q = q_exact(action)
     qh = q_hat(action) if with_classes else None

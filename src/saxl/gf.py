@@ -88,7 +88,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -182,7 +183,7 @@ class FqField:
                 break
         self.modulus = m
         one = np.eye(f, dtype=np.int64)[0]
-        exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+        exponents = [(q - 1) // r for r in prime_factors(q - 1)]
         for key in range(1, q):
             lam = _times(_digits(key, p, f), C, p)
             if all((_power(lam, e, p)[0] != one).any() for e in exponents):
@@ -229,7 +230,7 @@ def split_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^f with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError("%d is not a prime power" % q)
-    factors = _prime_factors(q)
+    factors = prime_factors(q)
     if len(factors) != 1:
         raise ValueError("%d is not a prime power" % q)
     p = factors[0]
@@ -382,7 +383,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("phi needs n >= 1")
     out = n
-    for r in _prime_factors(n):
+    for r in prime_factors(n):
         out = out // r * (r - 1)
     return out
 

@@ -260,19 +260,38 @@ class StabChain:
         u_(k-1) * ... * u_0 with u_i drawn from level i, deepest level
         multiplied first, so distinct representative choices give distinct
         elements."""
+        return _products(self.levels, identity(self.degree))
 
-        def rec(idx: int, prefix: Perm) -> Iterator[Perm]:
-            if idx < 0:
-                yield prefix
-                return
-            level = self.levels[idx]
-            for pt in sorted(level.transversal):
-                yield from rec(idx - 1, prefix * level.transversal[pt])
+    def iter_blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """All elements, each exactly once, as 2-D arrays of image rows in
+        the key dtype, so that a row's bytes are that element's key.
 
-        if not self.levels:
-            yield identity(self.degree)
-            return
-        yield from rec(len(self.levels) - 1, identity(self.degree))
+        The deepest levels, as many as keep a block within ``rows`` rows,
+        are multiplied out level by level, one gather each; every product
+        over the levels above them, factorised as in :meth:`iter_elements`,
+        then maps that block in one more gather."""
+        one = identity(self.degree)
+        block = one.images.reshape(1, -1)
+        top = len(self.levels)
+        while top and len(block) * len(self.levels[top - 1].transversal) <= rows:
+            reps = self.levels[top - 1].transversal.values()
+            level = np.frombuffer(b"".join(u.key for u in reps), one.images.dtype).reshape(len(reps), -1)
+            block = level[:, block].reshape(-1, self.degree)
+            top -= 1
+        points = block.astype(np.intp)
+        for outer in _products(self.levels[:top], one):
+            yield outer.images[points]
+
+
+def _products(levels: Sequence[_Level], prefix: Perm) -> Iterator[Perm]:
+    """prefix * u_(k-1) * ... * u_0 for every choice of u_i from the
+    transversal of ``levels[i]``, the deepest level first."""
+    if not levels:
+        yield prefix
+        return
+    transversal = levels[-1].transversal
+    for pt in sorted(transversal):
+        yield from _products(levels[:-1], prefix * transversal[pt])
 
 
 class PermGroup:
@@ -429,16 +448,26 @@ class PermGroup:
 
     # -- element enumeration ------------------------------------------------------
 
-    def iter_elements(self) -> Iterator[Perm]:
-        """All elements one at a time, in stabiliser-chain order, holding none
-        of them.  Guarded by ``element_cap``, checked before the first one."""
+    def _enumerable_chain(self) -> StabChain:
+        """The chain, once ``element_cap`` admits the group's order."""
         n = self.order()
         if n > self.caps.element_cap:
             raise CapExceeded(
                 "element enumeration of order %d exceeds cap %d"
                 % (n, self.caps.element_cap)
             )
-        return self.chain.iter_elements()
+        return self.chain
+
+    def iter_elements(self) -> Iterator[Perm]:
+        """All elements one at a time, in stabiliser-chain order, holding none
+        of them.  Guarded by ``element_cap``, checked before the first one."""
+        return self._enumerable_chain().iter_elements()
+
+    def iter_blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """All elements as blocks of at most ``rows`` image rows in the key
+        dtype (see :meth:`StabChain.iter_blocks`).  Guarded by
+        ``element_cap``, checked before the first block."""
+        return self._enumerable_chain().iter_blocks(rows)
 
     def elements(self) -> list[Perm]:
         """All elements, sorted by image list and kept.  Guarded by
@@ -451,16 +480,16 @@ class PermGroup:
 # -- conjugacy ---------------------------------------------------------------------
 
 
-def conjugacy_class(G: PermGroup, x: Perm) -> frozenset[Perm]:
-    """The class x^G, materialised within G's ``class_cap``.
+def conjugacy_class(G: PermGroup, x: Perm | bytes) -> set[bytes]:
+    """The class x^G, as the set of its members' keys; x is a permutation of
+    G's points or its key, and ``len`` of the result is the class size.
 
-    :func:`saxl.perm.conjugates` closes it breadth-first, conjugating a
-    whole frontier by each generator in one gather; the cap is checked
-    before each new member is kept."""
+    :func:`saxl.perm.conjugates` closes the class breadth-first over key
+    bytes, conjugating a whole frontier by each generator in one gather.
+    ``class_cap`` is inclusive and checked after each round, so the search
+    holds at most the cap plus one round of keys before it is refused."""
     cap = G.caps.class_cap
-    members = []
-    for y in conjugates(x, G.gens):
-        if len(members) >= cap:
+    for members in conjugates(x.key if isinstance(x, Perm) else x, G.degree, G.gens):
+        if len(members) > cap:
             raise CapExceeded("conjugacy class larger than cap %d" % cap)
-        members.append(y)
-    return frozenset(members)
+    return members

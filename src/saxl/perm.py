@@ -12,7 +12,9 @@ one width sort like the image lists, so sorted permutations and lex-least
 class representatives follow the lexicographic order of the images.
 ``Perm.images`` is a read-only numpy view of the key: products and inverses
 are numpy gathers and scatters, and a caller that walks points in a Python
-loop takes ``images.tolist()`` once.  No other module knows the format.
+loop takes ``images.tolist()`` once.  Code that handles many permutations
+at once holds them as rows of ``images.dtype``, whose bytes are their keys,
+and compares keys without building a ``Perm`` for each.
 
 Validation happens once, at the boundary.  ``Perm(...)`` and the other public
 constructors (``from_cycles``, ``parse_cycles``) check that their input is a
@@ -195,30 +197,49 @@ def identity(degree: int) -> Perm:
     return _trusted(_identity_key(degree), _dtype(degree))
 
 
-def conjugates(x: Perm, gens: Sequence[Perm]) -> Iterator[Perm]:
-    """x and then each new conjugate of it under the group that ``gens``
-    generate, in breadth-first rounds, until the class is closed.
+def row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array: the keys of the permutations
+    whose images the rows hold, when the rows are in the key dtype."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel().tolist()
 
-    A round conjugates the whole frontier by each generator in one gather:
-    row y becomes ``g.images[y[g^-1]]``, the images of g^-1 * y * g.  Rows
-    stay in the key dtype and are deduplicated by their key bytes.  A
-    caller that stops early stops the search."""
-    dtype, width = x.images.dtype, len(x.key)
+
+_CHUNK_ENTRIES = 1 << 14  # image entries per gather of a class search
+
+
+def conjugates(key: bytes, degree: int, gens: Sequence[Perm]) -> Iterator[set[bytes]]:
+    """The class of the permutation whose key is ``key``, under the group
+    that ``gens`` generate, closed breadth-first over key bytes.
+
+    Yields one set of keys, the members found so far: first {key}, then the
+    same set again after each round that adds to it, until a round adds
+    nothing.  A round conjugates the frontier, the keys the last round
+    added, by each generator, a block of rows at a time in one gather: row
+    y becomes ``g.images[y[g^-1]]``, the images of g^-1 * y * g.  Rows stay
+    in the key dtype and C order, so the bytes of a row are its conjugate's
+    key, and no Perm is built.  A caller that stops early stops the search;
+    one that checks the set's size after each round holds at most that
+    size plus one round."""
+    dtype = _dtype(degree)
+    rows = max(1, _CHUNK_ENTRIES // max(degree, 1))
     steps = [(g.images, g.inverse().images.astype(np.intp)) for g in gens]
-    seen = {x.key}
-    yield x
-    frontier = x.images.reshape(1, -1)
-    while len(frontier):
-        fresh = []
-        for g, g_inv in steps:
-            buf = g[frontier[:, g_inv]].tobytes()
-            for at in range(0, len(buf), width):
-                key = buf[at : at + width]
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(key)
-                    yield _trusted(key, dtype)
-        frontier = np.frombuffer(b"".join(fresh), dtype).reshape(len(fresh), x.degree)
+    members = {key}
+    frontier = [key]
+    yield members
+    while True:
+        fresh: set[bytes] = set()
+        for lo in range(0, len(frontier), rows):
+            keys = frontier[lo : lo + rows]
+            block = np.frombuffer(b"".join(keys), dtype).reshape(len(keys), degree)
+            for g, g_inv in steps:
+                found = set(row_keys(g.take(block.take(g_inv, axis=1))))
+                found -= members
+                fresh |= found
+        if not fresh:
+            return
+        members |= fresh
+        yield members
+        frontier = list(fresh)
 
 
 def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:

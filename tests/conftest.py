@@ -6,7 +6,8 @@ session-scoped; tests that need to *time* a cold build construct their own
 copies instead of using these.  ``all_perms`` and ``prime_order_class_reps``
 enumerate by brute force, as independent references for the package, and
 ``oracle_prime_class_data`` fuses the prime-order classes of G_0 in the
-label degree, the route that the engine's carrier search replaced.
+label degree, the route that the engine's carrier search replaced, and
+``oracle_induced`` induces generators on blocks through a dict of tuples.
 
 ``FqElem`` is a boxed field element, a (field, log) pair with Python
 operators, built by ``zero``, ``one``, ``gen``, ``from_log``, ``from_coeffs``,
@@ -73,13 +74,14 @@ class ConjClassData:
     """One conjugacy class of prime-order elements.
 
     ``rep`` is the lexicographically least element of the class, and
-    ``elements`` the whole class, materialised within ``class_cap``.
+    ``elements`` the keys of the whole class, materialised within
+    ``class_cap``.
     """
 
     rep: Perm
     order: int
     class_size: int
-    elements: frozenset[Perm] = field(repr=False)
+    elements: set[bytes] = field(repr=False)
 
 
 def prime_order_class_reps(G: PermGroup) -> list[ConjClassData]:
@@ -93,10 +95,10 @@ def prime_order_class_reps(G: PermGroup) -> list[ConjClassData]:
         raise CapExceeded(
             "order %d exceeds element enumeration cap %d" % (G.order(), G.caps.element_cap)
         )
-    classified: set[Perm] = set()
+    classified: set[bytes] = set()
     out: list[ConjClassData] = []
     for x in G.elements():  # sorted, so reps are lex-least in their class
-        if x in classified or x.is_identity():
+        if x.key in classified or x.is_identity():
             continue
         o = x.order()
         if not is_prime(o):
@@ -115,10 +117,10 @@ def oracle_prime_class_data(action):
     itself, and nothing cached."""
     G, H, n = action.group, action.stabiliser0(), action.degree
     prime_elems = [h for h in H.iter_elements() if is_prime(h.order())]
-    unassigned = set(prime_elems)
+    unassigned = {h.key for h in prime_elems}
     g_classes, membership = [], {}
     for h in prime_elems:
-        if h not in unassigned:
+        if h.key not in unassigned:
             continue
         cls = conjugacy_class(G, h)
         hits = cls & unassigned
@@ -129,12 +131,27 @@ def oracle_prime_class_data(action):
         g_classes.append((h.order(), len(cls), len(hits)))
     pools, seen = {}, set()
     for h in prime_elems:
-        if h not in seen:
+        if h.key not in seen:
             cls_h = conjugacy_class(H, h)
             seen |= cls_h
-            key = (h.order(), g_classes[membership[h]][1])
+            key = (h.order(), g_classes[membership[h.key]][1])
             pools[key] = pools.get(key, 0) + len(cls_h)
     return g_classes, pools
+
+
+def oracle_induced(blocks, carrier_gens):
+    """The permutations of ``blocks`` that the carrier generators induce,
+    one sorted Python tuple per block per generator, looked up in a dict:
+    the route that the one-gather :func:`saxl.actions._induced` replaced."""
+    where = {b: i for i, b in enumerate(blocks)}
+    induced = []
+    for g in carrier_gens:
+        images = g.images.tolist()
+        try:
+            induced.append(Perm(where[tuple(sorted(images[x] for x in b))] for b in blocks))
+        except KeyError:
+            raise CrossCheckFailed("generator does not permute the blocks") from None
+    return induced
 
 
 # -- boxed field elements ----------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
-from conftest import omega_point_repr
+from conftest import omega_point_repr, oracle_induced
 from saxl import actions
 from saxl.actions import (
     LINE_INF,
@@ -153,6 +153,44 @@ class TestInduced:
     def test_refuses_a_generator_that_breaks_a_block(self):
         with pytest.raises(CrossCheckFailed, match="does not permute the blocks"):
             _induced([(0, 1), (2, 3)], [from_cycles(4, [(1, 2)])])
+        with pytest.raises(CrossCheckFailed, match="does not permute the blocks"):
+            oracle_induced([(0, 1), (2, 3)], [from_cycles(4, [(1, 2)])])
+
+    def test_refuses_a_block_past_the_last(self):
+        # (2, 3) goes to (3, 4), which sorts after every block
+        with pytest.raises(CrossCheckFailed, match="does not permute the blocks"):
+            _induced([(0, 1), (2, 3)], [from_cycles(5, [(2, 4)])])
+
+    @pytest.mark.parametrize(
+        "build, sizes",
+        [
+            (lambda: psl2_c3_action(GroupVariant("PGammaL2", 9)), {1, 2}),  # isotropic points, then label pairs
+            (lambda: psl2_c2_action(GroupVariant("PGammaL2", 9)), {2}),
+            (lambda: ksubset_action(7, 3), {3}),
+            (lambda: ksubset_action(7, 3, even_only=True), {3}),
+        ],
+        ids=["c3", "c2", "S7-3", "A7-3"],
+    )
+    def test_against_the_dict_route(self, monkeypatch, build, sizes):
+        seen = set()
+
+        def checked(blocks, carrier_gens):
+            got = _induced(blocks, carrier_gens)
+            assert got == oracle_induced(blocks, carrier_gens)
+            seen.add(len(blocks[0]))
+            return got
+
+        monkeypatch.setattr(actions, "_induced", checked)
+        build()
+        assert seen == sizes
+
+    def test_against_the_dict_route_past_one_key_byte(self):
+        # 300 carrier points: both bytes of a point differ between blocks
+        rng = np.random.default_rng(5)
+        gens = [Perm(rng.permutation(300).tolist()) for _ in range(3)]
+        for k in (1, 2):
+            blocks = list(combinations(range(300), k))
+            assert _induced(blocks, gens) == oracle_induced(blocks, gens)
 
 
 class TestProjectivePairAction:

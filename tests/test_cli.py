@@ -112,6 +112,42 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err == "cap exceeded: degree 28 exceeds exact-search cap 10\n"
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            ('analyze --psl2 c2 --q 6 --exact', 1, 'error: 6 is not a prime power\n'),
+            ('analyze --psl2 c2 --q 3 --exact', 1, 'error: need q >= 4\n'),
+            ('analyze --psl2 c3 --q 8 --exact', 1, 'error: the unitary-model action needs odd q >= 5\n'),
+            ('analyze --psl2 c3 --q 3 --exact', 1, 'error: the unitary-model action needs odd q >= 5\n'),
+            ('analyze --psl2 c2 --q 243 --exact --point-cap 1000', 2, 'cap exceeded: degree 29646 exceeds point cap 1000\n'),
+            ('analyze --psl2 c2 --q 243 --variant psigma --exact', 2, 'cap exceeded: group order 35871660 exceeds cap 10000000\n'),
+            ('analyze --psl2 c2 --q 243 --no-classes --no-star --exact', 2, 'cap exceeded: degree 29646 exceeds exact-search cap 2000\n'),
+            ('analyze --psl2 c3 --q 121 --exact', 2, 'cap exceeded: degree 7260 exceeds exact-search cap 2000\n'),
+            ('analyze --psl2 c3 --q 125 --variant pgamma --exact --group-cap 1000', 2, 'cap exceeded: group order 5859000 exceeds cap 1000\n'),
+            ('analyze --ksubsets 8 2 --exact --exact-cap 10', 2, 'cap exceeded: degree 28 exceeds exact-search cap 10\n'),
+            ('analyze --ksubsets 12 2 --exact', 2, 'cap exceeded: group order 479001600 exceeds cap 10000000\n'),
+            ('analyze --ksubsets 2 1 --alternating --exact --exact-cap 1', 1, 'error: alternating groups need n >= 3\n'),
+            ('analyze --ksubsets 2 1 --alternating --exact --point-cap 1', 2, 'cap exceeded: degree 2 exceeds point cap 1\n'),
+            ('analyze --ksubsets 3 3 --exact', 1, 'error: need 1 <= k < n\n'),
+            ('analyze --ksubsets 500 2 --exact', 2, 'cap exceeded: degree 124750 exceeds point cap 100000\n'),
+            ('analyze --psl2 c2 --q 7 --exact --exact-cap 27', 2, 'cap exceeded: degree 28 exceeds exact-search cap 27\n'),
+            ('analyze --psl2 c2 --q 7 --variant dphi --j 1 --exact', 1, 'error: DeltaPhi(j=1) is not a valid variant for q=7\n'),
+            ('analyze --psl2 c2 --q 9 --variant dphi --j 1 --exact --exact-cap 44', 2, 'cap exceeded: degree 45 exceeds exact-search cap 44\n'),
+        ],
+    )
+    def test_exact_cap_is_checked_before_the_build(self, capsys, monkeypatch, argv, code, err):
+        # each refusal as it read when the exact cap was checked after the
+        # build; invalid q, the point cap and the group cap still come first
+        from saxl import cli
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("action built before its refusal")
+
+        for ctor in ("psl2_c2_action", "psl2_c3_action", "ksubset_action"):
+            monkeypatch.setattr(cli, ctor, refuse)
+        assert main(argv.split()) == code
+        assert capsys.readouterr().err == err
+
     def test_exact_cap_is_checked_before_the_analysis(self, capsys, monkeypatch):
         from saxl import engine
 

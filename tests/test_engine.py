@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from saxl.actions import (
@@ -44,6 +45,7 @@ from saxl.engine import (
     t_value,
 )
 from saxl.cli import main
+from saxl.gf import is_prime, prime_factors
 from saxl.group import DEFAULT_CAPS, CapExceeded, Caps, PermGroup
 from saxl.perm import from_cycles
 
@@ -89,7 +91,7 @@ def brute_q_hat(action):
     h_elems = H.elements()
     total = Fraction(0)
     for c in prime_order_class_reps(action.group):
-        cnt = sum(1 for h in h_elems if h in c.elements)
+        cnt = sum(1 for h in h_elems if h.key in c.elements)
         total += Fraction(cnt * cnt, c.class_size)
     return total
 
@@ -233,18 +235,18 @@ class TestQEstimates:
         act = a5_pairs()
         stab_parts = {c for c, _ in act.carrier[2]}
         real = engine.conjugacy_class
-        # every H-class gains the identity, so the H pools outgrow the G-classes
+        # every H-class gains the identity's key, so the H pools outgrow the G-classes
         monkeypatch.setattr(
             engine,
             "conjugacy_class",
-            lambda G, x: real(G, x) | {G.identity()} if set(G.gens) <= stab_parts else real(G, x),
+            lambda G, x: real(G, x) | {G.identity().key} if set(G.gens) <= stab_parts else real(G, x),
         )
         with pytest.raises(CrossCheckFailed, match="pooling"):
             q_tilde(act)
 
     def test_dropped_class_member_is_caught(self, monkeypatch, capsys):
         real = engine.conjugacy_class
-        # every class search loses its seed: count and size both fall by one
+        # every class search loses its seed, a key: count and size both fall by one
         monkeypatch.setattr(engine, "conjugacy_class", lambda G, x: real(G, x) - {x})
         with pytest.raises(CrossCheckFailed, match="orbit-counting identity"):
             q_hat(a5_pairs())
@@ -331,6 +333,26 @@ class TestPrimeClassData:
         act = build(variant)
         assert act.carrier[0] == act.carrier[1][0][0].degree < act.degree
         self._agree(act)
+
+
+class TestPrimeOrders:
+    """The powers of all rows at once against ``Perm.order`` per element."""
+
+    @staticmethod
+    def _agree(act):
+        m, _, stab_gens = act.carrier
+        H = PermGroup(m, [c for c, _ in stab_gens])
+        elements = list(H.iter_elements())
+        rows = np.array([h.images for h in elements])
+        want = [o if is_prime(o) else 0 for o in (h.order() for h in elements)]
+        assert engine._prime_orders(rows, prime_factors(H.order())).tolist() == want
+
+    @pytest.mark.parametrize("build, variant", _prime_class_variants())
+    def test_psl2_variants(self, build, variant):
+        self._agree(build(variant))
+
+    def test_s10_pairs(self):
+        self._agree(ksubset_action(10, 2))
 
 
 class TestTValue:

@@ -290,16 +290,47 @@ class TestElements:
         }
 
 
+class TestElementBlocks:
+    @pytest.mark.parametrize("rows", [1, 3, 50, 10**6])
+    def test_every_element_once_as_key_rows(self, rows):
+        wide = 70000  # above 65 535 points a key takes 4 bytes a point
+        s4_wide = PermGroup(wide, [from_cycles(wide, [(69997, 69998, 69999)]), from_cycles(wide, [(0, 69999)])])
+        for g in (symmetric(5), psl2_mobius(7), alternating(6), s4_wide, PermGroup(4, [])):
+            blocks = list(g.iter_blocks(rows))
+            assert all(b.dtype == identity(g.degree).images.dtype for b in blocks)
+            assert all(len(b) <= rows for b in blocks)
+            keys = [r.tobytes() for b in blocks for r in b]
+            assert len(keys) == g.order()
+            assert set(keys) == {h.key for h in g.iter_elements()}
+
+    def test_element_cap(self):
+        with pytest.raises(CapExceeded):
+            next(PermGroup(5, symmetric(5).gens, Caps(element_cap=100)).iter_blocks(10))
+
+
 class TestConjugacyClasses:
     def test_s4_transpositions(self):
         s4 = symmetric(4)
         cls = conjugacy_class(s4, from_cycles(4, [(0, 1)]))
         assert len(cls) == 6
-        assert all(x.order() == 2 for x in cls)
+        members = [x for x in s4.elements() if x.key in cls]
+        assert len(members) == 6
+        assert all(x.order() == 2 for x in members)
 
     def test_class_is_every_conjugate(self):
         for g, x in ((symmetric(5), from_cycles(5, [(0, 1), (2, 3)])), (alternating(6), from_cycles(6, [(0, 1, 2)])), (psl2_mobius(7), psl2_mobius(7).gens[0])):
-            assert conjugacy_class(g, x) == {x**h for h in g.elements()}
+            assert conjugacy_class(g, x) == {(x**h).key for h in g.elements()}
+
+    def test_class_past_one_key_byte_is_every_conjugate(self):
+        # points at and above 256 use both bytes of the 2-byte key
+        n = 300
+        dihedral = PermGroup(n, [from_cycles(n, [range(n)]), Perm([-i % n for i in range(n)])])
+        shifted = PermGroup(308, [Perm(list(range(300)) + [300 + g(i) for i in range(8)]) for g in psl2_mobius(7).gens])
+        for g in (dihedral, shifted):
+            for x in g.gens + [g.gens[0] * g.gens[1], g.gens[0] ** 2]:
+                cls = conjugacy_class(g, x)
+                assert cls == {(x**h).key for h in g.elements()}
+                assert conjugacy_class(g, x.key) == cls
 
     def test_class_cap_is_inclusive(self):
         transposition = from_cycles(4, [(0, 1)])
@@ -311,7 +342,7 @@ class TestConjugacyClasses:
         data = prime_order_class_reps(symmetric(3))
         assert {(c.order, c.class_size) for c in data} == {(2, 3), (3, 2)}
         for c in data:
-            assert c.rep == min(c.elements)
+            assert c.rep.key == min(c.elements)
             assert len(c.elements) == c.class_size
 
     def test_psl2_13_class_sizes_vs_exhaustive(self):
