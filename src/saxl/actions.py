@@ -566,7 +566,9 @@ def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, Cat
     terminating ``expect order <N>[ suborder <M>]`` line.  Cycle notation is
     1-based, e.g. ``(1,2,3)(4,5)``.  Blank lines and ``#`` comments are
     ignored.  Parse problems and order mismatches raise
-    :class:`CatalogueError` with the offending line number.
+    :class:`CatalogueError` with the offending line number.  Entries with the
+    same degree and generator lines share one group, and so one chain; each
+    entry's declared orders are still compared.
     """
     text = Path(path).read_text(encoding="utf-8")
     entries: dict[str, CatalogueEntry] = {}
@@ -574,6 +576,7 @@ def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, Cat
     degree = None
     gens: list[Perm] = []
     sub_gens: list[Perm] = []
+    groups: dict[tuple[int, tuple[bytes, ...]], PermGroup] = {}  # by degree and generator keys
 
     def fail(lineno: int, msg: str):
         raise CatalogueError("line %d: %s" % (lineno, msg))
@@ -630,7 +633,10 @@ def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, Cat
                 fail(lineno, "malformed expect line")
             if (suborder is None) != (not sub_gens):
                 fail(lineno, "suborder and 'sub gen' lines must come together")
-            group = PermGroup(degree, gens, caps=caps)
+            shape = (degree, tuple(g.key for g in gens))
+            if shape not in groups:
+                groups[shape] = PermGroup(degree, gens, caps=caps)
+            group = groups[shape]
             got = group.order()
             if got != expected:
                 fail(lineno, "entry %r: order %d, declared %d" % (name, got, expected))

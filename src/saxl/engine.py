@@ -37,6 +37,9 @@ from .perm import Perm, row_keys
 # -- cached per-action analysis -------------------------------------------------------
 
 
+_BLOCK_ENTRIES = 1 << 14  # image entries per block of H's elements
+
+
 class _Analysis:
     """Suborbit table of one action, built once; every query reads it.
 
@@ -47,9 +50,12 @@ class _Analysis:
     product u_a maps 0 to a.  Each suborbit's flag is computed by
     two independent routes that must agree: orbit length (a breadth-first
     search over the generators of H) versus fixed points ({0, b} is a base
-    exactly when no non-identity element of H fixes b, from H's
-    chain-enumerated elements, streamed and not kept).  The same pass over H
-    checks Burnside's count sum_h fix(h) == |H| * (number of H-orbits).
+    exactly when no non-identity element of H fixes b).  The fixed points
+    come from H's elements, streamed from its chain in blocks of image rows
+    and not kept: one comparison of a block with the identity's images marks
+    every fixed point of every row, and a row that is not all fixed is not
+    the identity.  The same pass checks Burnside's count
+    sum_h fix(h) == |H| * (number of H-orbits).
     """
 
     def __init__(self, action: LabelledAction):
@@ -59,14 +65,13 @@ class _Analysis:
         self.order_h = H.order()
         self.tree = action.group.schreier_vector
         self.orbits = H.orbits()  # ordered by minimal point
-        points = np.arange(n)
+        points = H.identity().images
         fixed_by_nonidentity = np.zeros(n, dtype=bool)
         fix_total = 0
-        for h in H.iter_elements():
-            fixed = (h.images == points).nonzero()[0]
-            fix_total += fixed.size
-            if fixed.size < n:
-                fixed_by_nonidentity[fixed] = True
+        for block in H.iter_blocks(max(1, _BLOCK_ENTRIES // n)):
+            fixed = block == points
+            fix_total += int(np.count_nonzero(fixed))
+            fixed_by_nonidentity |= fixed[~fixed.all(axis=1)].any(axis=0)
         if fix_total != self.order_h * len(self.orbits):
             raise CrossCheckFailed(
                 "Burnside count: sum of fixed points %d != |H| * %d orbits = %d"
@@ -144,9 +149,6 @@ def q_exact(action: LabelledAction) -> Fraction:
 
 
 # -- class-based estimates -------------------------------------------------------------
-
-
-_BLOCK_ENTRIES = 1 << 14  # image entries per block of H's elements
 
 
 def _prime_orders(rows: np.ndarray, primes: list[int]) -> np.ndarray:

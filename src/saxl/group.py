@@ -1,11 +1,18 @@
 """Finite permutation groups with deterministic stabiliser chains.
 
 The stabiliser chain is built by the classical (non-randomised) Schreier-Sims
-procedure.  A group's chain starts its base at the least point that any
-generator moves; further base points are always the smallest point moved by
-the offending residue, so chains, strong generating sets, orders and
-memberships are reproducible across runs.  Pointwise stabilisers come from a
-fresh chain whose base starts with the given points.
+procedure (Seress, *Permutation Group Algorithms*, 2003, section 4.2).  A
+group's chain starts its base at the least point that any generator moves;
+further base points are always the smallest point moved by the offending
+residue, so chains, strong generating sets, orders and memberships are
+reproducible across runs.  Schreier generators are tested and sifted as
+image rows: the images of u_beta * s come from one gather, the generator is
+the identity exactly when their bytes are the key of u_gamma, and a
+non-trivial one is divided by u_gamma and sifted one gather by u^-1 per
+level; only a residue that becomes a strong generator is made a ``Perm``.
+The chain is the classical one, level for level, as if each Schreier
+generator were a ``Perm`` product.  Pointwise stabilisers come from a fresh
+chain whose base starts with the given points.
 
 A certified group answers its order and G_0 with no chain of its own, and
 coset representatives of G_0 come from a :class:`SchreierVector`.
@@ -25,7 +32,7 @@ import numpy as np
 
 # CapExceeded and CrossCheckFailed are re-exported: one exception of each kind
 from .gf import CapExceeded, CrossCheckFailed
-from .perm import Perm, conjugates, identity
+from .perm import Perm, conjugates, identity, inverse_images, nontrivial
 
 
 @dataclass(frozen=True)
@@ -51,16 +58,17 @@ class _Level:
     """One level of a stabiliser chain: a base point, the strong generators
     fixing all earlier base points, and a transversal of the orbit of the
     base point under those generators (coset representative u maps the base
-    point to the orbit point)."""
+    point to the orbit point).  ``done`` is (a, b) when the Schreier
+    generators of ``orbit_list[:a]`` by ``gens[:b]`` are known to sift."""
 
-    __slots__ = ("point", "gens", "transversal", "orbit_list", "_done_pairs")
+    __slots__ = ("point", "gens", "transversal", "orbit_list", "done")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Perm] = []
         self.transversal: dict[int, Perm] = {point: identity(degree)}
         self.orbit_list: list[int] = [point]
-        self._done_pairs: set[tuple[int, int]] = set()
+        self.done = (0, 0)
 
 
 def _close_orbit(transversal: dict[int, Perm], orbit_list: list[int], gens: Sequence[Perm]) -> None:
@@ -135,11 +143,15 @@ class SchreierVector:
 
 
 class StabChain:
-    """Deterministic stabiliser chain for a permutation group.
+    """Deterministic stabiliser chain for a permutation group, by the
+    classical Schreier-Sims procedure.
 
     ``base_prefix`` forces the initial base points (a group's least moved
     point, or the points of a pointwise stabiliser); levels whose orbit stays
     trivial are kept, they are harmless and keep indexing predictable.
+    Elements are sifted as rows of images in the key dtype (see
+    :meth:`_complete_level`), so a Schreier generator that is the identity,
+    or that sifts to it, never becomes a ``Perm``.
     """
 
     def __init__(self, degree: int, gens: Sequence[Perm], base_prefix: Sequence[int] = ()):
@@ -163,25 +175,25 @@ class StabChain:
 
     # -- construction --------------------------------------------------------
 
-    def _strip(self, g: Perm, start: int) -> tuple[Perm, int]:
-        """Sift g through levels[start:]; return (residue, stop level)."""
-        h = g
+    def _strip(self, row: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+        """Sift the images of an element through levels[start:], one gather
+        by u^-1 per level it moves; return (the residue's images, stop level)."""
         for idx in range(start, len(self.levels)):
             level = self.levels[idx]
-            image = h(level.point)
+            image = row.item(level.point)
             if image == level.point:
                 continue
             u = level.transversal.get(image)
             if u is None:
-                return h, idx
-            h = h * u.inverse()
-        return h, len(self.levels)
+                return row, idx
+            row = inverse_images(u.images).take(row)
+        return row, len(self.levels)
 
     def _add_element(self, g: Perm) -> None:
-        residue, idx = self._strip(g, 0)
-        if residue.is_identity():
-            return
-        self._insert(residue, 0, idx)
+        row, idx = self._strip(g.images, 0)
+        residue = nontrivial(row)
+        if residue is not None:
+            self._insert(residue, 0, idx)
 
     def _insert(self, h: Perm, lo: int, j: int) -> None:
         """Install a new strong generator h, known to fix base[0..j-1].
@@ -201,32 +213,35 @@ class StabChain:
     def _complete_level(self, idx: int) -> None:
         """Re-establish the Schreier-Sims condition at one level.
 
-        Every Schreier generator of the level must sift to the identity
-        through the deeper chain; offenders are inserted deeper (at levels
-        idx+1 .. stop) and the deeper levels are completed recursively.
-        Processed (orbit point, generator) pairs are remembered: once
-        certified they stay certified, because deeper levels only ever grow.
+        Every Schreier generator u_beta * s * u_gamma^-1 of the level must
+        sift to the identity through the deeper chain; offenders are
+        inserted deeper (at levels idx+1 .. stop) and the deeper levels are
+        completed recursively.  One gather gives the images of u_beta * s;
+        when their bytes are the key of u_gamma the generator is the
+        identity, and only a non-trivial one is divided by u_gamma and
+        sifted as an image row.  Pairs are taken orbit point by orbit point,
+        generators in order, and a pair once certified is skipped when the
+        level is completed again: it stays certified, because deeper levels
+        only ever grow.  No insertion touches this level while its pairs
+        are being taken, so the certified pairs are always ``done``'s
+        rectangle.
         """
         level = self.levels[idx]
-        _close_orbit(level.transversal, level.orbit_list, level.gens)
-        i = 0
-        while i < len(level.orbit_list):
-            beta = level.orbit_list[i]
-            for gen_idx, s in enumerate(level.gens):
-                key = (beta, gen_idx)
-                if key in level._done_pairs:
+        transversal, gens = level.transversal, level.gens
+        _close_orbit(transversal, level.orbit_list, gens)
+        done_orbit, done_gens = level.done
+        for i, beta in enumerate(level.orbit_list):
+            u = transversal[beta]
+            for s in gens[done_gens if i < done_orbit else 0 :]:
+                row = s.images.take(u.images)
+                v = transversal[row.item(level.point)]
+                if row.tobytes() == v.key:
                     continue
-                level._done_pairs.add(key)
-                u = level.transversal[beta]
-                gamma = s(beta)
-                schreier = u * s * level.transversal[gamma].inverse()
-                if schreier.is_identity():
-                    continue
-                residue, j = self._strip(schreier, idx + 1)
-                if residue.is_identity():
-                    continue
-                self._insert(residue, idx + 1, j)
-            i += 1
+                row, j = self._strip(inverse_images(v.images).take(row), idx + 1)
+                residue = nontrivial(row)
+                if residue is not None:
+                    self._insert(residue, idx + 1, j)
+        level.done = (len(level.orbit_list), len(gens))
 
     # -- queries --------------------------------------------------------------
 
@@ -239,8 +254,7 @@ class StabChain:
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             return False
-        residue, _ = self._strip(g, 0)
-        return residue.is_identity()
+        return nontrivial(self._strip(g.images, 0)[0]) is None
 
     def strong_gens_from(self, idx: int) -> list[Perm]:
         """Strong generators fixing the first ``idx`` base points pointwise."""

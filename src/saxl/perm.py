@@ -21,7 +21,10 @@ constructors (``from_cycles``, ``parse_cycles``) check that their input is a
 permutation of 0..n-1 and raise ``ValueError`` otherwise.  Products,
 inverses, powers, conjugates and identities are built from permutations that
 are already valid, so they skip that check and wrap their key with the
-private ``_trusted``, which no other module may call.
+private ``_trusted``, which no other module may call.  The same holds for an
+image row made from valid permutations' images by gathers and
+``inverse_images``: ``nontrivial`` wraps it, so that a stabiliser chain
+sifts rows and makes a ``Perm`` only of a residue it keeps.
 """
 
 from __future__ import annotations
@@ -99,9 +102,7 @@ class Perm:
         return _trusted(other.images.take(self.images).tobytes(), other.images.dtype)
 
     def inverse(self) -> "Perm":
-        n = len(self.images)
-        inv = np.empty(n, self.images.dtype)
-        inv[self.images.astype(np.intp)] = _arange(n)
+        inv = inverse_images(self.images)
         return _trusted(inv.tobytes(), inv.dtype)
 
     def __pow__(self, g):
@@ -195,6 +196,25 @@ def _trusted(key: bytes, dtype: np.dtype) -> Perm:
 
 def identity(degree: int) -> Perm:
     return _trusted(_identity_key(degree), _dtype(degree))
+
+
+def inverse_images(images: np.ndarray) -> np.ndarray:
+    """The images of the inverse of the permutation whose images are given,
+    in their dtype: one scatter."""
+    inv = np.empty(len(images), images.dtype)
+    inv[images.astype(np.intp)] = _arange(len(images))
+    return inv
+
+
+def nontrivial(row: np.ndarray) -> Perm | None:
+    """The permutation whose images ``row`` holds, or None when it is the
+    identity.  The row must be in the key dtype and made from the images of
+    permutations by gathers and :func:`inverse_images` only, so that it is a
+    permutation already: it is not checked again."""
+    key = row.tobytes()
+    if key == _identity_key(len(row)):
+        return None
+    return _trusted(key, row.dtype)
 
 
 def row_keys(rows: np.ndarray) -> list[bytes]:

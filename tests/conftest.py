@@ -8,6 +8,9 @@ enumerate by brute force, as independent references for the package, and
 ``oracle_prime_class_data`` fuses the prime-order classes of G_0 in the
 label degree, the route that the engine's carrier search replaced, and
 ``oracle_induced`` induces generators on blocks through a dict of tuples.
+``oracle_stab_chain`` builds a stabiliser chain by the classical
+Schreier-Sims procedure in ``Perm`` products, one Schreier generator at a
+time.
 
 ``FqElem`` is a boxed field element, a (field, log) pair with Python
 operators, built by ``zero``, ``one``, ``gen``, ``from_log``, ``from_coeffs``,
@@ -39,7 +42,7 @@ from saxl.actions import bundled_catalogue_path, coset_action, load_catalogue
 from saxl.actions import LINE_INF
 from saxl.gf import LOG_ZERO, CrossCheckFailed, FqField, is_prime
 from saxl.group import CapExceeded, PermGroup, conjugacy_class
-from saxl.perm import Perm
+from saxl.perm import Perm, identity
 
 
 @pytest.fixture(scope="session")
@@ -152,6 +155,75 @@ def oracle_induced(blocks, carrier_gens):
         except KeyError:
             raise CrossCheckFailed("generator does not permute the blocks") from None
     return induced
+
+
+class _OracleLevel:
+    def __init__(self, point: int, degree: int):
+        self.point = point
+        self.gens: list[Perm] = []
+        self.transversal: dict[int, Perm] = {point: identity(degree)}
+        self.orbit_list: list[int] = [point]
+        self.done_pairs: set[tuple[int, int]] = set()
+
+
+def oracle_stab_chain(degree: int, gens, base_prefix=()) -> list[_OracleLevel]:
+    """The levels (``point``, ``gens``, ``transversal``, ``orbit_list``) of
+    the chain that the classical Schreier-Sims procedure builds one ``Perm``
+    at a time: every Schreier generator is formed as u_beta * s * u_gamma^-1
+    and sifted by ``Perm`` products, each level remembers its certified
+    (orbit point, generator) pairs in a set, and the levels are completed
+    as :class:`saxl.group.StabChain` completes them, the route that its
+    image-row sifting replaced."""
+    levels = [_OracleLevel(pt, degree) for pt in base_prefix]
+
+    def strip(h: Perm, start: int):
+        for idx in range(start, len(levels)):
+            level = levels[idx]
+            image = h(level.point)
+            if image == level.point:
+                continue
+            u = level.transversal.get(image)
+            if u is None:
+                return h, idx
+            h = h * u.inverse()
+        return h, len(levels)
+
+    def insert(h: Perm, lo: int, j: int):
+        if j == len(levels):
+            levels.append(_OracleLevel(h.min_moved_point(), degree))
+        for l in range(lo, j + 1):
+            levels[l].gens.append(h)
+        for l in range(j, lo - 1, -1):
+            complete(l)
+
+    def complete(idx: int):
+        level = levels[idx]
+        for beta in level.orbit_list:  # grows as the orbit is closed
+            for s in level.gens:
+                gamma = s(beta)
+                if gamma not in level.transversal:
+                    level.transversal[gamma] = level.transversal[beta] * s
+                    level.orbit_list.append(gamma)
+        i = 0
+        while i < len(level.orbit_list):
+            beta = level.orbit_list[i]
+            for gen_idx, s in enumerate(level.gens):
+                if (beta, gen_idx) in level.done_pairs:
+                    continue
+                level.done_pairs.add((beta, gen_idx))
+                schreier = level.transversal[beta] * s * level.transversal[s(beta)].inverse()
+                if schreier.is_identity():
+                    continue
+                residue, j = strip(schreier, idx + 1)
+                if not residue.is_identity():
+                    insert(residue, idx + 1, j)
+            i += 1
+
+    for g in gens:
+        residue, idx = strip(g, 0)
+        if not residue.is_identity():
+            insert(residue, 0, idx)
+    return levels
 
 
 # -- boxed field elements ----------------------------------------------------------

@@ -475,5 +475,26 @@ class TestCatalogue:
         with pytest.raises(CatalogueError, match=message):
             load_catalogue(path)
 
+    def test_entries_with_the_same_generators_share_one_group(self, catalogue):
+        for first, second in (("M11", "M11_2S4"), ("L3_3_13_3", "L3_3_O3")):
+            assert catalogue[first].group is catalogue[second].group
+        assert catalogue["M11"].group is not catalogue["PGL2_11_S4"].group
+
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            ("expect order 6\n", "line 8: entry 'B': order 3, declared 6"),
+            ("sub gen ()\nexpect order 3 suborder 3\n", "line 9: entry 'B': subgroup order 1, declared 3"),
+        ],
+    )
+    def test_shared_group_is_checked_for_each_entry(self, tmp_path, second, message):
+        path = tmp_path / "cat.txt"
+        path.write_text(
+            "name A\ndegree 3\ngen (1,2,3)\nexpect order 3\n"
+            "name B\ndegree 3\ngen (1,2,3)\n" + second
+        )
+        with pytest.raises(CatalogueError, match=message):
+            load_catalogue(path)
+
     def test_bundled_path_exists(self):
         assert bundled_catalogue_path().exists()

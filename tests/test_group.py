@@ -7,12 +7,20 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saxl.actions import GroupVariant, ksubset_action, psl2_c2_action
+from saxl.actions import (
+    GroupVariant,
+    bundled_catalogue_path,
+    ksubset_action,
+    load_catalogue,
+    psl2_c2_action,
+    psl2_c3_action,
+)
 from saxl.cli import _build_parser, build_action, main
+from saxl.engine import regular_suborbit_count
 from saxl.group import CapExceeded, Caps, PermGroup, SchreierVector, StabChain, conjugacy_class
 from saxl.perm import Perm, from_cycles, identity
 
-from conftest import all_perms, prime_order_class_reps
+from conftest import all_perms, oracle_stab_chain, prime_order_class_reps
 
 
 def symmetric(n):
@@ -259,6 +267,73 @@ class TestStabilisers:
         assert not s5.is_subgroup_of(a5)
         other_s4 = PermGroup(4, [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
         assert other_s4.same_group(symmetric(4))
+
+
+@pytest.fixture
+def built_chains(monkeypatch):
+    """(chain, degree, generators, base prefix) of every StabChain built
+    while the fixture is live."""
+    built = []
+    build = StabChain.__init__
+
+    def recorded(self, degree, gens, base_prefix=()):
+        gens, base_prefix = list(gens), list(base_prefix)
+        build(self, degree, gens, base_prefix)
+        built.append((self, degree, gens, base_prefix))
+
+    monkeypatch.setattr(StabChain, "__init__", recorded)
+    return built
+
+
+def assert_oracle_chains(built):
+    """Each recorded chain equals the classical Perm-level chain built from
+    the same arguments, level by level: base point, strong generators in
+    order, transversal items in order and orbit list."""
+    assert built
+    for chain, degree, gens, base_prefix in built:
+        want = oracle_stab_chain(degree, gens, base_prefix)
+        assert [level.point for level in chain.levels] == [level.point for level in want]
+        for got, level in zip(chain.levels, want):
+            assert [g.key for g in got.gens] == [g.key for g in level.gens]
+            assert [(pt, u.key) for pt, u in got.transversal.items()] == [
+                (pt, u.key) for pt, u in level.transversal.items()
+            ]
+            assert got.orbit_list == level.orbit_list
+
+
+class TestChainOracle:
+    def test_catalogue_groups_and_subgroups(self, built_chains):
+        catalogue = load_catalogue(bundled_catalogue_path())
+        assert len(built_chains) == len({id(e.group) for e in catalogue.values()}) + sum(
+            e.subgroup is not None for e in catalogue.values()
+        )
+        assert_oracle_chains(built_chains)
+
+    @pytest.mark.parametrize("q", [9, 25, 27, 49])
+    @pytest.mark.parametrize("build", [psl2_c2_action, psl2_c3_action], ids=["c2", "c3"])
+    def test_certification_chains(self, built_chains, build, q):
+        regular_suborbit_count(build(GroupVariant("PSL2", q)))
+        assert_oracle_chains(built_chains)
+
+    @pytest.mark.parametrize("even_only", [False, True], ids=["S7", "A7"])
+    def test_seven_points_on_3_subsets(self, built_chains, even_only):
+        regular_suborbit_count(ksubset_action(7, 3, even_only))
+        assert_oracle_chains(built_chains)
+
+    def test_two_point_prefixes(self, built_chains):
+        for g in (symmetric(7), psl2_mobius(13), ksubset_action(7, 3).group):
+            for pair in ((0, 1), (1, 0), (2, g.degree - 1), (g.degree - 1, 3)):
+                g.pointwise_stabiliser(pair)
+        assert_oracle_chains(built_chains)
+
+    def test_past_two_key_bytes(self, built_chains):
+        # degree above 65 535: 4-byte keys
+        n = 1 << 16
+        shifted = PermGroup(n + 8, [Perm(list(range(n)) + [n + g(i) for i in range(8)]) for g in psl2_mobius(7).gens])
+        assert shifted.order() == 168
+        assert shifted.pointwise_stabiliser([n + 1, n]).order() == 3
+        assert len(built_chains[0][0].levels[0].gens[0].key) == 4 * (n + 8)
+        assert_oracle_chains(built_chains)
 
 
 class TestElements:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saxl.perm import Perm, from_cycles, identity, parse_cycles
+from saxl.perm import Perm, from_cycles, identity, inverse_images, nontrivial, parse_cycles
 
 from conftest import all_perms
 
@@ -51,8 +51,9 @@ class TestCompose:
 
 
 class TestUncheckedResults:
-    """Products, inverses, powers, conjugates and identities skip the check in
-    ``Perm.__init__``; each must still be a permutation it accepts unchanged."""
+    """Products, inverses, powers, conjugates, identities and rows wrapped by
+    ``nontrivial`` skip the check in ``Perm.__init__``; each must still be a
+    permutation it accepts unchanged."""
 
     @given(
         st.integers(0, 9).flatmap(lambda n: st.tuples(random_perm(n), random_perm(n))),
@@ -61,7 +62,10 @@ class TestUncheckedResults:
     @settings(max_examples=100, deadline=None)
     def test_results_pass_validation(self, pair, k):
         p, g = pair
-        for result in (p * g, p.inverse(), p**g, p**k, identity(p.degree)):
+        quotient = nontrivial(inverse_images(g.images).take(p.images))  # p * g^-1
+        assert (quotient is None) == (p == g)
+        assert quotient is None or quotient == p * g.inverse()
+        for result in (p * g, p.inverse(), p**g, p**k, identity(p.degree), quotient or p):
             assert isinstance(result.images, np.ndarray)
             assert not result.images.flags.writeable
             assert result.images.dtype == np.dtype(">u2")
@@ -203,6 +207,8 @@ class TestRepresentation:
         for i in (0, 1, 299, 300, degree - 2, degree - 1):
             assert prod(i) == swap(shift(i))
         assert (shift * shift.inverse()).is_identity()
+        assert nontrivial(inverse_images(shift.images)) == shift.inverse()
+        assert nontrivial(inverse_images(e.images)) is None
         assert shift.inverse()(0) == degree - 1
         assert not shift.is_identity() and e.is_identity()
         assert shift**degree == e and shift.order() == degree
