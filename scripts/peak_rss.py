@@ -5,11 +5,14 @@ command line per argument:
 
     python3 scripts/peak_rss.py 80 "analyze --psl2 c2 --q 121 --no-classes"
 
-Each command runs as ``python -m saxl.cli ...`` with its stdout discarded.
-Its peak RSS is the ``ru_maxrss`` that ``os.wait4`` reports for that child
-alone, and its wall time is read with ``perf_counter`` around the child.
-One line per command gives its exit code, wall time and peak; the script
-exits 1 when any command exits non-zero or peaks at or above the limit.
+Each command runs as ``python -m saxl.cli ...``.  Its stdout is read
+through a pipe a block at a time and hashed, not kept, so a caller can check
+the output of the same run whose memory it bounds.  Its peak RSS is the
+``ru_maxrss`` that ``os.wait4`` reports for that child alone, and its wall
+time is read with ``perf_counter`` around the child.  One line per command
+gives its exit code, wall time, peak and the sha256 of its stdout; the
+script exits 1 when any command exits non-zero or peaks at or above the
+limit.
 ``src`` is byte-compiled once before the first child, so that no peak
 includes the compiler, even with a stale cache and
 ``PYTHONDONTWRITEBYTECODE`` set.
@@ -18,6 +21,7 @@ includes the compiler, even with a stale cache and
 from __future__ import annotations
 
 import compileall
+import hashlib
 import os
 import shlex
 import subprocess
@@ -28,17 +32,21 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def peak_rss(argv: list[str]) -> tuple[int, float, float]:
-    """Exit code, wall time in s and peak RSS in MB of ``saxl argv`` in a
-    child process."""
+def peak_rss(argv: list[str]) -> tuple[int, float, float, str]:
+    """Exit code, wall time in s, peak RSS in MB and stdout sha256 of
+    ``saxl argv`` in a child process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "saxl.cli", *argv], stdout=subprocess.DEVNULL, env=env)
+    child = subprocess.Popen([sys.executable, "-m", "saxl.cli", *argv], stdout=subprocess.PIPE, env=env)
+    digest = hashlib.sha256()
+    with child.stdout:
+        for block in iter(lambda: child.stdout.read(1 << 16), b""):
+            digest.update(block)
     _, status, usage = os.wait4(child.pid, 0)
     wall_s = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, wall_s, usage.ru_maxrss / 1024  # Linux reports KB
+    return child.returncode, wall_s, usage.ru_maxrss / 1024, digest.hexdigest()  # Linux reports KB
 
 
 def main(args: list[str]) -> int:
@@ -49,9 +57,10 @@ def main(args: list[str]) -> int:
     compileall.compile_dir(SRC, quiet=1)
     ok = True
     for command in args[1:]:
-        code, wall_s, peak_mb = peak_rss(shlex.split(command))
+        code, wall_s, peak_mb, sha256 = peak_rss(shlex.split(command))
         print(
-            "saxl %s: exit %d, wall %.2f s, peak RSS %.1f MB (limit %g)" % (command, code, wall_s, peak_mb, limit),
+            "saxl %s: exit %d, wall %.2f s, peak RSS %.1f MB (limit %g), stdout sha256 %s"
+            % (command, code, wall_s, peak_mb, limit, sha256),
             flush=True,
         )
         ok = ok and code == 0 and peak_mb < limit

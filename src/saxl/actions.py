@@ -59,7 +59,7 @@ from .gf import (
     split_prime_power,
 )
 from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup, StabChain
-from .perm import Perm, from_cycles, parse_cycles
+from .perm import Perm, from_cycles, identity, parse_cycles
 
 FAMILIES = ("PSL2", "PGL2", "PSigmaL2", "PGammaL2", "DeltaPhi")
 
@@ -324,7 +324,7 @@ def coset_action(
         raise CapExceeded("index %d exceeds point cap %d" % (index, caps.point_cap))
 
     chain_h = H.chain
-    start = _coset_canonical(chain_h, G.identity())
+    start = _coset_canonical(chain_h, identity(G.degree))
     reps = [start]
     seen = {start: 0}
     images_per_gen = [[] for _ in G.gens]

@@ -29,7 +29,7 @@ from functools import partial
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -191,6 +191,8 @@ def _check_args(args) -> None:
             raise ValueError("--psl2 needs --q")
         if any(cap is not None and cap <= 0 for cap in (args.point_cap, args.group_cap, args.exact_cap)):
             raise ValueError("caps must be positive")
+        if args.command == "analyze" and args.clique_target is not None and args.clique_target < 2:
+            raise ValueError("target must be at least 2")
     for option in args.given:
         if option.reads is not None and not option.reads(args):
             raise ValueError("%s is only read %s" % (option.option_strings[0], option.where))
@@ -200,10 +202,6 @@ def _caps(args) -> Caps:
     """The default caps, with the cap options given on the command line."""
     caps = {"point_cap": args.point_cap, "group_cap": args.group_cap, "exact_cap": args.exact_cap}
     return replace(DEFAULT_CAPS, **{name: cap for name, cap in caps.items() if cap is not None})
-
-
-def _load_entries(args, caps: Caps = DEFAULT_CAPS):
-    return load_catalogue(args.catalogue_path or bundled_catalogue_path(), caps=caps)
 
 
 def _entry_action(entry, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
@@ -219,7 +217,7 @@ def _entry_action(entry, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
 def build_action(args) -> LabelledAction:
     caps = _caps(args)
     if args.catalogue is not None:
-        entries = _load_entries(args, caps)
+        entries = load_catalogue(args.catalogue_path or bundled_catalogue_path(), caps=caps)
         if args.catalogue not in entries:
             raise ValueError(
                 "unknown catalogue entry %r (have: %s)"
@@ -294,12 +292,22 @@ def _upto(args, fields) -> list[int]:
     return [q for q in fields if qmax is None or q <= qmax]
 
 
+def _fixture_actions(args) -> Iterator[tuple[str, LabelledAction]]:
+    """(name, action) for each fixture of the frozen table rows, one at a
+    time, from the catalogue at --catalogue-path or the bundled one."""
+    path = args.catalogue_path or bundled_catalogue_path()
+    entries = load_catalogue(path)
+    for name in _table_rows():
+        if name not in entries:
+            raise ValueError("catalogue %s has no entry %r" % (path, name))
+        yield name, _entry_action(entries[name])
+
+
 def _sweep_table_rows(args) -> list[dict]:
     expected = _table_rows()
-    entries = _load_entries(args)
     checks = []
-    for name, want in expected.items():
-        action = _entry_action(entries[name])
+    for name, action in _fixture_actions(args):
+        want = expected[name]
         r = regular_suborbit_count(action)
         q = q_exact(action)
         want_q = Fraction(want["q"]["num"], want["q"]["den"])
@@ -466,9 +474,7 @@ def _sweep_star(args) -> list[dict]:
         ok, witnesses = check_star(action)
         missing = sum(1 for w in witnesses.values() if w is None)
         checks.append(_check("star %s" % name, ok and bool(witnesses), "%d suborbit reps, %d without witness" % (len(witnesses), missing)))
-    entries = _load_entries(args)
-    for name in _table_rows():
-        action = _entry_action(entries[name])
+    for name, action in _fixture_actions(args):
         ok, witnesses = check_star(action)
         checks.append(_check("star fixture %s" % name, ok and bool(witnesses), "%d suborbit reps" % len(witnesses)))
     return checks
@@ -642,10 +648,8 @@ def _sweep_closed_forms(args) -> list[dict]:
 
 
 def _sweep_estimates(args) -> list[dict]:
-    entries = _load_entries(args)
     checks = []
-    for name in _table_rows():
-        action = _entry_action(entries[name])
+    for name, action in _fixture_actions(args):
         lo, mid, hi = q_exact(action), q_hat(action), q_tilde(action)
         checks.append(_check("estimates %s" % name, lo <= mid <= hi, "Q=%s Q-hat=%s Q-tilde=%s" % (lo, mid, hi)))
     value = lemma_calc_bound(156, 135135, 2)

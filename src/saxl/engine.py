@@ -31,13 +31,10 @@ import numpy as np
 from .actions import LabelledAction, diagonal
 from .gf import prime_factors
 from .group import CapExceeded, Caps, CrossCheckFailed, PermGroup, conjugacy_class
-from .perm import Perm, row_keys
+from .perm import BLOCK_ENTRIES, Perm, identity, row_keys
 
 
 # -- cached per-action analysis -------------------------------------------------------
-
-
-_BLOCK_ENTRIES = 1 << 14  # image entries per block of H's elements
 
 
 class _Analysis:
@@ -65,10 +62,10 @@ class _Analysis:
         self.order_h = H.order()
         self.tree = action.group.schreier_vector
         self.orbits = H.orbits()  # ordered by minimal point
-        points = H.identity().images
+        points = identity(n).images
         fixed_by_nonidentity = np.zeros(n, dtype=bool)
         fix_total = 0
-        for block in H.iter_blocks(max(1, _BLOCK_ENTRIES // n)):
+        for block in H.iter_blocks(max(1, BLOCK_ENTRIES // n)):
             fixed = block == points
             fix_total += int(np.count_nonzero(fixed))
             fixed_by_nonidentity |= fixed[~fixed.all(axis=1)].any(axis=0)
@@ -108,11 +105,16 @@ def _analysis(action: LabelledAction) -> _Analysis:
 # -- base pairs, suborbits, Q ----------------------------------------------------------
 
 
+def _check_points(n: int, *points: int) -> None:
+    """Refuse, with a ValueError, a point outside 0..n-1."""
+    if not all(0 <= p < n for p in points):
+        raise ValueError("points must lie in 0..%d" % (n - 1))
+
+
 def is_base_pair(action: LabelledAction, a: int, b: int) -> bool:
     """Whether {a, b} has trivial pointwise stabiliser."""
     data = _analysis(action)
-    if not (0 <= a < data.n and 0 <= b < data.n):
-        raise ValueError("points must lie in 0..%d" % (data.n - 1))
+    _check_points(data.n, a, b)
     if a == b:
         raise ValueError("a base pair needs two distinct points")
     return bool(data.flags[data.flags_from(a)[b]])
@@ -200,11 +202,11 @@ def _prime_class_data(action: LabelledAction):
     D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens], caps=caps)
     # H in D's chain order: Q-hat and Q-tilde are sums over classes, so the
     # order in which classes are found does not matter
-    key_dtype = G.identity().images.dtype
-    labels = D.identity().images[m:]
+    key_dtype = identity(m).images.dtype
+    labels = identity(m + n).images[m:]
     primes = prime_factors(D.order())
     fixed: dict[bytes, tuple[int, int]] = {}  # carrier key -> (prime order, fixed labels)
-    for block in D.iter_blocks(max(1, _BLOCK_ENTRIES // (m + n))):
+    for block in D.iter_blocks(max(1, BLOCK_ENTRIES // (m + n))):
         carrier = block[:, :m].astype(key_dtype)  # D's rows may be wider
         orders = _prime_orders(carrier, primes)
         prime = orders > 0
@@ -305,11 +307,11 @@ class SaxlGraph:
 
     def row(self, a: int) -> np.ndarray:
         """The neighbours of ``a``, as a boolean array over 0..n-1."""
+        _check_points(self.n, a)
         return np.unpackbits(self.packed[a], count=self.n, bitorder="little").view(bool)
 
     def has_edge(self, a: int, b: int) -> bool:
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise ValueError("points must lie in 0..%d" % (self.n - 1))
+        _check_points(self.n, a, b)
         return bool(self.packed[a, b >> 3] >> (b & 7) & 1)
 
     def bitsets(self) -> list[int]:

@@ -216,9 +216,6 @@ class FqField:
     def __repr__(self) -> str:
         return "FqField(p=%d, f=%d)" % (self.p, self.f)
 
-    def __reduce__(self):
-        return (field_create, (self.p, self.f))
-
 
 @lru_cache(maxsize=None)
 def field_create(p: int, f: int) -> FqField:

@@ -19,7 +19,9 @@ coset representatives of G_0 come from a :class:`SchreierVector`.
 
 Hard limits guard every potentially explosive operation (element enumeration,
 class materialisation); exceeding a limit raises :class:`CapExceeded` rather
-than silently degrading.
+than silently degrading.  :func:`conjugacy_class` takes a key and returns the
+class's keys: it is :func:`saxl.perm.conjugates` over the group's generators
+within ``class_cap``.
 """
 
 from __future__ import annotations
@@ -166,13 +168,6 @@ class StabChain:
                 raise ValueError("generator degree %d does not match %d" % (g.degree, degree))
             self._add_element(g)
 
-    def suffix_chain(self, idx: int) -> "StabChain":
-        """The chain of the pointwise stabiliser of the first ``idx`` base
-        points: this chain's deeper levels, which are complete already."""
-        chain = StabChain.__new__(StabChain)
-        chain.degree, chain.levels = self.degree, self.levels[idx:]
-        return chain
-
     # -- construction --------------------------------------------------------
 
     def _strip(self, row: np.ndarray, start: int) -> tuple[np.ndarray, int]:
@@ -256,17 +251,6 @@ class StabChain:
             return False
         return nontrivial(self._strip(g.images, 0)[0]) is None
 
-    def strong_gens_from(self, idx: int) -> list[Perm]:
-        """Strong generators fixing the first ``idx`` base points pointwise."""
-        seen: set[Perm] = set()
-        out: list[Perm] = []
-        for level in self.levels[idx:]:
-            for g in level.gens:
-                if g not in seen:
-                    seen.add(g)
-                    out.append(g)
-        return out
-
     def iter_elements(self) -> Iterator[Perm]:
         """All elements, each exactly once, as products over the transversals.
 
@@ -288,8 +272,7 @@ class StabChain:
         block = one.images.reshape(1, -1)
         top = len(self.levels)
         while top and len(block) * len(self.levels[top - 1].transversal) <= rows:
-            reps = self.levels[top - 1].transversal.values()
-            level = np.frombuffer(b"".join(u.key for u in reps), one.images.dtype).reshape(len(reps), -1)
+            level = np.stack([u.images for u in self.levels[top - 1].transversal.values()])
             block = level[:, block].reshape(-1, self.degree)
             top -= 1
         points = block.astype(np.intp)
@@ -323,7 +306,6 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
         self.caps = caps
         self._chain: StabChain | None = None
-        self._elements: list[Perm] | None = None
         self._order: int | None = None
         self._stabiliser0: PermGroup | None = None
 
@@ -350,20 +332,12 @@ class PermGroup:
     def contains(self, g: Perm) -> bool:
         return self.chain.contains(g)
 
-    def identity(self) -> Perm:
-        return identity(self.degree)
-
-    def same_group(self, other: "PermGroup") -> bool:
-        """Same element set (degrees must match)."""
-        if self.degree != other.degree:
-            return False
-        return (
-            self.order() == other.order()
-            and all(other.contains(g) for g in self.gens)
-        )
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(other.contains(g) for g in self.gens)
+
+    def same_group(self, other: "PermGroup") -> bool:
+        """Same element set: a subgroup of the same order."""
+        return self.is_subgroup_of(other) and self.order() == other.order()
 
     # -- orbits ------------------------------------------------------------------
 
@@ -454,10 +428,13 @@ class PermGroup:
     def pointwise_stabiliser(self, points: Sequence[int]) -> "PermGroup":
         """Pointwise stabiliser of a point sequence, from a fresh chain whose
         base starts with those points: the deeper part of that chain already
-        is the stabiliser's chain."""
-        chain = StabChain(self.degree, self.gens, base_prefix=list(points))
-        sub = PermGroup(self.degree, chain.strong_gens_from(len(points)), caps=self.caps)
-        sub._chain = chain.suffix_chain(len(points))
+        is the stabiliser's chain, and its levels' generators, first
+        appearances in order, generate the stabiliser."""
+        full = StabChain(self.degree, self.gens, base_prefix=list(points))
+        chain = StabChain.__new__(StabChain)
+        chain.degree, chain.levels = self.degree, full.levels[len(points) :]
+        sub = PermGroup(self.degree, dict.fromkeys(g for level in chain.levels for g in level.gens), caps=self.caps)
+        sub._chain = chain
         return sub
 
     # -- element enumeration ------------------------------------------------------
@@ -484,26 +461,14 @@ class PermGroup:
         return self._enumerable_chain().iter_blocks(rows)
 
     def elements(self) -> list[Perm]:
-        """All elements, sorted by image list and kept.  Guarded by
-        ``element_cap``."""
-        if self._elements is None:
-            self._elements = sorted(self.iter_elements())
-        return self._elements
+        """All elements, sorted by image list.  Guarded by ``element_cap``."""
+        return sorted(self.iter_elements())
 
 
 # -- conjugacy ---------------------------------------------------------------------
 
 
-def conjugacy_class(G: PermGroup, x: Perm | bytes) -> set[bytes]:
-    """The class x^G, as the set of its members' keys; x is a permutation of
-    G's points or its key, and ``len`` of the result is the class size.
-
-    :func:`saxl.perm.conjugates` closes the class breadth-first over key
-    bytes, conjugating a whole frontier by each generator in one gather.
-    ``class_cap`` is inclusive and checked after each round, so the search
-    holds at most the cap plus one round of keys before it is refused."""
-    cap = G.caps.class_cap
-    for members in conjugates(x.key if isinstance(x, Perm) else x, G.degree, G.gens):
-        if len(members) > cap:
-            raise CapExceeded("conjugacy class larger than cap %d" % cap)
-    return members
+def conjugacy_class(G: PermGroup, key: bytes) -> set[bytes]:
+    """The keys of the class of the permutation whose key is ``key``, under
+    G: :func:`saxl.perm.conjugates` within ``class_cap``."""
+    return conjugates(key, G.degree, G.gens, G.caps.class_cap)

@@ -14,7 +14,10 @@ class representatives follow the lexicographic order of the images.
 are numpy gathers and scatters, and a caller that walks points in a Python
 loop takes ``images.tolist()`` once.  Code that handles many permutations
 at once holds them as rows of ``images.dtype``, whose bytes are their keys,
-and compares keys without building a ``Perm`` for each.
+in blocks of at most ``BLOCK_ENTRIES`` image entries, and compares keys
+without building a ``Perm`` for each.  :func:`conjugates` closes a conjugacy
+class this way, key in and set of keys out, and raises ``CapExceeded`` for
+a class larger than its cap.
 
 Validation happens once, at the boundary.  ``Perm(...)`` and the other public
 constructors (``from_cycles``, ``parse_cycles``) check that their input is a
@@ -31,12 +34,15 @@ from __future__ import annotations
 
 from functools import cache
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .gf import CapExceeded
+
 _NARROW_MAX = 0xFFFF  # the largest degree whose points fit in 2 bytes
 _NARROW, _WIDE = np.dtype(">u2"), np.dtype(">u4")
+BLOCK_ENTRIES = 1 << 14  # image entries per block of rows that one gather maps
 
 
 def _dtype(degree: int) -> np.dtype:
@@ -224,29 +230,26 @@ def row_keys(rows: np.ndarray) -> list[bytes]:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel().tolist()
 
 
-_CHUNK_ENTRIES = 1 << 14  # image entries per gather of a class search
-
-
-def conjugates(key: bytes, degree: int, gens: Sequence[Perm]) -> Iterator[set[bytes]]:
+def conjugates(key: bytes, degree: int, gens: Sequence[Perm], cap: int) -> set[bytes]:
     """The class of the permutation whose key is ``key``, under the group
-    that ``gens`` generate, closed breadth-first over key bytes.
+    that ``gens`` generate, as the set of its members' keys, closed
+    breadth-first over key bytes.
 
-    Yields one set of keys, the members found so far: first {key}, then the
-    same set again after each round that adds to it, until a round adds
-    nothing.  A round conjugates the frontier, the keys the last round
-    added, by each generator, a block of rows at a time in one gather: row
-    y becomes ``g.images[y[g^-1]]``, the images of g^-1 * y * g.  Rows stay
-    in the key dtype and C order, so the bytes of a row are its conjugate's
-    key, and no Perm is built.  A caller that stops early stops the search;
-    one that checks the set's size after each round holds at most that
-    size plus one round."""
+    A round conjugates the frontier, the keys the last round added, by each
+    generator, a block of rows at a time in one gather: row y becomes
+    ``g.images[y[g^-1]]``, the images of g^-1 * y * g.  Rows stay in the key
+    dtype and C order, so the bytes of a row are its conjugate's key, and no
+    Perm is built.  ``cap`` is inclusive and checked after each round: a
+    class larger than it raises :class:`CapExceeded`, holding at most the
+    cap plus one round of keys."""
     dtype = _dtype(degree)
-    rows = max(1, _CHUNK_ENTRIES // max(degree, 1))
+    rows = max(1, BLOCK_ENTRIES // max(degree, 1))
     steps = [(g.images, g.inverse().images.astype(np.intp)) for g in gens]
     members = {key}
     frontier = [key]
-    yield members
-    while True:
+    while frontier:
+        if len(members) > cap:
+            raise CapExceeded("conjugacy class larger than cap %d" % cap)
         fresh: set[bytes] = set()
         for lo in range(0, len(frontier), rows):
             keys = frontier[lo : lo + rows]
@@ -255,11 +258,9 @@ def conjugates(key: bytes, degree: int, gens: Sequence[Perm]) -> Iterator[set[by
                 found = set(row_keys(g.take(block.take(g_inv, axis=1))))
                 found -= members
                 fresh |= found
-        if not fresh:
-            return
         members |= fresh
-        yield members
         frontier = list(fresh)
+    return members
 
 
 def from_cycles(degree: int, cycles: Iterable[Iterable[int]]) -> Perm:

@@ -106,7 +106,7 @@ def prime_order_class_reps(G: PermGroup) -> list[ConjClassData]:
         o = x.order()
         if not is_prime(o):
             continue
-        cls = conjugacy_class(G, x)
+        cls = conjugacy_class(G, x.key)
         classified.update(cls)
         out.append(ConjClassData(rep=x, order=o, class_size=len(cls), elements=cls))
     out.sort(key=lambda c: (c.order, c.class_size, c.rep))
@@ -125,7 +125,7 @@ def oracle_prime_class_data(action):
     for h in prime_elems:
         if h.key not in unassigned:
             continue
-        cls = conjugacy_class(G, h)
+        cls = conjugacy_class(G, h.key)
         hits = cls & unassigned
         membership.update(dict.fromkeys(hits, len(g_classes)))
         unassigned -= hits
@@ -135,7 +135,7 @@ def oracle_prime_class_data(action):
     pools, seen = {}, set()
     for h in prime_elems:
         if h.key not in seen:
-            cls_h = conjugacy_class(H, h)
+            cls_h = conjugacy_class(H, h.key)
             seen |= cls_h
             key = (h.order(), g_classes[membership[h.key]][1])
             pools[key] = pools.get(key, 0) + len(cls_h)

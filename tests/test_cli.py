@@ -218,6 +218,31 @@ class TestExitCodes:
         path = str(tmp_path / "absent.txt")
         assert main(["analyze", "--catalogue", "X", "--catalogue-path", path]) == 1
 
+    @pytest.mark.parametrize("argv", ["table-rows", "star --qmax 4", "estimates"])
+    def test_catalogue_without_a_fixture_is_1(self, capsys, tmp_path, argv):
+        from saxl.actions import bundled_catalogue_path
+
+        entries = bundled_catalogue_path().read_text().split("\n\n")
+        path = tmp_path / "cat.txt"
+        path.write_text("\n\n".join(e for e in entries if not e.startswith("name A9_ASL23\n")))
+        assert main(["verify", *argv.split(), "--catalogue-path", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: catalogue %s has no entry 'A9_ASL23'\n" % path
+
+    @pytest.mark.parametrize("target", ["1", "0"])
+    def test_clique_target_below_2_is_refused_before_the_build(self, capsys, monkeypatch, target):
+        from saxl import cli
+
+        def refuse(args):
+            raise RuntimeError("action built before --clique-target was refused")
+
+        monkeypatch.setattr(cli, "build_action", refuse)
+        assert main(["analyze", "--psl2", "c2", "--q", "121", "--clique-target", target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: target must be at least 2\n"
+
     def test_one_point_catalogue_group_is_analysed(self, tmp_path):
         # the trivial group has no non-identity generator to take a degree from
         path = tmp_path / "cat.txt"

@@ -83,7 +83,6 @@ class TestOrders:
     def test_trivial_group(self):
         g = PermGroup(4, [])
         assert g.order() == 1
-        assert g.identity() == identity(4)
 
     def test_order_is_product_of_orbit_lengths(self):
         g = symmetric(5)
@@ -386,7 +385,7 @@ class TestElementBlocks:
 class TestConjugacyClasses:
     def test_s4_transpositions(self):
         s4 = symmetric(4)
-        cls = conjugacy_class(s4, from_cycles(4, [(0, 1)]))
+        cls = conjugacy_class(s4, from_cycles(4, [(0, 1)]).key)
         assert len(cls) == 6
         members = [x for x in s4.elements() if x.key in cls]
         assert len(members) == 6
@@ -394,7 +393,7 @@ class TestConjugacyClasses:
 
     def test_class_is_every_conjugate(self):
         for g, x in ((symmetric(5), from_cycles(5, [(0, 1), (2, 3)])), (alternating(6), from_cycles(6, [(0, 1, 2)])), (psl2_mobius(7), psl2_mobius(7).gens[0])):
-            assert conjugacy_class(g, x) == {(x**h).key for h in g.elements()}
+            assert conjugacy_class(g, x.key) == {(x**h).key for h in g.elements()}
 
     def test_class_past_one_key_byte_is_every_conjugate(self):
         # points at and above 256 use both bytes of the 2-byte key
@@ -403,12 +402,10 @@ class TestConjugacyClasses:
         shifted = PermGroup(308, [Perm(list(range(300)) + [300 + g(i) for i in range(8)]) for g in psl2_mobius(7).gens])
         for g in (dihedral, shifted):
             for x in g.gens + [g.gens[0] * g.gens[1], g.gens[0] ** 2]:
-                cls = conjugacy_class(g, x)
-                assert cls == {(x**h).key for h in g.elements()}
-                assert conjugacy_class(g, x.key) == cls
+                assert conjugacy_class(g, x.key) == {(x**h).key for h in g.elements()}
 
     def test_class_cap_is_inclusive(self):
-        transposition = from_cycles(4, [(0, 1)])
+        transposition = from_cycles(4, [(0, 1)]).key
         assert len(conjugacy_class(PermGroup(4, symmetric(4).gens, Caps(class_cap=6)), transposition)) == 6
         with pytest.raises(CapExceeded):
             conjugacy_class(PermGroup(4, symmetric(4).gens, Caps(class_cap=5)), transposition)
@@ -450,4 +447,4 @@ class TestCaps:
     def test_class_cap(self):
         g = PermGroup(7, symmetric(7).gens, Caps(class_cap=5))
         with pytest.raises(CapExceeded):
-            conjugacy_class(g, from_cycles(7, [(0, 1)]))
+            conjugacy_class(g, from_cycles(7, [(0, 1)]).key)

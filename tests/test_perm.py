@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from saxl.perm import Perm, from_cycles, identity, inverse_images, nontrivial, parse_cycles
+from saxl.gf import CapExceeded
+from saxl.perm import Perm, conjugates, from_cycles, identity, inverse_images, nontrivial, parse_cycles
 
 from conftest import all_perms
 
@@ -165,6 +166,22 @@ class TestMiscellany:
 
     def test_all_perms_count(self):
         assert sum(1 for _ in all_perms(4)) == 24
+
+
+class TestConjugates:
+    S5 = [from_cycles(5, [range(5)]), from_cycles(5, [(0, 1)])]
+
+    def test_class_is_every_conjugate(self):
+        x = from_cycles(5, [(0, 1, 2)])
+        assert conjugates(x.key, 5, self.S5, 10**6) == {(x**g).key for g in all_perms(5)}
+        assert conjugates(identity(5).key, 5, self.S5, 1) == {identity(5).key}
+
+    def test_cap_is_inclusive(self):
+        # the ten transpositions of S5: cap 10 holds them, cap 9 refuses them
+        transposition = from_cycles(5, [(0, 1)]).key
+        assert len(conjugates(transposition, 5, self.S5, 10)) == 10
+        with pytest.raises(CapExceeded, match="larger than cap 9"):
+            conjugates(transposition, 5, self.S5, 9)
 
 
 class TestRepresentation:
