@@ -21,7 +21,8 @@ each carrier generator into a permutation of the labels; a generator that
 maps some block outside the labelling raises :class:`CrossCheckFailed`.
 Every constructor returns through :func:`_certified`, which proves |G| and
 G_0 with no chain of G on its n points.  A catalogue loader ingests fixture
-groups from a small text format and checks their declared orders on load.
+groups from a small text format; it refuses a degree over the point cap at
+its line, and checks an entry's declared orders on the entry's first use.
 
 The projective maps run on the log arrays of :mod:`saxl.gf`.  A point of
 PG(1,q) or PG(1,q^2) has one code, LINE_INF = -2 for <e2>, LOG_ZERO = -1
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -58,10 +60,24 @@ from .gf import (
     log_sub,
     split_prime_power,
 )
-from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS, PermGroup, StabChain
+from .group import CapExceeded, CrossCheckFailed, PermGroup, StabChain
 from .perm import Perm, from_cycles, identity, parse_cycles
 
 FAMILIES = ("PSL2", "PGL2", "PSigmaL2", "PGammaL2", "DeltaPhi")
+
+
+@dataclass(frozen=True)
+class Caps:
+    """The inclusive limits that ``--point-cap``, ``--group-cap`` and
+    ``--exact-cap`` set: the constructors here check degree and order
+    before they build, and :mod:`saxl.engine` the exact-search degree."""
+
+    point_cap: int = 10**5
+    group_cap: int = 10**7
+    exact_cap: int = 2000
+
+
+DEFAULT_CAPS = Caps()
 
 
 @dataclass(frozen=True)
@@ -121,13 +137,15 @@ class LabelledAction:
     module docstring describes; ``label_index`` maps each back to its point.
     ``carrier`` holds the degree m of a faithful carrier and the (carrier,
     label) generator pairs of G and of G_0 on it, as :func:`_certified`
-    certified them; it is empty for an action built without it."""
+    certified them; it is empty for an action built without it; ``caps``
+    are those it was built within."""
 
     group: PermGroup
     labels: tuple
     name: str
     warnings: tuple = ()
     carrier: tuple = ()
+    caps: Caps = DEFAULT_CAPS
     label_index: dict = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -180,12 +198,13 @@ def _certified(name, labels, m, gens, stab_gens, order, caps, warnings=(), stab_
     """
     n = len(labels)
     chain = StabChain(m + n, [diagonal(c, g) for c, g in gens])
-    group = PermGroup(n, [g for _, g in gens], caps=caps)
-    H = PermGroup(n, [g for _, g in stab_gens], caps=caps)
+    group = PermGroup(n, [g for _, g in gens])
+    H = PermGroup(n, [g for _, g in stab_gens])
     if chain.order() != order:
         raise CrossCheckFailed("%s: diagonal order %d, expected %d" % (name, chain.order(), order))
-    if len(group.schreier_vector.orbit) != n:
-        raise CrossCheckFailed("%s: label 0 has an orbit of length %d, not %d" % (name, len(group.schreier_vector.orbit), n))
+    orbit = group.schreier_vector.orbits[0]
+    if len(orbit) != n:
+        raise CrossCheckFailed("%s: label 0 has an orbit of length %d, not %d" % (name, len(orbit), n))
     for c, g in stab_gens:
         if g(0) != 0:
             raise CrossCheckFailed("%s: a point stabiliser generator moves label 0" % name)
@@ -199,7 +218,7 @@ def _certified(name, labels, m, gens, stab_gens, order, caps, warnings=(), stab_
         warnings += ("action has kernel of order %d" % kernel,)
     faithful = kernel == 1 and all(level.point < m for level in chain.levels)
     pairs = (tuple((c if faithful else g, g) for c, g in p) for p in (gens, stab_gens))
-    return LabelledAction(group, labels, name, warnings=warnings, carrier=(m if faithful else n, *pairs))
+    return LabelledAction(group, labels, name, warnings=warnings, carrier=(m if faithful else n, *pairs), caps=caps)
 
 
 def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
@@ -551,24 +570,46 @@ class CatalogueError(ValueError):
 
 @dataclass
 class CatalogueEntry:
+    """One catalogue record.  Reading ``group`` or ``subgroup`` first checks
+    the declared orders and that every ``sub gen`` lies in the group, and
+    raises :class:`CatalogueError` at the record's ``expect`` line."""
+
     name: str
-    group: PermGroup
-    subgroup: PermGroup | None
     expected_order: int
     expected_suborder: int | None
+    line: int
+    _groups: tuple = field(repr=False)  # (group, subgroup or None), unchecked
+
+    @cached_property
+    def _checked(self) -> tuple:
+        group, subgroup = self._groups
+        if group.order() != self.expected_order:
+            error = "order %d, declared %d" % (group.order(), self.expected_order)
+        elif subgroup is not None and not subgroup.is_subgroup_of(group):
+            error = "'sub gen' not inside the group"
+        elif subgroup is not None and subgroup.order() != self.expected_suborder:
+            error = "subgroup order %d, declared %d" % (subgroup.order(), self.expected_suborder)
+        else:
+            return group, subgroup
+        raise CatalogueError("line %d: entry %r: %s" % (self.line, self.name, error))
+
+    group = property(lambda self: self._checked[0])
+    subgroup = property(lambda self: self._checked[1])
 
 
 def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, CatalogueEntry]:
-    """Parse a catalogue file and verify every entry's declared orders.
+    """Parse a catalogue file; each entry's declared orders are checked on
+    its first use (see :class:`CatalogueEntry`).
 
     Format, one record per group: ``name <id>``, ``degree <n>``, one or more
     ``gen <cycles>`` lines, optional ``sub gen <cycles>`` lines, and a
     terminating ``expect order <N>[ suborder <M>]`` line.  Cycle notation is
     1-based, e.g. ``(1,2,3)(4,5)``.  Blank lines and ``#`` comments are
-    ignored.  Parse problems and order mismatches raise
-    :class:`CatalogueError` with the offending line number.  Entries with the
-    same degree and generator lines share one group, and so one chain; each
-    entry's declared orders are still compared.
+    ignored.  Parse problems raise :class:`CatalogueError` with the
+    offending line number, and a degree over ``caps.point_cap`` raises
+    :class:`CapExceeded` before the record's generators are read.  Entries
+    with the same degree and generator lines share one group, and so one
+    chain; each entry's declared orders are still compared.
     """
     text = Path(path).read_text(encoding="utf-8")
     entries: dict[str, CatalogueEntry] = {}
@@ -603,6 +644,8 @@ def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, Cat
                 fail(lineno, "bad degree %r" % line[7:])
             if degree < 1:
                 fail(lineno, "degree %d is below 1" % degree)
+            if degree > caps.point_cap:
+                raise CapExceeded("line %d: degree %d exceeds point cap %d" % (lineno, degree, caps.point_cap))
         elif line.startswith("sub gen "):
             if degree is None:
                 fail(lineno, "'sub gen' before 'degree'")
@@ -634,26 +677,9 @@ def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, Cat
             if (suborder is None) != (not sub_gens):
                 fail(lineno, "suborder and 'sub gen' lines must come together")
             shape = (degree, tuple(g.key for g in gens))
-            if shape not in groups:
-                groups[shape] = PermGroup(degree, gens, caps=caps)
-            group = groups[shape]
-            got = group.order()
-            if got != expected:
-                fail(lineno, "entry %r: order %d, declared %d" % (name, got, expected))
-            subgroup = None
-            if sub_gens:
-                for g in sub_gens:
-                    if not group.contains(g):
-                        fail(lineno, "entry %r: 'sub gen' not inside the group" % name)
-                subgroup = PermGroup(degree, sub_gens, caps=caps)
-                got_sub = subgroup.order()
-                if got_sub != suborder:
-                    fail(
-                        lineno,
-                        "entry %r: subgroup order %d, declared %d"
-                        % (name, got_sub, suborder),
-                    )
-            entries[name] = CatalogueEntry(name, group, subgroup, expected, suborder)
+            group = groups.setdefault(shape, PermGroup(degree, gens))
+            subgroup = PermGroup(degree, sub_gens) if sub_gens else None
+            entries[name] = CatalogueEntry(name, expected, suborder, lineno, (group, subgroup))
             name = None
         else:
             fail(lineno, "unrecognised directive %r" % line.split()[0])

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import partial
 from fractions import Fraction
 from itertools import combinations
@@ -34,7 +33,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .actions import (
+    DEFAULT_CAPS,
     LINE_INF,
+    Caps,
     GroupVariant,
     LabelledAction,
     bundled_catalogue_path,
@@ -74,7 +75,7 @@ from .gf import (
     prime_powers,
     split_prime_power,
 )
-from .group import CapExceeded, Caps, CrossCheckFailed, DEFAULT_CAPS
+from .group import CapExceeded, CrossCheckFailed
 from . import criteria
 
 VARIANT_NAMES = {
@@ -200,13 +201,13 @@ def _check_args(args) -> None:
 
 def _caps(args) -> Caps:
     """The default caps, with the cap options given on the command line."""
-    caps = {"point_cap": args.point_cap, "group_cap": args.group_cap, "exact_cap": args.exact_cap}
-    return replace(DEFAULT_CAPS, **{name: cap for name, cap in caps.items() if cap is not None})
+    given = {name: getattr(args, name) for name in ("point_cap", "group_cap", "exact_cap")}
+    return Caps(**{name: cap for name, cap in given.items() if cap is not None})
 
 
 def _entry_action(entry, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
     """Coset action of a catalogue entry, or its natural action when the
-    entry declares no subgroup; the entry's group must be within the caps."""
+    entry declares no subgroup; its declared order meets the group cap first."""
     if entry.expected_order > caps.group_cap:
         raise CapExceeded("group order %d exceeds cap %d" % (entry.expected_order, caps.group_cap))
     if entry.subgroup is not None:

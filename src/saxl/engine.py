@@ -28,10 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import LabelledAction, diagonal
+from .actions import Caps, LabelledAction, diagonal
 from .gf import prime_factors
-from .group import CapExceeded, Caps, CrossCheckFailed, PermGroup, conjugacy_class
+from .group import CapExceeded, CrossCheckFailed, PermGroup, conjugacy_class
 from .perm import BLOCK_ENTRIES, Perm, identity, row_keys
+
+GRAPH_CAP = 2 * 10**4  # the largest degree whose Saxl graph is built, n^2/8 bytes
 
 
 # -- cached per-action analysis -------------------------------------------------------
@@ -196,10 +198,10 @@ def _prime_class_data(action: LabelledAction):
     if not action.carrier:
         raise ValueError("%s has no certified carrier" % action.name)
     m, gens, stab_gens = action.carrier
-    n, caps = action.degree, action.group.caps
-    G = PermGroup(m, [c for c, _ in gens], caps=caps)
-    H = PermGroup(m, [c for c, _ in stab_gens], caps=caps)
-    D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens], caps=caps)
+    n = action.degree
+    G = PermGroup(m, [c for c, _ in gens])
+    H = PermGroup(m, [c for c, _ in stab_gens])
+    D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens])
     # H in D's chain order: Q-hat and Q-tilde are sums over classes, so the
     # order in which classes are found does not matter
     key_dtype = identity(m).images.dtype
@@ -342,8 +344,8 @@ class SaxlGraph:
 def saxl_graph(action: LabelledAction) -> SaxlGraph:
     """Build the full graph: vertices are points, edges are base pairs."""
     n = action.degree
-    if n > action.group.caps.graph_cap:
-        raise CapExceeded("degree %d exceeds graph cap %d" % (n, action.group.caps.graph_cap))
+    if n > GRAPH_CAP:
+        raise CapExceeded("degree %d exceeds graph cap %d" % (n, GRAPH_CAP))
     cached = action._cache.get("graph")
     if cached is not None:
         return cached
@@ -482,7 +484,7 @@ def check_exact_cap(degree: int, caps: Caps) -> None:
 def clique_and_independence_exact(action: LabelledAction) -> tuple[list[int], list[int]]:
     """A maximum clique and a maximum independent set, each sorted, by
     branch and bound."""
-    check_exact_cap(action.degree, action.group.caps)
+    check_exact_cap(action.degree, action.caps)
     n = action.degree
     graph = saxl_graph(action)
     rows = graph.bitsets()
@@ -551,7 +553,7 @@ def build_report(
     """Assemble a report; heavier sections are opt-in or opt-out flags.  An
     exact search over the cap is refused before any work."""
     if exact_search:
-        check_exact_cap(action.degree, action.group.caps)
+        check_exact_cap(action.degree, action.caps)
     data = _analysis(action)
     q = q_exact(action)
     qh = q_hat(action) if with_classes else None

@@ -6,27 +6,29 @@ group's chain starts its base at the least point that any generator moves;
 further base points are always the smallest point moved by the offending
 residue, so chains, strong generating sets, orders and memberships are
 reproducible across runs.  Schreier generators are tested and sifted as
-image rows: the images of u_beta * s come from one gather, the generator is
-the identity exactly when their bytes are the key of u_gamma, and a
-non-trivial one is divided by u_gamma and sifted one gather by u^-1 per
-level; only a residue that becomes a strong generator is made a ``Perm``.
-The chain is the classical one, level for level, as if each Schreier
-generator were a ``Perm`` product.  Pointwise stabilisers come from a fresh
-chain whose base starts with the given points.
+image rows: the images of u_beta * s come from one gather, and are u_gamma
+when gamma = s(beta) is new, so the same loop closes the orbit; otherwise
+the generator is the identity exactly when their bytes are the key of
+u_gamma, and a non-trivial one is divided by u_gamma and sifted one gather
+by u^-1 per level; only a residue that becomes a strong generator is made
+a ``Perm``.  The chain is the classical one, level for level, as if each
+Schreier generator were a ``Perm`` product.  Pointwise stabilisers come
+from a fresh chain whose base starts with the given points.
 
-A certified group answers its order and G_0 with no chain of its own, and
-coset representatives of G_0 come from a :class:`SchreierVector`.
+Every other orbit is read from one breadth-first forest, a
+:class:`SchreierVector`.  A certified group answers its order and G_0 with
+no chain of its own, and coset representatives of G_0 come from its
+Schreier vector of 0.
 
-Hard limits guard every potentially explosive operation (element enumeration,
-class materialisation); exceeding a limit raises :class:`CapExceeded` rather
-than silently degrading.  :func:`conjugacy_class` takes a key and returns the
-class's keys: it is :func:`saxl.perm.conjugates` over the group's generators
-within ``class_cap``.
+The module constants ``ELEMENT_CAP`` and ``CLASS_CAP`` bound element
+enumeration and class materialisation, inclusive; exceeding one raises
+:class:`CapExceeded` rather than silently degrading.  :func:`conjugacy_class`
+takes a key and returns the class's keys: it is :func:`saxl.perm.conjugates`
+over the group's generators within ``CLASS_CAP``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -37,23 +39,8 @@ from .gf import CapExceeded, CrossCheckFailed
 from .perm import Perm, conjugates, identity, inverse_images, nontrivial
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Size limits for expensive operations.
-
-    All limits are inclusive.  ``element_cap`` bounds full element
-    enumeration, ``class_cap`` bounds materialised conjugacy classes.
-    """
-
-    point_cap: int = 10**5
-    group_cap: int = 10**7
-    element_cap: int = 10**7
-    class_cap: int = 2 * 10**6
-    graph_cap: int = 2 * 10**4
-    exact_cap: int = 2000
-
-
-DEFAULT_CAPS = Caps()
+ELEMENT_CAP = 10**7  # the largest group whose elements are enumerated
+CLASS_CAP = 2 * 10**6  # the largest conjugacy class materialised
 
 
 class _Level:
@@ -73,71 +60,61 @@ class _Level:
         self.done = (0, 0)
 
 
-def _close_orbit(transversal: dict[int, Perm], orbit_list: list[int], gens: Sequence[Perm]) -> None:
-    """Close an orbit under gens by breadth-first search, in place.
-
-    Every listed point is scanned, and each new point gamma = s(beta) is
-    appended to ``orbit_list`` with coset representative
-    ``transversal[beta] * s``, which maps the first point to gamma."""
-    gen_images = [(s, s.images.tolist()) for s in gens]
-    qi = 0
-    while qi < len(orbit_list):
-        beta = orbit_list[qi]
-        qi += 1
-        u = transversal[beta]
-        for s, images in gen_images:
-            gamma = images[beta]
-            if gamma not in transversal:
-                transversal[gamma] = u * s
-                orbit_list.append(gamma)
-
-
 class SchreierVector:
-    """The orbit of one point as a tree over a list of generators (Seress,
-    *Permutation Group Algorithms*, 2003, section 4.1).
+    """The orbits of a list of roots as a forest over a list of generators
+    (Seress, *Permutation Group Algorithms*, 2003, section 4.1): one
+    breadth-first tree from each root that no earlier tree holds.
 
-    ``orbit`` lists the orbit in breadth-first order from the root.
-    Generator ``via[a]`` maps ``parent[a]`` to a, so the product u_a of the
-    generators on the tree path from the root maps the root to a; points
-    outside the orbit have parent -1.  The tree takes O(n) bytes where a
-    transversal holds n permutations.
+    ``orbits`` lists each tree's points in breadth-first order from its
+    root.  Generator ``via[a]`` maps ``parent[a]`` to a, so the product u_a
+    of the generators on the tree path from the root maps the root to a; a
+    root is its own parent, and points outside every tree have parent -1.
+    The forest takes O(n) bytes where a transversal holds n permutations.
     """
 
-    def __init__(self, degree: int, gens: Sequence[Perm], root: int):
-        self.root, self._gens = root, gens
+    def __init__(self, degree: int, gens: Sequence[Perm], roots: Iterable[int]):
+        self._gens = gens
         self.parent, self.via = [-1] * degree, [0] * degree
-        self.parent[root] = root
-        self.orbit = [root]
-        gen_images = [g.images.tolist() for g in gens]
-        for b in self.orbit:
-            for i, images in enumerate(gen_images):
-                a = images[b]
-                if self.parent[a] < 0:
-                    self.parent[a], self.via[a] = b, i
-                    self.orbit.append(a)
+        self.orbits: list[list[int]] = []
+        parent, via = self.parent, self.via
+        gen_images = list(enumerate(g.images.tolist() for g in gens))
+        for root in roots:
+            if parent[root] >= 0:
+                continue
+            parent[root] = root
+            orbit = [root]
+            for b in orbit:
+                for i, images in gen_images:
+                    a = images[b]
+                    if parent[a] < 0:
+                        parent[a] = b
+                        via[a] = i
+                        orbit.append(a)
+            self.orbits.append(orbit)
 
     @cached_property
     def _inverses(self) -> list[np.ndarray]:
         return [g.inverse().images for g in self._gens]
 
     def inverse(self, a: int) -> np.ndarray:
-        """The images of u_a^-1, which maps a to the root: one gather per
-        tree edge from a up to the root."""
+        """The images of u_a^-1, which maps a to its tree's root: one gather
+        per tree edge from a up to the root."""
         if self.parent[a] < 0:
-            raise ValueError("point %d is not in the orbit" % a)
+            raise ValueError("point %d is not in the orbit of a root" % a)
         w = np.arange(len(self.parent))
-        while a != self.root:
+        while self.parent[a] != a:
             w = self._inverses[self.via[a]].take(w)
             a = self.parent[a]
         return w
 
     def walk(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(a, images of u_a^-1) for every orbit point a, depth first, so
-        u_a^-1 = g^-1 * u_b^-1 for b = parent[a] costs one gather."""
+        """(a, images of u_a^-1) for every point a of the forest, depth
+        first, so u_a^-1 = g^-1 * u_b^-1 for b = parent[a] costs one gather."""
         children: list[list[int]] = [[] for _ in self.parent]
-        for a in self.orbit[1:]:
-            children[self.parent[a]].append(a)
-        stack = [(self.root, np.arange(len(self.parent)))]
+        for orbit in self.orbits:
+            for a in orbit[1:]:
+                children[self.parent[a]].append(a)
+        stack = [(orbit[0], np.arange(len(self.parent))) for orbit in reversed(self.orbits)]
         while stack:
             b, w = stack.pop()
             yield b, w
@@ -211,7 +188,9 @@ class StabChain:
         Every Schreier generator u_beta * s * u_gamma^-1 of the level must
         sift to the identity through the deeper chain; offenders are
         inserted deeper (at levels idx+1 .. stop) and the deeper levels are
-        completed recursively.  One gather gives the images of u_beta * s;
+        completed recursively.  One gather gives the images of u_beta * s.
+        When gamma = s(beta) is new, that row is u_gamma, and appending
+        gamma closes the orbit breadth first in the same loop; otherwise,
         when their bytes are the key of u_gamma the generator is the
         identity, and only a non-trivial one is divided by u_gamma and
         sifted as an image row.  Pairs are taken orbit point by orbit point,
@@ -222,21 +201,25 @@ class StabChain:
         rectangle.
         """
         level = self.levels[idx]
-        transversal, gens = level.transversal, level.gens
-        _close_orbit(transversal, level.orbit_list, gens)
+        transversal, gens, orbit = level.transversal, level.gens, level.orbit_list
         done_orbit, done_gens = level.done
-        for i, beta in enumerate(level.orbit_list):
+        for i, beta in enumerate(orbit):  # grows as new points are found
             u = transversal[beta]
             for s in gens[done_gens if i < done_orbit else 0 :]:
                 row = s.images.take(u.images)
-                v = transversal[row.item(level.point)]
+                gamma = row.item(level.point)
+                v = transversal.get(gamma)
+                if v is None:
+                    transversal[gamma] = nontrivial(row)
+                    orbit.append(gamma)
+                    continue
                 if row.tobytes() == v.key:
                     continue
                 row, j = self._strip(inverse_images(v.images).take(row), idx + 1)
                 residue = nontrivial(row)
                 if residue is not None:
                     self._insert(residue, idx + 1, j)
-        level.done = (len(level.orbit_list), len(gens))
+        level.done = (len(orbit), len(gens))
 
     # -- queries --------------------------------------------------------------
 
@@ -298,13 +281,12 @@ class PermGroup:
     not structural; use :meth:`same_group` for element-set comparison.
     """
 
-    def __init__(self, degree: int, gens: Iterable[Perm], caps: Caps = DEFAULT_CAPS):
+    def __init__(self, degree: int, gens: Iterable[Perm]):
         self.degree = degree
         self.gens = [g for g in gens if not g.is_identity()]
         for g in self.gens:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
-        self.caps = caps
         self._chain: StabChain | None = None
         self._order: int | None = None
         self._stabiliser0: PermGroup | None = None
@@ -344,41 +326,28 @@ class PermGroup:
     @cached_property
     def schreier_vector(self) -> SchreierVector:
         """The Schreier vector of point 0 over the generators, built once."""
-        return SchreierVector(self.degree, self.gens, 0)
+        return SchreierVector(self.degree, self.gens, [0])
 
     def orbit(self, point: int) -> list[int]:
         """Orbit of a point, in BFS discovery order from the point."""
-        return SchreierVector(self.degree, self.gens, point).orbit
+        return SchreierVector(self.degree, self.gens, [point]).orbits[0]
 
     def orbit_transversal(self, point: int) -> dict[int, Perm]:
-        """Orbit with coset representatives u mapping ``point`` to each orbit point."""
+        """Orbit with coset representatives u mapping ``point`` to each orbit
+        point: u_a = u_parent * gens[via] down the tree of :meth:`orbit`."""
+        tree = SchreierVector(self.degree, self.gens, [point])
         transversal = {point: identity(self.degree)}
-        _close_orbit(transversal, [point], self.gens)
+        for a in tree.orbits[0][1:]:
+            transversal[a] = transversal[tree.parent[a]] * self.gens[tree.via[a]]
         return transversal
 
     def orbits(self) -> list[list[int]]:
         """All orbits on points, ordered by least point, each in BFS
-        discovery order from that point: one sweep over the points, with
-        the generators' image lists taken once."""
-        gen_images = [g.images.tolist() for g in self.gens]
-        seen = [False] * self.degree
-        out = []
-        for pt in range(self.degree):
-            if seen[pt]:
-                continue
-            seen[pt] = True
-            orbit = [pt]
-            for b in orbit:
-                for images in gen_images:
-                    a = images[b]
-                    if not seen[a]:
-                        seen[a] = True
-                        orbit.append(a)
-            out.append(orbit)
-        return out
+        discovery order from that point: the forest rooted at every point."""
+        return SchreierVector(self.degree, self.gens, range(self.degree)).orbits
 
     def is_transitive(self) -> bool:
-        return self.degree <= 1 or len(self.schreier_vector.orbit) == self.degree
+        return self.degree <= 1 or len(self.schreier_vector.orbits[0]) == self.degree
 
     def is_primitive(self) -> bool:
         """Transitive with no nontrivial block system.
@@ -433,35 +402,32 @@ class PermGroup:
         full = StabChain(self.degree, self.gens, base_prefix=list(points))
         chain = StabChain.__new__(StabChain)
         chain.degree, chain.levels = self.degree, full.levels[len(points) :]
-        sub = PermGroup(self.degree, dict.fromkeys(g for level in chain.levels for g in level.gens), caps=self.caps)
+        sub = PermGroup(self.degree, dict.fromkeys(g for level in chain.levels for g in level.gens))
         sub._chain = chain
         return sub
 
     # -- element enumeration ------------------------------------------------------
 
     def _enumerable_chain(self) -> StabChain:
-        """The chain, once ``element_cap`` admits the group's order."""
+        """The chain, once ``ELEMENT_CAP`` admits the group's order."""
         n = self.order()
-        if n > self.caps.element_cap:
-            raise CapExceeded(
-                "element enumeration of order %d exceeds cap %d"
-                % (n, self.caps.element_cap)
-            )
+        if n > ELEMENT_CAP:
+            raise CapExceeded("element enumeration of order %d exceeds cap %d" % (n, ELEMENT_CAP))
         return self.chain
 
     def iter_elements(self) -> Iterator[Perm]:
         """All elements one at a time, in stabiliser-chain order, holding none
-        of them.  Guarded by ``element_cap``, checked before the first one."""
+        of them.  Guarded by ``ELEMENT_CAP``, checked before the first one."""
         return self._enumerable_chain().iter_elements()
 
     def iter_blocks(self, rows: int) -> Iterator[np.ndarray]:
         """All elements as blocks of at most ``rows`` image rows in the key
         dtype (see :meth:`StabChain.iter_blocks`).  Guarded by
-        ``element_cap``, checked before the first block."""
+        ``ELEMENT_CAP``, checked before the first block."""
         return self._enumerable_chain().iter_blocks(rows)
 
     def elements(self) -> list[Perm]:
-        """All elements, sorted by image list.  Guarded by ``element_cap``."""
+        """All elements, sorted by image list.  Guarded by ``ELEMENT_CAP``."""
         return sorted(self.iter_elements())
 
 
@@ -470,5 +436,5 @@ class PermGroup:
 
 def conjugacy_class(G: PermGroup, key: bytes) -> set[bytes]:
     """The keys of the class of the permutation whose key is ``key``, under
-    G: :func:`saxl.perm.conjugates` within ``class_cap``."""
-    return conjugates(key, G.degree, G.gens, G.caps.class_cap)
+    G: :func:`saxl.perm.conjugates` within ``CLASS_CAP``."""
+    return conjugates(key, G.degree, G.gens, CLASS_CAP)

@@ -10,7 +10,9 @@ label degree, the route that the engine's carrier search replaced, and
 ``oracle_induced`` induces generators on blocks through a dict of tuples.
 ``oracle_stab_chain`` builds a stabiliser chain by the classical
 Schreier-Sims procedure in ``Perm`` products, one Schreier generator at a
-time.
+time.  ``oracle_orbit_transversal`` closes one orbit by breadth-first
+search over plain Python image lists, the reference for the orbit forest
+of :class:`saxl.group.SchreierVector`.
 
 ``FqElem`` is a boxed field element, a (field, log) pair with Python
 operators, built by ``zero``, ``one``, ``gen``, ``from_log``, ``from_coeffs``,
@@ -41,7 +43,7 @@ import pytest
 from saxl.actions import bundled_catalogue_path, coset_action, load_catalogue
 from saxl.actions import LINE_INF
 from saxl.gf import LOG_ZERO, CrossCheckFailed, FqField, is_prime
-from saxl.group import CapExceeded, PermGroup, conjugacy_class
+from saxl.group import ELEMENT_CAP, CapExceeded, PermGroup, conjugacy_class
 from saxl.perm import Perm, identity
 
 
@@ -78,7 +80,7 @@ class ConjClassData:
 
     ``rep`` is the lexicographically least element of the class, and
     ``elements`` the keys of the whole class, materialised within
-    ``class_cap``.
+    ``CLASS_CAP``.
     """
 
     rep: Perm
@@ -90,14 +92,12 @@ class ConjClassData:
 def prime_order_class_reps(G: PermGroup) -> list[ConjClassData]:
     """Conjugacy classes of prime-order elements of G.
 
-    Requires full element enumeration (guarded by ``element_cap``); class
+    Requires full element enumeration (guarded by ``ELEMENT_CAP``); class
     representatives are the lexicographically least class members, and the
     classes come out sorted by (element order, class size, representative).
     """
-    if G.order() > G.caps.element_cap:
-        raise CapExceeded(
-            "order %d exceeds element enumeration cap %d" % (G.order(), G.caps.element_cap)
-        )
+    if G.order() > ELEMENT_CAP:
+        raise CapExceeded("order %d exceeds element enumeration cap %d" % (G.order(), ELEMENT_CAP))
     classified: set[bytes] = set()
     out: list[ConjClassData] = []
     for x in G.elements():  # sorted, so reps are lex-least in their class
@@ -224,6 +224,23 @@ def oracle_stab_chain(degree: int, gens, base_prefix=()) -> list[_OracleLevel]:
         if not residue.is_identity():
             insert(residue, 0, idx)
     return levels
+
+
+def oracle_orbit_transversal(degree: int, gens, point: int) -> dict[int, list[int]]:
+    """The orbit of ``point`` in breadth-first discovery order, each orbit
+    point a mapped to the image list of the coset representative u_a with
+    u_a(point) = a: a new point a = s(b) gets u_b followed by s."""
+    images = [g.images.tolist() for g in gens]
+    transversal = {point: list(range(degree))}
+    queue = [point]
+    for b in queue:
+        u = transversal[b]
+        for s in images:
+            a = s[b]
+            if a not in transversal:
+                transversal[a] = [s[x] for x in u]
+                queue.append(a)
+    return transversal
 
 
 # -- boxed field elements ----------------------------------------------------------

@@ -29,7 +29,8 @@ from saxl.actions import (
 )
 from saxl.cli import main
 from saxl.gf import LOG_ZERO, field_create, field_from_order, log_add, log_mul, log_neg, log_pow, split_prime_power
-from saxl.group import DEFAULT_CAPS, CapExceeded, CrossCheckFailed, PermGroup
+from saxl.actions import DEFAULT_CAPS
+from saxl.group import CapExceeded, CrossCheckFailed, PermGroup
 from saxl.perm import Perm, from_cycles
 
 
@@ -472,8 +473,17 @@ class TestCatalogue:
     def test_parse_errors(self, tmp_path, body, message):
         path = tmp_path / "cat.txt"
         path.write_text(body)
+        if message not in ("declared", "not inside"):
+            with pytest.raises(CatalogueError, match=message):
+                load_catalogue(path)
+            return
+        # a declared order is checked when the entry is first used, at its expect line
+        entry = load_catalogue(path)["A"]
+        for _ in range(2):
+            with pytest.raises(CatalogueError, match="line %d: entry 'A': .*%s" % (body.count("\n"), message)):
+                entry.group
         with pytest.raises(CatalogueError, match=message):
-            load_catalogue(path)
+            entry.subgroup
 
     def test_entries_with_the_same_generators_share_one_group(self, catalogue):
         for first, second in (("M11", "M11_2S4"), ("L3_3_13_3", "L3_3_O3")):
@@ -493,8 +503,11 @@ class TestCatalogue:
             "name A\ndegree 3\ngen (1,2,3)\nexpect order 3\n"
             "name B\ndegree 3\ngen (1,2,3)\n" + second
         )
+        cat = load_catalogue(path)
+        assert cat["A"].group is cat["B"]._groups[0]
+        assert cat["A"].group.order() == 3
         with pytest.raises(CatalogueError, match=message):
-            load_catalogue(path)
+            cat["B"].group
 
     def test_bundled_path_exists(self):
         assert bundled_catalogue_path().exists()

@@ -90,6 +90,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("cap exceeded: ")
 
+    def test_catalogue_group_cap_is_checked_before_any_chain(self, capsys, monkeypatch):
+        from saxl.group import StabChain
+
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError("a chain was built before the group cap was checked")
+
+        monkeypatch.setattr(StabChain, "__init__", refuse)
+        assert main(["analyze", "--catalogue", "M11", "--group-cap", "10"]) == 2
+        assert capsys.readouterr().err == "cap exceeded: group order 7920 exceeds cap 10\n"
+
+    def test_catalogue_degree_over_the_point_cap_is_refused_at_its_line(self, capsys, monkeypatch, tmp_path):
+        from saxl import actions
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a generator was parsed past the point cap")
+
+        monkeypatch.setattr(actions, "parse_cycles", refuse)
+        path = tmp_path / "cat.txt"
+        path.write_text("name Big\ndegree 2000000\ngen (1,2)\nexpect order 2\n")
+        assert main(["analyze", "--catalogue", "Big", "--catalogue-path", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cap exceeded: line 2: degree 2000000 exceeds point cap 100000\n"
+        # above the degree, the same file reaches its generator line
+        with pytest.raises(RuntimeError, match="parsed past"):
+            main(["analyze", "--catalogue", "Big", "--catalogue-path", str(path), "--point-cap", "2000000"])
+
     def test_field_cap_exceeded_is_2(self, capsys, monkeypatch):
         from saxl import cli
 
@@ -160,15 +187,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == "cap exceeded: degree 28 exceeds exact-search cap 10\n"
 
     def test_graph_cap_is_checked_before_the_suborbit_table(self, capsys, monkeypatch):
-        from dataclasses import replace
-
-        from saxl import cli, engine
+        from saxl import engine
 
         def refuse(action):
             raise RuntimeError("suborbit table built before the graph cap was checked")
 
         monkeypatch.setattr(engine, "_analysis", refuse)
-        monkeypatch.setattr(cli, "DEFAULT_CAPS", replace(cli.DEFAULT_CAPS, graph_cap=10))
+        monkeypatch.setattr(engine, "GRAPH_CAP", 10)
         assert main(["graph", "--ksubsets", "8", "2"]) == 2
         assert capsys.readouterr().err == "cap exceeded: degree 28 exceeds graph cap 10\n"
 

@@ -46,7 +46,8 @@ from saxl.engine import (
 )
 from saxl.cli import main
 from saxl.gf import is_prime, prime_factors
-from saxl.group import DEFAULT_CAPS, CapExceeded, Caps, PermGroup
+from saxl.actions import DEFAULT_CAPS, Caps
+from saxl.group import CapExceeded, PermGroup
 from saxl.perm import from_cycles, identity
 
 from conftest import (
@@ -513,8 +514,9 @@ class TestGraph:
         assert graph.n == 3321 and graph.valency == 5 * 320
         assert peak < 5 * 2**20
 
-    def test_graph_cap(self):
-        act = ksubset_action(5, 2, even_only=True, caps=Caps(graph_cap=5))
+    def test_graph_cap(self, monkeypatch):
+        act = ksubset_action(5, 2, even_only=True)
+        monkeypatch.setattr(engine, "GRAPH_CAP", 5)
         with pytest.raises(CapExceeded):
             saxl_graph(act)
 

@@ -17,10 +17,11 @@ from saxl.actions import (
 )
 from saxl.cli import _build_parser, build_action, main
 from saxl.engine import regular_suborbit_count
-from saxl.group import CapExceeded, Caps, PermGroup, SchreierVector, StabChain, conjugacy_class
+from saxl import group
+from saxl.group import CapExceeded, PermGroup, SchreierVector, StabChain, conjugacy_class
 from saxl.perm import Perm, from_cycles, identity
 
-from conftest import all_perms, oracle_stab_chain, prime_order_class_reps
+from conftest import all_perms, oracle_orbit_transversal, oracle_stab_chain, prime_order_class_reps
 
 
 def symmetric(n):
@@ -134,7 +135,7 @@ class TestOrbits:
             expected, seen = [], set()
             for pt in range(g.degree):
                 if pt not in seen:
-                    expected.append(SchreierVector(g.degree, g.gens, pt).orbit)
+                    expected.append(SchreierVector(g.degree, g.gens, [pt]).orbits[0])
                     seen.update(expected[-1])
             assert g.orbits() == expected
 
@@ -154,9 +155,9 @@ class TestOrbits:
     def test_schreier_vector(self):
         two_orbits = PermGroup(6, [from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(1, 2)]), from_cycles(6, [(3, 4, 5)])])
         for g in (symmetric(5), alternating(6), psl2_mobius(13), two_orbits):
-            tree = SchreierVector(g.degree, g.gens, 0)
+            tree = SchreierVector(g.degree, g.gens, [0])
             orbit = g.orbit(0)
-            assert tree.orbit == orbit
+            assert tree.orbits == [orbit]
             walked = dict((a, w.tolist()) for a, w in tree.walk())
             assert sorted(walked) == sorted(orbit)
             for a in orbit:
@@ -165,6 +166,37 @@ class TestOrbits:
                 assert walked[a] == u_inv.images.tolist()
         with pytest.raises(ValueError, match="not in the orbit"):
             tree.inverse(3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PermGroup(9, [from_cycles(9, [(0, 1, 2)]), from_cycles(9, [(1, 2)]), from_cycles(9, [(5, 8, 6)]), from_cycles(9, [(3, 7)])]),
+            lambda: ksubset_action(5, 2, even_only=True).stabiliser0(),
+            lambda: psl2_c2_action(GroupVariant("PSL2", 25)).stabiliser0(),
+            lambda: psl2_c2_action(GroupVariant("PSL2", 25)).group,
+        ],
+        ids=["four-orbits", "A5-pairs-G0", "c2-q25-G0", "c2-q25"],
+    )
+    def test_against_bfs_oracle(self, build):
+        g = build()
+        n = g.degree
+        oracles, seen = [], set()
+        for point in range(n):
+            if point not in seen:
+                oracles.append(oracle_orbit_transversal(n, g.gens, point))
+                seen.update(oracles[-1])
+        assert g.orbits() == [list(t) for t in oracles]
+        forest = SchreierVector(n, g.gens, range(n))
+        for t in oracles:
+            for point in list(t)[:3]:
+                want = oracle_orbit_transversal(n, g.gens, point)
+                assert g.orbit(point) == list(want)
+                assert [(a, u.images.tolist()) for a, u in g.orbit_transversal(point).items()] == list(want.items())
+            # u_a^-1 of the forest undoes the oracle's u_a, for every point of every tree
+            for a, u in t.items():
+                assert forest.inverse(a)[u].tolist() == list(range(n))
+        for a, u in oracles[0].items():
+            assert g.schreier_vector.inverse(a)[u].tolist() == list(range(n))
 
     def test_primitivity(self):
         assert psl2_mobius(13).is_primitive()
@@ -303,9 +335,10 @@ def assert_oracle_chains(built):
 class TestChainOracle:
     def test_catalogue_groups_and_subgroups(self, built_chains):
         catalogue = load_catalogue(bundled_catalogue_path())
-        assert len(built_chains) == len({id(e.group) for e in catalogue.values()}) + sum(
-            e.subgroup is not None for e in catalogue.values()
-        )
+        assert built_chains == []  # an entry is checked on its first use
+        # reading every entry builds one chain per shared group and subgroup
+        used = len({id(e.group) for e in catalogue.values()}) + sum(e.subgroup is not None for e in catalogue.values())
+        assert len(built_chains) == used
         assert_oracle_chains(built_chains)
 
     @pytest.mark.parametrize("q", [9, 25, 27, 49])
@@ -377,9 +410,10 @@ class TestElementBlocks:
             assert len(keys) == g.order()
             assert set(keys) == {h.key for h in g.iter_elements()}
 
-    def test_element_cap(self):
+    def test_element_cap(self, monkeypatch):
+        monkeypatch.setattr(group, "ELEMENT_CAP", 100)
         with pytest.raises(CapExceeded):
-            next(PermGroup(5, symmetric(5).gens, Caps(element_cap=100)).iter_blocks(10))
+            next(symmetric(5).iter_blocks(10))
 
 
 class TestConjugacyClasses:
@@ -404,11 +438,13 @@ class TestConjugacyClasses:
             for x in g.gens + [g.gens[0] * g.gens[1], g.gens[0] ** 2]:
                 assert conjugacy_class(g, x.key) == {(x**h).key for h in g.elements()}
 
-    def test_class_cap_is_inclusive(self):
+    def test_class_cap_is_inclusive(self, monkeypatch):
         transposition = from_cycles(4, [(0, 1)]).key
-        assert len(conjugacy_class(PermGroup(4, symmetric(4).gens, Caps(class_cap=6)), transposition)) == 6
+        monkeypatch.setattr(group, "CLASS_CAP", 6)
+        assert len(conjugacy_class(symmetric(4), transposition)) == 6
+        monkeypatch.setattr(group, "CLASS_CAP", 5)
         with pytest.raises(CapExceeded):
-            conjugacy_class(PermGroup(4, symmetric(4).gens, Caps(class_cap=5)), transposition)
+            conjugacy_class(symmetric(4), transposition)
 
     def test_s3_prime_order_classes(self):
         data = prime_order_class_reps(symmetric(3))
@@ -438,13 +474,12 @@ class TestConjugacyClasses:
 
 
 class TestCaps:
-    def test_element_cap(self):
-        tight = Caps(element_cap=100)
-        g = PermGroup(5, [from_cycles(5, [range(5)]), from_cycles(5, [(0, 1)])], tight)
+    def test_element_cap(self, monkeypatch):
+        monkeypatch.setattr(group, "ELEMENT_CAP", 100)
         with pytest.raises(CapExceeded):
-            g.elements()
+            symmetric(5).elements()
 
-    def test_class_cap(self):
-        g = PermGroup(7, symmetric(7).gens, Caps(class_cap=5))
+    def test_class_cap(self, monkeypatch):
+        monkeypatch.setattr(group, "CLASS_CAP", 5)
         with pytest.raises(CapExceeded):
-            conjugacy_class(g, from_cycles(7, [(0, 1)]).key)
+            conjugacy_class(symmetric(7), from_cycles(7, [(0, 1)]).key)
