@@ -19,7 +19,9 @@ group's own points for its coset and natural actions.  A label of the first
 three families is a block of carrier points, and :func:`_induced` turns
 each carrier generator into a permutation of the labels; a generator that
 maps some block outside the labelling raises :class:`CrossCheckFailed`.
-Every constructor returns through :func:`_certified`, which proves |G| and
+Every constructor first checks its arguments, then meets the caps through
+:func:`_within_caps`, the one cap check, before it builds any field, block,
+chain or coset, and returns through :func:`_certified`, which proves |G| and
 G_0 with no chain of G on its n points.  A catalogue loader ingests fixture
 groups from a small text format; it refuses a degree over the point cap at
 its line, and checks an entry's declared orders on the entry's first use.
@@ -69,12 +71,13 @@ FAMILIES = ("PSL2", "PGL2", "PSigmaL2", "PGammaL2", "DeltaPhi")
 @dataclass(frozen=True)
 class Caps:
     """The inclusive limits that ``--point-cap``, ``--group-cap`` and
-    ``--exact-cap`` set: the constructors here check degree and order
-    before they build, and :mod:`saxl.engine` the exact-search degree."""
+    ``--exact-cap`` set, met by every constructor here through
+    :func:`_within_caps` before it builds.  ``exact_cap`` None asks for no
+    exact search; a number refuses a degree above it."""
 
     point_cap: int = 10**5
     group_cap: int = 10**7
-    exact_cap: int = 2000
+    exact_cap: int | None = None
 
 
 DEFAULT_CAPS = Caps()
@@ -137,15 +140,13 @@ class LabelledAction:
     module docstring describes; ``label_index`` maps each back to its point.
     ``carrier`` holds the degree m of a faithful carrier and the (carrier,
     label) generator pairs of G and of G_0 on it, as :func:`_certified`
-    certified them; it is empty for an action built without it; ``caps``
-    are those it was built within."""
+    certified them; it is empty for an action built without it."""
 
     group: PermGroup
     labels: tuple
     name: str
     warnings: tuple = ()
     carrier: tuple = ()
-    caps: Caps = DEFAULT_CAPS
     label_index: dict = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -172,7 +173,7 @@ def diagonal(carrier: Perm, label: Perm) -> Perm:
     return Perm(np.concatenate([carrier.images, label.images.astype(np.intp) + carrier.degree]).tolist())
 
 
-def _certified(name, labels, m, gens, stab_gens, order, caps, warnings=(), stab_order=None) -> LabelledAction:
+def _certified(name, labels, m, gens, stab_gens, order, warnings=(), stab_order=None) -> LabelledAction:
     """The action on ``labels`` of a carrier group of order ``order``, certified.
 
     ``gens`` and ``stab_gens`` are (carrier, label) pairs of permutations, of
@@ -218,7 +219,7 @@ def _certified(name, labels, m, gens, stab_gens, order, caps, warnings=(), stab_
         warnings += ("action has kernel of order %d" % kernel,)
     faithful = kernel == 1 and all(level.point < m for level in chain.levels)
     pairs = (tuple((c if faithful else g, g) for c, g in p) for p in (gens, stab_gens))
-    return LabelledAction(group, labels, name, warnings=warnings, carrier=(m if faithful else n, *pairs), caps=caps)
+    return LabelledAction(group, labels, name, warnings=warnings, carrier=(m if faithful else n, *pairs))
 
 
 def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
@@ -248,27 +249,19 @@ def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
     return induced
 
 
-def _within_caps(degree: int, order: int, caps: Caps) -> tuple[int, int]:
-    """(degree, order), refused over the point cap and then the group cap."""
+def _within_caps(degree: int, order: int, caps: Caps) -> None:
+    """Refuse an action of ``degree`` points and order ``order`` over the
+    point cap, then the group cap, then, when an exact search is asked, the
+    exact-search cap: every cap refusal of an action is this one."""
     if degree > caps.point_cap:
         raise CapExceeded("degree %d exceeds point cap %d" % (degree, caps.point_cap))
     if order > caps.group_cap:
         raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
-    return degree, order
+    if caps.exact_cap is not None and degree > caps.exact_cap:
+        raise CapExceeded("degree %d exceeds exact-search cap %d" % (degree, caps.exact_cap))
 
 
 # -- k-subset actions --------------------------------------------------------------
-
-
-def ksubset_size(n: int, k: int, even_only: bool = False, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
-    """(degree, |G|) of :func:`ksubset_action`, from its arguments, with
-    every refusal it makes before building anything, in the same order."""
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    size = _within_caps(math.comb(n, k), math.factorial(n) // (2 if even_only else 1), caps)
-    if even_only and n < 3:
-        raise ValueError("alternating groups need n >= 3")
-    return size
 
 
 def ksubset_action(
@@ -279,7 +272,12 @@ def ksubset_action(
     k = 1 gives the natural action.  Labels are sorted tuples in
     lexicographic order, so the action is reproducible.
     """
-    _, order = ksubset_size(n, k, even_only, caps)
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n")
+    if even_only and n < 3:
+        raise ValueError("alternating groups need n >= 3")
+    order = math.factorial(n) // (2 if even_only else 1)
+    _within_caps(math.comb(n, k), order, caps)
     subsets = list(combinations(range(n), k))
     parts = (range(k), range(k, n))  # label 0 is the first part
     if even_only:
@@ -301,7 +299,7 @@ def ksubset_action(
         name = "S%d/%d-subsets" % (n, k)
 
     gens, stab_gens = (list(zip(g, _induced(subsets, g))) for g in (base_gens, stab_gens))
-    return _certified(name, tuple(subsets), n, gens, stab_gens, order, caps)
+    return _certified(name, tuple(subsets), n, gens, stab_gens, order)
 
 
 # -- coset actions ------------------------------------------------------------------
@@ -339,8 +337,7 @@ def coset_action(
         raise ValueError("H is not a subgroup of G")
     order_g, order_h = G.order(), H.order()
     index = order_g // order_h
-    if index > caps.point_cap:
-        raise CapExceeded("index %d exceeds point cap %d" % (index, caps.point_cap))
+    _within_caps(index, order_g, caps)
 
     chain_h = H.chain
     start = _coset_canonical(chain_h, identity(G.degree))
@@ -359,18 +356,18 @@ def coset_action(
 
     gens = [(g, Perm(imgs)) for g, imgs in zip(G.gens, images_per_gen)]
     stab_gens = [(h, Perm(seen[_coset_canonical(chain_h, rep * h)] for rep in reps)) for h in H.gens]
-    return _certified(name, tuple(range(index)), G.degree, gens, stab_gens, order_g, caps, stab_order=order_h)
+    return _certified(name, tuple(range(index)), G.degree, gens, stab_gens, order_g, stab_order=order_h)
 
 
 def natural_action(G: PermGroup, name: str, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
     """G on its own points, labelled by index, with G as its own carrier;
-    an intransitive G is refused with ValueError."""
-    if G.degree > caps.point_cap:
-        raise CapExceeded("degree %d exceeds point cap %d" % (G.degree, caps.point_cap))
+    an intransitive G is refused with ValueError.  Only its degree meets
+    the caps, before any chain: |G| needs one."""
+    _within_caps(G.degree, 1, caps)
     if not G.is_transitive():
         raise ValueError("%s is not transitive on its %d points" % (name, G.degree))
     gens, stab_gens = ([(g, g) for g in K.gens] for K in (G, G.point_stabiliser(0)))
-    return _certified(name, tuple(range(G.degree)), G.degree, gens, stab_gens, G.order(), caps)
+    return _certified(name, tuple(range(G.degree)), G.degree, gens, stab_gens, G.order())
 
 
 # -- the projective line, in codes ---------------------------------------------------
@@ -432,24 +429,18 @@ def _extension(variant: GroupVariant, F: FqField, delta: Perm) -> list[Perm]:
 # -- the projective-pair (C2) family -------------------------------------------------
 
 
-def psl2_c2_size(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
-    """(degree q(q+1)/2, |G|) of :func:`psl2_c2_action`, from the variant,
-    with every refusal it makes before building anything, in the same
-    order; |G| = [G : PSL(2,q)] * |PSL(2,q)|."""
-    q = variant.q
-    if q < 4:
-        raise ValueError("need q >= 4")
-    return _within_caps(q * (q + 1) // 2, variant.index * q * (q * q - 1) // math.gcd(2, q - 1), caps)
-
-
 def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
     """The chosen group acting on unordered pairs of points of PG(1,q).
 
     Point 0 is the pair {<e1>, <e2>}.  A label is the sorted pair of the
-    two points' codes, so point 0 is (LINE_INF, LOG_ZERO).  Degree q(q+1)/2.
+    two points' codes, so point 0 is (LINE_INF, LOG_ZERO).  Degree q(q+1)/2,
+    and |G| = [G : PSL(2,q)] * |PSL(2,q)|.
     """
     q = variant.q
-    _, order = psl2_c2_size(variant, caps)
+    if q < 4:
+        raise ValueError("need q >= 4")
+    order = variant.index * q * (q * q - 1) // math.gcd(2, q - 1)
+    _within_caps(q * (q + 1) // 2, order, caps)
     F = field_create(variant.p, variant.f)
     Z = LOG_ZERO
     # u, the torus diag(lambda, 1/lambda), the swap, and delta = diag(lambda, 1)
@@ -464,7 +455,7 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     if q == 5:
         warnings = ("point stabiliser is not maximal for q = 5; action is imprimitive",)
     # PSL(2,q)'s torus and swap generators fix alpha = {<e1>, <e2>}
-    return _certified("%s/proj-pairs" % variant.describe(), labels, q + 1, gens, gens[1:], order, caps, warnings)
+    return _certified("%s/proj-pairs" % variant.describe(), labels, q + 1, gens, gens[1:], order, warnings)
 
 
 # -- the unitary-model (C3) family ---------------------------------------------------
@@ -504,16 +495,6 @@ def su2_conjugator(F2: FqField, q: int) -> np.ndarray:
     return as_logs([[b0, 0], [log_neg(F2, eps), log_mul(F2, eps, log_pow(F2, b0, -q))]])
 
 
-def psl2_c3_size(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
-    """(degree q(q-1)/2, |G|) of :func:`psl2_c3_action`, from the variant,
-    with every refusal it makes before building anything, in the same
-    order."""
-    q = variant.q
-    if variant.p == 2 or q < 5:
-        raise ValueError("the unitary-model action needs odd q >= 5")
-    return _within_caps(q * (q - 1) // 2, variant.index * q * (q * q - 1) // 2, caps)
-
-
 def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
     """The chosen group acting on orthogonal pairs of nondegenerate 1-spaces.
 
@@ -525,7 +506,10 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     LOG_ZERO, which b = 0 would be.  Degree q(q-1)/2.
     """
     q, p, f = variant.q, variant.p, variant.f
-    degree, order = psl2_c3_size(variant, caps)
+    if p == 2 or q < 5:
+        raise ValueError("the unitary-model action needs odd q >= 5")
+    degree, order = q * (q - 1) // 2, variant.index * q * (q * q - 1) // 2
+    _within_caps(degree, order, caps)
     F2 = field_create(p, 2 * f)
     m, Z = F2.q - 1, LOG_ZERO
     scalar_logs = c3_label_logs(F2, q)
@@ -558,7 +542,7 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     isotropic = [(2 + log,) for log in np.flatnonzero(c3_isotropic(F2, q, np.arange(m))).tolist()]
     gens = list(zip(_induced(isotropic, line), _induced(blocks, line)))
     name = "%s/unitary-pairs" % variant.describe()
-    return _certified(name, labels, len(isotropic), gens[:3] + gens[5:], gens[3:], order, caps)
+    return _certified(name, labels, len(isotropic), gens[:3] + gens[5:], gens[3:], order)
 
 
 # -- catalogue ingestion --------------------------------------------------------------
@@ -577,6 +561,7 @@ class CatalogueEntry:
     name: str
     expected_order: int
     expected_suborder: int | None
+    degree: int
     line: int
     _groups: tuple = field(repr=False)  # (group, subgroup or None), unchecked
 
@@ -595,6 +580,18 @@ class CatalogueEntry:
 
     group = property(lambda self: self._checked[0])
     subgroup = property(lambda self: self._checked[1])
+
+    def action(self, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
+        """The action on the cosets of the subgroup, or the natural action
+        when the record declares none.  Its declared degree, the index
+        order // suborder or the record's ``degree``, and its declared order
+        meet the caps before ``group`` is read, so before any chain."""
+        suborder = self.expected_suborder
+        degree = self.degree if suborder is None else self.expected_order // suborder
+        _within_caps(degree, self.expected_order, caps)
+        if suborder is None:
+            return natural_action(self.group, self.name, caps)
+        return coset_action(self.group, self.subgroup, self.name, caps)
 
 
 def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, CatalogueEntry]:
@@ -638,6 +635,8 @@ def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, Cat
         elif line.startswith("degree "):
             if name is None:
                 fail(lineno, "'degree' outside a record")
+            if degree is not None:
+                fail(lineno, "second 'degree' in record %r" % name)
             try:
                 degree = int(line[7:])
             except ValueError:
@@ -674,12 +673,15 @@ def load_catalogue(path: str | Path, caps: Caps = DEFAULT_CAPS) -> dict[str, Cat
                     raise ValueError
             except ValueError:
                 fail(lineno, "malformed expect line")
+            for what, value in (("order", expected), ("suborder", suborder)):
+                if value is not None and value < 1:
+                    fail(lineno, "%s %d is below 1" % (what, value))
             if (suborder is None) != (not sub_gens):
                 fail(lineno, "suborder and 'sub gen' lines must come together")
             shape = (degree, tuple(g.key for g in gens))
             group = groups.setdefault(shape, PermGroup(degree, gens))
             subgroup = PermGroup(degree, sub_gens) if sub_gens else None
-            entries[name] = CatalogueEntry(name, expected, suborder, lineno, (group, subgroup))
+            entries[name] = CatalogueEntry(name, expected, suborder, degree, lineno, (group, subgroup))
             name = None
         else:
             fail(lineno, "unrecognised directive %r" % line.split()[0])

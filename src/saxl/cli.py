@@ -11,7 +11,9 @@ these same sweeps.
 ``_build_parser`` declares every option with its default and the runs that
 read it, and ``_SWEEPS`` the options each sweep reads and its default
 ``--qmax``.  An option that the chosen command, action selector or sweep
-would not read is refused before anything runs.
+would not read is refused before anything runs.  The cap options make one
+:class:`~saxl.actions.Caps`, which each action constructor meets before it
+builds; its exact-search cap is set only for ``analyze --exact``.
 
 Exit codes: 0 success, 2 resource cap exceeded, 3 an internal cross-check
 between two computation routes failed, 1 any other failure (bad arguments,
@@ -42,19 +44,13 @@ from .actions import (
     c3_canonical_logs,
     c3_isotropic,
     c3_label_logs,
-    coset_action,
     ksubset_action,
-    ksubset_size,
     load_catalogue,
-    natural_action,
     psl2_c2_action,
-    psl2_c2_size,
     psl2_c3_action,
-    psl2_c3_size,
 )
 from .engine import (
     build_report,
-    check_exact_cap,
     check_star,
     clique_and_independence_exact,
     is_base_pair,
@@ -137,10 +133,10 @@ def _build_parser() -> _Parser:
         opt("--ksubsets", type=int, nargs=2, metavar=("N", "K"), help="symmetric group on k-subsets")
         opt("--alternating", nargs=0, default=False, help="use the alternating group with --ksubsets",
             needs=("with --ksubsets", lambda a: a.ksubsets is not None))
-        opt("--point-cap", type=int, help="override the point cap")
-        opt("--group-cap", type=int, help="override the group-order cap")
-        opt("--exact-cap", type=int, help="override the exact-search cap",
-            needs=("by analyze --exact", lambda a: a.command == "analyze" and a.exact))
+        opt("--point-cap", type=int, default=DEFAULT_CAPS.point_cap, help="override the point cap")
+        opt("--group-cap", type=int, default=DEFAULT_CAPS.group_cap, help="override the group-order cap")
+        opt("--exact-cap", type=int, default=2000, help="override the exact-search cap",
+            needs=("by analyze --exact", _exact_search))
         opt("--out", metavar="FILE", help="write output here instead of stdout")
 
     p_an = sub.add_parser("analyze", help="full JSON report for one action")
@@ -190,7 +186,7 @@ def _check_args(args) -> None:
             raise ValueError("give exactly one of --catalogue, --psl2, --ksubsets")
         if args.psl2 is not None and args.q is None:
             raise ValueError("--psl2 needs --q")
-        if any(cap is not None and cap <= 0 for cap in (args.point_cap, args.group_cap, args.exact_cap)):
+        if min(args.point_cap, args.group_cap, args.exact_cap) <= 0:
             raise ValueError("caps must be positive")
         if args.command == "analyze" and args.clique_target is not None and args.clique_target < 2:
             raise ValueError("target must be at least 2")
@@ -199,20 +195,16 @@ def _check_args(args) -> None:
             raise ValueError("%s is only read %s" % (option.option_strings[0], option.where))
 
 
+def _exact_search(args) -> bool:
+    """Whether this run asks for an exact clique search."""
+    return args.command == "analyze" and args.exact
+
+
 def _caps(args) -> Caps:
-    """The default caps, with the cap options given on the command line."""
-    given = {name: getattr(args, name) for name in ("point_cap", "group_cap", "exact_cap")}
-    return Caps(**{name: cap for name, cap in given.items() if cap is not None})
-
-
-def _entry_action(entry, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
-    """Coset action of a catalogue entry, or its natural action when the
-    entry declares no subgroup; its declared order meets the group cap first."""
-    if entry.expected_order > caps.group_cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (entry.expected_order, caps.group_cap))
-    if entry.subgroup is not None:
-        return coset_action(entry.group, entry.subgroup, entry.name, caps=caps)
-    return natural_action(entry.group, entry.name, caps)
+    """The caps of the command line; the exact-search cap is set only for
+    analyze --exact, so that the constructors refuse its degree before the
+    build."""
+    return Caps(args.point_cap, args.group_cap, args.exact_cap if _exact_search(args) else None)
 
 
 def build_action(args) -> LabelledAction:
@@ -224,18 +216,12 @@ def build_action(args) -> LabelledAction:
                 "unknown catalogue entry %r (have: %s)"
                 % (args.catalogue, ", ".join(sorted(entries)))
             )
-        return _entry_action(entries[args.catalogue], caps)
-    # an exact search over the cap is refused from the degree, before the build
-    exact = args.command == "analyze" and args.exact
+        return entries[args.catalogue].action(caps)
     if args.psl2 is not None:
         variant = GroupVariant(VARIANT_NAMES[args.variant], args.q, args.j if args.variant == "dphi" else 0)
-        size, ctor = (psl2_c2_size, psl2_c2_action) if args.psl2 == "c2" else (psl2_c3_size, psl2_c3_action)
-        if exact:
-            check_exact_cap(size(variant, caps)[0], caps)
+        ctor = psl2_c2_action if args.psl2 == "c2" else psl2_c3_action
         return ctor(variant, caps=caps)
     n, k = args.ksubsets
-    if exact:
-        check_exact_cap(ksubset_size(n, k, args.alternating, caps)[0], caps)
     return ksubset_action(n, k, even_only=args.alternating, caps=caps)
 
 
@@ -301,7 +287,7 @@ def _fixture_actions(args) -> Iterator[tuple[str, LabelledAction]]:
     for name in _table_rows():
         if name not in entries:
             raise ValueError("catalogue %s has no entry %r" % (path, name))
-        yield name, _entry_action(entries[name])
+        yield name, entries[name].action()
 
 
 def _sweep_table_rows(args) -> list[dict]:
@@ -440,12 +426,11 @@ def _sweep_counts(args) -> list[dict]:
     return checks
 
 
-def _base_two_l_actions(args):
-    """Every constructible pair/unitary action with q up to --qmax that is
-    primitive and base-two, in deterministic order."""
-    out = []
-    for q in _upto(args, (4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)):
-        p, f = split_prime_power(q)
+def _base_two_l_actions(args) -> Iterator[tuple[str, LabelledAction]]:
+    """(name, action) for every constructible pair/unitary action with
+    4 <= q <= --qmax that is primitive and base-two, in deterministic order,
+    one at a time."""
+    for p, f, q in prime_powers(4, _qmax(args) + 1):
         families = [("PSL2", 0), ("PGL2", 0)] if q % 2 else [("PSL2", 0)]
         if f >= 2:
             families.append(("PSigmaL2", 0))
@@ -465,8 +450,7 @@ def _base_two_l_actions(args):
                 if regular_suborbit_count(action) < 1:
                     continue
                 tag = "(j=%d)" % j if j else ""
-                out.append(("%s %s q=%d%s" % (kind, family, q, tag), action))
-    return out
+                yield "%s %s q=%d%s" % (kind, family, q, tag), action
 
 
 def _sweep_star(args) -> list[dict]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import Caps, LabelledAction, diagonal
+from .actions import LabelledAction, diagonal
 from .gf import prime_factors
 from .group import CapExceeded, CrossCheckFailed, PermGroup, conjugacy_class
 from .perm import BLOCK_ENTRIES, Perm, identity, row_keys
@@ -475,16 +475,10 @@ def max_clique_exact(rows, n: int) -> list[int]:
     return best
 
 
-def check_exact_cap(degree: int, caps: Caps) -> None:
-    """Refuse an exact search over ``degree`` points above ``exact_cap``."""
-    if degree > caps.exact_cap:
-        raise CapExceeded("degree %d exceeds exact-search cap %d" % (degree, caps.exact_cap))
-
-
 def clique_and_independence_exact(action: LabelledAction) -> tuple[list[int], list[int]]:
     """A maximum clique and a maximum independent set, each sorted, by
-    branch and bound."""
-    check_exact_cap(action.degree, action.caps)
+    branch and bound, checking no cap: build the action with
+    ``Caps(exact_cap=N)`` to refuse a degree above N first."""
     n = action.degree
     graph = saxl_graph(action)
     rows = graph.bitsets()
@@ -550,10 +544,8 @@ def build_report(
     clique_target: int | None = None,
     exact_search: bool = False,
 ) -> SaxlReport:
-    """Assemble a report; heavier sections are opt-in or opt-out flags.  An
-    exact search over the cap is refused before any work."""
-    if exact_search:
-        check_exact_cap(action.degree, action.caps)
+    """Assemble a report; heavier sections are opt-in or opt-out flags.  The
+    exact search meets its cap when the action is built, not here."""
     data = _analysis(action)
     q = q_exact(action)
     qh = q_hat(action) if with_classes else None

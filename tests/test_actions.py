@@ -29,7 +29,6 @@ from saxl.actions import (
 )
 from saxl.cli import main
 from saxl.gf import LOG_ZERO, field_create, field_from_order, log_add, log_mul, log_neg, log_pow, split_prime_power
-from saxl.actions import DEFAULT_CAPS
 from saxl.group import CapExceeded, CrossCheckFailed, PermGroup
 from saxl.perm import Perm, from_cycles
 
@@ -407,7 +406,7 @@ class TestLabelledActionInvariants:
         labs = tuple(range(4))
         order = PermGroup(4, gens).order()
         with pytest.raises(CrossCheckFailed, match="point stabiliser generator " + refusal):
-            _certified("bad", labs, 4, [(g, g) for g in gens], [(h, h) for h in stab], order, DEFAULT_CAPS)
+            _certified("bad", labs, 4, [(g, g) for g in gens], [(h, h) for h in stab], order)
 
     def test_certificate_checks_orbit_and_stabiliser_order(self):
         s3 = [from_cycles(3, [(0, 1, 2)]), from_cycles(3, [(0, 1)])]
@@ -415,10 +414,10 @@ class TestLabelledActionInvariants:
         on_four = [(g, Perm(list(g.images) + [3])) for g in s3]
         labs = tuple(range(4))
         with pytest.raises(CrossCheckFailed, match="label 0 has an orbit of length 3, not 4"):
-            _certified("bad", labs, 3, on_four, [], 6, DEFAULT_CAPS)
+            _certified("bad", labs, 3, on_four, [], 6)
         # S3 naturally, with a trivial stabiliser in place of <(1 2)>
         with pytest.raises(CrossCheckFailed, match="point stabiliser order 1, expected 2"):
-            _certified("bad", labs[:3], 3, [(g, g) for g in s3], [], 6, DEFAULT_CAPS)
+            _certified("bad", labs[:3], 3, [(g, g) for g in s3], [], 6)
 
 
 class TestCatalogue:
@@ -462,6 +461,9 @@ class TestCatalogue:
             ("name A\ngen (1,2,3)\n", "before 'degree'"),
             ("name A\ndegree 0\ngen ()\nexpect order 1\n", "line 2: degree 0 is below 1"),
             ("name A\ndegree -2\ngen ()\nexpect order 1\n", "line 2: degree -2 is below 1"),
+            ("name A\ndegree 5\ngen (1,2)\ndegree 6\ngen (1,2,3)\nexpect order 6\n", "line 4: second 'degree' in record 'A'"),
+            ("name A\ndegree 3\ngen (1,2,3)\nexpect order 0\n", "line 4: order 0 is below 1"),
+            ("name A\ndegree 3\ngen (1,2,3)\nsub gen ()\nexpect order 3 suborder 0\n", "line 5: suborder 0 is below 1"),
             ("degree 3\n", "outside a record"),
             (
                 "name A\ndegree 3\ngen (1,2,3)\nexpect order 3\n"

@@ -31,6 +31,19 @@ def _saxl(argv, **env):
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=300)
 
 
+def _refuse_every_build(monkeypatch):
+    """Make every field, induced block action, certificate and chain raise."""
+    from saxl import actions
+    from saxl.group import StabChain
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("action built before its refusal")
+
+    for name in ("field_create", "_induced", "_certified"):
+        monkeypatch.setattr(actions, name, refuse)
+    monkeypatch.setattr(StabChain, "__init__", refuse)
+
+
 @pytest.fixture()
 def frobenius_catalogue(tmp_path):
     """A five-point Frobenius group of order 20; every distinct pair is a base."""
@@ -154,7 +167,7 @@ class TestExitCodes:
             ('analyze --ksubsets 8 2 --exact --exact-cap 10', 2, 'cap exceeded: degree 28 exceeds exact-search cap 10\n'),
             ('analyze --ksubsets 12 2 --exact', 2, 'cap exceeded: group order 479001600 exceeds cap 10000000\n'),
             ('analyze --ksubsets 2 1 --alternating --exact --exact-cap 1', 1, 'error: alternating groups need n >= 3\n'),
-            ('analyze --ksubsets 2 1 --alternating --exact --point-cap 1', 2, 'cap exceeded: degree 2 exceeds point cap 1\n'),
+            ('analyze --ksubsets 2 1 --alternating --exact --point-cap 1', 1, 'error: alternating groups need n >= 3\n'),
             ('analyze --ksubsets 3 3 --exact', 1, 'error: need 1 <= k < n\n'),
             ('analyze --ksubsets 500 2 --exact', 2, 'cap exceeded: degree 124750 exceeds point cap 100000\n'),
             ('analyze --psl2 c2 --q 7 --exact --exact-cap 27', 2, 'cap exceeded: degree 28 exceeds exact-search cap 27\n'),
@@ -163,17 +176,24 @@ class TestExitCodes:
         ],
     )
     def test_exact_cap_is_checked_before_the_build(self, capsys, monkeypatch, argv, code, err):
-        # each refusal as it read when the exact cap was checked after the
-        # build; invalid q, the point cap and the group cap still come first
-        from saxl import cli
-
-        def refuse(*args, **kwargs):
-            raise RuntimeError("action built before its refusal")
-
-        for ctor in ("psl2_c2_action", "psl2_c3_action", "ksubset_action"):
-            monkeypatch.setattr(cli, ctor, refuse)
+        # invalid arguments come first, then the point, group and exact
+        # caps, and no field, block, certificate or chain is built before
+        _refuse_every_build(monkeypatch)
         assert main(argv.split()) == code
         assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("analyze --catalogue PGL2_13_S4 --point-cap 20", "degree 91 exceeds point cap 20"),
+            ("analyze --catalogue M11 --exact --exact-cap 5", "degree 11 exceeds exact-search cap 5"),
+        ],
+    )
+    def test_catalogue_caps_are_checked_before_any_chain(self, capsys, monkeypatch, argv, err):
+        # the entry's declared index (2184 / 24) or degree meets the caps
+        _refuse_every_build(monkeypatch)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == "cap exceeded: %s\n" % err
 
     def test_exact_cap_is_checked_before_the_analysis(self, capsys, monkeypatch):
         from saxl import engine
@@ -596,6 +616,14 @@ class TestVerify:
             "c2-witness q=9 (engine-checked)", "c2-witness q=13 (engine-checked)",
             "c3-witness q=9 (engine-checked)", "c3-witness q=13 (engine-checked)",
         ]
+
+    def test_star_sweep_honours_qmax(self, capsys):
+        # past the default of 27, every prime power up to --qmax is swept
+        assert main(["verify", "star", "--qmax", "32"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        qs = [int(c["name"].split("q=")[1].split("(")[0]) for c in checks if "q=" in c["name"]]
+        assert sorted(set(q for q in qs if q > 27)) == [29, 31, 32]
+        assert all(c["ok"] for c in checks)
 
     def test_clique5_qmax_is_inclusive(self, capsys):
         assert main(["verify", "clique5", "--qmax", "49"]) == 0

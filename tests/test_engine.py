@@ -46,7 +46,7 @@ from saxl.engine import (
 )
 from saxl.cli import main
 from saxl.gf import is_prime, prime_factors
-from saxl.actions import DEFAULT_CAPS, Caps
+from saxl.actions import Caps
 from saxl.group import CapExceeded, PermGroup
 from saxl.perm import from_cycles, identity
 
@@ -297,7 +297,7 @@ def _sign_carried_s5_pairs():
         signs = [from_cycles(2, [(0, 1)] * (sum(len(c) - 1 for c in g.cycles()) % 2)) for g in perms]
         return list(zip(signs, _induced(pairs, perms)))
 
-    return _certified("S5/2-subsets by sign", tuple(pairs), 2, by_sign(gens), by_sign(stab_gens), 120, DEFAULT_CAPS)
+    return _certified("S5/2-subsets by sign", tuple(pairs), 2, by_sign(gens), by_sign(stab_gens), 120)
 
 
 class TestPrimeClassData:
@@ -573,9 +573,8 @@ class TestCliques:
         assert len(max_clique_exact(rows, 3)) == 2
 
     def test_exact_cap(self):
-        act = ksubset_action(5, 2, even_only=True, caps=Caps(exact_cap=5))
-        with pytest.raises(CapExceeded):
-            clique_and_independence_exact(act)
+        with pytest.raises(CapExceeded, match="degree 10 exceeds exact-search cap 5"):
+            ksubset_action(5, 2, even_only=True, caps=Caps(exact_cap=5))
 
 
 class TestSizeInequality:
