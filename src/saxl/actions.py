@@ -305,22 +305,6 @@ def ksubset_action(
 # -- coset actions ------------------------------------------------------------------
 
 
-def _coset_canonical(chain, g: Perm) -> Perm:
-    """The canonical representative of the right coset H*g.
-
-    Greedily minimises the base images over the coset using H's stabiliser
-    chain; the result is independent of the representative, so it is usable
-    as a dictionary key for the coset.
-    """
-    for level in chain.levels:
-        images = g.images.tolist()
-        best_pt = min(level.transversal, key=images.__getitem__)
-        u = level.transversal[best_pt]
-        if not u.is_identity():
-            g = u * g
-    return g
-
-
 def coset_action(
     G: PermGroup,
     H: PermGroup,
@@ -329,9 +313,10 @@ def coset_action(
 ) -> LabelledAction:
     """The action of G on the right cosets of H, with point 0 = H itself.
 
-    The kernel is the core of H in G, which lies in H, so its order is |H|
-    over the order of H's image.  The returned action is the image group,
-    certified by :func:`_certified` with the image of H as G_0.
+    Each coset is keyed by :meth:`StabChain.coset_representative` of H's
+    chain.  The kernel is the core of H in G, which lies in H, so its order
+    is |H| over the order of H's image.  The returned action is the image
+    group, certified by :func:`_certified` with the image of H as G_0.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -339,14 +324,14 @@ def coset_action(
     index = order_g // order_h
     _within_caps(index, order_g, caps)
 
-    chain_h = H.chain
-    start = _coset_canonical(chain_h, identity(G.degree))
+    canonical = H.chain.coset_representative
+    start = canonical(identity(G.degree))
     reps = [start]
     seen = {start: 0}
     images_per_gen = [[] for _ in G.gens]
     for rep in reps:  # grows as cosets are found
         for images, gen in zip(images_per_gen, G.gens):
-            nxt = _coset_canonical(chain_h, rep * gen)
+            nxt = canonical(rep * gen)
             at = seen.setdefault(nxt, len(reps))
             if at == len(reps):
                 reps.append(nxt)
@@ -355,7 +340,7 @@ def coset_action(
         raise CrossCheckFailed("coset enumeration found %d cosets, expected %d" % (len(reps), index))
 
     gens = [(g, Perm(imgs)) for g, imgs in zip(G.gens, images_per_gen)]
-    stab_gens = [(h, Perm(seen[_coset_canonical(chain_h, rep * h)] for rep in reps)) for h in H.gens]
+    stab_gens = [(h, Perm(seen[canonical(rep * h)] for rep in reps)) for h in H.gens]
     return _certified(name, tuple(range(index)), G.degree, gens, stab_gens, order_g, stab_order=order_h)
 
 
@@ -556,7 +541,8 @@ class CatalogueError(ValueError):
 class CatalogueEntry:
     """One catalogue record.  Reading ``group`` or ``subgroup`` first checks
     the declared orders and that every ``sub gen`` lies in the group, and
-    raises :class:`CatalogueError` at the record's ``expect`` line."""
+    raises :class:`CatalogueError` at the record's ``expect`` line, where the
+    group's chain stops as soon as its order passes the declared one."""
 
     name: str
     expected_order: int
@@ -568,8 +554,12 @@ class CatalogueEntry:
     @cached_property
     def _checked(self) -> tuple:
         group, subgroup = self._groups
-        if group.order() != self.expected_order:
-            error = "order %d, declared %d" % (group.order(), self.expected_order)
+        try:
+            order = group.order(self.expected_order)
+        except CapExceeded:
+            order = "above %d" % self.expected_order
+        if order != self.expected_order:
+            error = "order %s, declared %d" % (order, self.expected_order)
         elif subgroup is not None and not subgroup.is_subgroup_of(group):
             error = "'sub gen' not inside the group"
         elif subgroup is not None and subgroup.order() != self.expected_suborder:

@@ -442,12 +442,11 @@ def _base_two_l_actions(args) -> Iterator[tuple[str, LabelledAction]]:
                 continue
             for family, j in families:
                 try:
-                    action = ctor(GroupVariant(family, q, j))
+                    variant = GroupVariant(family, q, j)
                 except ValueError:
                     continue
-                if not action.group.is_primitive():
-                    continue
-                if regular_suborbit_count(action) < 1:
+                action = ctor(variant)
+                if not action.group.is_primitive() or regular_suborbit_count(action) < 1:
                     continue
                 tag = "(j=%d)" % j if j else ""
                 yield "%s %s q=%d%s" % (kind, family, q, tag), action

@@ -31,7 +31,7 @@ import numpy as np
 from .actions import LabelledAction, diagonal
 from .gf import prime_factors
 from .group import CapExceeded, CrossCheckFailed, PermGroup, conjugacy_class
-from .perm import BLOCK_ENTRIES, Perm, identity, row_keys
+from .perm import Perm, identity, row_keys
 
 GRAPH_CAP = 2 * 10**4  # the largest degree whose Saxl graph is built, n^2/8 bytes
 
@@ -42,18 +42,18 @@ GRAPH_CAP = 2 * 10**4  # the largest degree whose Saxl graph is built, n^2/8 byt
 class _Analysis:
     """Suborbit table of one action, built once; every query reads it.
 
-    ``orbits`` are the orbits of H = G_0, ordered by minimal point;
+    ``orbits`` are the orbits of H = G_0, the trees of H's Schreier forest;
     ``lengths[i]`` is the length of ``orbits[i]`` and ``regular[i]`` whether it
-    is regular (of length |H|); ``flags[b]`` is whether {0, b} is a base pair,
-    and ``tree`` is a Schreier vector of 0 over G's generators, whose path
-    product u_a maps 0 to a.  Each suborbit's flag is computed by
-    two independent routes that must agree: orbit length (a breadth-first
-    search over the generators of H) versus fixed points ({0, b} is a base
-    exactly when no non-identity element of H fixes b).  The fixed points
-    come from H's elements, streamed from its chain in blocks of image rows
-    and not kept: one comparison of a block with the identity's images marks
-    every fixed point of every row, and a row that is not all fixed is not
-    the identity.  The same pass checks Burnside's count
+    is regular (of length |H|); ``flags[b]``, whether {0, b} is a base pair, is
+    ``regular`` at b's orbit index, and ``tree`` is G's forest, whose path
+    product u_a maps 0 to a.  Each suborbit's flag is computed by two
+    independent routes that must agree: orbit length (a breadth-first search
+    over the generators of H) versus fixed points ({0, b} is a base exactly
+    when no non-identity element of H fixes b).  The fixed points come from
+    H's elements, streamed from its chain in blocks of image rows and not
+    kept: one comparison of a block with the identity's images marks every
+    fixed point of every row, and a row that is not all fixed is not the
+    identity.  The same pass checks Burnside's count
     sum_h fix(h) == |H| * (number of H-orbits).
     """
 
@@ -67,7 +67,7 @@ class _Analysis:
         points = identity(n).images
         fixed_by_nonidentity = np.zeros(n, dtype=bool)
         fix_total = 0
-        for block in H.iter_blocks(max(1, BLOCK_ENTRIES // n)):
+        for block in H.iter_blocks():
             fixed = block == points
             fix_total += int(np.count_nonzero(fixed))
             fixed_by_nonidentity |= fixed[~fixed.all(axis=1)].any(axis=0)
@@ -86,14 +86,8 @@ class _Analysis:
                     "suborbit at %d: length route says %s, fixed-point route says %s"
                     % (rep, by_length, by_fixed)
                 )
-        self.flags = np.zeros(n, dtype=bool)
-        for orbit, regular in zip(self.orbits, self.regular):
-            self.flags[orbit] = regular
+        self.flags = self.regular[H.schreier_vector.orbit_index]
         self.regular_count = int(self.regular.sum())
-
-    def flags_from(self, a: int) -> np.ndarray:
-        """Image array w with flags[w[x]] == is_base_pair(a, x): u_a^-1."""
-        return self.tree.inverse(a)
 
 
 def _analysis(action: LabelledAction) -> _Analysis:
@@ -119,7 +113,7 @@ def is_base_pair(action: LabelledAction, a: int, b: int) -> bool:
     _check_points(data.n, a, b)
     if a == b:
         raise ValueError("a base pair needs two distinct points")
-    return bool(data.flags[data.flags_from(a)[b]])
+    return bool(data.flags[data.tree.inverse(a)[b]])
 
 
 def suborbits(action: LabelledAction) -> list[tuple[int, int]]:
@@ -208,7 +202,7 @@ def _prime_class_data(action: LabelledAction):
     labels = identity(m + n).images[m:]
     primes = prime_factors(D.order())
     fixed: dict[bytes, tuple[int, int]] = {}  # carrier key -> (prime order, fixed labels)
-    for block in D.iter_blocks(max(1, BLOCK_ENTRIES // (m + n))):
+    for block in D.iter_blocks():
         carrier = block[:, :m].astype(key_dtype)  # D's rows may be wider
         orders = _prime_orders(carrier, primes)
         prime = orders > 0
@@ -386,15 +380,10 @@ def check_star(action: LabelledAction) -> tuple[bool, dict]:
         raise ValueError("the action is not base-two")
     flags = data.flags
     witnesses: dict[int, int | None] = {}
-    ok = True
     for orbit in data.orbits[1:]:
-        rep = orbit[0]
-        common = np.flatnonzero(flags & flags[data.flags_from(rep)])
-        found = int(common[0]) if common.size else None
-        witnesses[rep] = found
-        if found is None:
-            ok = False
-    return ok, witnesses
+        common = np.flatnonzero(flags & flags[data.tree.inverse(orbit[0])])
+        witnesses[orbit[0]] = int(common[0]) if common.size else None
+    return None not in witnesses.values(), witnesses
 
 
 # -- cliques and independent sets --------------------------------------------------------

@@ -15,10 +15,10 @@ a ``Perm``.  The chain is the classical one, level for level, as if each
 Schreier generator were a ``Perm`` product.  Pointwise stabilisers come
 from a fresh chain whose base starts with the given points.
 
-Every other orbit is read from one breadth-first forest, a
-:class:`SchreierVector`.  A certified group answers its order and G_0 with
-no chain of its own, and coset representatives of G_0 come from its
-Schreier vector of 0.
+Every orbit is read from a group's one breadth-first forest rooted at every
+point, a :class:`SchreierVector`, and so are coset representatives of G_0; a
+certified group answers its order and G_0 with no chain of its own.  Coset
+representatives of a subgroup come from the subgroup's chain.
 
 The module constants ``ELEMENT_CAP`` and ``CLASS_CAP`` bound element
 enumeration and class materialisation, inclusive; exceeding one raises
@@ -36,7 +36,7 @@ import numpy as np
 
 # CapExceeded and CrossCheckFailed are re-exported: one exception of each kind
 from .gf import CapExceeded, CrossCheckFailed
-from .perm import Perm, conjugates, identity, inverse_images, nontrivial
+from .perm import BLOCK_ENTRIES, Perm, conjugates, identity, inverse_images, nontrivial
 
 
 ELEMENT_CAP = 10**7  # the largest group whose elements are enumerated
@@ -66,15 +66,16 @@ class SchreierVector:
     breadth-first tree from each root that no earlier tree holds.
 
     ``orbits`` lists each tree's points in breadth-first order from its
-    root.  Generator ``via[a]`` maps ``parent[a]`` to a, so the product u_a
-    of the generators on the tree path from the root maps the root to a; a
-    root is its own parent, and points outside every tree have parent -1.
-    The forest takes O(n) bytes where a transversal holds n permutations.
+    root, and a's tree is ``orbits[orbit_index[a]]``.  Generator ``via[a]``
+    maps ``parent[a]`` to a, so the path product u_a maps the root to a; a
+    root is its own parent, and a point outside every tree has parent and
+    orbit index -1.  It takes O(n) bytes where a transversal holds n Perms.
     """
 
     def __init__(self, degree: int, gens: Sequence[Perm], roots: Iterable[int]):
         self._gens = gens
         self.parent, self.via = [-1] * degree, [0] * degree
+        self.orbit_index = np.full(degree, -1, dtype=np.intp)
         self.orbits: list[list[int]] = []
         parent, via = self.parent, self.via
         gen_images = list(enumerate(g.images.tolist() for g in gens))
@@ -90,6 +91,7 @@ class SchreierVector:
                         parent[a] = b
                         via[a] = i
                         orbit.append(a)
+            self.orbit_index[orbit] = len(self.orbits)
             self.orbits.append(orbit)
 
     @cached_property
@@ -130,11 +132,13 @@ class StabChain:
     trivial are kept, they are harmless and keep indexing predictable.
     Elements are sifted as rows of images in the key dtype (see
     :meth:`_complete_level`), so a Schreier generator that is the identity,
-    or that sifts to it, never becomes a ``Perm``.
+    or that sifts to it, never becomes a ``Perm``.  Transversals only gain
+    points, so the build raises :class:`CapExceeded` once ``order()``
+    passes ``order_bound``, when one is given.
     """
 
-    def __init__(self, degree: int, gens: Sequence[Perm], base_prefix: Sequence[int] = ()):
-        self.degree = degree
+    def __init__(self, degree: int, gens: Sequence[Perm], base_prefix: Sequence[int] = (), order_bound: int | None = None):
+        self.degree, self.order_bound = degree, order_bound
         self.levels: list[_Level] = []
         for pt in base_prefix:
             if not 0 <= pt < degree:
@@ -212,6 +216,8 @@ class StabChain:
                 if v is None:
                     transversal[gamma] = nontrivial(row)
                     orbit.append(gamma)
+                    if self.order_bound is not None and self.order() > self.order_bound:
+                        raise CapExceeded("chain order exceeds %d" % self.order_bound)
                     continue
                 if row.tobytes() == v.key:
                     continue
@@ -234,6 +240,16 @@ class StabChain:
             return False
         return nontrivial(self._strip(g.images, 0)[0]) is None
 
+    def coset_representative(self, g: Perm) -> Perm:
+        """The canonical representative of the right coset H*g, H the
+        chain's group: base images minimised greedily, level by level."""
+        for level in self.levels:
+            images = g.images.tolist()
+            u = level.transversal[min(level.transversal, key=images.__getitem__)]
+            if not u.is_identity():
+                g = u * g
+        return g
+
     def iter_elements(self) -> Iterator[Perm]:
         """All elements, each exactly once, as products over the transversals.
 
@@ -243,14 +259,15 @@ class StabChain:
         elements."""
         return _products(self.levels, identity(self.degree))
 
-    def iter_blocks(self, rows: int) -> Iterator[np.ndarray]:
+    def iter_blocks(self) -> Iterator[np.ndarray]:
         """All elements, each exactly once, as 2-D arrays of image rows in
         the key dtype, so that a row's bytes are that element's key.
 
-        The deepest levels, as many as keep a block within ``rows`` rows,
-        are multiplied out level by level, one gather each; every product
-        over the levels above them, factorised as in :meth:`iter_elements`,
-        then maps that block in one more gather."""
+        The deepest levels, as many as keep a block within ``BLOCK_ENTRIES``
+        entries (or one row), are multiplied out level by level, one gather
+        each; every product over the levels above them, factorised as in
+        :meth:`iter_elements`, then maps that block in one more gather."""
+        rows = max(1, BLOCK_ENTRIES // self.degree)
         one = identity(self.degree)
         block = one.images.reshape(1, -1)
         top = len(self.levels)
@@ -296,14 +313,18 @@ class PermGroup:
     @property
     def chain(self) -> StabChain:
         """The stabiliser chain, its base starting at the least moved point."""
+        return self._built_chain()
+
+    def _built_chain(self, order_bound: int | None = None) -> StabChain:
         if self._chain is None:
             start = [min(g.min_moved_point() for g in self.gens)] if self.gens else []
-            self._chain = StabChain(self.degree, self.gens, base_prefix=start)
+            self._chain = StabChain(self.degree, self.gens, start, order_bound)
         return self._chain
 
-    def order(self) -> int:
+    def order(self, bound: int | None = None) -> int:
+        """|G|; a chain built here stops at ``bound`` (see :class:`StabChain`)."""
         if self._order is None:
-            self._order = self.chain.order()
+            self._order = self._built_chain(bound).order()
         return self._order
 
     def adopt_certificate(self, order: int, stabiliser0: "PermGroup") -> None:
@@ -325,8 +346,9 @@ class PermGroup:
 
     @cached_property
     def schreier_vector(self) -> SchreierVector:
-        """The Schreier vector of point 0 over the generators, built once."""
-        return SchreierVector(self.degree, self.gens, [0])
+        """The forest rooted at every point over the generators, built
+        once; its first tree is 0's."""
+        return SchreierVector(self.degree, self.gens, range(self.degree))
 
     def orbit(self, point: int) -> list[int]:
         """Orbit of a point, in BFS discovery order from the point."""
@@ -343,8 +365,8 @@ class PermGroup:
 
     def orbits(self) -> list[list[int]]:
         """All orbits on points, ordered by least point, each in BFS
-        discovery order from that point: the forest rooted at every point."""
-        return SchreierVector(self.degree, self.gens, range(self.degree)).orbits
+        discovery order from that point: the trees of :attr:`schreier_vector`."""
+        return self.schreier_vector.orbits
 
     def is_transitive(self) -> bool:
         return self.degree <= 1 or len(self.schreier_vector.orbits[0]) == self.degree
@@ -364,15 +386,12 @@ class PermGroup:
         h-image of the block through {0, beta}, so one beta per G_0-orbit
         decides.  Groups of degree <= 2 are primitive by convention.
         """
-        n = self.degree
         if not self.is_transitive():
             return False
-        if n <= 2:
+        if self.degree <= 2:
             return True
-        suborbits = self.point_stabiliser(0).orbits()  # [0] comes first
-        label = np.empty(n, dtype=np.intp)
-        for i, orbit in enumerate(suborbits):
-            label[orbit] = i
+        forest = self.point_stabiliser(0).schreier_vector  # [0] comes first
+        suborbits, label = forest.orbits, forest.orbit_index
         for i, orbit in enumerate(suborbits[1:], 1):
             images = self.schreier_vector.inverse(orbit[0])
             block = np.zeros(len(suborbits), dtype=bool)
@@ -420,11 +439,11 @@ class PermGroup:
         of them.  Guarded by ``ELEMENT_CAP``, checked before the first one."""
         return self._enumerable_chain().iter_elements()
 
-    def iter_blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """All elements as blocks of at most ``rows`` image rows in the key
-        dtype (see :meth:`StabChain.iter_blocks`).  Guarded by
-        ``ELEMENT_CAP``, checked before the first block."""
-        return self._enumerable_chain().iter_blocks(rows)
+    def iter_blocks(self) -> Iterator[np.ndarray]:
+        """All elements as blocks of image rows in the key dtype (see
+        :meth:`StabChain.iter_blocks`).  Guarded by ``ELEMENT_CAP``, checked
+        before the first block."""
+        return self._enumerable_chain().iter_blocks()
 
     def elements(self) -> list[Perm]:
         """All elements, sorted by image list.  Guarded by ``ELEMENT_CAP``."""

@@ -29,7 +29,7 @@ from saxl.actions import (
 )
 from saxl.cli import main
 from saxl.gf import LOG_ZERO, field_create, field_from_order, log_add, log_mul, log_neg, log_pow, split_prime_power
-from saxl.group import CapExceeded, CrossCheckFailed, PermGroup
+from saxl.group import CapExceeded, CrossCheckFailed, PermGroup, StabChain
 from saxl.perm import Perm, from_cycles
 
 
@@ -486,6 +486,27 @@ class TestCatalogue:
                 entry.group
         with pytest.raises(CatalogueError, match=message):
             entry.subgroup
+
+    def test_under_declared_order_stops_the_chain(self, tmp_path, monkeypatch, capsys):
+        # S_30 declared of order 2: the chain stops once its transversals
+        # hold more than 2 cosets, and the error is at the expect line
+        path = tmp_path / "cat.txt"
+        path.write_text("name S30\ndegree 30\ngen (%s)\ngen (1,2)\nexpect order 2\n" % ",".join(map(str, range(1, 31))))
+        chains = []
+        build = StabChain.__init__
+
+        def recorded(self, *args):
+            chains.append(self)
+            build(self, *args)
+
+        monkeypatch.setattr(StabChain, "__init__", recorded)
+        message = "line 5: entry 'S30': order above 2, declared 2"
+        with pytest.raises(CatalogueError, match="^%s$" % message):
+            load_catalogue(path)["S30"].group
+        assert len(chains) == 1
+        assert sum(len(level.orbit_list) - 1 for level in chains[0].levels) <= 3
+        assert main(["analyze", "--catalogue-path", str(path), "--catalogue", "S30"]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_entries_with_the_same_generators_share_one_group(self, catalogue):
         for first, second in (("M11", "M11_2S4"), ("L3_3_13_3", "L3_3_O3")):

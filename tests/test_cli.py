@@ -625,6 +625,24 @@ class TestVerify:
         assert sorted(set(q for q in qs if q > 27)) == [29, 31, 32]
         assert all(c["ok"] for c in checks)
 
+    def test_star_sweep_skips_only_refused_variants(self, capsys, monkeypatch):
+        # a ValueError from inside a constructor ends the sweep with an error,
+        # where a variant that GroupVariant refuses is skipped
+        from saxl import cli
+
+        build = cli.psl2_c3_action
+
+        def failing(variant):
+            if variant.q == 13:
+                raise ValueError("labels are not transitive")
+            return build(variant)
+
+        monkeypatch.setattr(cli, "psl2_c3_action", failing)
+        assert main(["verify", "star", "--qmax", "13"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: labels are not transitive\n"
+        assert captured.out == ""
+
     def test_clique5_qmax_is_inclusive(self, capsys):
         assert main(["verify", "clique5", "--qmax", "49"]) == 0
         names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]

@@ -120,6 +120,18 @@ class TestMembership:
         assert not symmetric(4).contains(identity(5))
 
 
+ORACLE_GROUPS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PermGroup(9, [from_cycles(9, [(0, 1, 2)]), from_cycles(9, [(1, 2)]), from_cycles(9, [(5, 8, 6)]), from_cycles(9, [(3, 7)])]),
+        lambda: ksubset_action(5, 2, even_only=True).stabiliser0(),
+        lambda: psl2_c2_action(GroupVariant("PSL2", 25)).stabiliser0(),
+        lambda: psl2_c2_action(GroupVariant("PSL2", 25)).group,
+    ],
+    ids=["four-orbits", "A5-pairs-G0", "c2-q25-G0", "c2-q25"],
+)
+
+
 class TestOrbits:
     def test_two_orbits(self):
         g = PermGroup(5, [from_cycles(5, [(0, 1, 2)]), from_cycles(5, [(3, 4)])])
@@ -167,16 +179,7 @@ class TestOrbits:
         with pytest.raises(ValueError, match="not in the orbit"):
             tree.inverse(3)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: PermGroup(9, [from_cycles(9, [(0, 1, 2)]), from_cycles(9, [(1, 2)]), from_cycles(9, [(5, 8, 6)]), from_cycles(9, [(3, 7)])]),
-            lambda: ksubset_action(5, 2, even_only=True).stabiliser0(),
-            lambda: psl2_c2_action(GroupVariant("PSL2", 25)).stabiliser0(),
-            lambda: psl2_c2_action(GroupVariant("PSL2", 25)).group,
-        ],
-        ids=["four-orbits", "A5-pairs-G0", "c2-q25-G0", "c2-q25"],
-    )
+    @ORACLE_GROUPS
     def test_against_bfs_oracle(self, build):
         g = build()
         n = g.degree
@@ -197,6 +200,21 @@ class TestOrbits:
                 assert forest.inverse(a)[u].tolist() == list(range(n))
         for a, u in oracles[0].items():
             assert g.schreier_vector.inverse(a)[u].tolist() == list(range(n))
+
+    @ORACLE_GROUPS
+    def test_one_forest_per_group(self, build):
+        # orbits() are the trees of the group's one Schreier forest, and each
+        # point's orbit index names the tree that holds it
+        g = build()
+        assert g.orbits() is g.schreier_vector.orbits
+        index = g.schreier_vector.orbit_index
+        assert sorted(a for orbit in g.orbits() for a in orbit) == list(range(g.degree))
+        for i, orbit in enumerate(g.orbits()):
+            assert index[orbit].tolist() == [i] * len(orbit)
+
+    def test_forest_of_one_root_indexes_only_its_tree(self):
+        g = PermGroup(5, [from_cycles(5, [(0, 1, 2)]), from_cycles(5, [(3, 4)])])
+        assert SchreierVector(5, g.gens, [3]).orbit_index.tolist() == [-1, -1, -1, 0, 0]
 
     def test_primitivity(self):
         assert psl2_mobius(13).is_primitive()
@@ -307,9 +325,9 @@ def built_chains(monkeypatch):
     built = []
     build = StabChain.__init__
 
-    def recorded(self, degree, gens, base_prefix=()):
+    def recorded(self, degree, gens, base_prefix=(), order_bound=None):
         gens, base_prefix = list(gens), list(base_prefix)
-        build(self, degree, gens, base_prefix)
+        build(self, degree, gens, base_prefix, order_bound)
         built.append((self, degree, gens, base_prefix))
 
     monkeypatch.setattr(StabChain, "__init__", recorded)
@@ -399,11 +417,13 @@ class TestElements:
 
 class TestElementBlocks:
     @pytest.mark.parametrize("rows", [1, 3, 50, 10**6])
-    def test_every_element_once_as_key_rows(self, rows):
+    def test_every_element_once_as_key_rows(self, rows, monkeypatch):
         wide = 70000  # above 65 535 points a key takes 4 bytes a point
         s4_wide = PermGroup(wide, [from_cycles(wide, [(69997, 69998, 69999)]), from_cycles(wide, [(0, 69999)])])
         for g in (symmetric(5), psl2_mobius(7), alternating(6), s4_wide, PermGroup(4, [])):
-            blocks = list(g.iter_blocks(rows))
+            # a block holds BLOCK_ENTRIES // degree rows
+            monkeypatch.setattr(group, "BLOCK_ENTRIES", rows * g.degree)
+            blocks = list(g.iter_blocks())
             assert all(b.dtype == identity(g.degree).images.dtype for b in blocks)
             assert all(len(b) <= rows for b in blocks)
             keys = [r.tobytes() for b in blocks for r in b]
@@ -412,8 +432,9 @@ class TestElementBlocks:
 
     def test_element_cap(self, monkeypatch):
         monkeypatch.setattr(group, "ELEMENT_CAP", 100)
+        monkeypatch.setattr(group, "BLOCK_ENTRIES", 50)
         with pytest.raises(CapExceeded):
-            next(symmetric(5).iter_blocks(10))
+            next(symmetric(5).iter_blocks())
 
 
 class TestConjugacyClasses:
