@@ -249,12 +249,16 @@ def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
     return induced
 
 
-def _within_caps(degree: int, order: int, caps: Caps) -> None:
+def _within_caps(degree: int, order: int | None, caps: Caps) -> None:
     """Refuse an action of ``degree`` points and order ``order`` over the
     point cap, then the group cap, then, when an exact search is asked, the
-    exact-search cap: every cap refusal of an action is this one."""
+    exact-search cap: every cap refusal of an action is this one.  An order
+    of None meets the point cap alone, for a caller that knows the degree
+    before it can afford the order."""
     if degree > caps.point_cap:
         raise CapExceeded("degree %d exceeds point cap %d" % (degree, caps.point_cap))
+    if order is None:
+        return
     if order > caps.group_cap:
         raise CapExceeded("group order %d exceeds cap %d" % (order, caps.group_cap))
     if caps.exact_cap is not None and degree > caps.exact_cap:

@@ -40,6 +40,7 @@ from .actions import (
     Caps,
     GroupVariant,
     LabelledAction,
+    _within_caps,
     bundled_catalogue_path,
     c3_canonical_logs,
     c3_isotropic,
@@ -218,8 +219,12 @@ def build_action(args) -> LabelledAction:
             )
         return entries[args.catalogue].action(caps)
     if args.psl2 is not None:
-        variant = GroupVariant(VARIANT_NAMES[args.variant], args.q, args.j if args.variant == "dphi" else 0)
-        ctor = psl2_c2_action if args.psl2 == "c2" else psl2_c3_action
+        q = args.q
+        ctor, degree = (psl2_c2_action, q * (q + 1) // 2) if args.psl2 == "c2" else (psl2_c3_action, q * (q - 1) // 2)
+        # the degree needs no factoring of q, which GroupVariant does by trial
+        # division: a huge q meets the point cap first
+        _within_caps(degree, None, caps)
+        variant = GroupVariant(VARIANT_NAMES[args.variant], q, args.j if args.variant == "dphi" else 0)
         return ctor(variant, caps=caps)
     n, k = args.ksubsets
     return ksubset_action(n, k, even_only=args.alternating, caps=caps)

@@ -28,9 +28,7 @@ code pairs, and LOG_ZERO followed by canonical logs.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
-from operator import and_
 
 import numpy as np
 
@@ -63,10 +61,6 @@ CLOSED_FORM_KINDS = ("Dq_minus_1", "Dq_plus_1", "PGL_Dq_minus_1")
 def _int_log(F: FqField, n: int) -> int:
     """The log of the prime-field element n."""
     return int(log_of_packed(F, n % F.p))
-
-
-def _all(masks) -> np.ndarray:
-    return reduce(and_, masks)
 
 
 # -- projective-pair (C2) criteria -------------------------------------------------
@@ -490,6 +484,24 @@ _C2_CLIQUE5_PARTNERS = 4096
 _C3_CLIQUE5_ANCHORS = 32
 # partners an anchor checks at a time; the scan stops at the first block with a hit
 _CLIQUE5_BLOCK = 64
+# the six pairs of a 5-clique's four vertices after alpha, as two index rows
+_CLIQUE5_PAIRS = tuple(map(list, zip(*combinations(range(4), 2))))
+
+
+def _c2_clique5_edges(F: FqField, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Whether alpha and the pair-points (B[i], C[i]), i < 4, are pairwise
+    adjacent, for each column of the (4, R) arrays B and C: one criterion
+    call decides the four alpha-edges, and one the six pair edges."""
+    u, v = _CLIQUE5_PAIRS
+    return c2_base_psigma(F, B, C).all(axis=0) & c2_pair_base(F, (B[u], C[u]), (B[v], C[v])).all(axis=0)
+
+
+def _c3_clique5_edges(F2: FqField, V: np.ndarray) -> np.ndarray:
+    """Whether alpha and omega_(V[i]), i < 4, are pairwise adjacent in the
+    extension's graph, for each column of the (4, R) array V: one criterion
+    call decides the four alpha-edges, and one the six pair edges."""
+    u, v = _CLIQUE5_PAIRS
+    return c3_base(F2, "PSigmaL", V).all(axis=0) & c3_pair_base(F2, "PSigmaL", V[u], V[v]).all(axis=0)
 
 
 def c2_clique5(F: FqField) -> list:
@@ -519,10 +531,9 @@ def c2_clique5(F: FqField) -> list:
             rows = np.flatnonzero(_distinct(b, c, nb, nc, B2, C2, nB2, nC2))
             if not len(rows):
                 continue
-            pairs = [(b, c), (nb, nc), (B2[rows], C2[rows]), (nB2[rows], nC2[rows])]
-            ok = _all(c2_base_psigma(F, *pair) for pair in pairs)
-            ok = ok & _all(c2_pair_base(F, u, v) for u, v in combinations(pairs, 2))
-            hits = rows[np.broadcast_to(ok, rows.shape)]
+            B4 = np.stack(np.broadcast_arrays(b, nb, B2[rows], nB2[rows]))
+            C4 = np.stack(np.broadcast_arrays(c, nc, C2[rows], nC2[rows]))
+            hits = rows[_c2_clique5_edges(F, B4, C4)]
             if len(hits):
                 b2, c2 = int(B2[hits[0]]), int(C2[hits[0]])
                 verts = [(b, c), (nb, nc), (b2, c2), (int(nB2[hits[0]]), int(nC2[hits[0]]))]
@@ -550,10 +561,7 @@ def c3_clique5(F2: FqField) -> list:
             rows = np.flatnonzero(_distinct(*anchor, c3_canonical_logs(F2, q, part), c3_canonical_logs(F2, q, npart)))
             if not len(rows):
                 continue
-            verts = [b, nb, part[rows], npart[rows]]
-            ok = _all(c3_base(F2, "PSigmaL", v) for v in verts)
-            ok = ok & _all(c3_pair_base(F2, "PSigmaL", u, v) for u, v in combinations(verts, 2))
-            hits = rows[np.broadcast_to(ok, rows.shape)]
+            hits = rows[_c3_clique5_edges(F2, np.stack(np.broadcast_arrays(b, nb, part[rows], npart[rows])))]
             if len(hits):
                 c = part[hits[0]]
                 return [LOG_ZERO] + c3_canonical_logs(F2, q, [b, nb, c, log_neg(F2, c)]).tolist()

@@ -16,14 +16,18 @@ from C, deterministically:
   are skipped.  Irreducibility is Ben-Or's test: gcd(x^(p^d) - x, m) = 1 for
   every 1 <= d <= f/2, that is, M_u is nonsingular for u = x^(p^d) - x;
 * the primitive element lambda is the least c in the same order for which
-  row 0 of M_c^((q-1)/r) is not 1, for every prime r dividing q - 1;
+  row 0 of M_c^((q-1)/r) is not 1, for every prime r dividing q - 1.
+  Both searches test SEARCH_BLOCK candidate keys at once, as stacks of
+  f x f matrices, drop a candidate after the first round or exponent it
+  fails, and take the first key in key order that passes; so m and lambda
+  are those of a search one key at a time;
 * the tables come from the walk 1, lambda, lambda^2, ..., which doubles at
   each step: the rows of lambda^n, ..., lambda^(2n-1) are the rows of
   1, ..., lambda^(n-1) times M_lambda^n.  The packed walk is the log -> value
   table; the value -> log and Zech tables follow from it.
 
 Fields are capped at q <= 2**20 (table memory); larger requests raise
-:class:`CapExceeded`.
+:class:`CapExceeded`, decided before p^f is computed.
 
 Elements have one form, the log array: an int64 numpy array of discrete
 logs, with LOG_ZERO = -1 for zero, the same sentinel as the value -> log
@@ -46,9 +50,14 @@ rest take one scatter pass over all their multiples.  The cofactor
 n / smooth, computed in float64, is 1 or the one prime factor of n above
 isqrt(N), which multiplies phi by cofactor - 1.  The division is exact
 because smooth divides n and n < 2**53, so blocks past 2**53 are refused.
-Memory is O(sqrt(N) + PHI_BLOCK), whatever N is.  Each block's totients at
-its first and last number and at its largest prime are compared with the
-trial-division totient; a mismatch raises :class:`CrossCheckFailed`.
+The passes run in int32 while the block's numbers are below 2**31, and in
+int64 above.  Memory is O(sqrt(N) + PHI_BLOCK), whatever N is.  Each
+block's totients at its first and last number and at its largest prime are
+compared with the trial-division totient; a mismatch raises
+:class:`CrossCheckFailed`.  The bound is screened a block at a time with one
+denominator, D at the block's first number or at n0, past which D increases
+(n0 = 39 at the true gamma); the exact check runs only on the numbers the
+screen leaves (see :func:`euler_bound_scan`).
 """
 
 from __future__ import annotations
@@ -63,6 +72,8 @@ import numpy as np
 FIELD_SIZE_CAP = 2**20
 
 PHI_BLOCK = 2**16  # numbers per block of the totient scan
+
+SEARCH_BLOCK = 16  # candidate keys per block of the modulus and generator searches
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -104,61 +115,88 @@ def prime_factors(n: int) -> list[int]:
 
 
 # -- matrices over GF(p) acting on coefficient rows -----------------------------
+#
+# Each helper acts on a stack of K matrices at once, shape (K, f, f), so that
+# one numpy call serves a whole block of candidate keys.
 
 
-def _digits(key: int, p: int, f: int) -> tuple[int, ...]:
-    """The row (c_0, ..., c_{f-1}) whose base-p digits, c_0 most significant, spell key."""
-    return tuple(key // p ** (f - 1 - i) % p for i in range(f))
+def _digits(keys, p: int, f: int) -> np.ndarray:
+    """The rows (c_0, ..., c_{f-1}) whose base-p digits, c_0 most significant,
+    spell each key: shape (K, f)."""
+    return np.asarray(keys, dtype=np.int64)[:, None] // p ** np.arange(f - 1, -1, -1, dtype=np.int64) % p
 
 
-def _companion(m: list[int], p: int) -> np.ndarray:
-    """C, with row i = x^(i+1) mod m, so that a C = x a for every row a."""
-    C = np.eye(len(m) - 1, k=1, dtype=np.int64)
-    C[-1] = [-a % p for a in m[:-1]]
+def _companion(m: np.ndarray, p: int) -> np.ndarray:
+    """The stack of C, one per monic modulus row of m (shape (K, f + 1),
+    constant term first), with row i = x^(i+1) mod m, so that a C = x a for
+    every row a."""
+    K, f = m.shape[0], m.shape[1] - 1
+    C = np.zeros((K, f, f), dtype=np.int64)
+    C[:, :-1, 1:] = np.eye(f - 1, dtype=np.int64)
+    C[:, -1] = -m[:, :-1] % p
     return C
 
 
-def _times(c, C: np.ndarray, p: int) -> np.ndarray:
-    """M_c = sum c_j C^j, the matrix of multiplication by c: row i is x^i c."""
-    rows = [np.asarray(c, dtype=np.int64) % p]
-    for _ in range(len(C) - 1):
+def _times(c: np.ndarray, C: np.ndarray, p: int) -> np.ndarray:
+    """The stack of M_c = sum c_j C^j, the matrices of multiplication by each
+    row c of shape (K, f), under one C or a stack of K: row i is x^i c."""
+    rows = [c[:, None, :] % p]
+    for _ in range(C.shape[-1] - 1):
         rows.append(rows[-1] @ C % p)
-    return np.array(rows)
+    return np.concatenate(rows, axis=1)
 
 
 def _power(M: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.eye(len(M), dtype=np.int64)
-    while e:
+    """The stack of M^e for e >= 1, by squaring."""
+    out = None
+    while True:
         if e & 1:
-            out = out @ M % p
-        M = M @ M % p
+            out = M if out is None else out @ M % p
         e >>= 1
-    return out
+        if not e:
+            return out
+        M = M @ M % p
 
 
-def _nonsingular(M: np.ndarray, p: int) -> bool:
-    """Whether M is invertible over GF(p), by fraction-free elimination."""
+def _nonsingular(M: np.ndarray, p: int) -> np.ndarray:
+    """Whether each matrix of the stack is invertible over GF(p), by
+    fraction-free elimination: column i pivots on each matrix's first row
+    from i with a nonzero entry there, swapped into row i by fancy indexing."""
     M = M.copy()
-    for i in range(len(M)):
-        nonzero = np.flatnonzero(M[i:, i])
-        if not len(nonzero):
-            return False
-        j = i + nonzero[0]
-        M[[i, j]] = M[[j, i]]
-        M[i + 1 :] = (M[i + 1 :] * M[i, i] - np.outer(M[i + 1 :, i], M[i])) % p
-    return True
+    at = np.arange(len(M))
+    ok = np.ones(len(M), dtype=bool)
+    for i in range(M.shape[-1]):
+        nonzero = M[:, i:, i] != 0
+        ok &= nonzero.any(axis=1)
+        j = i + nonzero.argmax(axis=1)
+        M[at, i], M[at, j] = M[at, j], M[at, i]
+        M[:, i + 1 :] = (M[:, i + 1 :] * M[:, i, i, None, None] - M[:, i + 1 :, i, None] * M[:, None, i]) % p
+    return ok
 
 
-def _irreducible(C: np.ndarray, p: int) -> bool:
-    """Ben-Or's test for the modulus of C: M_u nonsingular for u = x^(p^d) - x, 1 <= d <= f/2."""
-    f = len(C)
-    power = C
+def _irreducible(C: np.ndarray, p: int) -> np.ndarray:
+    """The positions in the stack C whose moduli pass Ben-Or's test, M_u
+    nonsingular for u = x^(p^d) - x, 1 <= d <= f/2, ascending; a candidate
+    that fails a round is dropped before the next."""
+    f = C.shape[-1]
+    alive, power = np.arange(len(C)), C
     for _ in range(f // 2):
         power = _power(power, p, p)  # C^(p^d), whose row 0 is x^(p^d)
-        u = power[0] - np.eye(f, dtype=np.int64)[1]
-        if not _nonsingular(_times(u, C, p), p):
-            return False
-    return True
+        passed = _nonsingular(_times(power[:, 0] - np.eye(f, dtype=np.int64)[1], C[alive], p), p)
+        alive, power = alive[passed], power[passed]
+    return alive
+
+
+def _least_key(lo: int, hi: int, passing) -> int:
+    """The least key in [lo, hi) that passes, testing SEARCH_BLOCK keys at a
+    time: ``passing(keys)`` gives the positions of the keys that pass,
+    ascending."""
+    for start in range(lo, hi, SEARCH_BLOCK):
+        keys = np.arange(start, min(start + SEARCH_BLOCK, hi), dtype=np.int64)
+        hits = passing(keys)
+        if len(hits):
+            return int(keys[hits[0]])
+    raise CrossCheckFailed("no key in [%d, %d) passes" % (lo, hi))
 
 
 # -- the field ----------------------------------------------------------------
@@ -168,28 +206,40 @@ class FqField:
     """GF(p^f) with exp/log/Zech tables.  Use :func:`field_create`."""
 
     def __init__(self, p: int, f: int):
-        q = p**f
-        if q > FIELD_SIZE_CAP:
-            raise CapExceeded("field order q = %d exceeds cap %d" % (q, FIELD_SIZE_CAP))
-        if f < 1 or not is_prime(p):
+        if f < 1 or p < 2:
+            raise ValueError("need prime p and f >= 1")
+        q = 1
+        for _ in range(f):  # at most log2(FIELD_SIZE_CAP) + 1 steps, as p >= 2
+            q *= p
+            if q > FIELD_SIZE_CAP:
+                raise CapExceeded("field order q = %d^%d exceeds cap %d" % (p, f, FIELD_SIZE_CAP))
+        if not is_prime(p):
             raise ValueError("need prime p and f >= 1")
         self.p = p
         self.f = f
         self.q = q
-        for key in range(p ** (f - 1) if f > 1 else 0, q):
-            m = [*_digits(key, p, f), 1]
-            C = _companion(m, p)
-            if _irreducible(C, p):
-                break
-        self.modulus = m
+
+        def moduli(keys):
+            return np.column_stack([_digits(keys, p, f), np.ones(len(keys), dtype=np.int64)])
+
+        def irreducible(keys):
+            return _irreducible(_companion(moduli(keys), p), p)
+
+        m = moduli([_least_key(p ** (f - 1) if f > 1 else 0, q, irreducible)])
+        self.modulus = m[0].tolist()
+        C = _companion(m, p)[0]
         one = np.eye(f, dtype=np.int64)[0]
         exponents = [(q - 1) // r for r in prime_factors(q - 1)]
-        for key in range(1, q):
-            lam = _times(_digits(key, p, f), C, p)
-            if all((_power(lam, e, p)[0] != one).any() for e in exponents):
-                break
-        self.gen_coeffs = _digits(key, p, f)
-        self._build_tables(lam)
+
+        def primitive(keys):
+            lam, alive = _times(_digits(keys, p, f), C, p), np.arange(len(keys))
+            for e in exponents:
+                alive = alive[(_power(lam[alive], e, p)[:, 0] != one).any(axis=1)]
+            return alive
+
+        c = _digits([_least_key(1, q, primitive)], p, f)
+        self.gen_coeffs = tuple(c[0].tolist())
+        self._build_tables(_times(c, C, p)[0])
 
     def _build_tables(self, lam: np.ndarray) -> None:
         p, f, q = self.p, self.f, self.q
@@ -422,9 +472,10 @@ def _phi_moduli(limit: int) -> np.ndarray:
 
 
 def _phi_passes(lo: int, hi: int, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays (phi, smooth) for 1 <= lo <= n < hi, given the moduli of
+    """Arrays (phi, smooth) for 1 <= lo <= n < hi, given the moduli of
     :func:`_phi_moduli` for some limit >= hi - 1: smooth is the part of n
-    made of primes up to isqrt(limit), and phi is its totient.
+    made of primes up to isqrt(limit), and phi is its totient.  Both are
+    int32 when every n is below 2**31, and int64 above.
 
     Each modulus p^k multiplies its multiples, phi by its factor and smooth
     by p: those up to isqrt(hi - lo) by one strided slice each, the rest in
@@ -433,8 +484,9 @@ def _phi_passes(lo: int, hi: int, moduli: np.ndarray) -> tuple[np.ndarray, np.nd
     assignment would keep only one of the moduli dividing n = 257 * 263."""
     if lo < 1:
         raise ValueError("the sieve passes need lo >= 1")
-    phi = np.ones(hi - lo, dtype=np.int64)
-    smooth = np.ones(hi - lo, dtype=np.int64)
+    dtype = np.int32 if hi <= 2**31 else np.int64  # phi(n) and smooth divide n < hi
+    phi = np.ones(hi - lo, dtype=dtype)
+    smooth = np.ones(hi - lo, dtype=dtype)
     strided = moduli[0] <= math.isqrt(hi - lo)
     for m, f, p in moduli[:, strided].T.tolist():
         phi[-lo % m :: m] *= f
@@ -444,6 +496,7 @@ def _phi_passes(lo: int, hi: int, moduli: np.ndarray) -> tuple[np.ndarray, np.nd
     count = (hi - lo - 1 - first) // sparse[0] + 1  # never negative, as first < p^k
     keep = count > 0
     (modulus, factor, prime), first, count = sparse[:, keep], first[keep], count[keep]
+    factor, prime = factor.astype(dtype), prime.astype(dtype)  # ufunc.at is slow when it casts
     # the offsets first, first + m, ... of each modulus m, as a running sum of
     # steps m whose first step for each modulus jumps from the last offset of
     # the one before
@@ -475,7 +528,7 @@ def _phi_block(lo: int, hi: int, moduli: np.ndarray) -> np.ndarray:
     cofactor -= 1
     np.maximum(cofactor, 1, out=cofactor)
     np.multiply(phi, cofactor, out=phi, casting="unsafe")
-    return phi
+    return phi.astype(np.int64, copy=False)
 
 
 def phi_sieve(limit: int) -> np.ndarray:
@@ -494,6 +547,12 @@ def _check_block(lo: int, hi: int, phi: np.ndarray) -> None:
             raise CrossCheckFailed("sieved phi(%d) = %d, trial division gives %d" % (n, phi[n - lo], exact))
 
 
+def _denominator(a: float, n):
+    """D(n) = a L + 3 / L with L = log log n, in float64."""
+    ll = np.log(np.log(n))
+    return a * ll + 3.0 / ll
+
+
 def euler_bound_scan(limit: int) -> list[int]:
     """All n in [3, limit] violating the certified bound (expected: none).
 
@@ -502,7 +561,17 @@ def euler_bound_scan(limit: int) -> list[int]:
     phi * D * (1 - 2^-40) > n can only fail when the true inequality is
     violated or razor-thin (it never is for n >= 3).  The range is walked in
     blocks of PHI_BLOCK numbers, each checked by :func:`_check_block`.
+
+    D(n) = a L + 3 / L, a = e^gamma, increases with L = log log n once
+    L >= sqrt(3 / a), that is from the least integer n0 above
+    exp(exp(sqrt(3 / a))) on (n0 = 39).  So D(s) <= D(n) for every n >= s
+    in a block from lo, s = max(lo, n0), and phi * D(s) * (1 - 2^-39), with
+    twice the deflation, passes only n that the check above passes too.
+    That screen takes one scalar D per block; the check runs on what it
+    does not pass and on every n < n0.
     """
+    a = math.exp(EULER_MASCHERONI)
+    n0 = math.floor(math.exp(math.exp(math.sqrt(3.0 / a)))) + 1
     moduli = _phi_moduli(limit)
     bad = []
     for lo in range(3, limit + 1, PHI_BLOCK):
@@ -510,9 +579,10 @@ def euler_bound_scan(limit: int) -> list[int]:
         phi = _phi_block(lo, hi, moduli)
         _check_block(lo, hi, phi)
         n = np.arange(lo, hi, dtype=np.float64)
-        ll = np.log(np.log(n))
-        denom = math.exp(EULER_MASCHERONI) * ll + 3.0 / ll
-        lhs = phi.astype(np.float64) * (denom * (1.0 - 2.0**-40))
-        bad += [int(b) + lo for b in np.nonzero(lhs <= n)[0]]
-        del phi, n, ll, denom, lhs  # before the next block is sieved
+        passed = phi * (_denominator(a, max(lo, n0)) * (1.0 - 2.0**-39)) > n
+        passed[: max(n0 - lo, 0)] = False
+        rest = np.flatnonzero(~passed)
+        lhs = phi[rest] * (_denominator(a, n[rest]) * (1.0 - 2.0**-40))
+        bad += (rest[lhs <= n[rest]] + lo).tolist()
+        del phi, n, passed, rest, lhs  # before the next block is sieved
     return bad

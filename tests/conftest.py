@@ -25,7 +25,10 @@ arithmetic, one pair at a time, as references for the log-array forms of
 :mod:`saxl.criteria`; a projective label there is INF for <e2> or an
 ``FqElem``, and ``code`` turns either into its log-array code.
 ``omega_point_repr`` renders labels in their earlier boxed form, for digests
-pinned in it.  ``oracle_phi_block`` is the division-based totient sieve of
+pinned in it.  ``oracle_field_keys`` searches the modulus and primitive
+element of GF(p^f) one candidate key at a time, on single f x f matrices,
+the route that the block search of :class:`saxl.gf.FqField` replaced.
+``oracle_phi_block`` is the division-based totient sieve of
 one block, the reference for the multiply-only sieve of :mod:`saxl.gf`.
 ``reference_edges``, ``reference_edge_list`` and ``reference_dot`` read a
 ``SaxlGraph`` one bit at a time from Python-int rows, the references for its
@@ -42,7 +45,7 @@ import pytest
 
 from saxl.actions import bundled_catalogue_path, coset_action, load_catalogue
 from saxl.actions import LINE_INF
-from saxl.gf import LOG_ZERO, CrossCheckFailed, FqField, is_prime
+from saxl.gf import LOG_ZERO, CrossCheckFailed, FqField, is_prime, prime_factors
 from saxl.group import ELEMENT_CAP, CapExceeded, PermGroup, conjugacy_class
 from saxl.perm import Perm, identity
 
@@ -582,6 +585,67 @@ def oracle_c3_witness(F2, q, b):
     if d ** ((q + 1) // 2) not in (rhs, -rhs):
         raise CrossCheckFailed("half-norm identity fails")
     return a1, d
+
+
+def _oracle_digits(key: int, p: int, f: int) -> tuple[int, ...]:
+    return tuple(key // p ** (f - 1 - i) % p for i in range(f))
+
+
+def _oracle_times(c, C: np.ndarray, p: int) -> np.ndarray:
+    rows = [np.asarray(c, dtype=np.int64) % p]
+    for _ in range(len(C) - 1):
+        rows.append(rows[-1] @ C % p)
+    return np.array(rows)
+
+
+def _oracle_power(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ M % p
+        M = M @ M % p
+        e >>= 1
+    return out
+
+
+def _oracle_nonsingular(M: np.ndarray, p: int) -> bool:
+    M = M.copy()
+    for i in range(len(M)):
+        nonzero = np.flatnonzero(M[i:, i])
+        if not len(nonzero):
+            return False
+        j = i + nonzero[0]
+        M[[i, j]] = M[[j, i]]
+        M[i + 1 :] = (M[i + 1 :] * M[i, i] - np.outer(M[i + 1 :, i], M[i])) % p
+    return True
+
+
+def oracle_field_keys(p: int, f: int) -> tuple[list[int], tuple[int, ...]]:
+    """(modulus, gen_coeffs) of GF(p^f), one candidate key at a time: the
+    least monic irreducible by Ben-Or's test, M_u nonsingular for
+    u = x^(p^d) - x, 1 <= d <= f/2, on the companion matrix C, and then the
+    least c with row 0 of M_c^((q-1)/r) not 1 for every prime r | q - 1."""
+    q = p**f
+    for key in range(p ** (f - 1) if f > 1 else 0, q):
+        m = [*_oracle_digits(key, p, f), 1]
+        C = np.eye(f, k=1, dtype=np.int64)
+        C[-1] = [-a % p for a in m[:-1]]
+        power, irreducible = C, True
+        for _ in range(f // 2):
+            power = _oracle_power(power, p, p)
+            u = power[0] - np.eye(f, dtype=np.int64)[1]
+            if not _oracle_nonsingular(_oracle_times(u, C, p), p):
+                irreducible = False
+                break
+        if irreducible:
+            break
+    one = np.eye(f, dtype=np.int64)[0]
+    exponents = [(q - 1) // r for r in prime_factors(q - 1)]
+    for key in range(1, q):
+        lam = _oracle_times(_oracle_digits(key, p, f), C, p)
+        if all((_oracle_power(lam, e, p)[0] != one).any() for e in exponents):
+            return m, _oracle_digits(key, p, f)
+    raise AssertionError("GF(%d^%d) has no primitive element" % (p, f))
 
 
 def oracle_phi_block(lo: int, hi: int, primes) -> np.ndarray:

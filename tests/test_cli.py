@@ -16,19 +16,21 @@ from saxl.criteria import _c2_witness_scalars as _real_c2_witness_scalars
 from saxl.criteria import _c3_half_norm as _real_c3_half_norm
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 
 def _swapped(pair):
     return pair[1], pair[0]
 
 
-def _saxl(argv, **env):
-    """``saxl argv`` run in a fresh interpreter, with ``env`` added to its environment."""
+def _saxl(argv, timeout=300, **env):
+    """``saxl argv`` run in a fresh interpreter within ``timeout`` seconds,
+    with ``env`` added to its environment."""
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     code = "import sys; from saxl.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, timeout=timeout)
 
 
 def _refuse_every_build(monkeypatch):
@@ -92,6 +94,19 @@ class TestExitCodes:
         code = main(["graph", "--ksubsets", "6", "2", "--point-cap", "5"])
         assert code == 2
         assert "cap exceeded" in capsys.readouterr().err
+
+    HUGE_PRIME = 10**18 + 3  # trial division to its square root would run for hours
+
+    @pytest.mark.parametrize(
+        "kind, degree",
+        [("c2", HUGE_PRIME * (HUGE_PRIME + 1) // 2), ("c3", HUGE_PRIME * (HUGE_PRIME - 1) // 2)],
+        ids=["c2", "c3"],
+    )
+    def test_huge_prime_q_meets_the_point_cap_before_it_is_factored(self, kind, degree):
+        done = _saxl(["analyze", "--psl2", kind, "--q", str(self.HUGE_PRIME)], timeout=20)
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.decode() == "cap exceeded: degree %d exceeds point cap 100000\n" % degree
 
     @pytest.mark.parametrize(
         "argv", ["analyze --catalogue M11 --group-cap 10", "graph --catalogue M11 --point-cap 10"]
@@ -653,6 +668,17 @@ class TestVerify:
         code = main(["verify", "euler", "--nmax", "5000", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["ok"] is True
+
+
+def test_benchmark_probe_imports_cleanly():
+    """A benchmark child's set-up probe, as the benchmark spawns it: it
+    imports numpy and saxl.cli from this checkout and prints ready."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE")}
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "--probe"], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == b"ready\n"
 
 
 class TestHashSeeds:

@@ -334,6 +334,45 @@ class TestCliques:
         # one partner per block: the first hit lies past the first block
         assert found[1][0] == whole and found[1][1] > 1
 
+    @pytest.mark.parametrize("q", [49, 81])
+    def test_stacked_edges_match_the_per_pair_calls(self, q):
+        """The first anchor's first block of 64 partners, as the scans build
+        it: the (4, R) vertex stack's one alpha-edge call and one pair-edge
+        call give the AND of the four and six calls one vertex or pair at a
+        time, on rows that pass and rows that fail."""
+        u, v = map(list, zip(*combinations(range(4), 2)))
+        F = field_from_order(q)
+        B, C = criteria.c2_base_candidates(F, 4096)
+        keep = c2_base_psigma(F, B, C)
+        B, C = B[keep], C[keep]
+        b, c = B[0], C[0]
+        B2, C2 = B[:64], C[:64]
+        rows = np.flatnonzero(criteria._distinct(b, c, log_neg(F, b), log_neg(F, c), B2, C2, log_neg(F, B2), log_neg(F, C2)))
+        B4 = np.stack(np.broadcast_arrays(b, log_neg(F, b), B2[rows], log_neg(F, B2[rows])))
+        C4 = np.stack(np.broadcast_arrays(c, log_neg(F, c), C2[rows], log_neg(F, C2[rows])))
+        per_pair = np.logical_and.reduce(
+            [c2_base_psigma(F, B4[i], C4[i]) for i in range(4)]
+            + [c2_pair_base(F, (B4[i], C4[i]), (B4[j], C4[j])) for i, j in zip(u, v)]
+        )
+        stacked = criteria._c2_clique5_edges(F, B4, C4)
+        assert per_pair.any() and not per_pair.all()
+        assert np.array_equal(stacked, per_pair)
+
+        F2 = field_from_order(q * q)
+        labels = np.array(c3_label_logs(F2, q))
+        cands = labels[c3_base(F2, "PSigmaL", labels)]
+        b, part = cands[0], cands[:64]
+        canon = [c3_canonical_logs(F2, q, x) for x in (b, log_neg(F2, b), part, log_neg(F2, part))]
+        rows = np.flatnonzero(criteria._distinct(*canon))
+        V = np.stack(np.broadcast_arrays(b, log_neg(F2, b), part[rows], log_neg(F2, part[rows])))
+        per_pair = np.logical_and.reduce(
+            [c3_base(F2, "PSigmaL", V[i]) for i in range(4)]
+            + [c3_pair_base(F2, "PSigmaL", V[i], V[j]) for i, j in zip(u, v)]
+        )
+        stacked = criteria._c3_clique5_edges(F2, V)
+        assert per_pair.any() and not per_pair.all()
+        assert np.array_equal(stacked, per_pair)
+
 
 class TestClosedForms:
     def test_dihedral_minus_matches_engine(self):

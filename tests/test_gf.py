@@ -320,6 +320,24 @@ class TestFieldConstruction:
         with pytest.raises(CapExceeded):
             field_create(2, 21)
 
+    def test_cap_is_decided_before_the_order_is_computed(self):
+        # 3^100000 has 47 713 digits, past Python's limit for printing an int
+        with pytest.raises(CapExceeded, match=r"^field order q = 3\^100000 exceeds cap 1048576$"):
+            field_create(3, 10**5)
+        with pytest.raises(CapExceeded, match=r"q = 2\^21 "):
+            field_create(2, 21)
+
+    @pytest.mark.parametrize(
+        "orders",
+        [[q for _, _, q in prime_powers(2, 4097)], [2**16], [3**10], [5**8], [7**7], [2**20]],
+        ids=["q<=4096", "2^16", "3^10", "5^8", "7^7", "2^20"],
+    )
+    def test_block_search_matches_the_one_key_search(self, orders):
+        for q in orders:
+            p, f = split_prime_power(q)
+            F = gf.FqField(p, f)  # not field_create: the large tables are not kept
+            assert (F.modulus, F.gen_coeffs) == conftest.oracle_field_keys(p, f), q
+
     def test_field_from_order(self):
         F = field_from_order(49)
         assert (F.p, F.f, F.q) == (7, 2, 49)
@@ -437,12 +455,15 @@ class TestEulerTotient:
             (3 + gf.PHI_BLOCK, 10**6),  # its second: 257^2 = 66049 and 257 * 263 = 67591 are scattered
             (2**20 - gf.PHI_BLOCK // 2, 2**21),  # across 2^20
             (10**7 - gf.PHI_BLOCK, 10**7),  # the last full block below 10^7
+            (2**31 - gf.PHI_BLOCK // 2, 2**31 + gf.PHI_BLOCK),  # across 2^31, where the sieve leaves int32
         ],
     )
     def test_full_blocks_against_the_division_sieve(self, lo, limit):
         hi = lo + gf.PHI_BLOCK
         want = conftest.oracle_phi_block(lo, hi, gf._primes_upto(math.isqrt(hi - 1)))
-        assert np.array_equal(gf._phi_block(lo, hi, gf._phi_moduli(limit)), want)
+        got = gf._phi_block(lo, hi, gf._phi_moduli(limit))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
     def test_phi_block_bounds(self):
         moduli = gf._phi_moduli(100)
@@ -464,13 +485,16 @@ class TestEulerTotient:
 
     # blocks start at 3: 65538 ends one full block, 65539 and 131075 end on a one-number block
     @pytest.mark.parametrize("limit", [65538, 65539, 131075])
-    # with e^gamma lowered to 1 the bound fails for many n, so the lists are not empty
-    @pytest.mark.parametrize("gamma", [gf.EULER_MASCHERONI, 0.0])
+    # with e^gamma lowered to 1 or 1/2 the bound fails for many n, so the lists are
+    # not empty; the scan's screen starts at n0 = exp(exp(sqrt(3 e^-gamma))):
+    # 39, 285, and 10^5, inside the second block, at gamma = log(3 / (log log 10^5)^2)
+    @pytest.mark.parametrize("gamma", [gf.EULER_MASCHERONI, 0.0, math.log(3 / math.log(math.log(10**5)) ** 2)])
     def test_blocked_scan_matches_the_whole_range(self, monkeypatch, limit, gamma):
+        proved = gamma == gf.EULER_MASCHERONI
         monkeypatch.setattr(gf, "EULER_MASCHERONI", gamma)
         want = self._whole_range_scan(limit)
         assert euler_bound_scan(limit) == want
-        assert bool(want) == (gamma == 0.0)
+        assert bool(want) != proved
 
     def test_scan_memory_does_not_grow_with_the_limit(self):
         tracemalloc.start()
