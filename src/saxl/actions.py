@@ -22,7 +22,16 @@ maps some block outside the labelling raises :class:`CrossCheckFailed`.
 Every constructor first checks its arguments, then meets the caps through
 :func:`_within_caps`, the one cap check, before it builds any field, block,
 chain or coset, and returns through :func:`_certified`, which proves |G| and
-G_0 with no chain of G on its n points.  A catalogue loader ingests fixture
+G_0 with no chain of G on its n points.  The pairs of PG(1,q) and the
+k-subsets are the k-subsets of their carrier in lex order, a
+:class:`SubsetLabels`, and are certified on the m carrier points alone:
+each label generator must be its carrier generator's block action by the
+closed rank form, and that action is faithful.  The engine streams G_0's
+elements from its carrier chain through the same rank form, so no chain of
+these actions is built in degree n or m + n.  The unitary points, cosets
+and natural actions keep a chain on carrier and labels together: a unitary
+label is no set of isotropic carrier points, and a coset has no rank form.
+A catalogue loader ingests fixture
 groups from a small text format; it refuses a degree over the point cap at
 its line, and checks an entry's declared orders on the entry's first use.
 
@@ -46,6 +55,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -140,13 +150,16 @@ class LabelledAction:
     module docstring describes; ``label_index`` maps each back to its point.
     ``carrier`` holds the degree m of a faithful carrier and the (carrier,
     label) generator pairs of G and of G_0 on it, as :func:`_certified`
-    certified them; it is empty for an action built without it."""
+    certified them; it is empty for an action built without it.  ``subsets``
+    is the :class:`SubsetLabels` of an action whose points are the k-subsets
+    of its carrier, and None for any other."""
 
     group: PermGroup
     labels: tuple
     name: str
     warnings: tuple = ()
     carrier: tuple = ()
+    subsets: "SubsetLabels | None" = None
     label_index: dict = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -173,53 +186,143 @@ def diagonal(carrier: Perm, label: Perm) -> Perm:
     return Perm(np.concatenate([carrier.images, label.images.astype(np.intp) + carrier.degree]).tolist())
 
 
-def _certified(name, labels, m, gens, stab_gens, order, warnings=(), stab_order=None) -> LabelledAction:
+class SubsetLabels:
+    """The points of a block action: the k-subsets of m carrier points, point
+    i the i-th in lexicographic order, for 0 < k < m.
+
+    A subset's point is its lex rank.  For sorted points a_1 < ... < a_k
+    that is C(m, k) - 1 - sum_i C(m - 1 - a_i, k - i + 1), the combinatorial
+    number system (Knuth, *TAOCP* 4A, section 7.2.1.3); for a pair a < b it
+    is a*m - a(a+1)/2 + b - a - 1.  :meth:`label_rows` gives the block
+    action of carrier permutations from this closed form: it maps every
+    subset's points by one gather over a block of image rows, then ranks
+    them.  For pairs the rank is one more gather, from an m x m table of the
+    closed form at both orders of every two points, in the labels' key
+    dtype; larger subsets are sorted and ranked by the sum.
+
+    ``stabiliser`` is G_0 on the carrier, which :func:`_certified` sets, and
+    :meth:`stabiliser_blocks` streams its elements from its chain on the m
+    carrier points together with their label rows, so that no chain of G_0
+    is built on the labels.
+    """
+
+    def __init__(self, m: int, k: int):
+        self.m, self.k, self.n = m, k, math.comb(m, k)
+        self.dtype = identity(self.n).images.dtype
+        # points[j] holds the (j+1)-th point of every subset
+        self.points = np.fromiter(combinations(range(m), k), np.dtype((np.intp, k)), self.n).T.copy()
+        # C(t, j) for t < m and j <= k; a rank's terms never exceed n
+        self._binomials = np.array([[min(math.comb(t, j), self.n) for t in range(m)] for j in range(k + 1)])
+        self._pair_table = None
+        if k == 2:
+            a, b = np.indices((m, m))
+            ranks = self._ranks([np.minimum(a, b), np.maximum(a, b)])
+            self._pair_table = np.where(a == b, 0, ranks).astype(self.dtype)
+        self.stabiliser: PermGroup | None = None
+
+    def _ranks(self, ascending) -> np.ndarray:
+        """The lex ranks of subsets given by their points in ascending order,
+        ``ascending[i]`` the (i+1)-th point of each: the closed form."""
+        rank = self.n - 1
+        for i, points in enumerate(ascending):
+            rank = rank - self._binomials[self.k - i, self.m - 1 - points]
+        return rank
+
+    def label_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The image rows, on the n labels, of the carrier permutations whose
+        image rows on the m carrier points ``rows`` holds, in the labels'
+        key dtype."""
+        images = rows[:, self.points]  # every subset's image points, unsorted
+        if self._pair_table is not None:
+            return self._pair_table[images[:, 0], images[:, 1]]
+        return self._ranks(np.sort(images, axis=1).swapaxes(0, 1)).astype(self.dtype)
+
+    def stabiliser_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every element of G_0, once, as (carrier rows, label rows) blocks:
+        the blocks of its carrier chain, sized to keep a block of label rows
+        within the block size, each mapped by :meth:`label_rows`."""
+        for rows in self.stabiliser.iter_blocks(width=self.n):
+            yield rows, self.label_rows(rows)
+
+
+def _certified(name, labels, m, gens, stab_gens, order, warnings=(), stab_order=None, k=None) -> LabelledAction:
     """The action on ``labels`` of a carrier group of order ``order``, certified.
 
     ``gens`` and ``stab_gens`` are (carrier, label) pairs of permutations, of
-    the m carrier points and of the labels, that generate the group and the
-    stabiliser of label 0.  D is the group they generate on the m carrier
-    points and the n labels together, and H the group of the label parts of
-    ``stab_gens``.  Four checks raise
-    :class:`CrossCheckFailed`: (a) |D| = ``order``, from D's deterministic
-    chain, whose base lies in the carrier while carrier -> labels is well
-    defined; (b) label 0 has an orbit of length n; (c) every stabiliser pair
-    fixes label 0 and lies in D; (d) |H|, from H's own chain, is |G|/n.  The
-    label group G is a quotient of D, so |G| <= |D|, and by (b), (c) and (d)
-    |G| >= n|H|: the two agree, and H = G_0.  A random chain would prove only
-    a lower bound on |D| (Seress, *Permutation Group Algorithms*, 2003,
-    ch. 4).  G is faithful, unless the carrier's stabiliser order
-    ``stab_order`` is given, as for a coset action: the kernel lies in the
-    stabiliser, so its order is ``stab_order`` / |H|.
+    the m carrier points and of the n labels, that generate the label group
+    G and H, its stabiliser of label 0.  Each of the two routes below proves
+    |G| and H = G_0 with no chain of G on the labels, and raises
+    :class:`CrossCheckFailed` unless (a) a deterministic chain has order
+    ``order``, (b) label 0 has an orbit of length n, (c) every stabiliser
+    pair fixes label 0 and lies in that chain's group, and (d) |H| is
+    ``order``/n.  A random chain would prove only a lower bound on an order
+    (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+
+    The carrier route, for labels that are the k-subsets of the carrier in
+    lex order (pairs of points and k-subsets), builds no chain in degree n
+    or m + n.  First each label part must equal the block action of its
+    carrier part by the rank form of :class:`SubsetLabels`, a second route
+    beside :func:`_induced`'s binary search.  The block action is a
+    homomorphism of the carrier group C onto G, so |G| <= |C|, and (a) is
+    C's chain on the m carrier points.  It is faithful, since 0 < k < m: a
+    permutation that moves a point a to b moves every k-subset that holds a
+    but not b.  So H is H_C, the group of the carrier parts of
+    ``stab_gens``, on the labels, and |H| = |H_C|, which (d) reads from H_C's
+    chain; by (b), (c) and (d), |G| >= n|H| = ``order``, and the two agree.
+    The engine's streams of H's elements, from H_C's chain through the rank
+    form, check faithfulness again: exactly one row is the identity on the
+    labels.
+
+    The diagonal route, for every other action (unitary pairs, cosets and
+    natural actions), is (a) on D, the group that the pairs generate on
+    carrier and labels together, whose chain has its base in the carrier
+    while carrier -> labels is well defined, with |H| from H's own chain.
+    G is a quotient of D, so |G| <= |D|, and by (b), (c) and (d) |G| >= n|H|:
+    the two agree, and H = G_0.  G is faithful, unless the carrier's
+    stabiliser order ``stab_order`` is given, as for a coset action: the
+    kernel lies in the stabiliser, so its order is ``stab_order`` / |H|.
 
     The action keeps the certified pairs as its ``carrier``.  When the
-    kernel is 1 and every base point of D's chain is a carrier point, D maps
-    one to one onto both its carrier and its label parts, so the carrier
-    parts are G in degree m; otherwise the labels are their own carrier.
+    kernel is 1 and every base point of the chain is a carrier point, the
+    certified group maps one to one onto both its carrier and its label
+    parts, so the carrier parts are G in degree m; otherwise the labels are
+    their own carrier.
     """
     n = len(labels)
-    chain = StabChain(m + n, [diagonal(c, g) for c, g in gens])
     group = PermGroup(n, [g for _, g in gens])
     H = PermGroup(n, [g for _, g in stab_gens])
+    if k is None:
+        subsets, route, stab = None, "diagonal", H
+        chain = StabChain(m + n, [diagonal(c, g) for c, g in gens])
+        members = [diagonal(c, g) for c, g in stab_gens]
+    else:
+        subsets, route = SubsetLabels(m, k), "carrier"
+        carriers, images = (np.stack([perm.images for perm in part]) for part in zip(*gens, *stab_gens))
+        if not np.array_equal(subsets.label_rows(carriers), images):
+            raise CrossCheckFailed("%s: a label generator is not the rank form of its carrier generator" % name)
+        chain = StabChain(m, [c for c, _ in gens])
+        members = [c for c, _ in stab_gens]
+        stab = subsets.stabiliser = PermGroup(m, members)
     if chain.order() != order:
-        raise CrossCheckFailed("%s: diagonal order %d, expected %d" % (name, chain.order(), order))
+        raise CrossCheckFailed("%s: %s order %d, expected %d" % (name, route, chain.order(), order))
     orbit = group.schreier_vector.orbits[0]
     if len(orbit) != n:
         raise CrossCheckFailed("%s: label 0 has an orbit of length %d, not %d" % (name, len(orbit), n))
-    for c, g in stab_gens:
+    for (_, g), member in zip(stab_gens, members):
         if g(0) != 0:
             raise CrossCheckFailed("%s: a point stabiliser generator moves label 0" % name)
-        if not chain.contains(diagonal(c, g)):
+        if not chain.contains(member):
             raise CrossCheckFailed("%s: a point stabiliser generator is not in the group" % name)
-    kernel = 1 if stab_order is None else stab_order // H.order()
-    if H.order() * n * kernel != order:
-        raise CrossCheckFailed("%s: point stabiliser order %d, expected %d" % (name, H.order(), order // max(kernel, 1) // n))
+    kernel = 1 if stab_order is None else stab_order // stab.order()
+    if stab.order() * n * kernel != order:
+        raise CrossCheckFailed("%s: point stabiliser order %d, expected %d" % (name, stab.order(), order // max(kernel, 1) // n))
+    H.adopt_certificate(stab.order())
     group.adopt_certificate(order // kernel, H)
     if kernel > 1:
         warnings += ("action has kernel of order %d" % kernel,)
     faithful = kernel == 1 and all(level.point < m for level in chain.levels)
     pairs = (tuple((c if faithful else g, g) for c, g in p) for p in (gens, stab_gens))
-    return LabelledAction(group, labels, name, warnings=warnings, carrier=(m if faithful else n, *pairs))
+    return LabelledAction(group, labels, name, warnings=warnings, carrier=(m if faithful else n, *pairs), subsets=subsets)
 
 
 def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
@@ -303,7 +406,7 @@ def ksubset_action(
         name = "S%d/%d-subsets" % (n, k)
 
     gens, stab_gens = (list(zip(g, _induced(subsets, g))) for g in (base_gens, stab_gens))
-    return _certified(name, tuple(subsets), n, gens, stab_gens, order)
+    return _certified(name, tuple(subsets), n, gens, stab_gens, order, k=k)
 
 
 # -- coset actions ------------------------------------------------------------------
@@ -444,7 +547,7 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     if q == 5:
         warnings = ("point stabiliser is not maximal for q = 5; action is imprimitive",)
     # PSL(2,q)'s torus and swap generators fix alpha = {<e1>, <e2>}
-    return _certified("%s/proj-pairs" % variant.describe(), labels, q + 1, gens, gens[1:], order, warnings)
+    return _certified("%s/proj-pairs" % variant.describe(), labels, q + 1, gens, gens[1:], order, warnings, k=2)
 
 
 # -- the unitary-model (C3) family ---------------------------------------------------

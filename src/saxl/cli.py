@@ -221,8 +221,8 @@ def build_action(args) -> LabelledAction:
     if args.psl2 is not None:
         q = args.q
         ctor, degree = (psl2_c2_action, q * (q + 1) // 2) if args.psl2 == "c2" else (psl2_c3_action, q * (q - 1) // 2)
-        # the degree needs no factoring of q, which GroupVariant does by trial
-        # division: a huge q meets the point cap first
+        # the degree needs no factoring of q: a huge q meets the point cap
+        # before GroupVariant splits it
         _within_caps(degree, None, caps)
         variant = GroupVariant(VARIANT_NAMES[args.variant], q, args.j if args.variant == "dphi" else 0)
         return ctor(variant, caps=caps)

@@ -50,11 +50,15 @@ class _Analysis:
     independent routes that must agree: orbit length (a breadth-first search
     over the generators of H) versus fixed points ({0, b} is a base exactly
     when no non-identity element of H fixes b).  The fixed points come from
-    H's elements, streamed from its chain in blocks of image rows and not
-    kept: one comparison of a block with the identity's images marks every
-    fixed point of every row, and a row that is not all fixed is not the
-    identity.  The same pass checks Burnside's count
-    sum_h fix(h) == |H| * (number of H-orbits).
+    H's elements, streamed in blocks of image rows and not kept: for an
+    action on the k-subsets of its carrier, from H's chain on the carrier,
+    each block mapped to the labels by the rank form
+    (:meth:`saxl.actions.SubsetLabels.stabiliser_blocks`), and otherwise
+    from H's chain on the labels.  One comparison of a block with the
+    identity's images marks every fixed point of every row, and a row that
+    is not all fixed is not the identity.  The same pass checks that
+    exactly one row is the identity, so that H acts faithfully on the
+    labels, and Burnside's count sum_h fix(h) == |H| * (number of H-orbits).
     """
 
     def __init__(self, action: LabelledAction):
@@ -66,11 +70,18 @@ class _Analysis:
         self.orbits = H.orbits()  # ordered by minimal point
         points = identity(n).images
         fixed_by_nonidentity = np.zeros(n, dtype=bool)
-        fix_total = 0
-        for block in H.iter_blocks():
+        fix_total = identities = 0
+        if action.subsets is None:
+            blocks = H.iter_blocks()
+        else:
+            blocks = (labels for _, labels in action.subsets.stabiliser_blocks())
+        for block in blocks:
             fixed = block == points
             fix_total += int(np.count_nonzero(fixed))
-            fixed_by_nonidentity |= fixed[~fixed.all(axis=1)].any(axis=0)
+            moved = ~fixed.all(axis=1)
+            identities += len(block) - int(np.count_nonzero(moved))
+            fixed_by_nonidentity |= fixed[moved].any(axis=0)
+        _check_faithful(identities)
         if fix_total != self.order_h * len(self.orbits):
             raise CrossCheckFailed(
                 "Burnside count: sum of fixed points %d != |H| * %d orbits = %d"
@@ -88,6 +99,13 @@ class _Analysis:
                 )
         self.flags = self.regular[H.schreier_vector.orbit_index]
         self.regular_count = int(self.regular.sum())
+
+
+def _check_faithful(identities: int) -> None:
+    """Refuse a stream of H's elements in which other than exactly one row
+    is the identity on the labels."""
+    if identities != 1:
+        raise CrossCheckFailed("%d streamed elements of H are the identity on the labels, not 1" % identities)
 
 
 def _analysis(action: LabelledAction) -> _Analysis:
@@ -176,15 +194,19 @@ def _prime_class_data(action: LabelledAction):
     Returns (g_classes, pools) where g_classes entries are
     (order, class_size, count_in_H) per G-class meeting H, and pools maps
     (order, G-class size) to the number of elements of H in the H-classes
-    with that key.  H is enumerated once, in blocks of rows from the chain
-    of D, the group of its diagonal generators on carrier and labels: a
-    block's carrier columns give each element's key and, by powers of all
-    rows at once, its order, and its label columns give fix(x) by one
-    comparison.  The class searches run over keys in the carrier's degree
-    m.  Every G-class entry is cross-checked against the orbit-counting
-    identity |x^G meet H| * n == fix(x) * |x^G|, count and size from the
-    carrier search and fix(x) from the labels, and the pools against the
-    G-class counts pooled by the same key.
+    with that key.  H is enumerated once, in blocks of rows, each with its
+    carrier and its label images: for an action on the k-subsets of its
+    carrier, from H's chain on the carrier, each block mapped to the labels
+    by the rank form (:meth:`saxl.actions.SubsetLabels.stabiliser_blocks`);
+    otherwise from the chain of D, the group of its diagonal generators on
+    carrier and labels, split into its carrier and label columns.  The
+    carrier rows give each element's key and, by powers of all rows at
+    once, its order, and the label rows give fix(x) by one comparison, and
+    must hold exactly one identity row.  The class searches run over keys in
+    the carrier's degree m.  Every G-class entry is cross-checked against
+    the orbit-counting identity |x^G meet H| * n == fix(x) * |x^G|, count
+    and size from the carrier search and fix(x) from the labels, and the
+    pools against the G-class counts pooled by the same key.
     """
     cached = action._cache.get("prime_classes")
     if cached is not None:
@@ -195,19 +217,26 @@ def _prime_class_data(action: LabelledAction):
     n = action.degree
     G = PermGroup(m, [c for c, _ in gens])
     H = PermGroup(m, [c for c, _ in stab_gens])
-    D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens])
-    # H in D's chain order: Q-hat and Q-tilde are sums over classes, so the
-    # order in which classes are found does not matter
     key_dtype = identity(m).images.dtype
-    labels = identity(m + n).images[m:]
-    primes = prime_factors(D.order())
+    # H in its chain's order: Q-hat and Q-tilde are sums over classes, so the
+    # order in which classes are found does not matter
+    if action.subsets is None:
+        D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens])
+        # D's rows may be wider than either part's keys
+        blocks = ((block[:, :m].astype(key_dtype), block[:, m:] - m) for block in D.iter_blocks())
+    else:
+        blocks = action.subsets.stabiliser_blocks()
+    points = identity(n).images
+    primes = prime_factors(action.stabiliser0().order())
     fixed: dict[bytes, tuple[int, int]] = {}  # carrier key -> (prime order, fixed labels)
-    for block in D.iter_blocks():
-        carrier = block[:, :m].astype(key_dtype)  # D's rows may be wider
+    identities = 0
+    for carrier, labels in blocks:
         orders = _prime_orders(carrier, primes)
         prime = orders > 0
-        fix = np.count_nonzero(block[prime, m:] == labels, axis=1)
-        fixed.update(zip(row_keys(carrier[prime]), zip(orders[prime].tolist(), fix.tolist())))
+        fix = np.count_nonzero(labels == points, axis=1)
+        identities += int(np.count_nonzero(fix == n))
+        fixed.update(zip(row_keys(carrier[prime]), zip(orders[prime].tolist(), fix[prime].tolist())))
+    _check_faithful(identities)
     unassigned = set(fixed)
 
     g_classes = []

@@ -38,6 +38,8 @@ numpy view of it (no copy): lambda^x + lambda^y = lambda^(x + zech[y - x])
 ``is_square`` and ``in_proper_subfield`` act on the log alone, and
 ``log_of_packed`` gives the log of a packed value.  Arguments broadcast.
 
+Primality is the deterministic Miller-Rabin test (see :func:`is_prime`),
+and q = p^f is split by integer f-th roots: no field size is trial-divided.
 The module also carries the number theory of the regular suborbit counts:
 the prime powers in a range, an exact totient by trial division, and a scan
 of the lower bound phi(n) > n / (e^gamma * log log n + 3 / log log n) over
@@ -87,15 +89,37 @@ class CrossCheckFailed(AssertionError):
     disagreed, or a result missed the closed form it was built to meet."""
 
 
+# the first 13 primes, and the least number that is a strong probable prime to
+# all of them (Sorenson and Webster, Math. Comp. 86, 2017): below it, a strong
+# probable prime to these bases is a prime
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by trial division."""
+    """Whether n is prime, by the deterministic Miller-Rabin test over the
+    first 13 prime bases, exact below ``MILLER_RABIN_BOUND`` (about
+    3.3 * 10^24); a larger n raises :class:`CapExceeded` at once."""
+    if n >= MILLER_RABIN_BOUND:
+        raise CapExceeded("primality of %d is not decided above %d" % (n, MILLER_RABIN_BOUND))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -273,20 +297,30 @@ def field_create(p: int, f: int) -> FqField:
     return FqField(p, f)
 
 
+def _integer_root(q: int, f: int) -> int:
+    """The largest r with r^f <= q, for q >= 1, by Newton's method on
+    integers from an r above the root."""
+    r = 1 << -(-q.bit_length() // f)
+    while True:
+        s = ((f - 1) * r + q // r ** (f - 1)) // f
+        if s >= r:
+            return r
+        r = s
+
+
 def split_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p^f with p prime, or raise ValueError."""
+    """Write q = p^f with p prime, or raise ValueError.
+
+    f is the largest exponent with q a perfect f-th power, found by integer
+    roots: q is a prime power exactly when that root is prime.  The root
+    meets :func:`is_prime`, so a q that is no perfect power above
+    ``MILLER_RABIN_BOUND`` raises :class:`CapExceeded` at once."""
     if q < 2:
         raise ValueError("%d is not a prime power" % q)
-    factors = prime_factors(q)
-    if len(factors) != 1:
+    f = next(f for f in range(q.bit_length(), 0, -1) if _integer_root(q, f) ** f == q)
+    p = _integer_root(q, f)
+    if not is_prime(p):
         raise ValueError("%d is not a prime power" % q)
-    p = factors[0]
-    f = 0
-    while q > 1:
-        if q % p:
-            raise ValueError("%d is not a prime power" % q)
-        q //= p
-        f += 1
     return p, f
 
 

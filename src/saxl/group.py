@@ -259,14 +259,16 @@ class StabChain:
         elements."""
         return _products(self.levels, identity(self.degree))
 
-    def iter_blocks(self) -> Iterator[np.ndarray]:
+    def iter_blocks(self, width: int | None = None) -> Iterator[np.ndarray]:
         """All elements, each exactly once, as 2-D arrays of image rows in
         the key dtype, so that a row's bytes are that element's key.
 
         The deepest levels, as many as keep a block within ``BLOCK_ENTRIES``
         entries (or one row), are multiplied out level by level, one gather
         each; every product over the levels above them, factorised as in
-        :meth:`iter_elements`, then maps that block in one more gather."""
+        :meth:`iter_elements`, then maps that block in one more gather.  A
+        caller that maps each row to a row of ``width`` entries gets the
+        block in slices of at most ``BLOCK_ENTRIES`` // ``width`` rows."""
         rows = max(1, BLOCK_ENTRIES // self.degree)
         one = identity(self.degree)
         block = one.images.reshape(1, -1)
@@ -276,8 +278,11 @@ class StabChain:
             block = level[:, block].reshape(-1, self.degree)
             top -= 1
         points = block.astype(np.intp)
+        step = max(1, BLOCK_ENTRIES // (width or self.degree))
         for outer in _products(self.levels[:top], one):
-            yield outer.images[points]
+            images = outer.images[points]
+            for lo in range(0, len(images), step):
+                yield images[lo : lo + step]
 
 
 def _products(levels: Sequence[_Level], prefix: Perm) -> Iterator[Perm]:
@@ -327,9 +332,10 @@ class PermGroup:
             self._order = self._built_chain(bound).order()
         return self._order
 
-    def adopt_certificate(self, order: int, stabiliser0: "PermGroup") -> None:
-        """Answer :meth:`order` and :meth:`point_stabiliser` of 0 from a
-        certificate such as :func:`saxl.actions._certified`, with no chain."""
+    def adopt_certificate(self, order: int, stabiliser0: "PermGroup | None" = None) -> None:
+        """Answer :meth:`order`, and :meth:`point_stabiliser` of 0 when it is
+        given, from a certificate such as :func:`saxl.actions._certified`,
+        with no chain."""
         self._order, self._stabiliser0 = order, stabiliser0
 
     def contains(self, g: Perm) -> bool:
@@ -439,11 +445,11 @@ class PermGroup:
         of them.  Guarded by ``ELEMENT_CAP``, checked before the first one."""
         return self._enumerable_chain().iter_elements()
 
-    def iter_blocks(self) -> Iterator[np.ndarray]:
+    def iter_blocks(self, width: int | None = None) -> Iterator[np.ndarray]:
         """All elements as blocks of image rows in the key dtype (see
         :meth:`StabChain.iter_blocks`).  Guarded by ``ELEMENT_CAP``, checked
         before the first block."""
-        return self._enumerable_chain().iter_blocks()
+        return self._enumerable_chain().iter_blocks(width)
 
     def elements(self) -> list[Perm]:
         """All elements, sorted by image list.  Guarded by ``ELEMENT_CAP``."""

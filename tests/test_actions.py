@@ -14,6 +14,7 @@ from saxl.actions import (
     CatalogueError,
     GroupVariant,
     LabelledAction,
+    SubsetLabels,
     bundled_catalogue_path,
     c3_canonical_logs,
     c3_isotropic,
@@ -30,7 +31,7 @@ from saxl.actions import (
 from saxl.cli import main
 from saxl.gf import LOG_ZERO, field_create, field_from_order, log_add, log_mul, log_neg, log_pow, split_prime_power
 from saxl.group import CapExceeded, CrossCheckFailed, PermGroup, StabChain
-from saxl.perm import Perm, from_cycles
+from saxl.perm import BLOCK_ENTRIES, Perm, from_cycles, identity, row_keys
 
 
 class TestKSubsetAction:
@@ -191,6 +192,66 @@ class TestInduced:
         for k in (1, 2):
             blocks = list(combinations(range(300), k))
             assert _induced(blocks, gens) == oracle_induced(blocks, gens)
+
+
+def _c2_variants_upto_49():
+    """Every group variant of the pair action with q <= 49."""
+    variants = []
+    for q in range(4, 50):
+        try:
+            f = split_prime_power(q)[1]
+        except ValueError:
+            continue
+        variants += [GroupVariant(family, q) for family in ("PSL2", "PGL2", "PSigmaL2", "PGammaL2")[: 4 if f > 1 else 2]]
+        variants += [GroupVariant("DeltaPhi", q, j) for j in range(1, f) if q % 2 and (f // math.gcd(f, j)) % 2 == 0]
+    return variants
+
+
+class TestSubsetLabels:
+    """The rank form of the block action against the two block routes."""
+
+    @staticmethod
+    def _agree(subsets, carrier_gens):
+        blocks = list(combinations(range(subsets.m), subsets.k))
+        rows = subsets.label_rows(np.stack([c.images for c in carrier_gens]))
+        assert rows.dtype == identity(len(blocks)).images.dtype
+        by_rank = [Perm(row.tolist()) for row in rows]
+        assert by_rank == _induced(blocks, carrier_gens) == oracle_induced(blocks, carrier_gens)
+
+    @pytest.mark.parametrize("variant", _c2_variants_upto_49(), ids=GroupVariant.describe)
+    def test_pairs_of_every_c2_variant(self, variant):
+        act = psl2_c2_action(variant)
+        m, gens, stab_gens = act.carrier
+        assert (act.subsets.m, act.subsets.k) == (m, 2) == (variant.q + 1, 2)
+        self._agree(act.subsets, [c for c, _ in gens + stab_gens])
+
+    @pytest.mark.parametrize("even_only", [False, True], ids=["S", "A"])
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (5, 6, 9) for k in (1, 2, 3, 4) if k < n])
+    def test_ksubsets(self, n, k, even_only):
+        act = ksubset_action(n, k, even_only=even_only)
+        m, gens, stab_gens = act.carrier
+        assert (act.subsets.m, act.subsets.k) == (m, k) == (n, k)
+        self._agree(act.subsets, [c for c, _ in gens + stab_gens])
+
+    @pytest.mark.parametrize("m, k", [(300, 1), (300, 2), (40, 3), (20, 4)])
+    def test_random_carrier_permutations(self, m, k):
+        # at 300 points both bytes of a point's key differ between subsets
+        rng = np.random.default_rng(m + k)
+        self._agree(SubsetLabels(m, k), [Perm(rng.permutation(m).tolist()) for _ in range(3)])
+
+    @pytest.mark.parametrize(
+        "build", [lambda: psl2_c2_action(GroupVariant("PGL2", 9)), lambda: ksubset_action(7, 3)], ids=["c2", "S7-3"]
+    )
+    def test_stream_is_g0_on_the_labels(self, build):
+        act = build()
+        H = PermGroup(act.degree, act.stabiliser0().gens)  # G_0 by its own chain on the labels
+        carrier, labels = [], []
+        for rows, label_rows in act.subsets.stabiliser_blocks():
+            assert len(rows) == 1 or label_rows.size <= BLOCK_ENTRIES
+            carrier += row_keys(rows)
+            labels += row_keys(label_rows)
+        assert len(set(carrier)) == len(carrier) == act.stabiliser0().order()
+        assert sorted(labels) == [h.key for h in H.elements()]
 
 
 class TestProjectivePairAction:

@@ -108,6 +108,17 @@ class TestExitCodes:
         assert done.stdout == b""
         assert done.stderr.decode() == "cap exceeded: degree %d exceeds point cap 100000\n" % degree
 
+    @pytest.mark.parametrize("kind", ["c2", "c3"])
+    def test_huge_prime_q_past_the_point_cap_meets_the_group_cap(self, kind):
+        # q is split by integer roots and a Miller-Rabin test, so the run
+        # reaches the group cap at once
+        argv = ["analyze", "--psl2", kind, "--q", str(self.HUGE_PRIME), "--point-cap", str(10**40)]
+        done = _saxl(argv, timeout=20)
+        order = self.HUGE_PRIME * (self.HUGE_PRIME**2 - 1) // 2
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.decode() == "cap exceeded: group order %d exceeds cap 10000000\n" % order
+
     @pytest.mark.parametrize(
         "argv", ["analyze --catalogue M11 --group-cap 10", "graph --catalogue M11 --point-cap 10"]
     )
@@ -335,18 +346,20 @@ class TestExitCodes:
     def test_action_order_check_is_3(self, capsys, monkeypatch):
         from saxl.group import StabChain
 
-        # a wrong chain order trips the certificate's diagonal order check
+        # a wrong chain order trips the certificate's order check of the
+        # carrier group, S5 on its 5 points
         monkeypatch.setattr(StabChain, "order", lambda self: 7)
         assert main(["analyze", "--ksubsets", "5", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: cross-check failed: S5/2-subsets: diagonal order 7, expected 120\n"
+        assert captured.err == "error: cross-check failed: S5/2-subsets: carrier order 7, expected 120\n"
 
     def test_swapped_label_generators_are_3(self, capsys, monkeypatch):
         from saxl import actions
 
-        # the label images of u and d swapped: the diagonal group is then
-        # PSL(2,7) x PSL(2,7), not the graph of one action
+        # the label images of u and d swapped: each label generator is then
+        # the block action of another carrier generator than its own, which
+        # the rank form sees before any chain is built
         induced = actions._induced
 
         def swapped(blocks, carrier_gens):
@@ -357,7 +370,9 @@ class TestExitCodes:
         assert main(["analyze", "--psl2", "c2", "--q", "7"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: cross-check failed: PSL2(7)/proj-pairs: diagonal order 28224, expected 168\n"
+        assert captured.err == (
+            "error: cross-check failed: PSL2(7)/proj-pairs: a label generator is not the rank form of its carrier generator\n"
+        )
 
     def test_witness_check_is_3(self, capsys, monkeypatch):
         from saxl import criteria
@@ -733,6 +748,7 @@ class TestGoldens:
         "analyze --psl2 c2 --q 121": "fc52622ba66e341c5b5aa8f5db6c01086a2a2129925d5618f08f144f78d03866",
         "analyze --psl2 c3 --q 81": "37e6346c617357245b0cd1d8f9962bf729528260178203b3f4a411d4624c4267",
         "analyze --psl2 c2 --q 81 --variant pgamma": "2b736cf3da5227b6908bd6b143d2ecbcc13e6c1f18867c4e5e2de1108e45c934",
+        "analyze --psl2 c2 --q 81 --variant psigma": "3b61e8f792d4e04e2b238a78e3417f98a2fe7ab69cca2cb9f7a9d899b731c6ef",
     }
 
     @pytest.mark.parametrize("argv", list(DIGESTS))

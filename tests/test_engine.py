@@ -12,6 +12,7 @@ import pytest
 from saxl.actions import (
     GroupVariant,
     LabelledAction,
+    SubsetLabels,
     _certified,
     _induced,
     bundled_catalogue_path,
@@ -345,6 +346,29 @@ class TestPrimeClassData:
         act = build(variant)
         assert act.carrier[0] == act.carrier[1][0][0].degree < act.degree
         self._agree(act)
+
+
+class TestCarrierStreams:
+    """G_0's elements streamed from its carrier chain through the rank form."""
+
+    @pytest.mark.parametrize("stream", [_Analysis, engine._prime_class_data], ids=["suborbits", "classes"])
+    @pytest.mark.parametrize(
+        "build", [lambda: psl2_c2_action(GroupVariant("PSL2", 7)), lambda: ksubset_action(6, 2)], ids=["c2", "S6-2"]
+    )
+    def test_label_map_that_is_not_faithful_is_caught(self, monkeypatch, build, stream):
+        act = build()
+        real = SubsetLabels.label_rows
+
+        def collapsing(self, rows):
+            # the first non-identity row of each block becomes the identity on the labels
+            labels = real(self, rows).copy()
+            moved = np.flatnonzero((rows != np.arange(self.m)).any(axis=1))
+            labels[moved[:1]] = np.arange(self.n)
+            return labels
+
+        monkeypatch.setattr(SubsetLabels, "label_rows", collapsing)
+        with pytest.raises(CrossCheckFailed, match="streamed elements of H are the identity on the labels, not 1"):
+            stream(act)
 
 
 class TestPrimeOrders:

@@ -312,6 +312,36 @@ class TestFieldConstruction:
             with pytest.raises(ValueError):
                 split_prime_power(bad)
 
+    def test_split_prime_power_against_trial_division(self):
+        def by_division(q):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            f = 0
+            while q % p == 0:
+                q, f = q // p, f + 1
+            return (p, f) if q == 1 else None
+
+        for q in range(2, 5000):
+            try:
+                got = split_prime_power(q)
+            except ValueError:
+                got = None
+            assert got == by_division(q), q
+
+    def test_split_prime_power_of_large_powers(self):
+        mersenne = 2**61 - 1
+        assert split_prime_power(10**18 + 3) == (10**18 + 3, 1)
+        assert split_prime_power(3**200) == (3, 200)
+        # above the primality bound, a perfect power's root is still decided
+        assert split_prime_power(mersenne**2) == (mersenne, 2)
+        with pytest.raises(ValueError):
+            split_prime_power(6**40)
+        with pytest.raises(ValueError):
+            split_prime_power(101 * (10**18 + 3))
+        # a number with no root above the bound is refused, not trial-divided
+        with pytest.raises(CapExceeded, match="primality of"):
+            split_prime_power(10**30 + 57)
+
+
     def test_field_create_validation(self):
         with pytest.raises(ValueError):
             field_create(4, 1)
@@ -349,6 +379,30 @@ class TestFieldConstruction:
 
     def test_field_identity_map_is_cached(self):
         assert field_create(3, 2) is field_create(3, 2)
+
+
+class TestPrimality:
+    def test_against_trial_division(self):
+        def by_division(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(-3, 20000) if gf.is_prime(n)] == [n for n in range(-3, 20000) if by_division(n)]
+
+    def test_strong_pseudoprimes(self):
+        # strong pseudoprimes to the first 4, the first 9 and the first 12
+        # prime bases (Sorenson and Webster 2017): composite, each caught by
+        # a later base
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not gf.is_prime(n)
+        assert gf.is_prime(2**61 - 1) and gf.is_prime(10**24 + 7)
+
+    def test_bound_is_refused(self):
+        # the least strong pseudoprime to all 13 bases, 1287836182261 * 2575672364521
+        assert gf.MILLER_RABIN_BOUND == 1287836182261 * 2575672364521
+        assert not gf.is_prime(gf.MILLER_RABIN_BOUND - 2)
+        for n in (gf.MILLER_RABIN_BOUND, 2**89 - 1):
+            with pytest.raises(CapExceeded, match="primality of %d is not decided" % n):
+                gf.is_prime(n)
 
 
 class TestPinnedTables:

@@ -258,19 +258,21 @@ class TestStabilisers:
         assert all(g(0) == 0 for g in stab.gens)
 
     @pytest.mark.parametrize(
-        "argv, n",
+        "argv, n, m",
         [
-            ("--psl2 c2 --q 25 --variant psigma", 325),
-            ("--psl2 c3 --q 27", 351),
-            ("--ksubsets 7 3 --alternating", 35),
-            ("--catalogue PGL2_13_S4", 91),
+            ("--psl2 c2 --q 25 --variant psigma", 325, 26),
+            ("--psl2 c3 --q 27", 351, None),
+            ("--ksubsets 7 3 --alternating", 35, 7),
+            ("--catalogue PGL2_13_S4", 91, None),
         ],
         ids=["c2", "c3", "ksubsets", "catalogue"],
     )
-    def test_analyze_builds_no_chain_of_g_on_its_points(self, monkeypatch, capsys, argv, n):
-        # the certificate's chain acts on carrier and points together, so the
-        # one chain of degree n built by analyze is H's, all of whose
-        # generators fix point 0
+    def test_analyze_builds_no_chain_of_g_on_its_points(self, monkeypatch, capsys, argv, n, m):
+        # an action on the k-subsets of m carrier points is certified, and
+        # its G_0 streamed, on the carrier alone: every chain that analyze
+        # builds has degree m, none n or m + n.  Any other certificate's
+        # chain acts on carrier and points together, so the one chain of
+        # degree n is H's, all of whose generators fix point 0
         chains = []
         build = StabChain.__init__
 
@@ -281,9 +283,12 @@ class TestStabilisers:
         monkeypatch.setattr(StabChain, "__init__", recorded)
         assert main(["analyze", *argv.split()]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == n
-        on_points = [images_of_0 for degree, images_of_0 in chains if degree == n]
-        assert len(on_points) == 1
-        assert set(on_points[0]) == {0}
+        if m is not None:
+            assert chains and {degree for degree, _ in chains} == {m}
+        else:
+            on_points = [images_of_0 for degree, images_of_0 in chains if degree == n]
+            assert len(on_points) == 1
+            assert set(on_points[0]) == {0}
         # primitivity reads the certified G_0 and a Schreier vector
         action = build_action(_build_parser().parse_args(["analyze", *argv.split()]))
         chains.clear()
