@@ -22,18 +22,19 @@ maps some block outside the labelling raises :class:`CrossCheckFailed`.
 Every constructor first checks its arguments, then meets the caps through
 :func:`_within_caps`, the one cap check, before it builds any field, block,
 chain or coset, and returns through :func:`_certified`, which proves |G| and
-G_0 with no chain of G on its n points.  The pairs of PG(1,q) and the
-k-subsets are the k-subsets of their carrier in lex order, a
-:class:`SubsetLabels`, and are certified on the m carrier points alone:
-each label generator must be its carrier generator's block action by the
-closed rank form, and that action is faithful.  The engine streams G_0's
-elements from its carrier chain through the same rank form, so no chain of
-these actions is built in degree n or m + n.  The unitary points, cosets
-and natural actions keep a chain on carrier and labels together: a unitary
-label is no set of isotropic carrier points, and a coset has no rank form.
-A catalogue loader ingests fixture
-groups from a small text format; it refuses a degree over the point cap at
-its line, and checks an entry's declared orders on the entry's first use.
+G_0 with no chain of G on its n points and builds the one chain of G_0 that
+:meth:`LabelledAction.stabiliser_blocks` streams.  The pairs of PG(1,q),
+the k-subsets and the natural points (1-subsets) are the k-subsets of their
+carrier in lex order, a :class:`SubsetLabels`, certified on the m carrier
+points alone: each label generator must be its carrier generator's block
+action by the closed rank form, which is faithful, and G_0's chain on the
+carrier reaches the labels by that rank form.  The unitary points and
+cosets have no rank form: G is certified by a chain on carrier and labels
+together, and G_0's chain is on labels and carrier, labels first.  The
+degree of each PSL(2,q) family is :func:`psl2_degree`.  A catalogue loader
+ingests fixture groups from a small text format; it refuses a degree over
+the point cap at its line, and checks an entry's declared orders on the
+entry's first use.
 
 The projective maps run on the log arrays of :mod:`saxl.gf`.  A point of
 PG(1,q) or PG(1,q^2) has one code, LINE_INF = -2 for <e2>, LOG_ZERO = -1
@@ -142,6 +143,12 @@ class GroupVariant:
         return "%s(%d)" % (self.family, self.q)
 
 
+def psl2_degree(kind: str, q: int) -> int:
+    """The degree of the "c2" action on pairs of points of PG(1,q), q(q+1)/2,
+    or of the "c3" action on unitary points, q(q-1)/2."""
+    return q * (q + 1 if kind == "c2" else q - 1) // 2
+
+
 @dataclass(eq=False)
 class LabelledAction:
     """A transitive permutation group together with its point labels.
@@ -152,7 +159,9 @@ class LabelledAction:
     label) generator pairs of G and of G_0 on it, as :func:`_certified`
     certified them; it is empty for an action built without it.  ``subsets``
     is the :class:`SubsetLabels` of an action whose points are the k-subsets
-    of its carrier, and None for any other."""
+    of its carrier, and None for any other.  ``stabiliser`` is G_0, whose
+    chain :meth:`stabiliser_blocks` streams: on the carrier when ``subsets``
+    is set, and otherwise on labels and carrier, in degree n + m."""
 
     group: PermGroup
     labels: tuple
@@ -160,6 +169,7 @@ class LabelledAction:
     warnings: tuple = ()
     carrier: tuple = ()
     subsets: "SubsetLabels | None" = None
+    stabiliser: PermGroup | None = None
     label_index: dict = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -180,15 +190,29 @@ class LabelledAction:
         """The stabiliser of point 0 (the certified one for a constructed action)."""
         return self.group.point_stabiliser(0)
 
+    def stabiliser_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every element of G_0, once, as (carrier rows in the carrier's key
+        dtype, label rows) blocks from the chain of ``stabiliser``: mapped by
+        :meth:`SubsetLabels.label_rows`, a block of label rows within the
+        block size, or else split into its label and carrier columns."""
+        n = self.degree
+        if self.subsets is not None:
+            for rows in self.stabiliser.iter_blocks(width=n):
+                yield rows, self.subsets.label_rows(rows)
+            return
+        key_dtype = identity(self.carrier[0]).images.dtype
+        for block in self.stabiliser.iter_blocks():
+            yield (block[:, n:] - n).astype(key_dtype), block[:, :n]
 
-def diagonal(carrier: Perm, label: Perm) -> Perm:
-    """The permutation of carrier and labels together, carrier points first."""
-    return Perm(np.concatenate([carrier.images, label.images.astype(np.intp) + carrier.degree]).tolist())
+
+def diagonal(first: Perm, second: Perm) -> Perm:
+    """The permutation of two point sets together, ``first``'s points first."""
+    return Perm(np.concatenate([first.images, second.images.astype(np.intp) + first.degree]).tolist())
 
 
 class SubsetLabels:
     """The points of a block action: the k-subsets of m carrier points, point
-    i the i-th in lexicographic order, for 0 < k < m.
+    i the i-th in lexicographic order, for 0 < k < m or k = 1.
 
     A subset's point is its lex rank.  For sorted points a_1 < ... < a_k
     that is C(m, k) - 1 - sum_i C(m - 1 - a_i, k - i + 1), the combinatorial
@@ -199,11 +223,6 @@ class SubsetLabels:
     them.  For pairs the rank is one more gather, from an m x m table of the
     closed form at both orders of every two points, in the labels' key
     dtype; larger subsets are sorted and ranked by the sum.
-
-    ``stabiliser`` is G_0 on the carrier, which :func:`_certified` sets, and
-    :meth:`stabiliser_blocks` streams its elements from its chain on the m
-    carrier points together with their label rows, so that no chain of G_0
-    is built on the labels.
     """
 
     def __init__(self, m: int, k: int):
@@ -218,7 +237,6 @@ class SubsetLabels:
             a, b = np.indices((m, m))
             ranks = self._ranks([np.minimum(a, b), np.maximum(a, b)])
             self._pair_table = np.where(a == b, 0, ranks).astype(self.dtype)
-        self.stabiliser: PermGroup | None = None
 
     def _ranks(self, ascending) -> np.ndarray:
         """The lex ranks of subsets given by their points in ascending order,
@@ -237,72 +255,66 @@ class SubsetLabels:
             return self._pair_table[images[:, 0], images[:, 1]]
         return self._ranks(np.sort(images, axis=1).swapaxes(0, 1)).astype(self.dtype)
 
-    def stabiliser_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Every element of G_0, once, as (carrier rows, label rows) blocks:
-        the blocks of its carrier chain, sized to keep a block of label rows
-        within the block size, each mapped by :meth:`label_rows`."""
-        for rows in self.stabiliser.iter_blocks(width=self.n):
-            yield rows, self.label_rows(rows)
-
 
 def _certified(name, labels, m, gens, stab_gens, order, warnings=(), stab_order=None, k=None) -> LabelledAction:
     """The action on ``labels`` of a carrier group of order ``order``, certified.
 
     ``gens`` and ``stab_gens`` are (carrier, label) pairs of permutations, of
     the m carrier points and of the n labels, that generate the label group
-    G and H, its stabiliser of label 0.  Each of the two routes below proves
-    |G| and H = G_0 with no chain of G on the labels, and raises
-    :class:`CrossCheckFailed` unless (a) a deterministic chain has order
-    ``order``, (b) label 0 has an orbit of length n, (c) every stabiliser
-    pair fixes label 0 and lies in that chain's group, and (d) |H| is
-    ``order``/n.  A random chain would prove only a lower bound on an order
-    (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
+    G and a group D of stabiliser pairs.  Each route below proves |G| and
+    G_0 with no chain of G on the labels, builds G_0's one chain, the
+    action's ``stabiliser``, and raises :class:`CrossCheckFailed` unless (a)
+    a deterministic chain has order ``order``, (b) label 0 has an orbit of
+    length n, (c) every stabiliser pair fixes label 0 and lies in that
+    chain's group, and (d) |D| is ``order``/n.  A random chain would prove
+    only a lower bound on an order (Seress, *Permutation Group Algorithms*,
+    2003, ch. 4).
 
     The carrier route, for labels that are the k-subsets of the carrier in
-    lex order (pairs of points and k-subsets), builds no chain in degree n
-    or m + n.  First each label part must equal the block action of its
-    carrier part by the rank form of :class:`SubsetLabels`, a second route
-    beside :func:`_induced`'s binary search.  The block action is a
-    homomorphism of the carrier group C onto G, so |G| <= |C|, and (a) is
-    C's chain on the m carrier points.  It is faithful, since 0 < k < m: a
-    permutation that moves a point a to b moves every k-subset that holds a
-    but not b.  So H is H_C, the group of the carrier parts of
-    ``stab_gens``, on the labels, and |H| = |H_C|, which (d) reads from H_C's
-    chain; by (b), (c) and (d), |G| >= n|H| = ``order``, and the two agree.
-    The engine's streams of H's elements, from H_C's chain through the rank
-    form, check faithfulness again: exactly one row is the identity on the
-    labels.
+    lex order (pairs of points, k-subsets, natural points as 1-subsets),
+    builds no chain in degree n or m + n.  Each label part must equal the
+    block action of its carrier part by the rank form of
+    :class:`SubsetLabels`, a second route beside :func:`_induced`'s binary
+    search.  The block action is a homomorphism of the carrier group C onto
+    G, so |G| <= |C|, and (a) is C's chain on the carrier.  It is faithful,
+    since k < m or k = 1: a permutation that moves a point a to b moves
+    every k-subset that holds a but not b.  So D, of the carrier parts of
+    ``stab_gens``, acts on the labels as on the carrier, and by (b), (c) and
+    (d) |G| >= n|D| = ``order``: the two agree, and D is G_0.  The engine's
+    streams of G_0 through the rank form check faithfulness again: exactly
+    one row is the identity on the labels.
 
-    The diagonal route, for every other action (unitary pairs, cosets and
-    natural actions), is (a) on D, the group that the pairs generate on
-    carrier and labels together, whose chain has its base in the carrier
-    while carrier -> labels is well defined, with |H| from H's own chain.
-    G is a quotient of D, so |G| <= |D|, and by (b), (c) and (d) |G| >= n|H|:
-    the two agree, and H = G_0.  G is faithful, unless the carrier's
-    stabiliser order ``stab_order`` is given, as for a coset action: the
-    kernel lies in the stabiliser, so its order is ``stab_order`` / |H|.
-
-    The action keeps the certified pairs as its ``carrier``.  When the
-    kernel is 1 and every base point of the chain is a carrier point, the
-    certified group maps one to one onto both its carrier and its label
-    parts, so the carrier parts are G in degree m; otherwise the labels are
-    their own carrier.
+    The diagonal route, for the unitary points and cosets, is (a) on G_D,
+    the group of the pairs on carrier and labels, carrier first; D acts on
+    labels and carrier, labels first.  By (a) and (b) the stabiliser of
+    label 0 in G_D has order ``order``/n, and by (c) and (d) D is all of it,
+    so D holds the kernel K of G_D on the labels, and G_0 = D/K.  K = 1
+    exactly when every base point of D's chain is a label; otherwise |K|
+    counts D's elements that fix every label, and only an action that
+    declares its carrier's stabiliser order ``stab_order``, as a coset
+    action does, may have one.  An action with a kernel, or whose chain of
+    G_D has a base point among the labels, so that its carrier parts do not
+    determine G, is certified again through the carrier route with k = 1,
+    its labels as their own carrier, as a group of order ``order``/|K|.
+    Otherwise G_D maps one to one onto both parts: the carrier parts are G.
     """
     n = len(labels)
     group = PermGroup(n, [g for _, g in gens])
     H = PermGroup(n, [g for _, g in stab_gens])
     if k is None:
-        subsets, route, stab = None, "diagonal", H
+        subsets, route = None, "diagonal"
         chain = StabChain(m + n, [diagonal(c, g) for c, g in gens])
         members = [diagonal(c, g) for c, g in stab_gens]
+        stab = PermGroup(n + m, [diagonal(g, c) for c, g in stab_gens])
     else:
-        subsets, route = SubsetLabels(m, k), "carrier"
-        carriers, images = (np.stack([perm.images for perm in part]) for part in zip(*gens, *stab_gens))
+        subsets, route, pairs = SubsetLabels(m, k), "carrier", gens + stab_gens
+        carriers = np.array([c.images for c, _ in pairs], identity(m).images.dtype).reshape(len(pairs), m)
+        images = np.array([g.images for _, g in pairs]).reshape(len(pairs), n)
         if not np.array_equal(subsets.label_rows(carriers), images):
             raise CrossCheckFailed("%s: a label generator is not the rank form of its carrier generator" % name)
         chain = StabChain(m, [c for c, _ in gens])
         members = [c for c, _ in stab_gens]
-        stab = subsets.stabiliser = PermGroup(m, members)
+        stab = PermGroup(m, members)
     if chain.order() != order:
         raise CrossCheckFailed("%s: %s order %d, expected %d" % (name, route, chain.order(), order))
     orbit = group.schreier_vector.orbits[0]
@@ -313,16 +325,21 @@ def _certified(name, labels, m, gens, stab_gens, order, warnings=(), stab_order=
             raise CrossCheckFailed("%s: a point stabiliser generator moves label 0" % name)
         if not chain.contains(member):
             raise CrossCheckFailed("%s: a point stabiliser generator is not in the group" % name)
-    kernel = 1 if stab_order is None else stab_order // stab.order()
-    if stab.order() * n * kernel != order:
-        raise CrossCheckFailed("%s: point stabiliser order %d, expected %d" % (name, stab.order(), order // max(kernel, 1) // n))
+    if stab.order() * n != order:
+        raise CrossCheckFailed("%s: point stabiliser order %d, expected %d" % (name, stab.order(), order // n))
+    if k is None:
+        kernel = 1
+        if any(level.point >= n for level in stab.chain.levels):
+            if stab_order is None:
+                raise CrossCheckFailed("%s: the action has a kernel, and declares no stabiliser order" % name)
+            kernel = sum(int(np.count_nonzero((block[:, :n] == np.arange(n)).all(axis=1))) for block in stab.iter_blocks())
+            warnings += ("action has kernel of order %d" % kernel,)
+        if kernel > 1 or any(level.point >= m for level in chain.levels):
+            on_labels = ([(g, g) for _, g in part] for part in (gens, stab_gens))
+            return _certified(name, labels, n, *on_labels, order // kernel, warnings, k=1)
     H.adopt_certificate(stab.order())
-    group.adopt_certificate(order // kernel, H)
-    if kernel > 1:
-        warnings += ("action has kernel of order %d" % kernel,)
-    faithful = kernel == 1 and all(level.point < m for level in chain.levels)
-    pairs = (tuple((c if faithful else g, g) for c, g in p) for p in (gens, stab_gens))
-    return LabelledAction(group, labels, name, warnings=warnings, carrier=(m if faithful else n, *pairs), subsets=subsets)
+    group.adopt_certificate(order, H)
+    return LabelledAction(group, labels, name, warnings, (m, gens, stab_gens), subsets, stab)
 
 
 def _induced(blocks: list[tuple], carrier_gens: list[Perm]) -> list[Perm]:
@@ -421,9 +438,9 @@ def coset_action(
     """The action of G on the right cosets of H, with point 0 = H itself.
 
     Each coset is keyed by :meth:`StabChain.coset_representative` of H's
-    chain.  The kernel is the core of H in G, which lies in H, so its order
-    is |H| over the order of H's image.  The returned action is the image
-    group, certified by :func:`_certified` with the image of H as G_0.
+    chain.  The returned action is the image group, certified by
+    :func:`_certified` with the image of H as G_0; a kernel, the core of H
+    in G, is counted there.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -452,14 +469,14 @@ def coset_action(
 
 
 def natural_action(G: PermGroup, name: str, caps: Caps = DEFAULT_CAPS) -> LabelledAction:
-    """G on its own points, labelled by index, with G as its own carrier;
-    an intransitive G is refused with ValueError.  Only its degree meets
-    the caps, before any chain: |G| needs one."""
+    """G on its own points, labelled by index, as the 1-subsets of its
+    points; an intransitive G is refused with ValueError.  Only its degree
+    meets the caps, before any chain: |G| needs one."""
     _within_caps(G.degree, 1, caps)
     if not G.is_transitive():
         raise ValueError("%s is not transitive on its %d points" % (name, G.degree))
     gens, stab_gens = ([(g, g) for g in K.gens] for K in (G, G.point_stabiliser(0)))
-    return _certified(name, tuple(range(G.degree)), G.degree, gens, stab_gens, G.order())
+    return _certified(name, tuple(range(G.degree)), G.degree, gens, stab_gens, G.order(), k=1)
 
 
 # -- the projective line, in codes ---------------------------------------------------
@@ -525,14 +542,14 @@ def psl2_c2_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     """The chosen group acting on unordered pairs of points of PG(1,q).
 
     Point 0 is the pair {<e1>, <e2>}.  A label is the sorted pair of the
-    two points' codes, so point 0 is (LINE_INF, LOG_ZERO).  Degree q(q+1)/2,
-    and |G| = [G : PSL(2,q)] * |PSL(2,q)|.
+    two points' codes, so point 0 is (LINE_INF, LOG_ZERO).  Degree
+    :func:`psl2_degree`, and |G| = [G : PSL(2,q)] * |PSL(2,q)|.
     """
     q = variant.q
     if q < 4:
         raise ValueError("need q >= 4")
     order = variant.index * q * (q * q - 1) // math.gcd(2, q - 1)
-    _within_caps(q * (q + 1) // 2, order, caps)
+    _within_caps(psl2_degree("c2", q), order, caps)
     F = field_create(variant.p, variant.f)
     Z = LOG_ZERO
     # u, the torus diag(lambda, 1/lambda), the swap, and delta = diag(lambda, 1)
@@ -595,12 +612,12 @@ def psl2_c3_action(variant: GroupVariant, caps: Caps = DEFAULT_CAPS) -> Labelled
     over GF(q^2)).  Point 0 is alpha = {<u>, <v>}; every other point is
     omega_b = {<u+bv>, <u-b^{-q}v>} for a scalar b with b^{q+1} != -1,
     labelled by the canonical log min(b, -b^{-q}); alpha is labelled
-    LOG_ZERO, which b = 0 would be.  Degree q(q-1)/2.
+    LOG_ZERO, which b = 0 would be.  Degree :func:`psl2_degree`.
     """
     q, p, f = variant.q, variant.p, variant.f
     if p == 2 or q < 5:
         raise ValueError("the unitary-model action needs odd q >= 5")
-    degree, order = q * (q - 1) // 2, variant.index * q * (q * q - 1) // 2
+    degree, order = psl2_degree("c3", q), variant.index * q * (q * q - 1) // 2
     _within_caps(degree, order, caps)
     F2 = field_create(p, 2 * f)
     m, Z = F2.q - 1, LOG_ZERO

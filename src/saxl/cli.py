@@ -49,6 +49,7 @@ from .actions import (
     load_catalogue,
     psl2_c2_action,
     psl2_c3_action,
+    psl2_degree,
 )
 from .engine import (
     build_report,
@@ -219,13 +220,11 @@ def build_action(args) -> LabelledAction:
             )
         return entries[args.catalogue].action(caps)
     if args.psl2 is not None:
-        q = args.q
-        ctor, degree = (psl2_c2_action, q * (q + 1) // 2) if args.psl2 == "c2" else (psl2_c3_action, q * (q - 1) // 2)
         # the degree needs no factoring of q: a huge q meets the point cap
         # before GroupVariant splits it
-        _within_caps(degree, None, caps)
-        variant = GroupVariant(VARIANT_NAMES[args.variant], q, args.j if args.variant == "dphi" else 0)
-        return ctor(variant, caps=caps)
+        _within_caps(psl2_degree(args.psl2, args.q), None, caps)
+        variant = GroupVariant(VARIANT_NAMES[args.variant], args.q, args.j if args.variant == "dphi" else 0)
+        return (psl2_c2_action if args.psl2 == "c2" else psl2_c3_action)(variant, caps=caps)
     n, k = args.ksubsets
     return ksubset_action(n, k, even_only=args.alternating, caps=caps)
 
@@ -384,7 +383,7 @@ def _sweep_johnson(args) -> list[dict]:
         checks.append(
             _check(
                 "johnson PGL2 q=%d" % q,
-                n == q * (q + 1) // 2 and bad == 0 and r == 1,
+                n == psl2_degree("c2", q) and bad == 0 and r == 1,
                 "%d edge disagreements, r=%d" % (bad, r),
             )
         )

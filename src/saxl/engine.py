@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .actions import LabelledAction, diagonal
+from .actions import LabelledAction
 from .gf import prime_factors
 from .group import CapExceeded, CrossCheckFailed, PermGroup, conjugacy_class
 from .perm import Perm, identity, row_keys
@@ -50,15 +50,13 @@ class _Analysis:
     independent routes that must agree: orbit length (a breadth-first search
     over the generators of H) versus fixed points ({0, b} is a base exactly
     when no non-identity element of H fixes b).  The fixed points come from
-    H's elements, streamed in blocks of image rows and not kept: for an
-    action on the k-subsets of its carrier, from H's chain on the carrier,
-    each block mapped to the labels by the rank form
-    (:meth:`saxl.actions.SubsetLabels.stabiliser_blocks`), and otherwise
-    from H's chain on the labels.  One comparison of a block with the
-    identity's images marks every fixed point of every row, and a row that
-    is not all fixed is not the identity.  The same pass checks that
-    exactly one row is the identity, so that H acts faithfully on the
-    labels, and Burnside's count sum_h fix(h) == |H| * (number of H-orbits).
+    H's elements, streamed in blocks of label rows from the action's one
+    chain of H (:meth:`saxl.actions.LabelledAction.stabiliser_blocks`) and
+    not kept.  One comparison of a block with the identity's images marks
+    every fixed point of every row, and a row that is not all fixed is not
+    the identity.  The same pass checks that exactly one row is the
+    identity, so that H acts faithfully on the labels, and Burnside's count
+    sum_h fix(h) == |H| * (number of H-orbits).
     """
 
     def __init__(self, action: LabelledAction):
@@ -71,11 +69,7 @@ class _Analysis:
         points = identity(n).images
         fixed_by_nonidentity = np.zeros(n, dtype=bool)
         fix_total = identities = 0
-        if action.subsets is None:
-            blocks = H.iter_blocks()
-        else:
-            blocks = (labels for _, labels in action.subsets.stabiliser_blocks())
-        for block in blocks:
+        for _, block in action.stabiliser_blocks():
             fixed = block == points
             fix_total += int(np.count_nonzero(fixed))
             moved = ~fixed.all(axis=1)
@@ -195,18 +189,15 @@ def _prime_class_data(action: LabelledAction):
     (order, class_size, count_in_H) per G-class meeting H, and pools maps
     (order, G-class size) to the number of elements of H in the H-classes
     with that key.  H is enumerated once, in blocks of rows, each with its
-    carrier and its label images: for an action on the k-subsets of its
-    carrier, from H's chain on the carrier, each block mapped to the labels
-    by the rank form (:meth:`saxl.actions.SubsetLabels.stabiliser_blocks`);
-    otherwise from the chain of D, the group of its diagonal generators on
-    carrier and labels, split into its carrier and label columns.  The
-    carrier rows give each element's key and, by powers of all rows at
-    once, its order, and the label rows give fix(x) by one comparison, and
-    must hold exactly one identity row.  The class searches run over keys in
-    the carrier's degree m.  Every G-class entry is cross-checked against
-    the orbit-counting identity |x^G meet H| * n == fix(x) * |x^G|, count
-    and size from the carrier search and fix(x) from the labels, and the
-    pools against the G-class counts pooled by the same key.
+    carrier and its label images, from the action's one chain of H
+    (:meth:`saxl.actions.LabelledAction.stabiliser_blocks`).  The carrier
+    rows give each element's key and, by powers of all rows at once, its
+    order, and the label rows give fix(x) by one comparison, and must hold
+    exactly one identity row.  The class searches run over keys in the
+    carrier's degree m.  Every G-class entry is cross-checked against the
+    orbit-counting identity |x^G meet H| * n == fix(x) * |x^G|, count and
+    size from the carrier search and fix(x) from the labels, and the pools
+    against the G-class counts pooled by the same key.
     """
     cached = action._cache.get("prime_classes")
     if cached is not None:
@@ -217,20 +208,13 @@ def _prime_class_data(action: LabelledAction):
     n = action.degree
     G = PermGroup(m, [c for c, _ in gens])
     H = PermGroup(m, [c for c, _ in stab_gens])
-    key_dtype = identity(m).images.dtype
-    # H in its chain's order: Q-hat and Q-tilde are sums over classes, so the
-    # order in which classes are found does not matter
-    if action.subsets is None:
-        D = PermGroup(m + n, [diagonal(c, g) for c, g in stab_gens])
-        # D's rows may be wider than either part's keys
-        blocks = ((block[:, :m].astype(key_dtype), block[:, m:] - m) for block in D.iter_blocks())
-    else:
-        blocks = action.subsets.stabiliser_blocks()
     points = identity(n).images
     primes = prime_factors(action.stabiliser0().order())
     fixed: dict[bytes, tuple[int, int]] = {}  # carrier key -> (prime order, fixed labels)
     identities = 0
-    for carrier, labels in blocks:
+    # H in its chain's order: Q-hat and Q-tilde are sums over classes, so the
+    # order in which classes are found does not matter
+    for carrier, labels in action.stabiliser_blocks():
         orders = _prime_orders(carrier, primes)
         prime = orders > 0
         fix = np.count_nonzero(labels == points, axis=1)
@@ -251,7 +235,7 @@ def _prime_class_data(action: LabelledAction):
         unassigned -= hits
         membership.update(dict.fromkeys(hits, len(g_classes)))
         if count * n != fix * size:
-            rep = Perm(np.frombuffer(h, key_dtype).tolist())
+            rep = Perm(np.frombuffer(h, identity(m).images.dtype).tolist())
             raise CrossCheckFailed("orbit-counting identity failed for class of %s" % (rep.cycle_string(),))
         g_classes.append((order, size, count))
 

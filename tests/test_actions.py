@@ -68,6 +68,12 @@ class TestKSubsetAction:
             ksubset_action(13, 2)  # 13! over the group cap
 
 
+def _s4_on_d8_cosets():
+    s4 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 1)])])
+    d8 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(1, 3)])])
+    return coset_action(s4, d8, "S4/D8")
+
+
 class TestCosetAction:
     def test_s7_over_affine_row(self, catalogue):
         entry = catalogue["S7_AGL17"]
@@ -85,9 +91,7 @@ class TestCosetAction:
 
     def test_kernel_is_the_core_of_the_subgroup(self):
         # S4 on the 3 cosets of D8: the kernel is the Klein four-group
-        s4 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 1)])])
-        d8 = PermGroup(4, [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(1, 3)])])
-        act = coset_action(s4, d8, "S4/D8")
+        act = _s4_on_d8_cosets()
         assert act.degree == 3
         assert act.warnings == ("action has kernel of order 4",)
         assert act.group.order() == 6
@@ -238,20 +242,6 @@ class TestSubsetLabels:
         # at 300 points both bytes of a point's key differ between subsets
         rng = np.random.default_rng(m + k)
         self._agree(SubsetLabels(m, k), [Perm(rng.permutation(m).tolist()) for _ in range(3)])
-
-    @pytest.mark.parametrize(
-        "build", [lambda: psl2_c2_action(GroupVariant("PGL2", 9)), lambda: ksubset_action(7, 3)], ids=["c2", "S7-3"]
-    )
-    def test_stream_is_g0_on_the_labels(self, build):
-        act = build()
-        H = PermGroup(act.degree, act.stabiliser0().gens)  # G_0 by its own chain on the labels
-        carrier, labels = [], []
-        for rows, label_rows in act.subsets.stabiliser_blocks():
-            assert len(rows) == 1 or label_rows.size <= BLOCK_ENTRIES
-            carrier += row_keys(rows)
-            labels += row_keys(label_rows)
-        assert len(set(carrier)) == len(carrier) == act.stabiliser0().order()
-        assert sorted(labels) == [h.key for h in H.elements()]
 
 
 class TestProjectivePairAction:
@@ -426,6 +416,46 @@ class TestPinnedGenerators:
 
     def test_generator_digest_q49_q81(self):
         assert self._digest(self._projective((49, 81))) == (24, self.DIGEST_49_81)
+
+
+class TestStabiliserBlocks:
+    """G_0's one stream, from the chain that certification built."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: psl2_c2_action(GroupVariant("PGL2", 9)),
+            lambda: ksubset_action(7, 3),
+            lambda: psl2_c3_action(GroupVariant("PSL2", 27)),
+            lambda: load_catalogue(bundled_catalogue_path())["PGL2_13_S4"].action(),
+            _s4_on_d8_cosets,  # a kernel of order 4: the labels are their own carrier
+            lambda: load_catalogue(bundled_catalogue_path())["M11"].action(),  # natural: 1-subsets
+        ],
+        ids=["c2", "S7-3", "c3", "PGL2_13_S4", "S4-D8", "M11"],
+    )
+    def test_stream_is_g0_on_the_labels(self, build):
+        act = build()
+        m, n = act.carrier[0], act.degree
+        H = PermGroup(n, act.stabiliser0().gens)  # G_0 by its own chain on the labels
+        carrier, labels = [], []
+        for rows, label_rows in act.stabiliser_blocks():
+            assert rows.dtype == identity(m).images.dtype and rows.shape[1] == m
+            assert len(rows) == 1 or label_rows.size <= BLOCK_ENTRIES
+            carrier += row_keys(rows)
+            labels += row_keys(label_rows.astype(identity(n).images.dtype))
+        assert len(set(carrier)) == len(carrier) == act.stabiliser0().order()
+        assert sorted(labels) == [h.key for h in H.elements()]
+
+    def test_kernel_without_a_declared_stabiliser_order_is_refused(self):
+        # S4 on its three pairings 01|23, 02|13, 03|12, whose stabiliser D8
+        # holds the kernel V4 = <(0 1)(2 3), (0 2)(1 3)>
+        gens = [(from_cycles(4, [(0, 1, 2, 3)]), Perm([2, 1, 0])), (from_cycles(4, [(0, 1)]), Perm([0, 2, 1]))]
+        stab_gens = [gens[1], (from_cycles(4, [(0, 2), (1, 3)]), identity(3))]
+        with pytest.raises(CrossCheckFailed, match="pairings: the action has a kernel, and declares no stabiliser order"):
+            _certified("pairings", (0, 1, 2), 4, gens, stab_gens, 24)
+        act = _certified("pairings", (0, 1, 2), 4, gens, stab_gens, 24, stab_order=8)
+        assert act.warnings == ("action has kernel of order 4",)
+        assert act.carrier[0] == 3 and act.group.order() == 6 and act.stabiliser0().order() == 2
 
 
 class TestLabelledActionInvariants:

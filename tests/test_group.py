@@ -258,21 +258,23 @@ class TestStabilisers:
         assert all(g(0) == 0 for g in stab.gens)
 
     @pytest.mark.parametrize(
-        "argv, n, m",
+        "argv, n, m, diagonal",
         [
-            ("--psl2 c2 --q 25 --variant psigma", 325, 26),
-            ("--psl2 c3 --q 27", 351, None),
-            ("--ksubsets 7 3 --alternating", 35, 7),
-            ("--catalogue PGL2_13_S4", 91, None),
+            ("--psl2 c2 --q 25 --variant psigma", 325, 26, False),
+            ("--psl2 c3 --q 27", 351, 28, True),
+            ("--ksubsets 7 3 --alternating", 35, 7, False),
+            ("--catalogue PGL2_13_S4", 91, 14, True),
         ],
         ids=["c2", "c3", "ksubsets", "catalogue"],
     )
-    def test_analyze_builds_no_chain_of_g_on_its_points(self, monkeypatch, capsys, argv, n, m):
+    def test_analyze_builds_no_chain_of_g_on_its_points(self, monkeypatch, capsys, argv, n, m, diagonal):
         # an action on the k-subsets of m carrier points is certified, and
         # its G_0 streamed, on the carrier alone: every chain that analyze
-        # builds has degree m, none n or m + n.  Any other certificate's
-        # chain acts on carrier and points together, so the one chain of
-        # degree n is H's, all of whose generators fix point 0
+        # builds has degree m.  The unitary points and cosets are certified
+        # by a chain of G on carrier and points together, and G_0's one
+        # chain acts on points and carrier together, points first, so that
+        # all of its generators fix point 0; no chain has degree n, with
+        # classes or without them
         chains = []
         build = StabChain.__init__
 
@@ -281,14 +283,15 @@ class TestStabilisers:
             build(self, degree, gens, *args, **kwargs)
 
         monkeypatch.setattr(StabChain, "__init__", recorded)
-        assert main(["analyze", *argv.split()]) == 0
-        assert json.loads(capsys.readouterr().out)["n"] == n
-        if m is not None:
-            assert chains and {degree for degree, _ in chains} == {m}
-        else:
-            on_points = [images_of_0 for degree, images_of_0 in chains if degree == n]
-            assert len(on_points) == 1
-            assert set(on_points[0]) == {0}
+        for classes in ([], ["--no-classes"]):
+            chains.clear()
+            assert main(["analyze", *argv.split(), *classes]) == 0
+            assert json.loads(capsys.readouterr().out)["n"] == n
+            degrees = {degree for degree, _ in chains}
+            assert chains and degrees <= {m, n + m} and (n + m in degrees) == diagonal
+            if diagonal:
+                of_g0 = [images_of_0 for degree, images_of_0 in chains if degree == n + m and set(images_of_0) == {0}]
+                assert len(of_g0) == 1
         # primitivity reads the certified G_0 and a Schreier vector
         action = build_action(_build_parser().parse_args(["analyze", *argv.split()]))
         chains.clear()
